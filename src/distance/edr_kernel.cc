@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 #include "core/cpu.h"
@@ -30,79 +31,149 @@ namespace {
 std::atomic<EdrKernel> g_default_kernel{EdrKernel::kBitParallel};
 
 // ---------------------------------------------------------------------------
-// SoA pattern copies. The match tests below stream over these flat arrays
-// with branch-free compares; the compiler vectorizes them, which it cannot
-// do over the AoS Point2/Point3 layout inside Trajectory.
+// Pattern preparation. The match builders stream over a flat SoA copy of
+// the pattern (the compiler cannot vectorize over the AoS Point2/Point3
+// layout inside Trajectory), padded with NaN to whole 64-row words, plus
+// the bounding box of each 8-row group of it.
 // ---------------------------------------------------------------------------
 
-void FillPattern(EdrScratch& sc, const Trajectory& t) {
-  double* px = sc.px();
-  double* py = sc.py();
-  for (size_t i = 0; i < t.size(); ++i) {
-    px[i] = t[i].x;
-    py[i] = t[i].y;
+constexpr size_t kBoxStride = EdrScratch::kBoxStride;
+// Offsets of the eight-group fields inside one word's kBoxStride block.
+constexpr size_t kMinX = 0;
+constexpr size_t kMaxX = 8;
+constexpr size_t kMinY = 16;
+constexpr size_t kMaxY = 24;
+constexpr size_t kMinZ = 32;
+constexpr size_t kMaxZ = 40;
+
+template <typename PointT>
+constexpr bool kIs3D = std::is_same_v<PointT, Point3>;
+
+template <typename PointT>
+double PointZ(PointT p) {
+  if constexpr (kIs3D<PointT>) {
+    return p.z;
+  } else {
+    return 0.0;
   }
 }
 
-void FillPattern(EdrScratch& sc, const Trajectory3& t) {
-  double* px = sc.px();
-  double* py = sc.py();
-  double* pz = sc.pz();
-  for (size_t i = 0; i < t.size(); ++i) {
-    px[i] = t[i].x;
-    py[i] = t[i].y;
-    pz[i] = t[i].z;
+/// The padded pattern as the match builders read it: `words` * 64 rows of
+/// x/y (and z in 3-D), and the group boxes.
+struct Pattern {
+  const double* x;
+  const double* y;
+  const double* z;
+  const double* box;
+  size_t words;
+};
+
+template <typename TrajectoryT>
+Pattern FillPattern(EdrScratch& sc, const TrajectoryT& t) {
+  constexpr size_t dims = std::is_same_v<TrajectoryT, Trajectory3> ? 3 : 2;
+  const size_t m = t.size();
+  const size_t words = (m + 63) / 64;
+  sc.ReservePattern(m);
+  double* const rows[3] = {sc.px(), sc.py(), sc.pz()};
+  for (size_t i = 0; i < m; ++i) {
+    rows[0][i] = t[i].x;
+    rows[1][i] = t[i].y;
+    if constexpr (dims == 3) rows[2][i] = t[i].z;
   }
+  for (size_t d = 0; d < dims; ++d) {
+    std::fill(rows[d] + m, rows[d] + words * 64,
+              std::numeric_limits<double>::quiet_NaN());
+  }
+  // NaN compares false, so NaN rows (the padding included) stay out of
+  // their group's box; an all-NaN group keeps the empty box [+inf, -inf].
+  double* box = sc.box();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t g = 0; g < words * 8; ++g) {
+    double* b = box + (g / 8) * kBoxStride + g % 8;
+    for (size_t d = 0; d < dims; ++d) {
+      double lo = kInf;
+      double hi = -kInf;
+      for (size_t i = g * 8; i < g * 8 + 8; ++i) {
+        const double v = rows[d][i];
+        if (v < lo) lo = v;
+        if (v > hi) hi = v;
+      }
+      b[kMinX + 16 * d] = lo;
+      b[kMaxX + 16 * d] = hi;
+    }
+  }
+  return {rows[0], rows[1], rows[2], box, words};
 }
 
-// Per-column match bit-vector: bit i of eq is set iff pattern element i
-// epsilon-matches the current text element (Definition 1, boundary
-// inclusive — exactly the Match() predicate of the scalar DP).
+// ---------------------------------------------------------------------------
+// Per-column match bit-vector: bit i of eq is set iff pattern row i
+// epsilon-matches the current text point (Definition 1, boundary inclusive
+// — exactly the Match() predicate of the scalar DP). NaN padding rows never
+// match, so every builder works in whole words.
 //
-// Two stages so the compiler can vectorize: a branch-free compare loop
-// writing one 0/1 byte per pattern element, then a multiply-pack turning
-// each group of eight bool bytes into eight bits (the partial products of
-// kPackMagic land on pairwise-distinct bit positions, so no carries and
-// the pack is exact). Bytes [m, words*64) are zeroed once per call by the
-// caller, which makes the padding rows permanent mismatches.
+// Word skip: a group box [lo, hi] is *far* from text coordinate s when
+// fl(lo - s) > eps or fl(hi - s) < -eps in some dimension. Rounded
+// subtraction is monotone in its first operand, so every row value v in
+// the box has fl(v - s) >= fl(lo - s) > eps, or fl(v - s) <= fl(hi - s) <
+// -eps: |fl(v - s)| > eps, exactly the compare Match() fails on. When all
+// eight group boxes of a word are far, eq[w] = 0 without the exact
+// compares. Any NaN operand makes both strict compares false, so the group
+// is kept and the exact compare decides; results stay bit-identical.
+// ---------------------------------------------------------------------------
+
+template <typename PointT>
+bool WordFarScalar(const double* b, PointT s, double eps) {
+  bool far = true;
+  for (size_t g = 0; g < 8; ++g) {
+    bool group_far =
+        (b[kMinX + g] - s.x > eps) | (b[kMaxX + g] - s.x < -eps) |
+        (b[kMinY + g] - s.y > eps) | (b[kMaxY + g] - s.y < -eps);
+    if constexpr (kIs3D<PointT>) {
+      group_far |= (b[kMinZ + g] - s.z > eps) | (b[kMaxZ + g] - s.z < -eps);
+    }
+    far &= group_far;
+  }
+  return far;
+}
+
+// Packs 64 one-byte bools into a word: the partial products of kPackMagic
+// land on pairwise-distinct bit positions, so no carries and the pack is
+// exact.
 constexpr uint64_t kPackMagic = 0x0102040810204080ULL;
 
-inline void PackMatchBytes(const uint8_t* match, size_t words, uint64_t* eq) {
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t bits = 0;
-    for (size_t g = 0; g < 8; ++g) {
-      uint64_t chunk;
-      std::memcpy(&chunk, match + w * 64 + g * 8, sizeof(chunk));
-      bits |= ((chunk * kPackMagic) >> 56) << (8 * g);
+inline uint64_t PackMatchBytes(const uint8_t* match) {
+  uint64_t bits = 0;
+  for (size_t g = 0; g < 8; ++g) {
+    uint64_t chunk;
+    std::memcpy(&chunk, match + g * 8, sizeof(chunk));
+    bits |= ((chunk * kPackMagic) >> 56) << (8 * g);
+  }
+  return bits;
+}
+
+// Scalar reference body: a branch-free compare loop writing one 0/1 byte
+// per row, which the compiler vectorizes, then the multiply-pack. Every
+// platform compiles it; it is also the kScalar dispatch target and the only
+// path under EDR_DISABLE_SIMD.
+template <typename PointT>
+void BuildEqScalar(const Pattern& p, PointT s, double epsilon, uint64_t* eq) {
+  for (size_t w = 0; w < p.words; ++w) {
+    if (WordFarScalar(p.box + w * kBoxStride, s, epsilon)) {
+      eq[w] = 0;
+      continue;
     }
-    eq[w] = bits;
+    const size_t base = w * 64;
+    uint8_t match[64];
+    for (size_t k = 0; k < 64; ++k) {
+      bool hit = (std::fabs(p.x[base + k] - s.x) <= epsilon) &
+                 (std::fabs(p.y[base + k] - s.y) <= epsilon);
+      if constexpr (kIs3D<PointT>) {
+        hit &= std::fabs(p.z[base + k] - s.z) <= epsilon;
+      }
+      match[k] = static_cast<uint8_t>(hit);
+    }
+    eq[w] = PackMatchBytes(match);
   }
-}
-
-// Scalar reference bodies: one 0/1 byte per pattern element, then the
-// multiply-pack. Every platform compiles these; they are also the kScalar
-// dispatch target and the only path under EDR_DISABLE_SIMD.
-
-inline void BuildEqScalar(const double* px, const double* py, size_t m,
-                          Point2 s, double epsilon, uint8_t* match,
-                          size_t words, uint64_t* eq) {
-  for (size_t i = 0; i < m; ++i) {
-    match[i] = static_cast<uint8_t>((std::fabs(px[i] - s.x) <= epsilon) &
-                                    (std::fabs(py[i] - s.y) <= epsilon));
-  }
-  PackMatchBytes(match, words, eq);
-}
-
-inline void BuildEq3Scalar(const double* px, const double* py,
-                           const double* pz, size_t m, Point3 s,
-                           double epsilon, uint8_t* match, size_t words,
-                           uint64_t* eq) {
-  for (size_t i = 0; i < m; ++i) {
-    match[i] = static_cast<uint8_t>((std::fabs(px[i] - s.x) <= epsilon) &
-                                    (std::fabs(py[i] - s.y) <= epsilon) &
-                                    (std::fabs(pz[i] - s.z) <= epsilon));
-  }
-  PackMatchBytes(match, words, eq);
 }
 
 #if defined(EDR_EDRKERNEL_SSE2)
@@ -110,75 +181,55 @@ inline void BuildEq3Scalar(const double* px, const double* py,
 // SSE2 path (baseline on x86-64): |d| <= eps computed exactly as the
 // scalar Match() — fabs is a sign-bit clear, the compare is the same
 // IEEE <= — and two lanes at a time drop straight into the bit-vector via
-// movemask, skipping the byte staging buffer entirely. The wider-lane
-// variants below repeat the same per-lane operations, so every level
-// builds the identical bit-vector.
+// movemask. The wider-lane variants below repeat the same per-lane
+// operations, so every level builds the identical bit-vector. The box
+// tests use the negated (unordered) compares, so a lane is "near" exactly
+// when it is not far.
 
-inline void BuildEqSse2(const double* px, const double* py, size_t m,
-                        Point2 s, double epsilon, uint8_t* /*match*/,
-                        size_t words, uint64_t* eq) {
-  const __m128d sign = _mm_set1_pd(-0.0);
-  const __m128d eps = _mm_set1_pd(epsilon);
-  const __m128d sx = _mm_set1_pd(s.x);
-  const __m128d sy = _mm_set1_pd(s.y);
-  for (size_t w = 0; w < words; ++w) {
-    const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
-    uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 2 <= limit; k += 2) {
-      const __m128d cx = _mm_cmple_pd(
-          _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(px + base + k), sx)),
-          eps);
-      const __m128d cy = _mm_cmple_pd(
-          _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(py + base + k), sy)),
-          eps);
-      bits |= static_cast<uint64_t>(_mm_movemask_pd(_mm_and_pd(cx, cy)))
-              << k;
-    }
-    if (k < limit) {
-      const uint64_t last = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon));
-      bits |= last << k;
-    }
-    eq[w] = bits;
-  }
+inline __m128d NearSse2(const double* lo, const double* hi, __m128d s,
+                        __m128d eps, __m128d neg_eps) {
+  return _mm_and_pd(_mm_cmpngt_pd(_mm_sub_pd(_mm_loadu_pd(lo), s), eps),
+                    _mm_cmpnlt_pd(_mm_sub_pd(_mm_loadu_pd(hi), s), neg_eps));
 }
 
-inline void BuildEq3Sse2(const double* px, const double* py,
-                         const double* pz, size_t m, Point3 s, double epsilon,
-                         uint8_t* /*match*/, size_t words, uint64_t* eq) {
-  const __m128d sign = _mm_set1_pd(-0.0);
+inline __m128d MatchSse2(const double* v, __m128d s, __m128d eps) {
+  return _mm_cmple_pd(
+      _mm_andnot_pd(_mm_set1_pd(-0.0), _mm_sub_pd(_mm_loadu_pd(v), s)), eps);
+}
+
+template <typename PointT>
+void BuildEqSse2(const Pattern& p, PointT s, double epsilon, uint64_t* eq) {
   const __m128d eps = _mm_set1_pd(epsilon);
+  const __m128d neg_eps = _mm_set1_pd(-epsilon);
   const __m128d sx = _mm_set1_pd(s.x);
   const __m128d sy = _mm_set1_pd(s.y);
-  const __m128d sz = _mm_set1_pd(s.z);
-  for (size_t w = 0; w < words; ++w) {
-    const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
-    uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 2 <= limit; k += 2) {
-      const __m128d cx = _mm_cmple_pd(
-          _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(px + base + k), sx)),
-          eps);
-      const __m128d cy = _mm_cmple_pd(
-          _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(py + base + k), sy)),
-          eps);
-      const __m128d cz = _mm_cmple_pd(
-          _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(pz + base + k), sz)),
-          eps);
-      bits |= static_cast<uint64_t>(
-                  _mm_movemask_pd(_mm_and_pd(_mm_and_pd(cx, cy), cz)))
-              << k;
+  const __m128d sz = _mm_set1_pd(PointZ(s));
+  for (size_t w = 0; w < p.words; ++w) {
+    const double* b = p.box + w * kBoxStride;
+    __m128d near = _mm_setzero_pd();
+    for (size_t g = 0; g < 8; g += 2) {
+      __m128d n = _mm_and_pd(
+          NearSse2(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
+          NearSse2(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
+      if constexpr (kIs3D<PointT>) {
+        n = _mm_and_pd(
+            n, NearSse2(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
+      }
+      near = _mm_or_pd(near, n);
     }
-    if (k < limit) {
-      const uint64_t last = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon) &
-          (std::fabs(pz[base + k] - s.z) <= epsilon));
-      bits |= last << k;
+    if (_mm_movemask_pd(near) == 0) {
+      eq[w] = 0;
+      continue;
+    }
+    const size_t base = w * 64;
+    uint64_t bits = 0;
+    for (size_t k = 0; k < 64; k += 2) {
+      __m128d c = _mm_and_pd(MatchSse2(p.x + base + k, sx, eps),
+                             MatchSse2(p.y + base + k, sy, eps));
+      if constexpr (kIs3D<PointT>) {
+        c = _mm_and_pd(c, MatchSse2(p.z + base + k, sz, eps));
+      }
+      bits |= static_cast<uint64_t>(_mm_movemask_pd(c)) << k;
     }
     eq[w] = bits;
   }
@@ -188,78 +239,60 @@ inline void BuildEq3Sse2(const double* px, const double* py,
 
 #if defined(EDR_EDRKERNEL_AVX2)
 
-__attribute__((target("avx2"))) void BuildEqAvx2(const double* px,
-                                                 const double* py, size_t m,
-                                                 Point2 s, double epsilon,
-                                                 uint8_t* /*match*/,
-                                                 size_t words, uint64_t* eq) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d eps = _mm256_set1_pd(epsilon);
-  const __m256d sx = _mm256_set1_pd(s.x);
-  const __m256d sy = _mm256_set1_pd(s.y);
-  for (size_t w = 0; w < words; ++w) {
-    const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
-    uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 4 <= limit; k += 4) {
-      const __m256d cx = _mm256_cmp_pd(
-          _mm256_andnot_pd(sign,
-                           _mm256_sub_pd(_mm256_loadu_pd(px + base + k), sx)),
-          eps, _CMP_LE_OQ);
-      const __m256d cy = _mm256_cmp_pd(
-          _mm256_andnot_pd(sign,
-                           _mm256_sub_pd(_mm256_loadu_pd(py + base + k), sy)),
-          eps, _CMP_LE_OQ);
-      bits |= static_cast<uint64_t>(_mm256_movemask_pd(_mm256_and_pd(cx, cy)))
-              << k;
-    }
-    for (; k < limit; ++k) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon));
-      bits |= one << k;
-    }
-    eq[w] = bits;
-  }
+__attribute__((target("avx2"))) inline __m256d NearAvx2(const double* lo,
+                                                        const double* hi,
+                                                        __m256d s, __m256d eps,
+                                                        __m256d neg_eps) {
+  return _mm256_and_pd(
+      _mm256_cmp_pd(_mm256_sub_pd(_mm256_loadu_pd(lo), s), eps, _CMP_NGT_UQ),
+      _mm256_cmp_pd(_mm256_sub_pd(_mm256_loadu_pd(hi), s), neg_eps,
+                    _CMP_NLT_UQ));
 }
 
-__attribute__((target("avx2"))) void BuildEq3Avx2(
-    const double* px, const double* py, const double* pz, size_t m, Point3 s,
-    double epsilon, uint8_t* /*match*/, size_t words, uint64_t* eq) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
+__attribute__((target("avx2"))) inline __m256d MatchAvx2(const double* v,
+                                                         __m256d s,
+                                                         __m256d eps) {
+  return _mm256_cmp_pd(
+      _mm256_andnot_pd(_mm256_set1_pd(-0.0),
+                       _mm256_sub_pd(_mm256_loadu_pd(v), s)),
+      eps, _CMP_LE_OQ);
+}
+
+template <typename PointT>
+__attribute__((target("avx2"))) void BuildEqAvx2(const Pattern& p, PointT s,
+                                                 double epsilon,
+                                                 uint64_t* eq) {
   const __m256d eps = _mm256_set1_pd(epsilon);
+  const __m256d neg_eps = _mm256_set1_pd(-epsilon);
   const __m256d sx = _mm256_set1_pd(s.x);
   const __m256d sy = _mm256_set1_pd(s.y);
-  const __m256d sz = _mm256_set1_pd(s.z);
-  for (size_t w = 0; w < words; ++w) {
-    const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
-    uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 4 <= limit; k += 4) {
-      const __m256d cx = _mm256_cmp_pd(
-          _mm256_andnot_pd(sign,
-                           _mm256_sub_pd(_mm256_loadu_pd(px + base + k), sx)),
-          eps, _CMP_LE_OQ);
-      const __m256d cy = _mm256_cmp_pd(
-          _mm256_andnot_pd(sign,
-                           _mm256_sub_pd(_mm256_loadu_pd(py + base + k), sy)),
-          eps, _CMP_LE_OQ);
-      const __m256d cz = _mm256_cmp_pd(
-          _mm256_andnot_pd(sign,
-                           _mm256_sub_pd(_mm256_loadu_pd(pz + base + k), sz)),
-          eps, _CMP_LE_OQ);
-      bits |= static_cast<uint64_t>(_mm256_movemask_pd(
-                  _mm256_and_pd(_mm256_and_pd(cx, cy), cz)))
-              << k;
+  const __m256d sz = _mm256_set1_pd(PointZ(s));
+  for (size_t w = 0; w < p.words; ++w) {
+    const double* b = p.box + w * kBoxStride;
+    __m256d near = _mm256_setzero_pd();
+    for (size_t g = 0; g < 8; g += 4) {
+      __m256d n = _mm256_and_pd(
+          NearAvx2(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
+          NearAvx2(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
+      if constexpr (kIs3D<PointT>) {
+        n = _mm256_and_pd(
+            n, NearAvx2(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
+      }
+      near = _mm256_or_pd(near, n);
     }
-    for (; k < limit; ++k) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon) &
-          (std::fabs(pz[base + k] - s.z) <= epsilon));
-      bits |= one << k;
+    if (_mm256_movemask_pd(near) == 0) {
+      eq[w] = 0;
+      continue;
+    }
+    const size_t base = w * 64;
+    uint64_t bits = 0;
+    for (size_t k = 0; k < 64; k += 4) {
+      __m256d c = _mm256_and_pd(MatchAvx2(p.x + base + k, sx, eps),
+                                MatchAvx2(p.y + base + k, sy, eps));
+      if constexpr (kIs3D<PointT>) {
+        c = _mm256_and_pd(c, MatchAvx2(p.z + base + k, sz, eps));
+      }
+      bits |= static_cast<uint64_t>(_mm256_movemask_pd(c)) << k;
     }
     eq[w] = bits;
   }
@@ -269,69 +302,60 @@ __attribute__((target("avx2"))) void BuildEq3Avx2(
 
 #if defined(EDR_EDRKERNEL_AVX512)
 
-// AVX-512 drops the movemask: the compares produce mask registers whose
-// bits go straight into the eq word, eight rows per step.
+// AVX-512 drops the movemask: compares produce mask registers whose bits go
+// straight into the eq word, eight rows (one group) per step. Both the box
+// test and the exact test chain masked compares, one per bound or
+// dimension, with no mask ANDs. The exact test keeps one ordered compare
+// per dimension (AVX-512F only): VRANGEPD's max(|dx|, |dy|) would need
+// AVX512DQ and returns the other operand when one is a quiet NaN, so a NaN
+// difference could match.
 
-__attribute__((target("avx512f"))) void BuildEqAvx512(
-    const double* px, const double* py, size_t m, Point2 s, double epsilon,
-    uint8_t* /*match*/, size_t words, uint64_t* eq) {
-  const __m512d eps = _mm512_set1_pd(epsilon);
-  const __m512d sx = _mm512_set1_pd(s.x);
-  const __m512d sy = _mm512_set1_pd(s.y);
-  for (size_t w = 0; w < words; ++w) {
-    const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
-    uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 8 <= limit; k += 8) {
-      const __mmask8 cx = _mm512_cmp_pd_mask(
-          _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(px + base + k), sx)),
-          eps, _CMP_LE_OQ);
-      const __mmask8 cy = _mm512_cmp_pd_mask(
-          _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(py + base + k), sy)),
-          eps, _CMP_LE_OQ);
-      bits |= static_cast<uint64_t>(cx & cy) << k;
-    }
-    for (; k < limit; ++k) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon));
-      bits |= one << k;
-    }
-    eq[w] = bits;
-  }
+__attribute__((target("avx512f"))) inline __mmask8 NearAvx512(
+    __mmask8 k, const double* lo, const double* hi, __m512d s, __m512d eps,
+    __m512d neg_eps) {
+  k = _mm512_mask_cmp_pd_mask(k, _mm512_sub_pd(_mm512_loadu_pd(lo), s), eps,
+                              _CMP_NGT_UQ);
+  return _mm512_mask_cmp_pd_mask(k, _mm512_sub_pd(_mm512_loadu_pd(hi), s),
+                                 neg_eps, _CMP_NLT_UQ);
 }
 
-__attribute__((target("avx512f"))) void BuildEq3Avx512(
-    const double* px, const double* py, const double* pz, size_t m, Point3 s,
-    double epsilon, uint8_t* /*match*/, size_t words, uint64_t* eq) {
+__attribute__((target("avx512f"))) inline __mmask8 MatchAvx512(
+    __mmask8 k, const double* v, __m512d s, __m512d eps) {
+  return _mm512_mask_cmp_pd_mask(
+      k, _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(v), s)), eps,
+      _CMP_LE_OQ);
+}
+
+template <typename PointT>
+__attribute__((target("avx512f"))) void BuildEqAvx512(const Pattern& p,
+                                                      PointT s,
+                                                      double epsilon,
+                                                      uint64_t* eq) {
   const __m512d eps = _mm512_set1_pd(epsilon);
+  const __m512d neg_eps = _mm512_set1_pd(-epsilon);
   const __m512d sx = _mm512_set1_pd(s.x);
   const __m512d sy = _mm512_set1_pd(s.y);
-  const __m512d sz = _mm512_set1_pd(s.z);
-  for (size_t w = 0; w < words; ++w) {
-    const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
-    uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 8 <= limit; k += 8) {
-      const __mmask8 cx = _mm512_cmp_pd_mask(
-          _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(px + base + k), sx)),
-          eps, _CMP_LE_OQ);
-      const __mmask8 cy = _mm512_cmp_pd_mask(
-          _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(py + base + k), sy)),
-          eps, _CMP_LE_OQ);
-      const __mmask8 cz = _mm512_cmp_pd_mask(
-          _mm512_abs_pd(_mm512_sub_pd(_mm512_loadu_pd(pz + base + k), sz)),
-          eps, _CMP_LE_OQ);
-      bits |= static_cast<uint64_t>(cx & cy & cz) << k;
+  const __m512d sz = _mm512_set1_pd(PointZ(s));
+  for (size_t w = 0; w < p.words; ++w) {
+    const double* b = p.box + w * kBoxStride;
+    __mmask8 near = NearAvx512(0xFF, b + kMinX, b + kMaxX, sx, eps, neg_eps);
+    near = NearAvx512(near, b + kMinY, b + kMaxY, sy, eps, neg_eps);
+    if constexpr (kIs3D<PointT>) {
+      near = NearAvx512(near, b + kMinZ, b + kMaxZ, sz, eps, neg_eps);
     }
-    for (; k < limit; ++k) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon) &
-          (std::fabs(pz[base + k] - s.z) <= epsilon));
-      bits |= one << k;
+    if (near == 0) {
+      eq[w] = 0;
+      continue;
+    }
+    const size_t base = w * 64;
+    uint64_t bits = 0;
+    for (size_t k = 0; k < 64; k += 8) {
+      __mmask8 c = MatchAvx512(0xFF, p.x + base + k, sx, eps);
+      c = MatchAvx512(c, p.y + base + k, sy, eps);
+      if constexpr (kIs3D<PointT>) {
+        c = MatchAvx512(c, p.z + base + k, sz, eps);
+      }
+      bits |= static_cast<uint64_t>(c) << k;
     }
     eq[w] = bits;
   }
@@ -342,67 +366,54 @@ __attribute__((target("avx512f"))) void BuildEq3Avx512(
 #if defined(EDR_EDRKERNEL_NEON)
 
 // NEON: FABD gives |d| with the same single rounding as fabs(a - b); the
-// two compare lanes land in the eq word via lane extracts.
+// two compare lanes land in the eq word via lane extracts. The box test
+// uses the ordered far compares directly: a word is skipped when every
+// lane of the AND over its groups is all-ones.
 
-inline void BuildEqNeon(const double* px, const double* py, size_t m,
-                        Point2 s, double epsilon, uint8_t* /*match*/,
-                        size_t words, uint64_t* eq) {
-  const float64x2_t eps = vdupq_n_f64(epsilon);
-  const float64x2_t sx = vdupq_n_f64(s.x);
-  const float64x2_t sy = vdupq_n_f64(s.y);
-  for (size_t w = 0; w < words; ++w) {
-    const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
-    uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 2 <= limit; k += 2) {
-      const uint64x2_t cx = vcleq_f64(vabdq_f64(vld1q_f64(px + base + k), sx),
-                                      eps);
-      const uint64x2_t cy = vcleq_f64(vabdq_f64(vld1q_f64(py + base + k), sy),
-                                      eps);
-      const uint64x2_t c = vandq_u64(cx, cy);
-      bits |= ((vgetq_lane_u64(c, 0) & 1) | ((vgetq_lane_u64(c, 1) & 1) << 1))
-              << k;
-    }
-    if (k < limit) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon));
-      bits |= one << k;
-    }
-    eq[w] = bits;
-  }
+inline uint64x2_t FarNeon(const double* lo, const double* hi, float64x2_t s,
+                          float64x2_t eps, float64x2_t neg_eps) {
+  return vorrq_u64(vcgtq_f64(vsubq_f64(vld1q_f64(lo), s), eps),
+                   vcltq_f64(vsubq_f64(vld1q_f64(hi), s), neg_eps));
 }
 
-inline void BuildEq3Neon(const double* px, const double* py, const double* pz,
-                         size_t m, Point3 s, double epsilon,
-                         uint8_t* /*match*/, size_t words, uint64_t* eq) {
+inline uint64x2_t MatchNeon(const double* v, float64x2_t s, float64x2_t eps) {
+  return vcleq_f64(vabdq_f64(vld1q_f64(v), s), eps);
+}
+
+template <typename PointT>
+void BuildEqNeon(const Pattern& p, PointT s, double epsilon, uint64_t* eq) {
   const float64x2_t eps = vdupq_n_f64(epsilon);
+  const float64x2_t neg_eps = vdupq_n_f64(-epsilon);
   const float64x2_t sx = vdupq_n_f64(s.x);
   const float64x2_t sy = vdupq_n_f64(s.y);
-  const float64x2_t sz = vdupq_n_f64(s.z);
-  for (size_t w = 0; w < words; ++w) {
+  const float64x2_t sz = vdupq_n_f64(PointZ(s));
+  for (size_t w = 0; w < p.words; ++w) {
+    const double* b = p.box + w * kBoxStride;
+    uint64x2_t far = vdupq_n_u64(~uint64_t{0});
+    for (size_t g = 0; g < 8; g += 2) {
+      uint64x2_t f =
+          vorrq_u64(FarNeon(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
+                    FarNeon(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
+      if constexpr (kIs3D<PointT>) {
+        f = vorrq_u64(f,
+                      FarNeon(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
+      }
+      far = vandq_u64(far, f);
+    }
+    if ((vgetq_lane_u64(far, 0) & vgetq_lane_u64(far, 1)) != 0) {
+      eq[w] = 0;
+      continue;
+    }
     const size_t base = w * 64;
-    const size_t limit = std::min<size_t>(64, m - base);
     uint64_t bits = 0;
-    size_t k = 0;
-    for (; k + 2 <= limit; k += 2) {
-      const uint64x2_t cx = vcleq_f64(vabdq_f64(vld1q_f64(px + base + k), sx),
-                                      eps);
-      const uint64x2_t cy = vcleq_f64(vabdq_f64(vld1q_f64(py + base + k), sy),
-                                      eps);
-      const uint64x2_t cz = vcleq_f64(vabdq_f64(vld1q_f64(pz + base + k), sz),
-                                      eps);
-      const uint64x2_t c = vandq_u64(vandq_u64(cx, cy), cz);
+    for (size_t k = 0; k < 64; k += 2) {
+      uint64x2_t c = vandq_u64(MatchNeon(p.x + base + k, sx, eps),
+                               MatchNeon(p.y + base + k, sy, eps));
+      if constexpr (kIs3D<PointT>) {
+        c = vandq_u64(c, MatchNeon(p.z + base + k, sz, eps));
+      }
       bits |= ((vgetq_lane_u64(c, 0) & 1) | ((vgetq_lane_u64(c, 1) & 1) << 1))
               << k;
-    }
-    if (k < limit) {
-      const uint64_t one = static_cast<uint64_t>(
-          (std::fabs(px[base + k] - s.x) <= epsilon) &
-          (std::fabs(py[base + k] - s.y) <= epsilon) &
-          (std::fabs(pz[base + k] - s.z) <= epsilon));
-      bits |= one << k;
     }
     eq[w] = bits;
   }
@@ -410,48 +421,29 @@ inline void BuildEq3Neon(const double* px, const double* py, const double* pz,
 
 #endif  // defined(EDR_EDRKERNEL_NEON)
 
-using Eq2Fn = void (*)(const double*, const double*, size_t, Point2, double,
-                       uint8_t*, size_t, uint64_t*);
-using Eq3Fn = void (*)(const double*, const double*, const double*, size_t,
-                       Point3, double, uint8_t*, size_t, uint64_t*);
+template <typename PointT>
+using EqFn = void (*)(const Pattern&, PointT, double, uint64_t*);
 
 /// Match-vector builder for a dispatch level, resolved once per
 /// BitParallelEdr call from ActiveKernelLevel(). Levels not compiled into
 /// this build fall back to scalar (ActiveKernelLevel never hands them out;
 /// the mapping just stays total).
-Eq2Fn BuildEqFor(KernelLevel level) {
+template <typename PointT>
+EqFn<PointT> BuildEqFor(KernelLevel level) {
   switch (level) {
 #if defined(EDR_EDRKERNEL_AVX512)
-    case KernelLevel::kAvx512: return BuildEqAvx512;
+    case KernelLevel::kAvx512: return BuildEqAvx512<PointT>;
 #endif
 #if defined(EDR_EDRKERNEL_AVX2)
-    case KernelLevel::kAvx2: return BuildEqAvx2;
+    case KernelLevel::kAvx2: return BuildEqAvx2<PointT>;
 #endif
 #if defined(EDR_EDRKERNEL_SSE2)
-    case KernelLevel::kSse2: return BuildEqSse2;
+    case KernelLevel::kSse2: return BuildEqSse2<PointT>;
 #endif
 #if defined(EDR_EDRKERNEL_NEON)
-    case KernelLevel::kNeon: return BuildEqNeon;
+    case KernelLevel::kNeon: return BuildEqNeon<PointT>;
 #endif
-    default: return BuildEqScalar;
-  }
-}
-
-Eq3Fn BuildEq3For(KernelLevel level) {
-  switch (level) {
-#if defined(EDR_EDRKERNEL_AVX512)
-    case KernelLevel::kAvx512: return BuildEq3Avx512;
-#endif
-#if defined(EDR_EDRKERNEL_AVX2)
-    case KernelLevel::kAvx2: return BuildEq3Avx2;
-#endif
-#if defined(EDR_EDRKERNEL_SSE2)
-    case KernelLevel::kSse2: return BuildEq3Sse2;
-#endif
-#if defined(EDR_EDRKERNEL_NEON)
-    case KernelLevel::kNeon: return BuildEq3Neon;
-#endif
-    default: return BuildEq3Scalar;
+    default: return BuildEqScalar<PointT>;
   }
 }
 
@@ -460,7 +452,10 @@ Eq3Fn BuildEq3For(KernelLevel level) {
 // correction as implemented in edlib). The pattern is the shorter
 // trajectory; each machine word holds 64 DP rows as vertical-delta bits
 // (vp: +1, vn: -1), and one column of the DP advances with ~15 word ops
-// per word. score tracks D[m][j] via the horizontal-delta bits at row m.
+// per word. The horizontal delta carried from word to word is a pair of
+// 0/1 words (hp: +1, hn: -1; never both), so the word loop has no
+// branches. score tracks D[m][j] from the last word's horizontal-delta
+// bits at row m, read once per column after the word loop.
 //
 // Unused high bits of the last word start as vp=1 garbage; every operation
 // propagates information strictly upward (addition carries, shifts), so
@@ -473,44 +468,41 @@ Eq3Fn BuildEq3For(KernelLevel level) {
 // ---------------------------------------------------------------------------
 
 template <typename BuildEqFn>
-int MyersCore(size_t m, size_t n, int bound, EdrScratch& sc,
+int MyersCore(size_t words, size_t m, size_t n, int bound, EdrScratch& sc,
               BuildEqFn&& build_eq) {
-  const size_t words = (m + 63) / 64;
   uint64_t* vp = sc.vp();
   uint64_t* vn = sc.vn();
   uint64_t* eq = sc.eq();
   std::fill_n(vp, words, ~uint64_t{0});
   std::fill_n(vn, words, uint64_t{0});
-  const uint64_t last_bit = uint64_t{1} << ((m - 1) & 63);
-  const size_t last_word = words - 1;
+  const unsigned last_row = static_cast<unsigned>((m - 1) & 63);
   int score = static_cast<int>(m);
 
   for (size_t j = 0; j < n; ++j) {
     build_eq(j, eq);
-    int hin = 1;  // D[0][j] - D[0][j-1] = +1: deleting text costs 1 per step.
+    // D[0][j] - D[0][j-1] = +1: deleting text costs 1 per step.
+    uint64_t hp = 1;
+    uint64_t hn = 0;
+    uint64_t ph = 0;
+    uint64_t mh = 0;
     for (size_t w = 0; w < words; ++w) {
-      uint64_t eqw = eq[w];
       const uint64_t pv = vp[w];
       const uint64_t mv = vn[w];
-      const uint64_t xv = eqw | mv;
-      eqw |= static_cast<uint64_t>(hin < 0);
+      const uint64_t e = eq[w];
+      const uint64_t xv = e | mv;
+      const uint64_t eqw = e | hn;
       const uint64_t xh = (((eqw & pv) + pv) ^ pv) | eqw;
-      uint64_t ph = mv | ~(xh | pv);
-      uint64_t mh = pv & xh;
-      if (w == last_word) {
-        if (ph & last_bit) {
-          ++score;
-        } else if (mh & last_bit) {
-          --score;
-        }
-      }
-      const int hout = (ph >> 63) ? 1 : ((mh >> 63) ? -1 : 0);
-      ph = (ph << 1) | static_cast<uint64_t>(hin > 0);
-      mh = (mh << 1) | static_cast<uint64_t>(hin < 0);
-      vp[w] = mh | ~(xv | ph);
-      vn[w] = ph & xv;
-      hin = hout;
+      ph = mv | ~(xh | pv);
+      mh = pv & xh;
+      const uint64_t ph_in = (ph << 1) | hp;
+      const uint64_t mh_in = (mh << 1) | hn;
+      hp = ph >> 63;
+      hn = mh >> 63;
+      vp[w] = mh_in | ~(xv | ph_in);
+      vn[w] = ph_in & xv;
     }
+    score += static_cast<int>((ph >> last_row) & 1) -
+             static_cast<int>((mh >> last_row) & 1);
     const int floor_now = score - static_cast<int>(n - 1 - j);
     if (floor_now > bound) return floor_now;
   }
@@ -532,27 +524,14 @@ int BitParallelEdr(const TrajectoryT& r, const TrajectoryT& s, double epsilon,
   const int length_bound = static_cast<int>(n - m);
   if (length_bound > bound) return length_bound;
 
-  sc.ReservePattern(m);
-  FillPattern(sc, *pat);
-  const double* px = sc.px();
-  const double* py = sc.py();
-  const size_t words = (m + 63) / 64;
-  uint8_t* match = sc.match();
-  std::fill(match + m, match + words * 64, uint8_t{0});
-  if constexpr (std::is_same_v<TrajectoryT, Trajectory3>) {
-    const Eq3Fn build_eq3 = BuildEq3For(ActiveKernelLevel());
-    const double* pz = sc.pz();
-    const TrajectoryT& text = *txt;
-    return MyersCore(m, n, bound, sc, [&](size_t j, uint64_t* eq) {
-      build_eq3(px, py, pz, m, text[j], epsilon, match, words, eq);
-    });
-  } else {
-    const Eq2Fn build_eq2 = BuildEqFor(ActiveKernelLevel());
-    const TrajectoryT& text = *txt;
-    return MyersCore(m, n, bound, sc, [&](size_t j, uint64_t* eq) {
-      build_eq2(px, py, m, text[j], epsilon, match, words, eq);
-    });
-  }
+  using PointT = std::decay_t<decltype((*txt)[0])>;
+  const Pattern pattern = FillPattern(sc, *pat);
+  const EqFn<PointT> build_eq = BuildEqFor<PointT>(ActiveKernelLevel());
+  const TrajectoryT& text = *txt;
+  return MyersCore(pattern.words, m, n, bound, sc,
+                   [&](size_t j, uint64_t* eq) {
+                     build_eq(pattern, text[j], epsilon, eq);
+                   });
 }
 
 // ---------------------------------------------------------------------------

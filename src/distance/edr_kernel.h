@@ -35,26 +35,31 @@ void SetDefaultEdrKernel(EdrKernel kernel);
 /// the allocator. One instance per thread; see ThreadLocalEdrScratch().
 ///
 /// Layout: a flat SoA copy of the pattern trajectory (px/py/pz) that the
-/// per-column match tests stream over with two (three in 3-D) vectorizable
-/// compares per element; the three bit-vector words of the Myers recurrence
+/// per-column match tests stream over, padded with NaN up to whole 64-row
+/// words so every match builder runs whole words with no tail (NaN never
+/// epsilon-matches); the bounding box of every 8-row group of that copy
+/// (box, kBoxStride doubles per word: eight min-x, eight max-x, then y and
+/// z likewise), which lets a builder prove a whole word mismatches without
+/// the exact compares; the three bit-vector words of the Myers recurrence
 /// (vp/vn/eq, one bit per pattern row); and the two rolling integer rows of
 /// the scalar DP.
 class EdrScratch {
  public:
-  /// Ensures capacity for a pattern of length m (SoA arrays + ceil(m/64)
-  /// words + the byte-mask staging buffer). Never shrinks.
+  static constexpr size_t kBoxStride = 6 * 8;
+
+  /// Ensures capacity for a pattern of length m: ceil(m/64) words, i.e.
+  /// the padded SoA rows, their group boxes and the bit-vector words.
+  /// Never shrinks.
   void ReservePattern(size_t m) {
-    if (px_.size() < m) {
-      px_.resize(m);
-      py_.resize(m);
-      pz_.resize(m);
-    }
     const size_t words = (m + 63) / 64;
     if (vp_.size() < words) {
+      px_.resize(words * 64);
+      py_.resize(words * 64);
+      pz_.resize(words * 64);
+      box_.resize(words * kBoxStride);
       vp_.resize(words);
       vn_.resize(words);
       eq_.resize(words);
-      match_.resize(words * 64);
     }
   }
 
@@ -69,17 +74,16 @@ class EdrScratch {
   double* px() { return px_.data(); }
   double* py() { return py_.data(); }
   double* pz() { return pz_.data(); }
+  double* box() { return box_.data(); }
   uint64_t* vp() { return vp_.data(); }
   uint64_t* vn() { return vn_.data(); }
   uint64_t* eq() { return eq_.data(); }
-  uint8_t* match() { return match_.data(); }
   int* prev_row() { return prev_.data(); }
   int* curr_row() { return curr_.data(); }
 
  private:
-  std::vector<double> px_, py_, pz_;
+  std::vector<double> px_, py_, pz_, box_;
   std::vector<uint64_t> vp_, vn_, eq_;
-  std::vector<uint8_t> match_;
   std::vector<int> prev_, curr_;
 };
 

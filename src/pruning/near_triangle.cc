@@ -48,23 +48,27 @@ PairwiseEdrMatrix PairwiseEdrMatrix::BuildParallel(const TrajectoryDataset& db,
   m.distances_.assign(m.num_refs_ * m.db_size_, 0);
   if (m.num_refs_ == 0) return m;
 
-  // Each pool item fills one whole row; since s >= r entries are computed
-  // directly (no transposed reuse across rows), results are identical to
-  // the sequential Build. The persistent pool workers keep their
-  // ThreadLocalEdrScratch buffers warm across rows and across builds.
+  // Each pool item fills the s > r part of one row, exactly the entries
+  // Build computes; the s < r block is mirrored from the rows that computed
+  // it once all rows are done, as Build does, so results are identical.
+  // The persistent pool workers keep their ThreadLocalEdrScratch buffers
+  // warm across rows and across builds.
   const EdrKernel kernel = DefaultEdrKernel();
   ThreadPool::Global().ParallelFor(
       m.num_refs_,
       [&](size_t r) {
         EdrScratch& scratch = ThreadLocalEdrScratch();
-        for (size_t s = 0; s < m.db_size_; ++s) {
+        for (size_t s = r + 1; s < m.db_size_; ++s) {
           m.distances_[r * m.db_size_ + s] =
-              s == r ? 0
-                     : EdrDistanceWith(kernel, scratch, db[r], db[s],
-                                       epsilon);
+              EdrDistanceWith(kernel, scratch, db[r], db[s], epsilon);
         }
       },
       threads);
+  for (size_t r = 1; r < m.num_refs_; ++r) {
+    for (size_t s = 0; s < r; ++s) {
+      m.distances_[r * m.db_size_ + s] = m.distances_[s * m.db_size_ + r];
+    }
+  }
   return m;
 }
 

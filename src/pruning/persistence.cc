@@ -56,9 +56,12 @@ Result<PairwiseEdrMatrix> LoadPairwiseMatrix(const std::string& path) {
   if (!in) return Status::IoError("truncated header: " + path);
 
   // Sanity-cap the allocation before trusting the header (a corrupt file
-  // must not trigger a giant allocation).
+  // must not trigger a giant allocation). The cap is checked by division:
+  // the product of two header fields can wrap to a small value. A matrix
+  // never has more reference rows than trajectories.
   constexpr uint64_t kMaxEntries = 1ULL << 33;
-  if (num_refs * db_size > kMaxEntries) {
+  if (num_refs > db_size ||
+      (db_size != 0 && num_refs > kMaxEntries / db_size)) {
     return Status::InvalidArgument("implausible matrix dimensions in " +
                                    path);
   }

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/cpu.h"
 #include "core/rng.h"
 #include "core/trajectory.h"
 #include "core/trajectory3.h"
@@ -174,6 +179,130 @@ TEST(EdrKernelTest, BitParallelMatchesScalar3D) {
     } else {
       ASSERT_GT(got, bound);
       ASSERT_LE(got, scalar);
+    }
+  }
+}
+
+// The match builders skip a pattern word when all eight of its group
+// boxes are provably far from the text point; exactness rests on rounded
+// subtraction being monotone. These inputs attack that argument at every
+// supported kernel level, in 2-D and 3-D: NaN, +-inf and +-1e308
+// coordinates (so differences overflow) in pattern and text, epsilon at 0
+// and +inf, lengths off the 8- and 64-row grid, a pattern whose every word
+// is skipped, and one whose word box is near while every group box is far.
+struct LevelGuard {
+  ~LevelGuard() { ResetActiveKernelLevel(); }
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+double HostileCoordinate(Rng& rng, double walk) {
+  static constexpr double kSpecial[] = {kNaN, kInf, -kInf, 1e308, -1e308,
+                                        0.0,  -0.0};
+  if (rng.NextDouble() < 0.15) {
+    return kSpecial[rng.UniformInt(
+        0, static_cast<int64_t>(std::size(kSpecial)) - 1)];
+  }
+  return walk;
+}
+
+Trajectory HostileTrajectory(Rng& rng, size_t length) {
+  Trajectory t = RandomTrajectory(rng, length);
+  for (Point2& p : t.mutable_points()) {
+    p.x = HostileCoordinate(rng, p.x);
+    p.y = HostileCoordinate(rng, p.y);
+  }
+  return t;
+}
+
+Trajectory3 HostileTrajectory3(Rng& rng, size_t length) {
+  Trajectory3 t = RandomTrajectory3(rng, length);
+  for (Point3& p : t.mutable_points()) {
+    p.x = HostileCoordinate(rng, p.x);
+    p.y = HostileCoordinate(rng, p.y);
+    p.z = HostileCoordinate(rng, p.z);
+  }
+  return t;
+}
+
+// Every group of eight rows sits at x = +-10 (alternating by group), so a
+// 64-row word's box spans [-10, 10] while each group box is a point; the
+// text alternates between x = 0 (inside the word box, far from every group)
+// and x = 10 (matching the odd groups).
+template <typename TrajectoryT>
+std::pair<TrajectoryT, TrajectoryT> SplitGroupPair(size_t m, size_t n) {
+  using PointT = std::decay_t<decltype(std::declval<TrajectoryT>()[0])>;
+  TrajectoryT pattern;
+  TrajectoryT text;
+  for (size_t i = 0; i < m; ++i) {
+    PointT p{};
+    p.x = (i / 8) % 2 == 0 ? -10.0 : 10.0;
+    pattern.Append(p);
+  }
+  for (size_t j = 0; j < n; ++j) {
+    PointT p{};
+    p.x = j % 3 == 0 ? 10.0 : 0.0;
+    text.Append(p);
+  }
+  return {pattern, text};
+}
+
+template <typename TrajectoryT>
+void ExpectAllLevelsExact(const TrajectoryT& a, const TrajectoryT& b,
+                          double eps, int bound, EdrScratch& scratch) {
+  const int expected = EdrDistance(a, b, eps);
+  for (const KernelLevel level :
+       {KernelLevel::kScalar, KernelLevel::kSse2, KernelLevel::kAvx2,
+        KernelLevel::kAvx512, KernelLevel::kNeon}) {
+    if (!SetActiveKernelLevel(level)) continue;
+    SCOPED_TRACE(KernelLevelName(level));
+    ASSERT_EQ(EdrDistanceBitParallel(a, b, eps, scratch), expected)
+        << "|a|=" << a.size() << " |b|=" << b.size() << " eps=" << eps;
+    ASSERT_EQ(EdrDistanceBitParallel(b, a, eps, scratch), expected);
+    const int got = EdrDistanceBitParallelBounded(a, b, eps, bound, scratch);
+    if (expected <= bound) {
+      ASSERT_EQ(got, expected) << "bound=" << bound;
+    } else {
+      ASSERT_GT(got, bound);
+      ASSERT_LE(got, expected) << "bound=" << bound;
+    }
+  }
+}
+
+TEST(EdrKernelTest, WordSkipExactOnAdversarialInputs) {
+  LevelGuard guard;
+  Rng rng(1405);
+  EdrScratch scratch;
+  const double epsilons[] = {0.0, 0.25, kInf};
+  const size_t lengths[] = {1, 5, 9, 63, 65, 100, 131, 200};
+  for (const double eps : epsilons) {
+    for (const size_t la : lengths) {
+      const size_t lb = lengths[rng.UniformInt(
+          0, static_cast<int64_t>(std::size(lengths)) - 1)];
+      const int bound = static_cast<int>(rng.UniformInt(0, 200));
+      ExpectAllLevelsExact(HostileTrajectory(rng, la),
+                           HostileTrajectory(rng, lb), eps, bound, scratch);
+      ExpectAllLevelsExact(HostileTrajectory3(rng, la),
+                           HostileTrajectory3(rng, lb), eps, bound, scratch);
+    }
+
+    // Every word skipped: the text lies far outside every group box.
+    Trajectory near = RandomTrajectory(rng, 150);
+    Trajectory far = RandomTrajectory(rng, 170);
+    for (Point2& p : far.mutable_points()) p.y += 1e6;
+    ExpectAllLevelsExact(near, far, eps, 160, scratch);
+    Trajectory3 near3 = RandomTrajectory3(rng, 150);
+    Trajectory3 far3 = RandomTrajectory3(rng, 170);
+    for (Point3& p : far3.mutable_points()) p.z -= 1e6;
+    ExpectAllLevelsExact(near3, far3, eps, 160, scratch);
+
+    // Word box near, every group box far.
+    for (const size_t m : {64, 128, 77}) {
+      const auto [pat, txt] = SplitGroupPair<Trajectory>(m, m + 11);
+      ExpectAllLevelsExact(pat, txt, eps, kEdrNoBound, scratch);
+      const auto [pat3, txt3] = SplitGroupPair<Trajectory3>(m, m + 11);
+      ExpectAllLevelsExact(pat3, txt3, eps, kEdrNoBound, scratch);
     }
   }
 }

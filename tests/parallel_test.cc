@@ -62,13 +62,17 @@ TEST(ParallelKnnTest, EmptyQueriesAndSingleThread) {
 
 TEST(ParallelMatrixBuildTest, IdenticalToSequentialBuild) {
   const TrajectoryDataset db = testutil::SmallDataset(706, 40, 5, 40);
-  const PairwiseEdrMatrix sequential =
-      PairwiseEdrMatrix::Build(db, kEps, 15);
-  const PairwiseEdrMatrix parallel =
-      PairwiseEdrMatrix::BuildParallel(db, kEps, 15, 4);
-  ASSERT_EQ(parallel.num_refs(), sequential.num_refs());
-  ASSERT_EQ(parallel.db_size(), sequential.db_size());
-  EXPECT_EQ(parallel.data(), sequential.data());
+  // 15 references leave a rectangular tail; 40 (== db size) make the whole
+  // matrix the mirrored square.
+  for (const size_t num_refs : {size_t{15}, db.size()}) {
+    const PairwiseEdrMatrix sequential =
+        PairwiseEdrMatrix::Build(db, kEps, num_refs);
+    const PairwiseEdrMatrix parallel =
+        PairwiseEdrMatrix::BuildParallel(db, kEps, num_refs, 4);
+    ASSERT_EQ(parallel.num_refs(), sequential.num_refs());
+    ASSERT_EQ(parallel.db_size(), sequential.db_size());
+    EXPECT_EQ(parallel.data(), sequential.data()) << num_refs << " refs";
+  }
 }
 
 TEST(ParallelMatrixBuildTest, HandlesDegenerateSizes) {

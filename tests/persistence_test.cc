@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "query/knn.h"
 #include "test_util.h"
@@ -86,6 +88,33 @@ TEST(PersistenceTest, TruncatedPayloadRejected) {
   const Result<PairwiseEdrMatrix> r = LoadPairwiseMatrix(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+// Writes a header-only matrix file with the given dimensions.
+void WriteMatrixHeader(const std::string& path, uint64_t num_refs,
+                       uint64_t db_size) {
+  std::ofstream out(path, std::ios::binary);
+  const uint32_t version = 1;
+  out.write("EDRM", 4);
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.write(reinterpret_cast<const char*>(&num_refs), sizeof(num_refs));
+  out.write(reinterpret_cast<const char*>(&db_size), sizeof(db_size));
+}
+
+// 2^32 x 2^32 entries wrap the 64-bit product to 0, which a multiplied cap
+// check would accept with an empty payload; more reference rows than
+// trajectories cannot come from Build. Both headers are rejected.
+TEST(PersistenceTest, OverflowingDimensionsRejected) {
+  const std::string path = TempPath("overflow.edrm");
+  const uint64_t kTwo32 = uint64_t{1} << 32;
+  for (const auto& [num_refs, db_size] :
+       {std::pair<uint64_t, uint64_t>{kTwo32, kTwo32}, {9, 4}}) {
+    WriteMatrixHeader(path, num_refs, db_size);
+    const Result<PairwiseEdrMatrix> r = LoadPairwiseMatrix(path);
+    ASSERT_FALSE(r.ok()) << num_refs << " x " << db_size;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
   std::remove(path.c_str());
 }
 
