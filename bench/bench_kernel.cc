@@ -1,6 +1,6 @@
 // EDR kernel baseline: scalar (allocating) vs scalar-with-scratch vs
 // bit-parallel, as DP cells/second across trajectory lengths; the
-// bit-parallel kernel at every match-builder level on the word skip's best
+// bit-parallel kernel at every dispatch level on the word skip's best
 // case (a coherent walk against a noisy copy of itself) and worst case (an
 // incoherent uniform pattern, whose group boxes span the whole field); and
 // the end-to-end k-NN effect of the kernel + bounded-refinement rewiring.
@@ -51,7 +51,7 @@ Trajectory MakeWalk(uint64_t seed, size_t length) {
 int g_min_iters = 20;
 double g_min_seconds = 0.2;
 
-// Every match-builder level, whether or not this host runs it, so the JSON
+// Every dispatch level, whether or not this host runs it, so the JSON
 // shape does not depend on the host.
 constexpr KernelLevel kLevels[] = {KernelLevel::kScalar, KernelLevel::kSse2,
                                    KernelLevel::kAvx2, KernelLevel::kAvx512,
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
                  row.bitparallel_s * 1e9, row.scalar_s / row.bitparallel_s);
   }
 
-  // --- Per level: the bit-parallel kernel pinned to each match-builder
+  // --- Per level: the bit-parallel kernel pinned to each dispatch
   // level at the Kung-fu length, on the word skip's best and worst case.
   constexpr size_t kLevelLength = 640;
   const Trajectory walk = MakeWalk(77, kLevelLength);

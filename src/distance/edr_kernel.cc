@@ -31,7 +31,7 @@ namespace {
 std::atomic<EdrKernel> g_default_kernel{EdrKernel::kBitParallel};
 
 // ---------------------------------------------------------------------------
-// Pattern preparation. The match builders stream over a flat SoA copy of
+// Pattern preparation. The match compares stream over a flat SoA copy of
 // the pattern (the compiler cannot vectorize over the AoS Point2/Point3
 // layout inside Trajectory), padded with NaN to whole 64-row words, plus
 // the bounding box of each 8-row group of it.
@@ -58,7 +58,7 @@ double PointZ(PointT p) {
   }
 }
 
-/// The padded pattern as the match builders read it: `words` * 64 rows of
+/// The padded pattern as the match compares read it: `words` * 64 rows of
 /// x/y (and z in 3-D), and the group boxes.
 struct Pattern {
   const double* x;
@@ -106,19 +106,26 @@ Pattern FillPattern(EdrScratch& sc, const TrajectoryT& t) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-column match bit-vector: bit i of eq is set iff pattern row i
+// Match words: bit i of word w is set iff pattern row 64w + i
 // epsilon-matches the current text point (Definition 1, boundary inclusive
 // — exactly the Match() predicate of the scalar DP). NaN padding rows never
-// match, so every builder works in whole words.
+// match, so every level works in whole words.
 //
 // Word skip: a group box [lo, hi] is *far* from text coordinate s when
 // fl(lo - s) > eps or fl(hi - s) < -eps in some dimension. Rounded
 // subtraction is monotone in its first operand, so every row value v in
 // the box has fl(v - s) >= fl(lo - s) > eps, or fl(v - s) <= fl(hi - s) <
 // -eps: |fl(v - s)| > eps, exactly the compare Match() fails on. When all
-// eight group boxes of a word are far, eq[w] = 0 without the exact
+// eight group boxes of a word are far, the word is 0 without the exact
 // compares. Any NaN operand makes both strict compares false, so the group
 // is kept and the exact compare decides; results stay bit-identical.
+//
+// Each dispatch level has one MatchWord function: the box test, then the
+// exact compares. MyersCore calls it inside its word loop, and each
+// level's entry point is flattened, so the level's compares inline into the
+// loop and each word's match bits are built where the recurrence consumes
+// them. The match build of word w does not depend on the carry chain, so
+// the core overlaps it with the latency-bound carries of the words before.
 // ---------------------------------------------------------------------------
 
 template <typename PointT>
@@ -156,35 +163,32 @@ inline uint64_t PackMatchBytes(const uint8_t* match) {
 // platform compiles it; it is also the kScalar dispatch target and the only
 // path under EDR_DISABLE_SIMD.
 template <typename PointT>
-void BuildEqScalar(const Pattern& p, PointT s, double epsilon, uint64_t* eq) {
-  for (size_t w = 0; w < p.words; ++w) {
-    if (WordFarScalar(p.box + w * kBoxStride, s, epsilon)) {
-      eq[w] = 0;
-      continue;
+uint64_t MatchWordScalar(const Pattern& p, size_t w, PointT s,
+                         double epsilon) {
+  if (WordFarScalar(p.box + w * kBoxStride, s, epsilon)) return 0;
+  const size_t base = w * 64;
+  uint8_t match[64];
+  for (size_t k = 0; k < 64; ++k) {
+    bool hit = (std::fabs(p.x[base + k] - s.x) <= epsilon) &
+               (std::fabs(p.y[base + k] - s.y) <= epsilon);
+    if constexpr (kIs3D<PointT>) {
+      hit &= std::fabs(p.z[base + k] - s.z) <= epsilon;
     }
-    const size_t base = w * 64;
-    uint8_t match[64];
-    for (size_t k = 0; k < 64; ++k) {
-      bool hit = (std::fabs(p.x[base + k] - s.x) <= epsilon) &
-                 (std::fabs(p.y[base + k] - s.y) <= epsilon);
-      if constexpr (kIs3D<PointT>) {
-        hit &= std::fabs(p.z[base + k] - s.z) <= epsilon;
-      }
-      match[k] = static_cast<uint8_t>(hit);
-    }
-    eq[w] = PackMatchBytes(match);
+    match[k] = static_cast<uint8_t>(hit);
   }
+  return PackMatchBytes(match);
 }
 
 #if defined(EDR_EDRKERNEL_SSE2)
 
 // SSE2 path (baseline on x86-64): |d| <= eps computed exactly as the
 // scalar Match() — fabs is a sign-bit clear, the compare is the same
-// IEEE <= — and two lanes at a time drop straight into the bit-vector via
+// IEEE <= — and two lanes at a time drop straight into the word via
 // movemask. The wider-lane variants below repeat the same per-lane
-// operations, so every level builds the identical bit-vector. The box
-// tests use the negated (unordered) compares, so a lane is "near" exactly
-// when it is not far.
+// operations, so every level builds the identical word. The box tests use
+// the negated (unordered) compares, so a lane is "near" exactly when it is
+// not far. The broadcasts of s and eps are loop-invariant; once inlined
+// into the word loop they are hoisted out of it.
 
 inline __m128d NearSse2(const double* lo, const double* hi, __m128d s,
                         __m128d eps, __m128d neg_eps) {
@@ -198,41 +202,37 @@ inline __m128d MatchSse2(const double* v, __m128d s, __m128d eps) {
 }
 
 template <typename PointT>
-void BuildEqSse2(const Pattern& p, PointT s, double epsilon, uint64_t* eq) {
+uint64_t MatchWordSse2(const Pattern& p, size_t w, PointT s,
+                       double epsilon) {
   const __m128d eps = _mm_set1_pd(epsilon);
   const __m128d neg_eps = _mm_set1_pd(-epsilon);
   const __m128d sx = _mm_set1_pd(s.x);
   const __m128d sy = _mm_set1_pd(s.y);
   const __m128d sz = _mm_set1_pd(PointZ(s));
-  for (size_t w = 0; w < p.words; ++w) {
-    const double* b = p.box + w * kBoxStride;
-    __m128d near = _mm_setzero_pd();
-    for (size_t g = 0; g < 8; g += 2) {
-      __m128d n = _mm_and_pd(
-          NearSse2(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
-          NearSse2(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
-      if constexpr (kIs3D<PointT>) {
-        n = _mm_and_pd(
-            n, NearSse2(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
-      }
-      near = _mm_or_pd(near, n);
+  const double* b = p.box + w * kBoxStride;
+  __m128d near = _mm_setzero_pd();
+  for (size_t g = 0; g < 8; g += 2) {
+    __m128d n =
+        _mm_and_pd(NearSse2(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
+                   NearSse2(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
+    if constexpr (kIs3D<PointT>) {
+      n = _mm_and_pd(n,
+                     NearSse2(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
     }
-    if (_mm_movemask_pd(near) == 0) {
-      eq[w] = 0;
-      continue;
-    }
-    const size_t base = w * 64;
-    uint64_t bits = 0;
-    for (size_t k = 0; k < 64; k += 2) {
-      __m128d c = _mm_and_pd(MatchSse2(p.x + base + k, sx, eps),
-                             MatchSse2(p.y + base + k, sy, eps));
-      if constexpr (kIs3D<PointT>) {
-        c = _mm_and_pd(c, MatchSse2(p.z + base + k, sz, eps));
-      }
-      bits |= static_cast<uint64_t>(_mm_movemask_pd(c)) << k;
-    }
-    eq[w] = bits;
+    near = _mm_or_pd(near, n);
   }
+  if (_mm_movemask_pd(near) == 0) return 0;
+  const size_t base = w * 64;
+  uint64_t bits = 0;
+  for (size_t k = 0; k < 64; k += 2) {
+    __m128d c = _mm_and_pd(MatchSse2(p.x + base + k, sx, eps),
+                           MatchSse2(p.y + base + k, sy, eps));
+    if constexpr (kIs3D<PointT>) {
+      c = _mm_and_pd(c, MatchSse2(p.z + base + k, sz, eps));
+    }
+    bits |= static_cast<uint64_t>(_mm_movemask_pd(c)) << k;
+  }
+  return bits;
 }
 
 #endif  // defined(EDR_EDRKERNEL_SSE2)
@@ -259,43 +259,38 @@ __attribute__((target("avx2"))) inline __m256d MatchAvx2(const double* v,
 }
 
 template <typename PointT>
-__attribute__((target("avx2"))) void BuildEqAvx2(const Pattern& p, PointT s,
-                                                 double epsilon,
-                                                 uint64_t* eq) {
+__attribute__((target("avx2"))) uint64_t MatchWordAvx2(const Pattern& p,
+                                                       size_t w, PointT s,
+                                                       double epsilon) {
   const __m256d eps = _mm256_set1_pd(epsilon);
   const __m256d neg_eps = _mm256_set1_pd(-epsilon);
   const __m256d sx = _mm256_set1_pd(s.x);
   const __m256d sy = _mm256_set1_pd(s.y);
   const __m256d sz = _mm256_set1_pd(PointZ(s));
-  for (size_t w = 0; w < p.words; ++w) {
-    const double* b = p.box + w * kBoxStride;
-    __m256d near = _mm256_setzero_pd();
-    for (size_t g = 0; g < 8; g += 4) {
-      __m256d n = _mm256_and_pd(
-          NearAvx2(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
-          NearAvx2(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
-      if constexpr (kIs3D<PointT>) {
-        n = _mm256_and_pd(
-            n, NearAvx2(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
-      }
-      near = _mm256_or_pd(near, n);
+  const double* b = p.box + w * kBoxStride;
+  __m256d near = _mm256_setzero_pd();
+  for (size_t g = 0; g < 8; g += 4) {
+    __m256d n = _mm256_and_pd(
+        NearAvx2(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
+        NearAvx2(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
+    if constexpr (kIs3D<PointT>) {
+      n = _mm256_and_pd(
+          n, NearAvx2(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
     }
-    if (_mm256_movemask_pd(near) == 0) {
-      eq[w] = 0;
-      continue;
-    }
-    const size_t base = w * 64;
-    uint64_t bits = 0;
-    for (size_t k = 0; k < 64; k += 4) {
-      __m256d c = _mm256_and_pd(MatchAvx2(p.x + base + k, sx, eps),
-                                MatchAvx2(p.y + base + k, sy, eps));
-      if constexpr (kIs3D<PointT>) {
-        c = _mm256_and_pd(c, MatchAvx2(p.z + base + k, sz, eps));
-      }
-      bits |= static_cast<uint64_t>(_mm256_movemask_pd(c)) << k;
-    }
-    eq[w] = bits;
+    near = _mm256_or_pd(near, n);
   }
+  if (_mm256_movemask_pd(near) == 0) return 0;
+  const size_t base = w * 64;
+  uint64_t bits = 0;
+  for (size_t k = 0; k < 64; k += 4) {
+    __m256d c = _mm256_and_pd(MatchAvx2(p.x + base + k, sx, eps),
+                              MatchAvx2(p.y + base + k, sy, eps));
+    if constexpr (kIs3D<PointT>) {
+      c = _mm256_and_pd(c, MatchAvx2(p.z + base + k, sz, eps));
+    }
+    bits |= static_cast<uint64_t>(_mm256_movemask_pd(c)) << k;
+  }
+  return bits;
 }
 
 #endif  // defined(EDR_EDRKERNEL_AVX2)
@@ -303,7 +298,7 @@ __attribute__((target("avx2"))) void BuildEqAvx2(const Pattern& p, PointT s,
 #if defined(EDR_EDRKERNEL_AVX512)
 
 // AVX-512 drops the movemask: compares produce mask registers whose bits go
-// straight into the eq word, eight rows (one group) per step. Both the box
+// straight into the word, eight rows (one group) per step. Both the box
 // test and the exact test chain masked compares, one per bound or
 // dimension, with no mask ANDs. The exact test keeps one ordered compare
 // per dimension (AVX-512F only): VRANGEPD's max(|dx|, |dy|) would need
@@ -327,38 +322,31 @@ __attribute__((target("avx512f"))) inline __mmask8 MatchAvx512(
 }
 
 template <typename PointT>
-__attribute__((target("avx512f"))) void BuildEqAvx512(const Pattern& p,
-                                                      PointT s,
-                                                      double epsilon,
-                                                      uint64_t* eq) {
+__attribute__((target("avx512f"))) uint64_t MatchWordAvx512(
+    const Pattern& p, size_t w, PointT s, double epsilon) {
   const __m512d eps = _mm512_set1_pd(epsilon);
   const __m512d neg_eps = _mm512_set1_pd(-epsilon);
   const __m512d sx = _mm512_set1_pd(s.x);
   const __m512d sy = _mm512_set1_pd(s.y);
   const __m512d sz = _mm512_set1_pd(PointZ(s));
-  for (size_t w = 0; w < p.words; ++w) {
-    const double* b = p.box + w * kBoxStride;
-    __mmask8 near = NearAvx512(0xFF, b + kMinX, b + kMaxX, sx, eps, neg_eps);
-    near = NearAvx512(near, b + kMinY, b + kMaxY, sy, eps, neg_eps);
-    if constexpr (kIs3D<PointT>) {
-      near = NearAvx512(near, b + kMinZ, b + kMaxZ, sz, eps, neg_eps);
-    }
-    if (near == 0) {
-      eq[w] = 0;
-      continue;
-    }
-    const size_t base = w * 64;
-    uint64_t bits = 0;
-    for (size_t k = 0; k < 64; k += 8) {
-      __mmask8 c = MatchAvx512(0xFF, p.x + base + k, sx, eps);
-      c = MatchAvx512(c, p.y + base + k, sy, eps);
-      if constexpr (kIs3D<PointT>) {
-        c = MatchAvx512(c, p.z + base + k, sz, eps);
-      }
-      bits |= static_cast<uint64_t>(c) << k;
-    }
-    eq[w] = bits;
+  const double* b = p.box + w * kBoxStride;
+  __mmask8 near = NearAvx512(0xFF, b + kMinX, b + kMaxX, sx, eps, neg_eps);
+  near = NearAvx512(near, b + kMinY, b + kMaxY, sy, eps, neg_eps);
+  if constexpr (kIs3D<PointT>) {
+    near = NearAvx512(near, b + kMinZ, b + kMaxZ, sz, eps, neg_eps);
   }
+  if (near == 0) return 0;
+  const size_t base = w * 64;
+  uint64_t bits = 0;
+  for (size_t k = 0; k < 64; k += 8) {
+    __mmask8 c = MatchAvx512(0xFF, p.x + base + k, sx, eps);
+    c = MatchAvx512(c, p.y + base + k, sy, eps);
+    if constexpr (kIs3D<PointT>) {
+      c = MatchAvx512(c, p.z + base + k, sz, eps);
+    }
+    bits |= static_cast<uint64_t>(c) << k;
+  }
+  return bits;
 }
 
 #endif  // defined(EDR_EDRKERNEL_AVX512)
@@ -366,9 +354,9 @@ __attribute__((target("avx512f"))) void BuildEqAvx512(const Pattern& p,
 #if defined(EDR_EDRKERNEL_NEON)
 
 // NEON: FABD gives |d| with the same single rounding as fabs(a - b); the
-// two compare lanes land in the eq word via lane extracts. The box test
-// uses the ordered far compares directly: a word is skipped when every
-// lane of the AND over its groups is all-ones.
+// two compare lanes land in the word via lane extracts. The box test uses
+// the ordered far compares directly: a word is skipped when every lane of
+// the AND over its groups is all-ones.
 
 inline uint64x2_t FarNeon(const double* lo, const double* hi, float64x2_t s,
                           float64x2_t eps, float64x2_t neg_eps) {
@@ -381,81 +369,52 @@ inline uint64x2_t MatchNeon(const double* v, float64x2_t s, float64x2_t eps) {
 }
 
 template <typename PointT>
-void BuildEqNeon(const Pattern& p, PointT s, double epsilon, uint64_t* eq) {
+uint64_t MatchWordNeon(const Pattern& p, size_t w, PointT s,
+                       double epsilon) {
   const float64x2_t eps = vdupq_n_f64(epsilon);
   const float64x2_t neg_eps = vdupq_n_f64(-epsilon);
   const float64x2_t sx = vdupq_n_f64(s.x);
   const float64x2_t sy = vdupq_n_f64(s.y);
   const float64x2_t sz = vdupq_n_f64(PointZ(s));
-  for (size_t w = 0; w < p.words; ++w) {
-    const double* b = p.box + w * kBoxStride;
-    uint64x2_t far = vdupq_n_u64(~uint64_t{0});
-    for (size_t g = 0; g < 8; g += 2) {
-      uint64x2_t f =
-          vorrq_u64(FarNeon(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
-                    FarNeon(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
-      if constexpr (kIs3D<PointT>) {
-        f = vorrq_u64(f,
-                      FarNeon(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
-      }
-      far = vandq_u64(far, f);
+  const double* b = p.box + w * kBoxStride;
+  uint64x2_t far = vdupq_n_u64(~uint64_t{0});
+  for (size_t g = 0; g < 8; g += 2) {
+    uint64x2_t f =
+        vorrq_u64(FarNeon(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
+                  FarNeon(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
+    if constexpr (kIs3D<PointT>) {
+      f = vorrq_u64(f,
+                    FarNeon(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
     }
-    if ((vgetq_lane_u64(far, 0) & vgetq_lane_u64(far, 1)) != 0) {
-      eq[w] = 0;
-      continue;
-    }
-    const size_t base = w * 64;
-    uint64_t bits = 0;
-    for (size_t k = 0; k < 64; k += 2) {
-      uint64x2_t c = vandq_u64(MatchNeon(p.x + base + k, sx, eps),
-                               MatchNeon(p.y + base + k, sy, eps));
-      if constexpr (kIs3D<PointT>) {
-        c = vandq_u64(c, MatchNeon(p.z + base + k, sz, eps));
-      }
-      bits |= ((vgetq_lane_u64(c, 0) & 1) | ((vgetq_lane_u64(c, 1) & 1) << 1))
-              << k;
-    }
-    eq[w] = bits;
+    far = vandq_u64(far, f);
   }
+  if ((vgetq_lane_u64(far, 0) & vgetq_lane_u64(far, 1)) != 0) return 0;
+  const size_t base = w * 64;
+  uint64_t bits = 0;
+  for (size_t k = 0; k < 64; k += 2) {
+    uint64x2_t c = vandq_u64(MatchNeon(p.x + base + k, sx, eps),
+                             MatchNeon(p.y + base + k, sy, eps));
+    if constexpr (kIs3D<PointT>) {
+      c = vandq_u64(c, MatchNeon(p.z + base + k, sz, eps));
+    }
+    bits |= ((vgetq_lane_u64(c, 0) & 1) | ((vgetq_lane_u64(c, 1) & 1) << 1))
+            << k;
+  }
+  return bits;
 }
 
 #endif  // defined(EDR_EDRKERNEL_NEON)
-
-template <typename PointT>
-using EqFn = void (*)(const Pattern&, PointT, double, uint64_t*);
-
-/// Match-vector builder for a dispatch level, resolved once per
-/// BitParallelEdr call from ActiveKernelLevel(). Levels not compiled into
-/// this build fall back to scalar (ActiveKernelLevel never hands them out;
-/// the mapping just stays total).
-template <typename PointT>
-EqFn<PointT> BuildEqFor(KernelLevel level) {
-  switch (level) {
-#if defined(EDR_EDRKERNEL_AVX512)
-    case KernelLevel::kAvx512: return BuildEqAvx512<PointT>;
-#endif
-#if defined(EDR_EDRKERNEL_AVX2)
-    case KernelLevel::kAvx2: return BuildEqAvx2<PointT>;
-#endif
-#if defined(EDR_EDRKERNEL_SSE2)
-    case KernelLevel::kSse2: return BuildEqSse2<PointT>;
-#endif
-#if defined(EDR_EDRKERNEL_NEON)
-    case KernelLevel::kNeon: return BuildEqNeon<PointT>;
-#endif
-    default: return BuildEqScalar<PointT>;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Myers' bit-parallel recurrence (Myers 1999, with Hyyro's carry-in
 // correction as implemented in edlib). The pattern is the shorter
 // trajectory; each machine word holds 64 DP rows as vertical-delta bits
 // (vp: +1, vn: -1), and one column of the DP advances with ~15 word ops
-// per word. The horizontal delta carried from word to word is a pair of
-// 0/1 words (hp: +1, hn: -1; never both), so the word loop has no
-// branches. score tracks D[m][j] from the last word's horizontal-delta
-// bits at row m, read once per column after the word loop.
+// per word, on the word's match bits from MatchWord. The horizontal delta
+// carried from word to word is a pair of 0/1 words (hp: +1, hn: -1; never
+// both), so the recurrence has no branches. score tracks D[m][j] from the
+// last word's horizontal-delta bits at row m, read once per column after
+// the word loop.
 //
 // Unused high bits of the last word start as vp=1 garbage; every operation
 // propagates information strictly upward (addition carries, shifts), so
@@ -467,28 +426,28 @@ EqFn<PointT> BuildEqFor(KernelLevel level) {
 // strictly greater than the bound). Exact callers pass kEdrNoBound.
 // ---------------------------------------------------------------------------
 
-template <typename BuildEqFn>
-int MyersCore(size_t words, size_t m, size_t n, int bound, EdrScratch& sc,
-              BuildEqFn&& build_eq) {
+template <auto MatchWord, typename PointT>
+int MyersCore(const Pattern& p, const PointT* text, size_t n, size_t m,
+              double epsilon, int bound, EdrScratch& sc) {
+  const size_t words = p.words;
   uint64_t* vp = sc.vp();
   uint64_t* vn = sc.vn();
-  uint64_t* eq = sc.eq();
   std::fill_n(vp, words, ~uint64_t{0});
   std::fill_n(vn, words, uint64_t{0});
   const unsigned last_row = static_cast<unsigned>((m - 1) & 63);
   int score = static_cast<int>(m);
 
   for (size_t j = 0; j < n; ++j) {
-    build_eq(j, eq);
+    const PointT s = text[j];
     // D[0][j] - D[0][j-1] = +1: deleting text costs 1 per step.
     uint64_t hp = 1;
     uint64_t hn = 0;
     uint64_t ph = 0;
     uint64_t mh = 0;
     for (size_t w = 0; w < words; ++w) {
+      const uint64_t e = MatchWord(p, w, s, epsilon);
       const uint64_t pv = vp[w];
       const uint64_t mv = vn[w];
-      const uint64_t e = eq[w];
       const uint64_t xv = e | mv;
       const uint64_t eqw = e | hn;
       const uint64_t xh = (((eqw & pv) + pv) ^ pv) | eqw;
@@ -509,6 +468,83 @@ int MyersCore(size_t words, size_t m, size_t n, int bound, EdrScratch& sc,
   return score;
 }
 
+// The fused kernel of each level: MyersCore with that level's MatchWord,
+// flattened so the compares inline into the word loop (and, for the
+// wider levels, compiled for the level's instruction set).
+
+template <typename PointT>
+__attribute__((flatten)) int MyersScalar(const Pattern& p,
+                                         const PointT* text, size_t n,
+                                         size_t m, double epsilon, int bound,
+                                         EdrScratch& sc) {
+  return MyersCore<MatchWordScalar<PointT>>(p, text, n, m, epsilon, bound,
+                                            sc);
+}
+
+#if defined(EDR_EDRKERNEL_SSE2)
+template <typename PointT>
+__attribute__((flatten)) int MyersSse2(const Pattern& p, const PointT* text,
+                                       size_t n, size_t m, double epsilon,
+                                       int bound, EdrScratch& sc) {
+  return MyersCore<MatchWordSse2<PointT>>(p, text, n, m, epsilon, bound, sc);
+}
+#endif
+
+#if defined(EDR_EDRKERNEL_AVX2)
+template <typename PointT>
+__attribute__((target("avx2"), flatten)) int MyersAvx2(
+    const Pattern& p, const PointT* text, size_t n, size_t m, double epsilon,
+    int bound, EdrScratch& sc) {
+  return MyersCore<MatchWordAvx2<PointT>>(p, text, n, m, epsilon, bound, sc);
+}
+#endif
+
+#if defined(EDR_EDRKERNEL_AVX512)
+template <typename PointT>
+__attribute__((target("avx512f"), flatten)) int MyersAvx512(
+    const Pattern& p, const PointT* text, size_t n, size_t m, double epsilon,
+    int bound, EdrScratch& sc) {
+  return MyersCore<MatchWordAvx512<PointT>>(p, text, n, m, epsilon, bound,
+                                            sc);
+}
+#endif
+
+#if defined(EDR_EDRKERNEL_NEON)
+template <typename PointT>
+__attribute__((flatten)) int MyersNeon(const Pattern& p, const PointT* text,
+                                       size_t n, size_t m, double epsilon,
+                                       int bound, EdrScratch& sc) {
+  return MyersCore<MatchWordNeon<PointT>>(p, text, n, m, epsilon, bound, sc);
+}
+#endif
+
+template <typename PointT>
+using MyersFn = int (*)(const Pattern&, const PointT*, size_t, size_t,
+                        double, int, EdrScratch&);
+
+/// Fused kernel for a dispatch level, resolved once per BitParallelEdr
+/// call from ActiveKernelLevel(). Levels not compiled into this build fall
+/// back to scalar (ActiveKernelLevel never hands them out; the mapping just
+/// stays total).
+template <typename PointT>
+MyersFn<PointT> MyersFor(KernelLevel level) {
+  switch (level) {
+#if defined(EDR_EDRKERNEL_AVX512)
+    case KernelLevel::kAvx512: return MyersAvx512<PointT>;
+#endif
+#if defined(EDR_EDRKERNEL_AVX2)
+    case KernelLevel::kAvx2: return MyersAvx2<PointT>;
+#endif
+#if defined(EDR_EDRKERNEL_SSE2)
+    case KernelLevel::kSse2: return MyersSse2<PointT>;
+#endif
+#if defined(EDR_EDRKERNEL_NEON)
+    case KernelLevel::kNeon: return MyersNeon<PointT>;
+#endif
+    default: return MyersScalar<PointT>;
+  }
+}
+
 template <typename TrajectoryT>
 int BitParallelEdr(const TrajectoryT& r, const TrajectoryT& s, double epsilon,
                    int bound, EdrScratch& sc) {
@@ -526,12 +562,8 @@ int BitParallelEdr(const TrajectoryT& r, const TrajectoryT& s, double epsilon,
 
   using PointT = std::decay_t<decltype((*txt)[0])>;
   const Pattern pattern = FillPattern(sc, *pat);
-  const EqFn<PointT> build_eq = BuildEqFor<PointT>(ActiveKernelLevel());
-  const TrajectoryT& text = *txt;
-  return MyersCore(pattern.words, m, n, bound, sc,
-                   [&](size_t j, uint64_t* eq) {
-                     build_eq(pattern, text[j], epsilon, eq);
-                   });
+  return MyersFor<PointT>(ActiveKernelLevel())(
+      pattern, txt->points().data(), n, m, epsilon, bound, sc);
 }
 
 // ---------------------------------------------------------------------------

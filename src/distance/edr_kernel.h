@@ -35,14 +35,15 @@ void SetDefaultEdrKernel(EdrKernel kernel);
 /// the allocator. One instance per thread; see ThreadLocalEdrScratch().
 ///
 /// Layout: a flat SoA copy of the pattern trajectory (px/py/pz) that the
-/// per-column match tests stream over, padded with NaN up to whole 64-row
-/// words so every match builder runs whole words with no tail (NaN never
+/// match tests stream over, padded with NaN up to whole 64-row words so
+/// every kernel level runs whole words with no tail (NaN never
 /// epsilon-matches); the bounding box of every 8-row group of that copy
 /// (box, kBoxStride doubles per word: eight min-x, eight max-x, then y and
-/// z likewise), which lets a builder prove a whole word mismatches without
-/// the exact compares; the three bit-vector words of the Myers recurrence
-/// (vp/vn/eq, one bit per pattern row); and the two rolling integer rows of
-/// the scalar DP.
+/// z likewise), which lets a kernel prove a whole word mismatches without
+/// the exact compares; the two bit-vector words of the Myers recurrence
+/// (vp/vn, one bit per pattern row; the match words are built inside the
+/// word loop and never stored); and the two rolling integer rows of the
+/// scalar DP.
 class EdrScratch {
  public:
   static constexpr size_t kBoxStride = 6 * 8;
@@ -59,7 +60,6 @@ class EdrScratch {
       box_.resize(words * kBoxStride);
       vp_.resize(words);
       vn_.resize(words);
-      eq_.resize(words);
     }
   }
 
@@ -77,13 +77,12 @@ class EdrScratch {
   double* box() { return box_.data(); }
   uint64_t* vp() { return vp_.data(); }
   uint64_t* vn() { return vn_.data(); }
-  uint64_t* eq() { return eq_.data(); }
   int* prev_row() { return prev_.data(); }
   int* curr_row() { return curr_.data(); }
 
  private:
   std::vector<double> px_, py_, pz_, box_;
-  std::vector<uint64_t> vp_, vn_, eq_;
+  std::vector<uint64_t> vp_, vn_;
   std::vector<int> prev_, curr_;
 };
 

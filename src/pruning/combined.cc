@@ -172,6 +172,10 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
   for (auto& p : proc) p.reserve(matrix_.num_refs());
   std::vector<size_t> computed(slots, 0);
   std::vector<StageCounters> slot_stages(slots);
+  // The lazy Q-gram and triangle checks interleave with the DPs, so, as in
+  // NearTriangleSearcher, refine is the per-slot DP time and filter the
+  // sweep plus the rest.
+  SlotDpTimer dp_timer(slots);
 
   const auto refine = [&](unsigned slot, uint32_t id, double best,
                           double* dist) {
@@ -197,9 +201,9 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
           const long threshold = QgramCountThreshold(
               query.size(), s.size(), options_.q, best_k);
           if (threshold <= 0) break;
-          const long count = static_cast<long>(
-              qgram_means_.CountMatches2D(query_means, epsilon_, id));
-          if (count < threshold) {
+          if (!qgram_means_.AtLeastMatches2D(
+                  query_means, epsilon_, id,
+                  static_cast<size_t>(threshold))) {
             st.Bump(&StageCounters::qgram_pruned);
             return false;
           }
@@ -224,8 +228,10 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
     // Bounded refinement; lower-bound reference distances only weaken the
     // near-triangle prune bound, never unsound it.
     const int bound = EdrBoundFromKthDistance(best);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, s, epsilon_, bound);
+    const int d = dp_timer.Time(slot, [&] {
+      return EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(), query, s,
+                                    epsilon_, bound);
+    });
     ++computed[slot];
     st.CountDp(query.size(), s.size());
     if (id < matrix_.num_refs() && proc_array.size() < matrix_.num_refs()) {
@@ -266,6 +272,7 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
       std::chrono::duration<double>(stop_time - refine_start).count();
   out.stats.elapsed_seconds =
       out.stats.filter_seconds + out.stats.refine_seconds;
+  dp_timer.SplitPhases(&out.stats, trace.get());
   out.trace = std::move(trace);
   RecordQueryMetrics(out.stats);
   return out;
@@ -319,9 +326,8 @@ KnnResult CombinedKnnSearcher::Range(const Trajectory& query, int radius,
           const long threshold = QgramCountThreshold(
               query.size(), s.size(), options_.q, radius);
           if (threshold <= 0) break;
-          const long count = static_cast<long>(
-              qgram_means_.CountMatches2D(query_means, epsilon_, id));
-          if (count < threshold) pruned = true;
+          pruned = !qgram_means_.AtLeastMatches2D(
+              query_means, epsilon_, id, static_cast<size_t>(threshold));
           break;
         }
         case PruneStep::kNearTriangle: {

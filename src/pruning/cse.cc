@@ -54,12 +54,9 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
   for (auto& p : proc) p.reserve(matrix_.num_refs());
   std::vector<size_t> computed(slots, 0);
   std::vector<StageCounters> slot_stages(slots);
-  // Interleaved scan: phase split derived from the summed DP wall time,
-  // exactly as in NearTriangleSearcher::Knn.
-  struct alignas(64) SlotSeconds {
-    double v = 0.0;
-  };
-  std::vector<SlotSeconds> dp_seconds(slots);
+  // Interleaved scan: phase split derived from the per-slot DP time, as in
+  // NearTriangleSearcher::Knn.
+  SlotDpTimer dp_timer(slots);
 
   const auto refine = [&](unsigned slot, uint32_t id, double threshold,
                           double* dist) {
@@ -78,17 +75,11 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
 
     // Bounded refinement; a lower-bound reference distance in proc_array
     // only weakens (never unsounds) the shifted triangle prune.
-    std::chrono::steady_clock::time_point dp_start;
-    if constexpr (kObsEnabled) dp_start = std::chrono::steady_clock::now();
     const int bound = EdrBoundFromKthDistance(threshold);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, db_[id], epsilon_, bound);
-    if constexpr (kObsEnabled) {
-      dp_seconds[slot].v +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        dp_start)
-              .count();
-    }
+    const int d = dp_timer.Time(slot, [&] {
+      return EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(), query,
+                                    db_[id], epsilon_, bound);
+    });
     ++computed[slot];
     st.CountDp(query.size(), db_[id].size());
     if (id < matrix_.num_refs() &&
@@ -113,18 +104,8 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
   out.stats.stages.FinalizeNotVisited(db_.size());
   out.stats.elapsed_seconds =
       std::chrono::duration<double>(stop - start).count();
-  if constexpr (kObsEnabled) {
-    double dp_total = 0.0;
-    for (const SlotSeconds& s : dp_seconds) dp_total += s.v;
-    if (trace != nullptr) {
-      trace->AddAggregate("dp", dp_total, out.stats.stages.dp_invoked);
-    }
-    out.stats.refine_seconds = std::min(dp_total, out.stats.elapsed_seconds);
-    out.stats.filter_seconds =
-        out.stats.elapsed_seconds - out.stats.refine_seconds;
-  } else {
-    out.stats.refine_seconds = out.stats.elapsed_seconds;
-  }
+  out.stats.refine_seconds = out.stats.elapsed_seconds;
+  dp_timer.SplitPhases(&out.stats, trace.get());
   out.trace = std::move(trace);
   RecordQueryMetrics(out.stats);
   return out;

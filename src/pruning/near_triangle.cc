@@ -121,14 +121,9 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
   for (auto& p : proc) p.reserve(matrix_.num_refs());
   std::vector<size_t> computed(slots, 0);
   std::vector<StageCounters> slot_stages(slots);
-  // Per-slot DP wall time. Filter and refinement interleave in this scan,
-  // so the phase split is derived here: refine = summed DP time, filter =
-  // the rest. One cache line per slot — the accumulator is written after
-  // every DP.
-  struct alignas(64) SlotSeconds {
-    double v = 0.0;
-  };
-  std::vector<SlotSeconds> dp_seconds(slots);
+  // Filter and refinement interleave in this scan, so the phase split is
+  // derived from the per-slot DP time.
+  SlotDpTimer dp_timer(slots);
 
   const auto refine = [&](unsigned slot, uint32_t id, double threshold,
                           double* dist) {
@@ -149,17 +144,11 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
       return false;
     }
 
-    std::chrono::steady_clock::time_point dp_start;
-    if constexpr (kObsEnabled) dp_start = std::chrono::steady_clock::now();
     const int bound = EdrBoundFromKthDistance(threshold);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, s, epsilon_, bound);
-    if constexpr (kObsEnabled) {
-      dp_seconds[slot].v +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        dp_start)
-              .count();
-    }
+    const int d = dp_timer.Time(slot, [&] {
+      return EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(), query, s,
+                                    epsilon_, bound);
+    });
     ++computed[slot];
     st.CountDp(query.size(), s.size());
     if (id < matrix_.num_refs() &&
@@ -184,18 +173,8 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
   out.stats.stages.FinalizeNotVisited(db_.size());
   out.stats.elapsed_seconds =
       std::chrono::duration<double>(stop - start).count();
-  if constexpr (kObsEnabled) {
-    double dp_total = 0.0;
-    for (const SlotSeconds& s : dp_seconds) dp_total += s.v;
-    if (trace != nullptr) {
-      trace->AddAggregate("dp", dp_total, out.stats.stages.dp_invoked);
-    }
-    out.stats.refine_seconds = std::min(dp_total, out.stats.elapsed_seconds);
-    out.stats.filter_seconds =
-        out.stats.elapsed_seconds - out.stats.refine_seconds;
-  } else {
-    out.stats.refine_seconds = out.stats.elapsed_seconds;
-  }
+  out.stats.refine_seconds = out.stats.elapsed_seconds;
+  dp_timer.SplitPhases(&out.stats, trace.get());
   out.trace = std::move(trace);
   RecordQueryMetrics(out.stats);
   return out;

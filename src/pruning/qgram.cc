@@ -322,6 +322,34 @@ size_t QgramMeansTable::CountMatches2D(const std::vector<Point2>& query_means,
   return count;
 }
 
+bool QgramMeansTable::AtLeastMatches2D(const std::vector<Point2>& query_means,
+                                       double epsilon, uint32_t id,
+                                       size_t threshold) const {
+  // The same merge as CountMatches2D, so the count after every query mean
+  // equals its prefix count there. It can only grow by one per query mean
+  // still to come, and once the window reaches the end of the slice no
+  // later mean matches (GallopLowerBound and the window scan both return
+  // empty from there).
+  const size_t end = offsets_[id + 1];
+  const WindowHasMatchFn window_has_match =
+      WindowHasMatchFor(ActiveKernelLevel());
+  size_t count = 0;
+  size_t window_start = offsets_[id];
+  size_t left = query_means.size();
+  for (const Point2& qm : query_means) {
+    if (count >= threshold) return true;
+    if (count + left < threshold || window_start == end) return false;
+    --left;
+    window_start =
+        GallopLowerBound(xs_.data(), window_start, end, qm.x - epsilon);
+    if (window_has_match(xs_.data(), ys_.data(), window_start, end,
+                         qm.x + epsilon, qm.y, epsilon)) {
+      ++count;
+    }
+  }
+  return count >= threshold;
+}
+
 size_t QgramMeansTable::CountMatches1D(const std::vector<double>& query_means,
                                        double epsilon, uint32_t id) const {
   const size_t end = offsets_[id + 1];

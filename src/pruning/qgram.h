@@ -59,8 +59,9 @@ void SortMeans(std::vector<Point2>& means);
 /// into contiguous parallel buffers (`xs_` / `ys_`) sliced by n + 1
 /// offsets, instead of one heap-allocated vector per trajectory. A
 /// database-order counting pass (MatchCounts in the PS1/PS2 searchers, the
-/// "P" step of the combined searcher, the LCSS count bound) then streams
-/// one flat array front to back.
+/// LCSS count bound) then streams one flat array front to back; the "P"
+/// step of the combined searcher only decides the count against its
+/// threshold (AtLeastMatches2D).
 ///
 /// The count kernels mirror CountMatchingMeans2D/1D exactly — the same
 /// query means matched against the same sorted data means — but advance
@@ -89,6 +90,14 @@ class QgramMeansTable {
   /// CountMatchingMeans1D analogue; `query_means` sorted ascending.
   size_t CountMatches1D(const std::vector<double>& query_means,
                         double epsilon, uint32_t id) const;
+
+  /// Exactly `CountMatches2D(query_means, epsilon, id) >= threshold`,
+  /// decided early: the merge stops once the count reaches `threshold`,
+  /// or once the query means left (or the data means left) can no longer
+  /// lift it there. The count filter only needs this decision, not the
+  /// count.
+  bool AtLeastMatches2D(const std::vector<Point2>& query_means,
+                        double epsilon, uint32_t id, size_t threshold) const;
 
   /// Fused merge-count: one visit of trajectory `id`'s posting slice
   /// serves a whole fusion group — `counts[f]` is bit-identical to

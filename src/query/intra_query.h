@@ -1,7 +1,9 @@
 #ifndef EDR_QUERY_INTRA_QUERY_H_
 #define EDR_QUERY_INTRA_QUERY_H_
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -73,6 +75,57 @@ inline void RecordSchedBudget(QueryTrace* trace, const KnnOptions& options) {
     (void)options;
   }
 }
+
+/// Per-worker-slot DP wall time for the searchers whose filter checks
+/// interleave with their DPs, so their phase split is derived: refine =
+/// the summed DP time, filter = the rest of the query. One cache line per
+/// slot, since a slot's sum is written after every DP. No clock is read
+/// under EDR_DISABLE_OBS.
+class SlotDpTimer {
+ public:
+  explicit SlotDpTimer(unsigned slots) : seconds_(slots) {}
+
+  /// Runs dp() for worker slot `slot`, adds its wall time to the slot's
+  /// sum and returns its result.
+  template <typename DpFn>
+  int Time(unsigned slot, DpFn&& dp) {
+    if constexpr (kObsEnabled) {
+      const auto start = std::chrono::steady_clock::now();
+      const int d = dp();
+      seconds_[slot].v += std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      return d;
+    } else {
+      return dp();
+    }
+  }
+
+  /// Sets stats->refine_seconds to the summed DP time, clamped to
+  /// stats->elapsed_seconds, and filter_seconds to the rest, and records
+  /// the sum as a "dp" aggregate on `trace`. Under EDR_DISABLE_OBS nothing
+  /// was timed and `stats` keeps the split the caller set.
+  void SplitPhases(SearchStats* stats, QueryTrace* trace) const {
+    if constexpr (kObsEnabled) {
+      double total = 0.0;
+      for (const Slot& s : seconds_) total += s.v;
+      if (trace != nullptr) {
+        trace->AddAggregate("dp", total, stats->stages.dp_invoked);
+      }
+      stats->refine_seconds = std::min(total, stats->elapsed_seconds);
+      stats->filter_seconds = stats->elapsed_seconds - stats->refine_seconds;
+    } else {
+      (void)stats;
+      (void)trace;
+    }
+  }
+
+ private:
+  struct alignas(64) Slot {
+    double v = 0.0;
+  };
+  std::vector<Slot> seconds_;
+};
 
 /// fn(i) for every i in [0, n), sharded per the intra-query options; the
 /// sequential setting (1 worker) runs a plain loop without touching the

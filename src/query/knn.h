@@ -71,11 +71,11 @@ struct SearchStats {
   /// sweeps, match counting, candidate ordering) versus the refinement
   /// phase (true distance computations + result maintenance). Searchers
   /// with a distinct filter pass report it directly; searchers that
-  /// interleave the phases (NTR / CSE) derive the split from the
-  /// per-query trace — refine is the summed DP time, filter the rest —
-  /// so the columns are never silently zero. (In EDR_DISABLE_OBS builds
-  /// the interleaved searchers fall back to filter = 0,
-  /// refine = elapsed.)
+  /// interleave filter checks with their DPs (NTR / CSE / combined) time
+  /// the DPs per worker slot (SlotDpTimer) — refine is the summed DP
+  /// time, filter the rest — so the columns are never silently zero. (In
+  /// EDR_DISABLE_OBS builds NTR / CSE fall back to filter = 0,
+  /// refine = elapsed, and combined to filter = its up-front sweep.)
   double filter_seconds = 0.0;
   double refine_seconds = 0.0;
 

@@ -39,10 +39,6 @@ thread_local bool t_inside_pool_job = false;
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 1 ? hw - 1 : 0;
-  }
   slices_ = std::make_unique<Slice[]>(static_cast<size_t>(threads) + 1);
   obs_ = std::make_unique<WorkerObs[]>(static_cast<size_t>(threads) + 1);
   workers_.reserve(threads);
@@ -179,8 +175,14 @@ void ThreadPool::Participate(unsigned self,
   }
 }
 
+unsigned ThreadPool::DefaultWorkers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 1 ? hw - 1 : 0;
+}
+
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool* pool = new ThreadPool();  // intentionally leaked
+  // Intentionally leaked.
+  static ThreadPool* pool = new ThreadPool(DefaultWorkers());
   return *pool;
 }
 

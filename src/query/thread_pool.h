@@ -57,9 +57,10 @@ struct ThreadPoolStats {
 /// deterministic output.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (0 = hardware concurrency - 1, so the pool
-  /// plus the calling thread saturate the machine).
-  explicit ThreadPool(unsigned threads = 0);
+  /// Spawns exactly `threads` workers. 0 is a pool with no workers, whose
+  /// jobs run entirely on the calling thread; DefaultWorkers() is the
+  /// hardware-sized count.
+  explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -81,8 +82,12 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                    unsigned max_parallelism = 0);
 
+  /// Hardware concurrency - 1 (0 on a single core or when unknown), so a
+  /// pool of this size plus the calling thread saturate the machine.
+  static unsigned DefaultWorkers();
+
   /// The process-wide pool shared by the batch query entry points. Created
-  /// on first use; sized to hardware concurrency - 1.
+  /// on first use with DefaultWorkers() workers.
   static ThreadPool& Global();
 
   /// Cumulative activity totals since construction (all zeros when

@@ -183,7 +183,7 @@ TEST(EdrKernelTest, BitParallelMatchesScalar3D) {
   }
 }
 
-// The match builders skip a pattern word when all eight of its group
+// Every kernel level skips a pattern word when all eight of its group
 // boxes are provably far from the text point; exactness rests on rounded
 // subtraction being monotone. These inputs attack that argument at every
 // supported kernel level, in 2-D and 3-D: NaN, +-inf and +-1e308
@@ -304,6 +304,46 @@ TEST(EdrKernelTest, WordSkipExactOnAdversarialInputs) {
       const auto [pat3, txt3] = SplitGroupPair<Trajectory3>(m, m + 11);
       ExpectAllLevelsExact(pat3, txt3, eps, kEdrNoBound, scratch);
     }
+  }
+}
+
+// The abandon value itself, not only the bounded contract, is the same at
+// every level: each level runs the same recurrence and floor on the same
+// match words. Bounds below, at and above the distance, in 2-D and 3-D.
+template <typename TrajectoryT>
+void ExpectBoundedIdenticalAcrossLevels(const TrajectoryT& a,
+                                        const TrajectoryT& b, double eps,
+                                        EdrScratch& scratch) {
+  const int d = EdrDistance(a, b, eps);
+  for (const int bound : {-1, 0, d / 2, d - 2, d - 1, d, d + 1, d + 5}) {
+    ASSERT_TRUE(SetActiveKernelLevel(KernelLevel::kScalar));
+    const int reference =
+        EdrDistanceBitParallelBounded(a, b, eps, bound, scratch);
+    for (const KernelLevel level :
+         {KernelLevel::kSse2, KernelLevel::kAvx2, KernelLevel::kAvx512,
+          KernelLevel::kNeon}) {
+      if (!SetActiveKernelLevel(level)) continue;
+      ASSERT_EQ(EdrDistanceBitParallelBounded(a, b, eps, bound, scratch),
+                reference)
+          << KernelLevelName(level) << " |a|=" << a.size()
+          << " |b|=" << b.size() << " d=" << d << " bound=" << bound;
+    }
+  }
+}
+
+TEST(EdrKernelTest, BoundedValueIdenticalAcrossLevels) {
+  LevelGuard guard;
+  Rng rng(1502);
+  EdrScratch scratch;
+  for (int iter = 0; iter < 60; ++iter) {
+    const size_t la = RandomLength(rng);
+    const size_t lb = RandomLength(rng);
+    ExpectBoundedIdenticalAcrossLevels(RandomTrajectory(rng, la),
+                                       RandomTrajectory(rng, lb), 0.25,
+                                       scratch);
+    ExpectBoundedIdenticalAcrossLevels(RandomTrajectory3(rng, la),
+                                       RandomTrajectory3(rng, lb), 0.3,
+                                       scratch);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "core/rng.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "pruning/combined.h"
 #include "pruning/cse.h"
@@ -316,13 +317,52 @@ TEST(ObsStageTest, StageCountersAddAndFinalize) {
   EXPECT_TRUE(JsonIsValid(a.ToJson())) << a.ToJson();
 }
 
+TEST(ObsStageTest, CombinedSplitsPhasesAtTheDp) {
+  CombinedOptions combined_options;
+  combined_options.max_triangle = kMaxTriangle;
+  const CombinedKnnSearcher combined(Db(), kEps, combined_options, Matrix());
+  const auto queries = testutil::MakeQueries(Db(), 527, 1);
+  for (const unsigned workers : {1u, 4u}) {
+    KnnOptions options;
+    options.intra_query_workers = workers;
+    options.pool = &Pool();
+    const KnnResult r = combined.Knn(queries[0], 10, options);
+    // Refine is the DP time summed over the worker slots (clamped to the
+    // elapsed time); filter is the sweep plus the lazy Q-gram and triangle
+    // checks, i.e. the rest.
+    EXPECT_GE(r.stats.filter_seconds, 0.0);
+    EXPECT_GE(r.stats.refine_seconds, 0.0);
+    EXPECT_LE(r.stats.refine_seconds, r.stats.elapsed_seconds);
+    EXPECT_NEAR(r.stats.filter_seconds + r.stats.refine_seconds,
+                r.stats.elapsed_seconds, 1e-9);
+    if constexpr (kObsEnabled) {
+      ASSERT_NE(r.trace, nullptr);
+      EXPECT_GT(r.stats.refine_seconds, 0.0);
+      EXPECT_GT(r.trace->PhaseSeconds("dp"), 0.0);
+    }
+  }
+}
+
 TEST(ObsStageTest, KnnBatchReportsPoolDelta) {
   QueryEngine engine(Db(), kEps);
   const NamedSearcher seq = engine.MakeSeqScan();
-  const auto queries = testutil::MakeQueries(Db(), 526, 4);
+  // Twice the pool's capacity, so the scheduler's first step is a wave of
+  // at least two queries on any host with workers. SeqScan ignores its
+  // intra-query budget, so the waves are the only pool work of the batch:
+  // one job per wave, one item per wave query.
+  const size_t capacity = ThreadPool::Global().num_workers() + 1;
+  const auto queries = testutil::MakeQueries(Db(), 526, 2 * capacity);
+  ObsCounter& waves = MetricsRegistry::Global().Counter("sched.waves");
+  ObsCounter& wave_queries =
+      MetricsRegistry::Global().Counter("sched.wave_queries");
+  const uint64_t waves_before = waves.Load();
+  const uint64_t wave_queries_before = wave_queries.Load();
   ThreadPoolStats delta;
   const std::vector<KnnResult> batch =
       engine.KnnBatch(seq, queries, 5, /*threads=*/0, &delta);
+  const uint64_t batch_waves = waves.Load() - waves_before;
+  const uint64_t batch_wave_queries =
+      wave_queries.Load() - wave_queries_before;
   ASSERT_EQ(batch.size(), queries.size());
   // The overload must not change the answers.
   const std::vector<KnnResult> plain = engine.KnnBatch(seq, queries, 5);
@@ -333,11 +373,12 @@ TEST(ObsStageTest, KnnBatchReportsPoolDelta) {
             static_cast<size_t>(ThreadPool::Global().num_workers()) + 1);
   if constexpr (kObsEnabled) {
     // On a single-core host the global pool has no workers and the batch
-    // runs inline (no job dispatched); with workers the whole batch goes
-    // through the pool.
+    // runs inline (no job dispatched); with workers the delta is exactly
+    // what the scheduler sent to the pool.
     if (ThreadPool::Global().num_workers() > 0) {
-      EXPECT_EQ(delta.jobs, 1u);
-      EXPECT_EQ(delta.items, queries.size());
+      EXPECT_GE(batch_waves, 1u);
+      EXPECT_EQ(delta.jobs, batch_waves);
+      EXPECT_EQ(delta.items, batch_wave_queries);
       EXPECT_GT(delta.busy_seconds, 0.0);
     } else {
       EXPECT_EQ(delta.jobs, 0u);

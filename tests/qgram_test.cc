@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/cpu.h"
 #include "core/rng.h"
 #include "distance/edr.h"
 #include "test_util.h"
@@ -146,6 +147,70 @@ TEST(QgramTest, CountMatchingMeans1DMatchesBruteForce) {
     std::sort(qa.begin(), qa.end());
     std::sort(qb.begin(), qb.end());
     EXPECT_EQ(CountMatchingMeans1D(qa, qb, eps), brute);
+  }
+}
+
+// Means on a coarse grid, so equal x values are common, with about one in
+// five repeated outright.
+std::vector<Point2> RandomGridMeans(Rng& rng, size_t count) {
+  std::vector<Point2> means;
+  while (means.size() < count) {
+    if (!means.empty() && rng.NextDouble() < 0.2) {
+      means.push_back(means.back());
+    } else {
+      means.push_back({0.25 * static_cast<double>(rng.UniformInt(-8, 8)),
+                       0.25 * static_cast<double>(rng.UniformInt(-8, 8))});
+    }
+  }
+  return means;
+}
+
+// The early-decided count of the combined searcher's Q-gram step must be
+// exactly `count >= threshold`, at every kernel level (the window scan is
+// level-dispatched), on both sides of the threshold and with empty query
+// or data means.
+TEST(QgramTest, AtLeastMatches2DDecidesTheCountAtEveryLevel) {
+  struct LevelGuard {
+    ~LevelGuard() { ResetActiveKernelLevel(); }
+  } guard;
+  Rng rng(1501);
+  // With q = 1 a trajectory's means are its points, so each slice of the
+  // table holds exactly the generated means; every tenth one is empty.
+  TrajectoryDataset db("grid-means");
+  for (int i = 0; i < 40; ++i) {
+    const size_t count =
+        i % 10 == 0 ? 0 : static_cast<size_t>(rng.UniformInt(1, 90));
+    Trajectory t;
+    for (const Point2 p : RandomGridMeans(rng, count)) t.Append(p);
+    db.Add(std::move(t));
+  }
+  const QgramMeansTable table(db, /*q=*/1, /*dims=*/2);
+  std::vector<std::vector<Point2>> queries = {{}};
+  for (int i = 0; i < 12; ++i) {
+    std::vector<Point2> means =
+        RandomGridMeans(rng, static_cast<size_t>(rng.UniformInt(1, 100)));
+    SortMeans(means);
+    queries.push_back(std::move(means));
+  }
+  for (const KernelLevel level :
+       {KernelLevel::kScalar, KernelLevel::kSse2, KernelLevel::kAvx2,
+        KernelLevel::kAvx512, KernelLevel::kNeon}) {
+    if (!SetActiveKernelLevel(level)) continue;
+    SCOPED_TRACE(KernelLevelName(level));
+    for (const double eps : {0.0, 0.25, 1e300}) {
+      for (const std::vector<Point2>& means : queries) {
+        for (uint32_t id = 0; id < table.size(); ++id) {
+          const size_t count = table.CountMatches2D(means, eps, id);
+          for (const size_t th : {size_t{1}, count, count + 1, means.size(),
+                                  means.size() + 1}) {
+            ASSERT_EQ(table.AtLeastMatches2D(means, eps, id, th),
+                      count >= th)
+                << "eps=" << eps << " id=" << id << " |means|="
+                << means.size() << " count=" << count << " th=" << th;
+          }
+        }
+      }
+    }
   }
 }
 

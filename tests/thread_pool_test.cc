@@ -26,8 +26,8 @@ TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
 
 TEST(ThreadPoolTest, ZeroWorkerPoolRunsInline) {
   ThreadPool pool(0);
-  // On a single-core machine the default pool has no workers at all; the
-  // caller must still execute everything.
+  // A pool with no workers (what DefaultWorkers() gives a single-core
+  // machine) must still execute everything, on the caller.
   EXPECT_EQ(pool.num_workers(), 0u);
   std::vector<int> hits(50, 0);
   const std::thread::id caller = std::this_thread::get_id();
@@ -114,6 +114,12 @@ TEST(ThreadPoolTest, GlobalPoolIsSingleton) {
   ThreadPool& a = ThreadPool::Global();
   ThreadPool& b = ThreadPool::Global();
   EXPECT_EQ(&a, &b);
+}
+
+TEST(ThreadPoolTest, GlobalPoolHasTheDefaultWorkerCount) {
+  EXPECT_EQ(ThreadPool::Global().num_workers(), ThreadPool::DefaultWorkers());
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(ThreadPool::DefaultWorkers(), hw > 1 ? hw - 1 : 0u);
 }
 
 }  // namespace
