@@ -1,9 +1,10 @@
 // Filter-path microbench: the vectorized whole-database lower-bound sweep
 // against the per-row bound loop it replaced, on a 10k-trajectory random
 // walk database; the adaptive column-storage layouts against the all-dense
-// baseline on a coarse and a fine (delta = 1-class) grid; and the flat
-// Q-gram posting-array counting pass next to the early-decided check the
-// combined searcher runs instead.
+// baseline on a coarse and a fine (delta = 1-class) grid; the sweep on the
+// benchmark ledger's NHL-like table, certified against the bound's
+// definition; and the flat Q-gram posting-array counting pass next to the
+// early-decided check the combined searcher runs instead.
 //
 // Emits JSON (stdout, or the file named by argv[1]):
 //
@@ -26,7 +27,9 @@
 #include "bench_util.h"
 #include "core/rng.h"
 #include "core/trajectory.h"
+#include "core/normalize.h"
 #include "data/generators.h"
+#include "data/noise.h"
 #include "distance/edr_kernel.h"
 #include "pruning/histogram.h"
 #include "pruning/qgram.h"
@@ -67,6 +70,72 @@ struct LayoutRow {
   double sweep_dense_s = -1.0;      // < 0: dense table infeasible, skipped
   bool identical = true;
 };
+
+/// The sweep on the ledger's NHL-like 2HPN table (2-D, delta = 1, the
+/// dataset's suggested epsilon), with the sizes of both column stores.
+struct LedgerRow {
+  size_t db_size = 0;
+  size_t queries = 0;
+  double epsilon = 0.0;
+  size_t bins = 0;
+  double build_s = 0.0;
+  double sweep_s = 0.0;  ///< per query
+  HistogramStorageStats stats;
+  bool identical = true;  ///< every bound equals the definition
+};
+
+/// Builds the table on GenNhlLike(count, 30, max_length, 19), normalized
+/// as the ledger normalizes it, and sweeps locally time-shifted members.
+LedgerRow MeasureLedgerNhl(size_t count, size_t max_length,
+                           size_t num_queries) {
+  TrajectoryDataset db = GenNhlLike(count, 30, max_length, 19);
+  db.NormalizeAll();
+  LedgerRow row;
+  row.db_size = db.size();
+  row.queries = num_queries;
+  row.epsilon = db.SuggestedEpsilon();
+  const auto start = std::chrono::steady_clock::now();
+  const HistogramTable table(db, row.epsilon, HistogramTable::Kind::k2D, 1);
+  row.build_s = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  row.bins = static_cast<size_t>(table.grid().NumBins2D());
+  row.stats = table.storage_stats();
+
+  Rng rng(0x51ED);
+  std::vector<Trajectory> queries;
+  std::vector<HistogramTable::QueryHistogram> qhs;
+  for (size_t q = 0; q < num_queries; ++q) {
+    Trajectory t = AddLocalTimeShifting(db[(q * 7919) % db.size()], {}, rng);
+    NormalizeInPlace(t);
+    qhs.push_back(table.MakeQueryHistogram(t));
+    queries.push_back(std::move(t));
+  }
+  std::vector<int> sweep;
+  const double per_call = SecondsPerCall([&] {
+    for (const auto& qh : qhs) table.FastLowerBoundSweep(qh, &sweep);
+  });
+  row.sweep_s = per_call / static_cast<double>(num_queries);
+
+  // Certify against the definition: dense histograms of the query and of
+  // every row, through HistogramDistance2DFast.
+  std::vector<std::vector<int>> bounds(qhs.size());
+  for (size_t q = 0; q < qhs.size(); ++q) {
+    table.FastLowerBoundSweep(qhs[q], &bounds[q]);
+  }
+  const HistogramGrid& grid = table.grid();
+  std::vector<std::vector<int>> hq;
+  for (const Trajectory& q : queries) hq.push_back(BuildHistogram2D(q, grid));
+  for (uint32_t id = 0; id < db.size(); ++id) {
+    const std::vector<int> hs = BuildHistogram2D(db[id], grid);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      if (bounds[q][id] != HistogramDistance2DFast(hq[q], hs, grid)) {
+        row.identical = false;
+      }
+    }
+  }
+  return row;
+}
 
 /// Building the all-dense table allocates stats.dense_equivalent_bytes in
 /// one block; cap what the bench will actually try (the fine grid's dense
@@ -217,12 +286,12 @@ int main(int argc, char** argv) {
     all_identical = all_identical && row.identical;
     std::fprintf(
         stderr,
-        "layout[%s]: bins=%zu cols(d/b/s/e)=%zu/%zu/%zu/%zu "
+        "layout[%s]: bins=%zu raw cols(d/b/s/e)=%zu/%zu/%zu/%zu "
         "bytes=%.1fMB dense_equiv=%.1fMB (%.1fx) sweep=%.3fms dense=%s "
         "identical=%s\n",
-        row.grid, row.bins, row.stats.dense_columns, row.stats.bitmap_columns,
-        row.stats.sparse_columns, row.stats.empty_columns,
-        row.stats.column_bytes / 1048576.0,
+        row.grid, row.bins, row.stats.raw.dense_columns,
+        row.stats.raw.bitmap_columns, row.stats.raw.sparse_columns,
+        row.stats.raw.empty_columns, row.stats.column_bytes / 1048576.0,
         row.stats.dense_equivalent_bytes / 1048576.0,
         static_cast<double>(row.stats.dense_equivalent_bytes) /
             static_cast<double>(row.stats.column_bytes),
@@ -233,6 +302,24 @@ int main(int argc, char** argv) {
         row.identical ? "yes" : "NO");
     layout_rows.push_back(row);
   }
+
+  // --- The ledger's NHL-like table: 20000 rows of length 30-256 (2000 of
+  // length 30-96 in the smoke run).
+  const LedgerRow ledger = smoke ? MeasureLedgerNhl(2000, 96, 4)
+                                 : MeasureLedgerNhl(20000, 256, 16);
+  all_identical = all_identical && ledger.identical;
+  std::fprintf(stderr,
+               "ledger nhl: n=%zu bins=%zu build=%.3fs sweep=%.3fms/query "
+               "raw=%.1fMB (d/b/s %zu/%zu/%zu) ns=%.1fMB (d/b/s %zu/%zu/%zu) "
+               "identical=%s\n",
+               ledger.db_size, ledger.bins, ledger.build_s,
+               ledger.sweep_s * 1e3, ledger.stats.raw.bytes / 1048576.0,
+               ledger.stats.raw.dense_columns, ledger.stats.raw.bitmap_columns,
+               ledger.stats.raw.sparse_columns,
+               ledger.stats.ns.bytes / 1048576.0,
+               ledger.stats.ns.dense_columns, ledger.stats.ns.bitmap_columns,
+               ledger.stats.ns.sparse_columns,
+               ledger.identical ? "yes" : "NO");
 
   // --- Flat Q-gram posting arrays: the PS2-style counting pass, and the
   // combined searcher's early-decided check against the Theorem 1
@@ -330,12 +417,19 @@ int main(int argc, char** argv) {
                  "    {\"grid\": \"%s\", \"bins\": %zu, "
                  "\"dense_columns\": %zu, \"bitmap_columns\": %zu, "
                  "\"sparse_columns\": %zu, \"empty_columns\": %zu,\n"
-                 "     \"adaptive_bytes\": %zu, \"dense_bytes\": %zu, "
+                 "     \"ns_dense_columns\": %zu, "
+                 "\"ns_bitmap_columns\": %zu, \"ns_sparse_columns\": %zu, "
+                 "\"ns_empty_columns\": %zu,\n"
+                 "     \"raw_bytes\": %zu, \"ns_bytes\": %zu, "
+                 "\"adaptive_bytes\": %zu, \"dense_bytes\": %zu, "
                  "\"memory_reduction\": %.2f,\n"
                  "     \"sweep_adaptive_ms\": %.3f, ",
-                 r.grid, r.bins, r.stats.dense_columns,
-                 r.stats.bitmap_columns, r.stats.sparse_columns,
-                 r.stats.empty_columns, r.stats.column_bytes,
+                 r.grid, r.bins, r.stats.raw.dense_columns,
+                 r.stats.raw.bitmap_columns, r.stats.raw.sparse_columns,
+                 r.stats.raw.empty_columns, r.stats.ns.dense_columns,
+                 r.stats.ns.bitmap_columns, r.stats.ns.sparse_columns,
+                 r.stats.ns.empty_columns, r.stats.raw.bytes,
+                 r.stats.ns.bytes, r.stats.column_bytes,
                  r.stats.dense_equivalent_bytes,
                  static_cast<double>(r.stats.dense_equivalent_bytes) /
                      static_cast<double>(r.stats.column_bytes),
@@ -352,8 +446,24 @@ int main(int argc, char** argv) {
     std::fprintf(out, "\"identical\": %s}%s\n", r.identical ? "true" : "false",
                  i + 1 < layout_rows.size() ? "," : "");
   }
+  std::fprintf(
+      out,
+      "  ],\n  \"ledger_nhl\": {\"db_size\": %zu, \"queries\": %zu, "
+      "\"epsilon\": %.6f, \"bins\": %zu,\n"
+      "    \"build_s\": %.3f, \"sweep_ms_per_query\": %.3f,\n"
+      "    \"raw_bytes\": %zu, \"raw_dense_columns\": %zu, "
+      "\"raw_bitmap_columns\": %zu, \"raw_sparse_columns\": %zu,\n"
+      "    \"ns_bytes\": %zu, \"ns_dense_columns\": %zu, "
+      "\"ns_bitmap_columns\": %zu, \"ns_sparse_columns\": %zu,\n"
+      "    \"identical\": %s},\n",
+      ledger.db_size, ledger.queries, ledger.epsilon, ledger.bins,
+      ledger.build_s, ledger.sweep_s * 1e3, ledger.stats.raw.bytes,
+      ledger.stats.raw.dense_columns, ledger.stats.raw.bitmap_columns,
+      ledger.stats.raw.sparse_columns, ledger.stats.ns.bytes,
+      ledger.stats.ns.dense_columns, ledger.stats.ns.bitmap_columns,
+      ledger.stats.ns.sparse_columns, ledger.identical ? "true" : "false");
   std::fprintf(out,
-               "  ],\n  \"qgram_flat_count_ms\": %.3f,\n"
+               "  \"qgram_flat_count_ms\": %.3f,\n"
                "  \"qgram_decide_ms\": %.3f,\n"
                "  \"identical\": %s\n}\n",
                qgram_count_s * 1e3, qgram_decide_s * 1e3,

@@ -168,8 +168,8 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
                                options_.sorted_histogram_scan;
   const EdrKernel kernel = DefaultEdrKernel();
   const unsigned slots = ResolveIntraQueryWorkers(options);
-  std::vector<std::vector<std::pair<uint32_t, double>>> proc(slots);
-  for (auto& p : proc) p.reserve(matrix_.num_refs());
+  // Reference distances for the near-triangle step, shared by all slots.
+  SharedRefDistances refs(matrix_.num_refs());
   std::vector<size_t> computed(slots, 0);
   std::vector<StageCounters> slot_stages(slots);
   // The lazy Q-gram and triangle checks interleave with the DPs, so, as in
@@ -182,7 +182,6 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
     const Trajectory& s = db_[id];
     StageCounters& st = slot_stages[slot];
     st.Bump(&StageCounters::considered);
-    std::vector<std::pair<uint32_t, double>>& proc_array = proc[slot];
     for (const PruneStep step : options_.order) {
       switch (step) {
         case PruneStep::kHistogram: {
@@ -211,11 +210,11 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
         }
         case PruneStep::kNearTriangle: {
           double max_prune_dist = 0.0;
-          for (const auto& [ref_id, ref_dist] : proc_array) {
+          refs.ForEach([&](uint32_t ref_id, double ref_dist) {
             const double bound = ref_dist - matrix_.at(ref_id, id) -
                                  static_cast<double>(s.size());
             max_prune_dist = std::max(max_prune_dist, bound);
-          }
+          });
           if (max_prune_dist > best) {
             st.Bump(&StageCounters::triangle_pruned);
             return false;
@@ -234,9 +233,7 @@ KnnResult CombinedKnnSearcher::RefineWithBounds(
     });
     ++computed[slot];
     st.CountDp(query.size(), s.size());
-    if (id < matrix_.num_refs() && proc_array.size() < matrix_.num_refs()) {
-      proc_array.emplace_back(id, static_cast<double>(d));
-    }
+    if (id < matrix_.num_refs()) refs.Add(id, static_cast<double>(d));
     if (d > bound) {
       st.Bump(&StageCounters::dp_early_abandoned);
       return false;

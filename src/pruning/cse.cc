@@ -46,12 +46,10 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
   std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
   RecordSchedBudget(trace.get(), options);
 
-  // Per-slot reference arrays, as in NearTriangleSearcher::Knn: any
-  // computed reference distance is a valid prune input, so sharding them
-  // only changes how much is pruned, never what is returned.
+  // The reference distances computed so far, shared by all worker slots
+  // as in NearTriangleSearcher::Knn.
   const unsigned slots = ResolveIntraQueryWorkers(options);
-  std::vector<std::vector<std::pair<uint32_t, double>>> proc(slots);
-  for (auto& p : proc) p.reserve(matrix_.num_refs());
+  SharedRefDistances refs(matrix_.num_refs());
   std::vector<size_t> computed(slots, 0);
   std::vector<StageCounters> slot_stages(slots);
   // Interleaved scan: phase split derived from the per-slot DP time, as in
@@ -62,19 +60,18 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
                           double* dist) {
     StageCounters& st = slot_stages[slot];
     st.Bump(&StageCounters::considered);
-    std::vector<std::pair<uint32_t, double>>& proc_array = proc[slot];
     double max_prune_dist = 0.0;
-    for (const auto& [ref_id, ref_dist] : proc_array) {
+    refs.ForEach([&](uint32_t ref_id, double ref_dist) {
       const double bound = ref_dist - matrix_.at(ref_id, id) - shift_;
       max_prune_dist = std::max(max_prune_dist, bound);
-    }
+    });
     if (max_prune_dist > threshold) {
       st.Bump(&StageCounters::triangle_pruned);
       return false;
     }
 
-    // Bounded refinement; a lower-bound reference distance in proc_array
-    // only weakens (never unsounds) the shifted triangle prune.
+    // Bounded refinement; a lower-bound reference distance in `refs` only
+    // weakens (never unsounds) the shifted triangle prune.
     const int bound = EdrBoundFromKthDistance(threshold);
     const int d = dp_timer.Time(slot, [&] {
       return EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(), query,
@@ -82,10 +79,7 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
     });
     ++computed[slot];
     st.CountDp(query.size(), db_[id].size());
-    if (id < matrix_.num_refs() &&
-        proc_array.size() < matrix_.num_refs()) {
-      proc_array.emplace_back(id, static_cast<double>(d));
-    }
+    if (id < matrix_.num_refs()) refs.Add(id, static_cast<double>(d));
     if (d > bound) {
       st.Bump(&StageCounters::dp_early_abandoned);
       return false;

@@ -29,6 +29,8 @@ struct HistogramGrid {
   /// slack is added on each side so boundary samples never fall outside.
   static HistogramGrid For(const DatasetStats& stats, double bin_size);
 
+  /// Bin of a coordinate, clamped to the grid; a NaN coordinate maps to
+  /// bin 0 (see ClampedBin in histogram.cc for why that stays sound).
   int BinX(double x) const;
   int BinY(double y) const;
   int NumBins2D() const { return nx * ny; }
@@ -100,9 +102,9 @@ int HistogramDistance1DFast(const std::vector<int>& hr,
 /// ranges caps out at a ~512x512 grid, i.e. ~n MB per thousand bins).
 /// kAdaptive classifies every bin column at build time from its measured
 /// density and stores it in the cheapest layout that keeps the
-/// cache-blocked column-sweep shape; kDense forces the original all-dense
-/// block (baseline for benchmarks and equivalence tests). Both layouts
-/// produce bit-identical bounds — the policy is a pure memory/speed knob.
+/// cache-blocked column-sweep shape; kDense forces all-dense blocks
+/// (baseline for benchmarks and equivalence tests). Both layouts produce
+/// bit-identical bounds — the policy is a pure memory/speed knob.
 enum class HistogramLayout {
   kAdaptive,
   kDense,
@@ -111,39 +113,54 @@ enum class HistogramLayout {
 /// "adaptive" or "dense".
 const char* HistogramLayoutName(HistogramLayout layout);
 
-/// What the per-column stores of one HistogramTable actually hold, for
-/// memory accounting and the layout benches.
-struct HistogramStorageStats {
-  size_t columns = 0;         ///< bin columns across all dimensions
+/// Layout census and byte count of one column store of a HistogramTable.
+struct ColumnStoreStats {
   size_t dense_columns = 0;   ///< stored as dense int32 columns
-  size_t bitmap_columns = 0;  ///< near-binary columns stored as bitmaps
+  size_t bitmap_columns = 0;  ///< all-ones columns stored as bitmaps
   size_t sparse_columns = 0;  ///< blocked-sparse posting columns
   size_t empty_columns = 0;   ///< nothing stored at all
-  /// Bytes held by the column stores (dense block + bitmaps + postings +
-  /// block index + per-column layout/slot tables).
-  size_t column_bytes = 0;
-  /// What the all-dense PR-2 block would cost: columns * n * sizeof(int32).
+  /// Dense block + bitmaps + postings + block index + per-column
+  /// layout/slot tables.
+  size_t bytes = 0;
+};
+
+/// What the column stores of one HistogramTable actually hold, for memory
+/// accounting and the layout benches.
+struct HistogramStorageStats {
+  size_t columns = 0;  ///< bin columns per store, across all dimensions
+  ColumnStoreStats raw;  ///< the bin counts H[b] (side B of the bound)
+  ColumnStoreStats ns;   ///< the neighbourhood sums H[N(b)] (side A)
+  size_t column_bytes = 0;  ///< raw.bytes + ns.bytes
+  /// What both stores would cost all-dense:
+  /// 2 * columns * n * sizeof(int32).
   size_t dense_equivalent_bytes = 0;
 };
 
 /// Precomputed histograms for a whole dataset, shared by the histogram
 /// searchers and the combined searcher.
 ///
-/// Storage is flat structure-of-arrays per dimension, with the value of
-/// one bin across the whole database ("a bin column") kept in one of four
-/// layouts chosen per column at build time (HistogramLayout::kAdaptive):
+/// The fast bound's transport upper bound U = min(A, B) (see
+/// HistogramDistance2DFast) is read off two column stores per histogram
+/// dimension, each holding the value of one bin across the whole database
+/// ("a bin column"):
+///
+///  - the *raw* store, raw_b[id] = H_id[b], gives side B as
+///    sum over the query's dilated support of min(HQ[N(b)], raw_b[id]);
+///  - the *neighbourhood-sum* (NS) store, ns_b[id] = H_id[N(b)], gives
+///    side A as sum over the query's bins of min(HQ[b], ns_b[id]);
+///
+/// with N(b) the same-or-adjacent bins of b. Either way a query touches
+/// one column per bin it occupies or neighbours, so the sweep's cost
+/// follows the query's neighbourhood rather than the table. Each column is
+/// kept in one of four layouts chosen per column at build time
+/// (HistogramLayout::kAdaptive):
 ///
 ///  - *dense* columns stay bin-major int32 (`dense[slot * n + id]`), the
 ///    layout FastLowerBoundSweep streams over with SIMD;
-///  - *bitmap* columns (every stored count is 1) keep one bit per id;
-///  - *blocked-sparse* columns keep (local id, count) postings grouped by
+///  - *bitmap* columns (every stored value is 1) keep one bit per id;
+///  - *blocked-sparse* columns keep (local id, value) postings grouped by
 ///    sweep block, entered O(1) via a per-column block index;
 ///  - *empty* columns store nothing.
-///
-/// Independently, the occupied (bin, count) lists of all trajectories are
-/// concatenated into two parallel flat arrays sliced by per-trajectory
-/// offsets (id-major), so a database-order scan of the sparse side of the
-/// bound never chases pointers.
 class HistogramTable {
  public:
   enum class Kind {
@@ -153,35 +170,29 @@ class HistogramTable {
 
   /// Builds histograms for every trajectory with bin size delta * epsilon.
   /// For Kind::k1D both the x and y histograms are kept and the lower
-  /// bound is the max of the two per-dimension HDs (each lower-bounds EDR
-  /// by Corollary 1, so their max does too).
+  /// bound is the max of the two per-dimension bounds (each lower-bounds
+  /// EDR by Corollary 1, so their max does too).
   HistogramTable(const TrajectoryDataset& db, double epsilon, Kind kind,
                  int delta = 1,
                  HistogramLayout layout = HistogramLayout::kAdaptive);
 
-  /// Lower bound of EDR(query, db[id]) from the histogram embedding.
-  int LowerBound(const Trajectory& query, uint32_t id) const;
-
-  /// Precomputes the query-side histogram once; returns an opaque handle.
-  /// Each histogram is kept dense (for the exact bound), as a sparse
-  /// (bin, count) list, and as the dense *neighborhood-sum* array
-  /// `nbr_*[b] = sum of the histogram over b's same-or-adjacent bins`,
-  /// which turns the per-bin reachable-mass term of the fast bound into a
-  /// single lookup.
+  /// Precomputes the query side of the fast bound once; returns an opaque
+  /// handle. A function of the query and the grid only (never of the
+  /// table's data or layout), so a cached handle serves any table on the
+  /// same grid.
   struct QueryHistogram {
-    std::vector<int> h2d;
-    std::vector<int> hx;
-    std::vector<int> hy;
-    std::vector<std::pair<int, int>> sparse_2d;
-    std::vector<std::pair<int, int>> sparse_x;
-    std::vector<std::pair<int, int>> sparse_y;
-    std::vector<int32_t> nbr_2d;
-    std::vector<int32_t> nbr_x;
-    std::vector<int32_t> nbr_y;
+    /// One histogram dimension: the 2-D grid, or the x / y subranges.
+    struct Dim {
+      /// Occupied (bin, HQ[b]) pairs, ascending by bin: side A's caps.
+      std::vector<std::pair<int, int>> bins;
+      /// (bin, HQ[N(b)]) over the dilated support HQ[N(b)] > 0, ascending
+      /// by bin: side B's caps.
+      std::vector<std::pair<int, int>> dilated;
+    };
+    std::vector<Dim> dims;  ///< the 2-D grid, or x then y
     int total = 0;
   };
   QueryHistogram MakeQueryHistogram(const Trajectory& query) const;
-  int LowerBound(const QueryHistogram& query, uint32_t id) const;
 
   /// 64-bit occupancy signature of the query's histogram bins: each point
   /// maps to its grid bin (both the x and y subrange bins for Kind::k1D,
@@ -193,19 +204,20 @@ class HistogramTable {
   /// influence which queries share a sweep, never any bound or answer.
   uint64_t QueryBinSignature(const Trajectory& query) const;
 
-  /// Linear-time relaxation of LowerBound (never larger, still a valid
-  /// EDR lower bound); used as a first-stage filter by the searchers.
+  /// HistogramDistance2DFast (HistogramDistance1DFast per dimension for
+  /// Kind::k1D, max of the two) between the query and db[id], read off the
+  /// column stores: a valid EDR lower bound, used as a first-stage filter
+  /// by the searchers.
   int FastLowerBound(const QueryHistogram& query, uint32_t id) const;
 
   /// FastLowerBound for the *entire database* in one cache-blocked pass:
   /// `(*out)[id] == FastLowerBound(query, id)` for every id, bit for bit.
-  /// The column side of the bound is evaluated block-wise, dispatching per
-  /// bin column on its storage layout — dense columns stream through the
-  /// widest SIMD lanes the host offers (AVX-512/AVX2/SSE2/NEON behind
-  /// ActiveKernelLevel()), bitmap and blocked-sparse columns scatter into
-  /// the same block accumulator — and the id-major side as a linear scan
-  /// of the flat posting arrays. This is what HSE/HSR and the combined
-  /// searcher consume instead of n per-row calls.
+  /// Each block clamps the query's columns into int32 accumulators,
+  /// dispatching per column on its storage layout — dense columns stream
+  /// through the widest SIMD lanes the host offers (AVX-512/AVX2/SSE2/NEON
+  /// behind ActiveKernelLevel()), bitmap and blocked-sparse columns
+  /// scatter into the same accumulator. This is what HSE/HSR and the
+  /// combined searcher consume instead of n per-row calls.
   void FastLowerBoundSweep(const QueryHistogram& query,
                            std::vector<int>* out) const;
 
@@ -228,13 +240,11 @@ class HistogramTable {
   /// FastLowerBoundSweep for a *fusion group* of queries in one
   /// cache-blocked database pass: `(*outs[f])[id]` is bit-identical to what
   /// FastLowerBoundSweep(*queries[f], ...) writes, for every group size.
-  /// The group shares each sweep block while it is cache-hot: the column
-  /// ("side A") neighborhoods are accumulated once per *distinct* bin of
-  /// the group and clamped into every member's accumulator (int32 addition
-  /// commutes, so the per-query sums are exact), and the id-major posting
-  /// walk ("side B") feeds all members through a query-major
-  /// register-blocked min-add kernel (AVX-512/AVX2/SSE2/NEON behind
-  /// ActiveKernelLevel()). Groups larger than kMaxFusionGroup are chunked.
+  /// The group shares each sweep block while it is cache-hot: each
+  /// *distinct* bin of the group resolves its column once and clamps it
+  /// into every member that uses it (int32 addition commutes, so the
+  /// per-query sums are exact). Groups larger than kMaxFusionGroup are
+  /// chunked.
   void FastLowerBoundSweepFused(
       const std::vector<const QueryHistogram*>& queries,
       const std::vector<std::vector<int>*>& outs) const;
@@ -264,67 +274,54 @@ class HistogramTable {
   /// can never serve a feature cached under another configuration.
   const std::string& feature_key() const { return feature_key_; }
 
-  /// Flat adaptive storage for one histogram dimension (the 2-D grid, or
-  /// the x / y subranges). `nx * ny` spans the bin space; 1-D tables use
-  /// ny == 1, which makes the shared 3x3-clamped neighborhood enumeration
-  /// degenerate to the path neighborhood. Public only so the sweep's
-  /// file-local dispatch helpers can take it; not part of the stable API.
-  struct FlatHistograms {
-    int nx = 0;
-    int ny = 1;
-    size_t n = 0;
-    size_t num_blocks = 0;  ///< ceil(n / kSweepBlock) sweep blocks
-
-    // Per-column stores (side A of the fast bound). col_layout[b] selects
-    // the layout (ColLayout code), col_slot[b] the column's index within
-    // that layout's store.
-    std::vector<uint8_t> col_layout;
-    std::vector<uint32_t> col_slot;
-    std::vector<int32_t> dense;     ///< dense cols: dense[slot * n + id]
-    std::vector<uint64_t> bits;     ///< bitmap cols: one bit per id
-    /// Blocked-sparse cols: postings (local id within block, count) in
+  /// One store of bin columns (see the class comment). Public only so the
+  /// sweep's file-local dispatch helpers can take it; not part of the
+  /// stable API.
+  struct ColumnStore {
+    std::vector<uint8_t> layout;  ///< per bin: the ColLayout code
+    std::vector<uint32_t> slot;   ///< per bin: index in its layout's store
+    std::vector<int32_t> dense;   ///< dense cols: dense[slot * n + id]
+    std::vector<uint64_t> bits;   ///< bitmap cols: one bit per id
+    /// Blocked-sparse cols: postings (local id within block, value) in
     /// ascending id order, entered per block via the block index
     /// sp_block_offsets[slot * (num_blocks + 1) + block].
     std::vector<uint32_t> sp_block_offsets;
     std::vector<uint16_t> sp_local_ids;
     std::vector<int32_t> sp_counts;
+  };
 
-    // Id-major occupied lists (side B of the fast bound + exact bound).
-    std::vector<int32_t> sparse_bins;      ///< concatenated occupied bins
-    std::vector<int32_t> sparse_counts;    ///< parallel counts
-    std::vector<uint32_t> sparse_offsets;  ///< n + 1 slice boundaries
+  /// Both column stores of one histogram dimension. `nx * ny` spans the
+  /// bin space; 1-D dimensions use ny == 1, which makes the shared
+  /// 3x3-clamped neighbourhood degenerate to the path neighbourhood.
+  struct FlatHistograms {
+    int mode = 0;  ///< 0 = the 2-D grid, 1 = x subranges, 2 = y subranges
+    int nx = 0;
+    int ny = 1;
+    size_t n = 0;
+    size_t num_blocks = 0;  ///< ceil(n / kSweepBlock) sweep blocks
+    ColumnStore raw;        ///< raw_b[id] = H_id[b]
+    ColumnStore ns;         ///< ns_b[id] = H_id[N(b)]
   };
 
  private:
-  /// Builds one dimension's flat adaptive table (mode 0 = the 2-D grid,
-  /// 1 = x subranges, 2 = y subranges): parallel per-trajectory occupied
-  /// lists, sequential column classification + id-major stitching, then a
-  /// parallel per-sparse-column block-index pass — deterministic for any
-  /// worker count.
-  void BuildTable(const TrajectoryDataset& db, int mode,
-                  FlatHistograms* flat) const;
+  /// Builds one dimension's two stores: a count pass and a fill pass in id
+  /// order, each rebuilding the trajectories' occupied and dilated lists
+  /// chunk by chunk in parallel — deterministic for any worker count.
+  void BuildTable(const TrajectoryDataset& db, FlatHistograms* flat) const;
 
-  void SweepImpl(const QueryHistogram& query, KernelLevel level,
-                 std::vector<int>* out) const;
-  /// Sweeps the kSweepBlock-aligned blocks [block_begin, block_end) into
-  /// the already-sized output array.
-  void SweepBlocks(const QueryHistogram& query, KernelLevel level,
-                   size_t block_begin, size_t block_end,
-                   std::vector<int>* out) const;
-  /// One fused chunk (group size <= kMaxFusionGroup) over an optional
-  /// worker count; both fused entry points funnel through here.
-  void SweepFusedChunk(const std::vector<const QueryHistogram*>& queries,
-                       const std::vector<std::vector<int>*>& outs,
-                       const KnnOptions* options) const;
+  /// Sweeps one group of at most kMaxFusionGroup queries at `level`,
+  /// sharded over options->intra_query_workers (sequential when `options`
+  /// is null). Every public sweep funnels through here.
+  void SweepGroup(const std::vector<const QueryHistogram*>& queries,
+                  const std::vector<std::vector<int>*>& outs,
+                  KernelLevel level, const KnnOptions* options) const;
 
   Kind kind_;
   int delta_;
   HistogramLayout layout_;
   HistogramGrid grid_;
   std::string feature_key_;
-  FlatHistograms flat_2d_;
-  FlatHistograms flat_x_;
-  FlatHistograms flat_y_;
+  std::vector<FlatHistograms> dims_;  ///< the 2-D grid, or x then y
   std::vector<int32_t> totals_;
 };
 

@@ -111,14 +111,10 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
   // been computed, with that distance. A bounded-refinement value may be a
   // lower bound on EDR(Q, ref); substituting it into the Figure 4 prune
   // bound only shrinks the bound, so pruning stays lossless (it just
-  // prunes a little less than with the exact reference distance). Each
-  // worker slot accumulates its own array — a reference distance is a
-  // valid prune input regardless of which candidates it is applied to, so
-  // per-slot arrays keep pruning sound while the deterministic merge keeps
-  // results schedule-independent.
+  // prunes a little less than with the exact reference distance). All
+  // worker slots share the array.
   const unsigned slots = ResolveIntraQueryWorkers(options);
-  std::vector<std::vector<std::pair<uint32_t, double>>> proc(slots);
-  for (auto& p : proc) p.reserve(matrix_.num_refs());
+  SharedRefDistances refs(matrix_.num_refs());
   std::vector<size_t> computed(slots, 0);
   std::vector<StageCounters> slot_stages(slots);
   // Filter and refinement interleave in this scan, so the phase split is
@@ -132,13 +128,12 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
     st.Bump(&StageCounters::considered);
     // Lower-bound EDR(Q, S) via every reference with a known distance
     // (Figure 4, lines 2-4).
-    std::vector<std::pair<uint32_t, double>>& proc_array = proc[slot];
     double max_prune_dist = 0.0;
-    for (const auto& [ref_id, ref_dist] : proc_array) {
+    refs.ForEach([&](uint32_t ref_id, double ref_dist) {
       const double bound = ref_dist - matrix_.at(ref_id, id) -
                            static_cast<double>(s.size());
       max_prune_dist = std::max(max_prune_dist, bound);
-    }
+    });
     if (max_prune_dist > threshold) {  // No false dismissal.
       st.Bump(&StageCounters::triangle_pruned);
       return false;
@@ -151,10 +146,7 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
     });
     ++computed[slot];
     st.CountDp(query.size(), s.size());
-    if (id < matrix_.num_refs() &&
-        proc_array.size() < matrix_.num_refs()) {
-      proc_array.emplace_back(id, static_cast<double>(d));
-    }
+    if (id < matrix_.num_refs()) refs.Add(id, static_cast<double>(d));
     if (d > bound) {
       st.Bump(&StageCounters::dp_early_abandoned);
       return false;

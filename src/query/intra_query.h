@@ -19,15 +19,14 @@
 namespace edr {
 
 /// The running k-th-nearest distance shared by every refinement worker of
-/// one query. Workers publish their local k-th distance after each accepted
-/// candidate; the stored value is the minimum published so far, which is
-/// always an upper bound on the final k-th distance — so pruning and
-/// early-abandoning against it never loses a true neighbor, it only prunes
-/// somewhat less aggressively than the fully sequential scan.
+/// one query: the k-th of every exact distance offered so far (see
+/// SharedTopK), which is always an upper bound on the final k-th distance
+/// — so pruning and early-abandoning against it never loses a true
+/// neighbor.
 ///
 /// Relaxed ordering is sufficient: the value is a monotone pruning hint,
 /// and a stale read merely weakens a prune. Result identity is enforced by
-/// the deterministic merge, not by synchronization here.
+/// the deterministic top-k, not by synchronization here.
 class SharedKthDistance {
  public:
   explicit SharedKthDistance(size_t k)
@@ -47,6 +46,79 @@ class SharedKthDistance {
 
  private:
   std::atomic<double> kth_;
+};
+
+/// The query-wide top-k of a refinement: every worker slot offers each
+/// exact distance it computes, and the k-th of them all is published as
+/// the shared threshold. With w slots the threshold is therefore as tight
+/// as the sequential scan's, give or take the w - 1 distances still in
+/// flight.
+///
+/// The top-k keeps the k lexicographically smallest (distance, rank)
+/// pairs offered. Every true neighbour is refined exactly in every
+/// schedule (the threshold never drops below the final k-th distance), so
+/// that set is schedule-independent. One slot offers without a lock.
+class SharedTopK {
+ public:
+  SharedTopK(size_t k, unsigned slots)
+      : top_(k), kth_(k), locked_(slots > 1) {}
+
+  double Threshold() const { return kth_.Load(); }
+
+  void Offer(uint32_t id, double distance, size_t rank) {
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    if (locked_) lock.lock();
+    top_.Offer(id, distance, rank);
+    if (top_.full()) kth_.Publish(top_.Threshold());
+  }
+
+  /// The kept neighbours, ascending by (distance, rank).
+  std::vector<Neighbor> Take() && {
+    return std::move(top_).TakeSortedNeighbors();
+  }
+
+ private:
+  std::mutex mu_;  ///< guards top_ when more than one slot offers
+  BoundedTopK top_;
+  SharedKthDistance kth_;
+  bool locked_;
+};
+
+/// The reference distances one query has refined so far, shared by all
+/// of its refinement slots, so the near-triangle prunes (NTR, CSE and the
+/// combined searcher) read every reference any slot computed, not only
+/// their own. A stored value may be a bounded-refinement lower bound of
+/// EDR(Q, ref); substituting it only shrinks a prune bound, so reading any
+/// subset of the entries keeps pruning lossless.
+///
+/// Append-only up to a fixed capacity: a writer fills the next entry under
+/// the lock and publishes it by storing the count with release order, so
+/// lock-free readers only ever see whole entries.
+class SharedRefDistances {
+ public:
+  explicit SharedRefDistances(size_t capacity) : entries_(capacity) {}
+
+  void Add(uint32_t ref, double distance) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t count = count_.load(std::memory_order_relaxed);
+    if (count == entries_.size()) return;
+    entries_[count] = {ref, distance};
+    count_.store(count + 1, std::memory_order_release);
+  }
+
+  /// fn(ref, distance) for every published entry, in insertion order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    const size_t count = count_.load(std::memory_order_acquire);
+    for (size_t i = 0; i < count; ++i) {
+      fn(entries_[i].first, entries_[i].second);
+    }
+  }
+
+ private:
+  std::mutex mu_;  ///< serializes writers
+  std::vector<std::pair<uint32_t, double>> entries_;
+  std::atomic<size_t> count_{0};
 };
 
 /// Resolves the pool an intra-query job runs on (Global unless overridden).
@@ -193,13 +265,12 @@ class KeyOrderStream {
 };
 
 /// Runs `loop(slot)` on `slots` participants of the pool (or inline when
-/// one slot suffices), then merges the per-slot top-k structures. Each
-/// slot's run is recorded as a "refine_worker" span under `tc` so the
-/// per-query trace shows the worker shard breakdown.
+/// one slot suffices). Each slot's run is recorded as a "refine_worker"
+/// span under `tc` so the per-query trace shows the worker shard
+/// breakdown.
 template <typename LoopFn>
-std::vector<Neighbor> RunSlots(size_t k, unsigned slots, ThreadPool& pool,
-                               std::vector<BoundedTopK>* locals,
-                               LoopFn&& loop, const TraceContext& tc = {}) {
+void RunSlots(unsigned slots, ThreadPool& pool, LoopFn&& loop,
+              const TraceContext& tc = {}) {
   auto traced = [&](size_t slot) {
     TraceSpan span(tc.trace, "refine_worker", tc.parent);
     loop(slot);
@@ -209,7 +280,6 @@ std::vector<Neighbor> RunSlots(size_t k, unsigned slots, ThreadPool& pool,
   } else {
     pool.ParallelFor(slots, traced, slots);
   }
-  return BoundedTopK::Merge(std::move(*locals), k);
 }
 
 }  // namespace internal
@@ -225,9 +295,9 @@ std::vector<Neighbor> RunSlots(size_t k, unsigned slots, ThreadPool& pool,
 ///
 /// Result identity across worker counts: the shared threshold is always an
 /// upper bound on the final k-th distance, so every true neighbor survives
-/// filtering in every schedule, is refined exactly, and is kept by its
-/// worker's BoundedTopK; the final merge selects the k lexicographically
-/// smallest (distance, rank) pairs, a schedule-independent set.
+/// filtering in every schedule, is refined exactly, and is offered to the
+/// query-wide SharedTopK, which keeps the k lexicographically smallest
+/// (distance, rank) pairs — a schedule-independent set.
 template <typename ProcessFn>
 std::vector<Neighbor> RefineInDbOrder(size_t n, size_t k,
                                       const KnnOptions& options,
@@ -236,24 +306,22 @@ std::vector<Neighbor> RefineInDbOrder(size_t n, size_t k,
   const unsigned slots = ResolveIntraQueryWorkers(options);
   ThreadPool& pool = IntraQueryPool(options);
   internal::DbOrderStream stream(n);
-  SharedKthDistance shared(k);
-  std::vector<BoundedTopK> locals(slots, BoundedTopK(k));
+  SharedTopK top(k, slots);
 
   auto loop = [&](size_t slot) {
-    BoundedTopK& local = locals[slot];
     uint32_t id = 0;
     size_t rank = 0;
     while (stream.Next(&id, &rank)) {
-      const double threshold = shared.Load();
       double dist = 0.0;
-      if (!process(static_cast<unsigned>(slot), id, threshold, &dist)) {
+      if (!process(static_cast<unsigned>(slot), id, top.Threshold(),
+                   &dist)) {
         continue;
       }
-      local.Offer(id, dist, rank);
-      if (local.full()) shared.Publish(local.Threshold());
+      top.Offer(id, dist, rank);
     }
   };
-  return internal::RunSlots(k, slots, pool, &locals, loop, tc);
+  internal::RunSlots(slots, pool, loop, tc);
+  return std::move(top).Take();
 }
 
 /// Parallel filter-and-refine over candidates in ascending canonical
@@ -274,15 +342,13 @@ std::vector<Neighbor> RefineInKeyOrder(
   ThreadPool& pool = IntraQueryPool(options);
   internal::KeyOrderStream<Key> stream(
       StreamingOrder<Key>(std::move(entries)));
-  SharedKthDistance shared(k);
-  std::vector<BoundedTopK> locals(slots, BoundedTopK(k));
+  SharedTopK top(k, slots);
 
   auto loop = [&](size_t slot) {
-    BoundedTopK& local = locals[slot];
     typename StreamingOrder<Key>::Entry entry;
     size_t rank = 0;
     while (stream.Next(&entry, &rank)) {
-      const double threshold = shared.Load();
+      const double threshold = top.Threshold();
       if (stop(entry.key, threshold)) {
         stream.Stop();
         break;
@@ -292,11 +358,11 @@ std::vector<Neighbor> RefineInKeyOrder(
                    &dist)) {
         continue;
       }
-      local.Offer(entry.id, dist, rank);
-      if (local.full()) shared.Publish(local.Threshold());
+      top.Offer(entry.id, dist, rank);
     }
   };
-  return internal::RunSlots(k, slots, pool, &locals, loop, tc);
+  internal::RunSlots(slots, pool, loop, tc);
+  return std::move(top).Take();
 }
 
 }  // namespace edr

@@ -36,8 +36,8 @@ struct KnnOptions {
   /// features fresh every call. Cached features are bit-identical to
   /// freshly built ones, so attaching a cache never changes results.
   FeatureCache* feature_cache = nullptr;
-  /// Optional memo of fused sweep plans (the merged distinct-bin walk +
-  /// side-B transpose a fusion group's sweep derives from its members);
+  /// Optional memo of fused sweep plans (the merged distinct-bin lists a
+  /// fusion group's sweep derives from its members);
   /// nullptr = rebuild the plan every fused call. Cached plans are
   /// bit-identical to freshly built ones, so attaching a cache never
   /// changes results. Ignored by single-query calls.

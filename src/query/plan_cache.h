@@ -21,8 +21,8 @@ uint64_t SparseHistogramFingerprint(
     const std::vector<std::pair<int, int>>& sparse);
 
 /// A bounded LRU cache of fused sweep plans — the merged distinct-bin
-/// walk (+ side-B transpose) `BuildFusedPlan` derives from a fusion
-/// group's query histograms, rebuilt O(group * bins) on every sweep when
+/// lists `BuildFusedPlanData` derives from a fusion group's query
+/// histograms, rebuilt O(group * query bins) on every sweep when
 /// uncached. Entries are keyed by (config key, canonical member
 /// fingerprint tuple): the config key is the table's `feature_key` plus a
 /// plan-kind suffix, so any layout, grid, kind, or kernel-relevant change

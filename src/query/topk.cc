@@ -1,7 +1,6 @@
 #include "query/topk.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace edr {
 
@@ -19,37 +18,13 @@ void BoundedTopK::Offer(uint32_t id, double distance, size_t order) {
   std::push_heap(heap_.begin(), heap_.end(), HeapLess);
 }
 
-namespace {
-
-std::vector<Neighbor> FinishItems(std::vector<BoundedTopK::Item> items,
-                                  size_t k) {
-  std::sort(items.begin(), items.end(),
-            [](const BoundedTopK::Item& a, const BoundedTopK::Item& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.order < b.order;
-            });
-  if (items.size() > k) items.resize(k);
-  std::vector<Neighbor> out;
-  out.reserve(items.size());
-  for (const BoundedTopK::Item& item : items) {
-    out.push_back({item.id, item.distance});
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<Neighbor> BoundedTopK::TakeSortedNeighbors() && {
-  return FinishItems(std::move(heap_), k_);
-}
-
-std::vector<Neighbor> BoundedTopK::Merge(std::vector<BoundedTopK> parts,
-                                         size_t k) {
-  std::vector<Item> all;
-  for (BoundedTopK& part : parts) {
-    all.insert(all.end(), part.heap_.begin(), part.heap_.end());
-  }
-  return FinishItems(std::move(all), k);
+  // Ascending (distance, order): HeapLess is exactly that order.
+  std::sort(heap_.begin(), heap_.end(), HeapLess);
+  std::vector<Neighbor> out;
+  out.reserve(heap_.size());
+  for (const Item& item : heap_) out.push_back({item.id, item.distance});
+  return out;
 }
 
 void SortNeighborsAscending(std::vector<Neighbor>* neighbors,

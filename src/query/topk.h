@@ -106,7 +106,7 @@ class StreamingOrder {
 /// as the tie-break reproduces exactly the contents a sequential
 /// KnnResultList would hold after offering the same exact distances in
 /// visit order (earlier offers win ties), which is what makes the
-/// parallel merge deterministic.
+/// parallel refinement deterministic.
 class BoundedTopK {
  public:
   explicit BoundedTopK(size_t k) : k_(k) {}
@@ -125,26 +125,16 @@ class BoundedTopK {
     return heap_.front().distance;
   }
 
-  /// One kept candidate; exposed for merging.
+  /// Drains this structure into ascending (distance, order) neighbors.
+  std::vector<Neighbor> TakeSortedNeighbors() &&;
+
+ private:
   struct Item {
     double distance;
     size_t order;
     uint32_t id;
   };
-  const std::vector<Item>& items() const { return heap_; }
 
-  /// Drains this structure into ascending (distance, order) neighbors.
-  std::vector<Neighbor> TakeSortedNeighbors() &&;
-
-  /// Merges the kept candidates of several per-worker structures into the
-  /// final ascending top-k list. Because every structure kept (at least)
-  /// every candidate that can appear in the true result, and the shared
-  /// (distance, order) tie-break is a total order, the merge output is
-  /// independent of how candidates were distributed over workers.
-  static std::vector<Neighbor> Merge(std::vector<BoundedTopK> parts,
-                                     size_t k);
-
- private:
   static bool HeapLess(const Item& a, const Item& b) {
     // Max-heap on (distance, order): the root is the lex-largest kept.
     if (a.distance != b.distance) return a.distance < b.distance;

@@ -151,10 +151,10 @@ TEST(CpuDispatchTest, MixedLayoutSweepsBitIdenticalAcrossLevels) {
   const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1,
                              HistogramLayout::kAdaptive);
   const HistogramStorageStats stats = table.storage_stats();
-  ASSERT_GT(stats.bitmap_columns, 0u);
-  ASSERT_GT(stats.sparse_columns, 0u);
-  ASSERT_GT(stats.dense_columns, 0u);
-  ASSERT_GT(stats.empty_columns, 0u);
+  ASSERT_GT(stats.raw.bitmap_columns, 0u);
+  ASSERT_GT(stats.raw.sparse_columns, 0u);
+  ASSERT_GT(stats.raw.dense_columns, 0u);
+  ASSERT_GT(stats.raw.empty_columns, 0u);
 
   std::vector<HistogramTable::QueryHistogram> qhs;
   for (const size_t i : {size_t{0}, size_t{100}, size_t{200}, size_t{310}}) {

@@ -147,10 +147,10 @@ TEST(FusedSweepTest, AllFourColumnLayoutsInOneFusedSweep) {
   const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1,
                              HistogramLayout::kAdaptive);
   const HistogramStorageStats stats = table.storage_stats();
-  ASSERT_GT(stats.dense_columns, 0u) << "dataset no longer drives dense";
-  ASSERT_GT(stats.bitmap_columns, 0u) << "dataset no longer drives bitmap";
-  ASSERT_GT(stats.sparse_columns, 0u) << "dataset no longer drives sparse";
-  ASSERT_GT(stats.empty_columns, 0u) << "dataset no longer drives empty";
+  ASSERT_GT(stats.raw.dense_columns, 0u) << "dataset no longer drives dense";
+  ASSERT_GT(stats.raw.bitmap_columns, 0u) << "dataset no longer drives bitmap";
+  ASSERT_GT(stats.raw.sparse_columns, 0u) << "dataset no longer drives sparse";
+  ASSERT_GT(stats.raw.empty_columns, 0u) << "dataset no longer drives empty";
 
   // Queries drawn from every region (bitmap cluster, dense cluster,
   // walks), so the fused plan's distinct bins span all layouts.

@@ -29,7 +29,8 @@ const TrajectoryDataset& Db() {
   return db;
 }
 
-void ExpectTablesEquivalent(const HistogramTable& adaptive,
+void ExpectTablesEquivalent(const TrajectoryDataset& db,
+                            const HistogramTable& adaptive,
                             const HistogramTable& dense,
                             const std::vector<Trajectory>& queries) {
   ASSERT_EQ(adaptive.size(), dense.size());
@@ -49,10 +50,11 @@ void ExpectTablesEquivalent(const HistogramTable& adaptive,
                 dense.FastLowerBound(d_qh, id))
           << "id=" << id;
     }
-    // The exact transport bound reads the id-major slices, shared by all
-    // layouts; spot-check a few ids (it is O(flow) per id).
+    // Both layouts reproduce the bound's definition; spot-check a few ids
+    // (the definition is O(bins) per id).
     for (uint32_t id = 0; id < adaptive.size(); id += 37) {
-      EXPECT_EQ(adaptive.LowerBound(a_qh, id), dense.LowerBound(d_qh, id));
+      EXPECT_EQ(adaptive.FastLowerBound(a_qh, id),
+                testutil::DefinitionFastBound(adaptive, query, db[id]));
     }
   }
 }
@@ -68,7 +70,7 @@ TEST(HistogramLayoutTest, BoundsIdenticalAcrossResolutions) {
       SCOPED_TRACE(testing::Message()
                    << "kind=" << (kind == HistogramTable::Kind::k2D ? 2 : 1)
                    << " eps=" << eps);
-      ExpectTablesEquivalent(adaptive, dense, queries);
+      ExpectTablesEquivalent(Db(), adaptive, dense, queries);
     }
   }
 }
@@ -96,14 +98,15 @@ TEST(HistogramLayoutTest, ParallelSweepIdenticalOnAdaptive) {
 TEST(HistogramLayoutTest, FineGridMemoryReduction) {
   const HistogramTable adaptive(Db(), 1e-9, HistogramTable::Kind::k2D, 1);
   const HistogramStorageStats stats = adaptive.storage_stats();
-  EXPECT_GT(stats.sparse_columns + stats.empty_columns, 0u);
+  EXPECT_GT(stats.raw.sparse_columns + stats.raw.empty_columns, 0u);
   EXPECT_GE(stats.dense_equivalent_bytes, 4 * stats.column_bytes)
       << "adaptive layout saves less than 4x at the finest grid";
 
   const HistogramTable dense(Db(), 1e-9, HistogramTable::Kind::k2D, 1,
                              HistogramLayout::kDense);
   const HistogramStorageStats dstats = dense.storage_stats();
-  EXPECT_EQ(dstats.dense_columns, dstats.columns);
+  EXPECT_EQ(dstats.raw.dense_columns, dstats.columns);
+  EXPECT_EQ(dstats.ns.dense_columns, dstats.columns);
   EXPECT_GE(dstats.column_bytes, dstats.dense_equivalent_bytes);
 }
 
@@ -118,12 +121,12 @@ TEST(HistogramLayoutTest, BitmapColumnsExercised) {
     db.Add(t);
   }
   const HistogramTable adaptive(db, 1.0, HistogramTable::Kind::k2D, 1);
-  EXPECT_GT(adaptive.storage_stats().bitmap_columns, 0u);
+  EXPECT_GT(adaptive.storage_stats().raw.bitmap_columns, 0u);
   const HistogramTable dense(db, 1.0, HistogramTable::Kind::k2D, 1,
                              HistogramLayout::kDense);
   std::vector<Trajectory> queries;
   for (size_t i = 0; i < 3; ++i) queries.push_back(db[i * 7]);
-  ExpectTablesEquivalent(adaptive, dense, queries);
+  ExpectTablesEquivalent(db, adaptive, dense, queries);
 }
 
 // Clustered multi-point trajectories push per-column counts above 1 at
@@ -139,12 +142,12 @@ TEST(HistogramLayoutTest, DenseColumnsExercised) {
     db.Add(t);
   }
   const HistogramTable adaptive(db, 1.0, HistogramTable::Kind::k2D, 1);
-  EXPECT_GT(adaptive.storage_stats().dense_columns, 0u);
+  EXPECT_GT(adaptive.storage_stats().raw.dense_columns, 0u);
   const HistogramTable dense(db, 1.0, HistogramTable::Kind::k2D, 1,
                              HistogramLayout::kDense);
   std::vector<Trajectory> queries;
   for (size_t i = 0; i < 3; ++i) queries.push_back(db[i * 7]);
-  ExpectTablesEquivalent(adaptive, dense, queries);
+  ExpectTablesEquivalent(db, adaptive, dense, queries);
 }
 
 // The FeatureCache fix: a layout change must change the semantic feature

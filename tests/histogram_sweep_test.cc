@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
+#include "distance/edr.h"
 #include "pruning/histogram.h"
+#include "query/knn.h"
+#include "query/thread_pool.h"
 #include "test_util.h"
 
 namespace edr {
@@ -74,7 +80,9 @@ TEST(HistogramSweepTest, SweepNeverExceedsExactBoundOrEdr) {
     std::vector<int> sweep;
     table.FastLowerBoundSweep(qh, &sweep);
     for (uint32_t id = 0; id < db.size(); ++id) {
-      EXPECT_LE(sweep[id], table.LowerBound(qh, id)) << id;
+      const int exact = testutil::DefinitionExactBound(table, q, db[id]);
+      EXPECT_LE(sweep[id], exact) << id;
+      EXPECT_LE(exact, EdrDistance(q, db[id], kEps)) << id;
     }
   }
 }
@@ -97,6 +105,217 @@ TEST(HistogramSweepTest, EmptyQueryAndShortTrajectories) {
     // An empty query cannot match anything: the bound is |S| exactly.
     EXPECT_EQ(sweep[id], static_cast<int>(db[id].size()));
     EXPECT_EQ(sweep[id], table.FastLowerBound(qh, id));
+  }
+}
+
+/// Index of the first position where `got` differs from `want`, or -1.
+long FirstMismatch(const std::vector<int>& got, const std::vector<int>& want) {
+  if (got.size() != want.size()) return 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i] != want[i]) return static_cast<long>(i);
+  }
+  return -1;
+}
+
+/// Checks every path of the fast bound — the per-row FastLowerBound, the
+/// single sweep, the scalar sweep, the sweep sharded over 4 workers, and
+/// the fused sweep (sequential and sharded) at group sizes 1, 3 and
+/// kMaxFusionGroup + 1 — against the bound's definition on freshly built
+/// dense histograms of the query and of every db[id].
+void ExpectEveryPathMatchesDefinition(const TrajectoryDataset& db,
+                                      const HistogramTable& table,
+                                      const std::vector<Trajectory>& queries,
+                                      const std::string& context) {
+  static ThreadPool pool(4);
+  KnnOptions parallel;
+  parallel.intra_query_workers = 4;
+  parallel.pool = &pool;
+  SCOPED_TRACE(context);
+
+  std::vector<HistogramTable::QueryHistogram> qhs;
+  std::vector<std::vector<int>> want(queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    qhs.push_back(table.MakeQueryHistogram(queries[qi]));
+    for (const Trajectory& s : db) {
+      want[qi].push_back(testutil::DefinitionFastBound(table, queries[qi], s));
+    }
+  }
+
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    std::vector<int> got(db.size());
+    for (uint32_t id = 0; id < db.size(); ++id) {
+      got[id] = table.FastLowerBound(qhs[qi], id);
+    }
+    EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "per-row, query " << qi;
+    table.FastLowerBoundSweep(qhs[qi], &got);
+    EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "sweep, query " << qi;
+    table.FastLowerBoundSweepScalar(qhs[qi], &got);
+    EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "scalar, query " << qi;
+    table.FastLowerBoundSweepParallel(qhs[qi], &got, parallel);
+    EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "parallel, query " << qi;
+  }
+
+  for (const size_t g : {size_t{1}, size_t{3}, kMaxFusionGroup + 1}) {
+    std::vector<const HistogramTable::QueryHistogram*> group(g);
+    std::vector<std::vector<int>> fused(g);
+    std::vector<std::vector<int>*> outs(g);
+    for (size_t i = 0; i < g; ++i) {
+      group[i] = &qhs[i % qhs.size()];
+      outs[i] = &fused[i];
+    }
+    table.FastLowerBoundSweepFused(group, outs);
+    for (size_t i = 0; i < g; ++i) {
+      EXPECT_EQ(FirstMismatch(fused[i], want[i % qhs.size()]), -1)
+          << "fused, group " << g << " member " << i;
+    }
+    table.FastLowerBoundSweepFusedParallel(group, outs, parallel);
+    for (size_t i = 0; i < g; ++i) {
+      EXPECT_EQ(FirstMismatch(fused[i], want[i % qhs.size()]), -1)
+          << "fused parallel, group " << g << " member " << i;
+    }
+  }
+}
+
+/// Queries that reach the edges of the bound: an empty and a one-point
+/// trajectory, database members with one perturbed element, and a fresh
+/// walk.
+std::vector<Trajectory> EdgeQueries(const TrajectoryDataset& db,
+                                    uint64_t seed) {
+  std::vector<Trajectory> queries = testutil::MakeQueries(db, seed, 3);
+  queries.push_back(Trajectory());
+  Trajectory one;
+  one.Append(db[0].empty() ? Point2{0.0, 0.0} : db[0][0]);
+  queries.push_back(one);
+  Rng rng(seed);
+  queries.push_back(testutil::RandomWalk(rng, 25));
+  return queries;
+}
+
+// Both kinds at delta 1 and 4 over 1500 rows (not a multiple of the
+// 1024-row sweep block), with 1-point trajectories in the database.
+TEST(HistogramSweepTest, EveryPathMatchesDefinition) {
+  const TrajectoryDataset db = LargeDataset(911, 1500);
+  const std::vector<Trajectory> queries = EdgeQueries(db, 912);
+  for (const HistogramTable::Kind kind :
+       {HistogramTable::Kind::k2D, HistogramTable::Kind::k1D}) {
+    for (const int delta : {1, 4}) {
+      const HistogramTable table(db, kEps, kind, delta);
+      ExpectEveryPathMatchesDefinition(
+          db, table, queries,
+          std::string(kind == HistogramTable::Kind::k2D ? "2D" : "1D") +
+              " delta=" + std::to_string(delta));
+    }
+  }
+}
+
+// Query elements on, and far beyond, every edge of the grid land in its
+// border bins, whose neighbourhoods the grid clamps.
+TEST(HistogramSweepTest, EveryPathMatchesDefinitionOnGridBorder) {
+  const TrajectoryDataset db = LargeDataset(913, 400);
+  const DatasetStats stats = db.Stats();
+  Trajectory border;
+  for (const double x : {stats.min_xy.x - 50.0, stats.min_xy.x,
+                         stats.max_xy.x, stats.max_xy.x + 50.0}) {
+    for (const double y : {stats.min_xy.y - 50.0, stats.min_xy.y,
+                           stats.max_xy.y, stats.max_xy.y + 50.0}) {
+      border.Append({x, y});
+    }
+  }
+  std::vector<Trajectory> queries = {border};
+  Trajectory corner;
+  corner.Append({stats.min_xy.x - 50.0, stats.min_xy.y - 50.0});
+  corner.Append({stats.max_xy.x + 50.0, stats.max_xy.y + 50.0});
+  queries.push_back(corner);
+  for (const HistogramTable::Kind kind :
+       {HistogramTable::Kind::k2D, HistogramTable::Kind::k1D}) {
+    const HistogramTable table(db, kEps, kind, 1);
+    ExpectEveryPathMatchesDefinition(
+        db, table, queries,
+        kind == HistogramTable::Kind::k2D ? "border 2D" : "border 1D");
+  }
+}
+
+// Data that is one bin wide: every x is the same, so the 2-D table uses a
+// single column of the grid and the 1-D x table a single bin; a huge
+// epsilon then puts the whole database into one bin of a 3x3 grid.
+TEST(HistogramSweepTest, EveryPathMatchesDefinitionOnOneBinWideData) {
+  Rng rng(915);
+  TrajectoryDataset db("one-bin-wide");
+  for (size_t i = 0; i < 300; ++i) {
+    Trajectory t;
+    const size_t len = static_cast<size_t>(rng.UniformInt(1, 12));
+    for (size_t j = 0; j < len; ++j) t.Append({0.5, rng.Gaussian(0.0, 1.0)});
+    db.Add(t);
+  }
+  const std::vector<Trajectory> queries = EdgeQueries(db, 916);
+  for (const double eps : {kEps, 100.0}) {
+    for (const HistogramTable::Kind kind :
+         {HistogramTable::Kind::k2D, HistogramTable::Kind::k1D}) {
+      const HistogramTable table(db, eps, kind, 1);
+      ExpectEveryPathMatchesDefinition(
+          db, table, queries,
+          std::string(kind == HistogramTable::Kind::k2D ? "2D" : "1D") +
+              " eps=" + std::to_string(eps));
+    }
+  }
+}
+
+// Clustered multi-point trajectories give the adaptive table dense
+// columns in both stores; the all-dense layout is checked too.
+TEST(HistogramSweepTest, EveryPathMatchesDefinitionWithDenseColumns) {
+  Rng rng(917);
+  TrajectoryDataset db("dense");
+  for (size_t i = 0; i < 1100; ++i) {
+    Trajectory t;
+    for (size_t j = 0; j < 5; ++j) {
+      t.Append({rng.Gaussian(0.0, 0.05), rng.Gaussian(0.0, 0.05)});
+    }
+    db.Add(t);
+  }
+  const std::vector<Trajectory> queries = EdgeQueries(db, 918);
+  const HistogramTable adaptive(db, 0.05, HistogramTable::Kind::k2D, 1);
+  const HistogramStorageStats stats = adaptive.storage_stats();
+  ASSERT_GT(stats.raw.dense_columns, 0u) << "dataset no longer drives dense";
+  ASSERT_GT(stats.ns.dense_columns, 0u) << "dataset no longer drives dense";
+  ExpectEveryPathMatchesDefinition(db, adaptive, queries, "adaptive");
+  const HistogramTable dense(db, 0.05, HistogramTable::Kind::k2D, 1,
+                             HistogramLayout::kDense);
+  ExpectEveryPathMatchesDefinition(db, dense, queries, "dense");
+}
+
+// NaN and +-1e300 query coordinates take the clamped binning path: the
+// query handle, the signature and every sweep must stay well-defined, and
+// the bounds must equal the definition and stay below EDR.
+TEST(HistogramSweepTest, NonFiniteAndFarQueriesStaySound) {
+  const TrajectoryDataset db = LargeDataset(919, 300);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Trajectory> queries;
+  for (const Point2 odd : {Point2{nan, nan}, Point2{nan, 0.1},
+                           Point2{0.1, nan}, Point2{1e300, -1e300},
+                           Point2{-1e300, 1e300}, Point2{1e300, nan}}) {
+    Trajectory q = db[5];
+    q.Append(odd);
+    queries.push_back(q);
+    Trajectory alone;
+    alone.Append(odd);
+    queries.push_back(alone);
+  }
+  for (const HistogramTable::Kind kind :
+       {HistogramTable::Kind::k2D, HistogramTable::Kind::k1D}) {
+    const HistogramTable table(db, kEps, kind, 1);
+    for (const Trajectory& q : queries) {
+      EXPECT_NE(table.QueryBinSignature(q), 0u);
+      const HistogramTable::QueryHistogram qh = table.MakeQueryHistogram(q);
+      std::vector<int> sweep;
+      table.FastLowerBoundSweep(qh, &sweep);
+      for (uint32_t id = 0; id < db.size(); ++id) {
+        EXPECT_EQ(sweep[id], testutil::DefinitionFastBound(table, q, db[id]));
+        EXPECT_LE(sweep[id], EdrDistance(q, db[id], kEps));
+      }
+    }
+    ExpectEveryPathMatchesDefinition(
+        db, table, queries,
+        kind == HistogramTable::Kind::k2D ? "non-finite 2D" : "non-finite 1D");
   }
 }
 

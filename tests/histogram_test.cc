@@ -201,7 +201,7 @@ TEST(HistogramTableTest, FastLowerBoundValid) {
     const HistogramTable::QueryHistogram qh = table.MakeQueryHistogram(query);
     for (uint32_t id = 0; id < db.size(); ++id) {
       const int fast = table.FastLowerBound(qh, id);
-      const int exact = table.LowerBound(qh, id);
+      const int exact = testutil::DefinitionExactBound(table, query, db[id]);
       EXPECT_LE(fast, exact);
       EXPECT_LE(exact, EdrDistance(query, db[id], kEps));
       EXPECT_GE(fast, 0);
@@ -273,25 +273,34 @@ TEST(HistogramTableTest, LowerBoundHandlesBothKinds) {
   const HistogramTable t2(db, kEps, HistogramTable::Kind::k2D, 1);
   const HistogramTable t1(db, kEps, HistogramTable::Kind::k1D, 1);
   const Trajectory query = db[2];
+  const HistogramTable::QueryHistogram q2 = t2.MakeQueryHistogram(query);
+  const HistogramTable::QueryHistogram q1 = t1.MakeQueryHistogram(query);
   for (uint32_t id = 0; id < db.size(); ++id) {
-    const int exact = EdrDistance(query, db[id], kEps);
-    EXPECT_LE(t2.LowerBound(query, id), exact);
-    EXPECT_LE(t1.LowerBound(query, id), exact);
+    const int edr = EdrDistance(query, db[id], kEps);
+    const int exact2 = testutil::DefinitionExactBound(t2, query, db[id]);
+    const int exact1 = testutil::DefinitionExactBound(t1, query, db[id]);
+    EXPECT_LE(exact2, edr);
+    EXPECT_LE(exact1, edr);
+    EXPECT_LE(t2.FastLowerBound(q2, id), exact2);
+    EXPECT_LE(t1.FastLowerBound(q1, id), exact1);
     // The 2-D bound is at least as tight as either 1-D bound only in
     // aggregate, but both must be valid lower bounds (checked above) and
     // non-negative.
-    EXPECT_GE(t2.LowerBound(query, id), 0);
-    EXPECT_GE(t1.LowerBound(query, id), 0);
+    EXPECT_GE(t2.FastLowerBound(q2, id), 0);
+    EXPECT_GE(t1.FastLowerBound(q1, id), 0);
   }
 }
 
+// The precomputed query handle reproduces the bound's definition on
+// freshly built dense histograms, for every id.
 TEST(HistogramTableTest, QueryHistogramHandleMatchesDirectCalls) {
   const TrajectoryDataset db = testutil::SmallDataset(35, 15);
   const HistogramTable table(db, kEps, HistogramTable::Kind::k2D, 1);
   const Trajectory query = db[1];
   const HistogramTable::QueryHistogram qh = table.MakeQueryHistogram(query);
   for (uint32_t id = 0; id < db.size(); ++id) {
-    EXPECT_EQ(table.LowerBound(qh, id), table.LowerBound(query, id));
+    EXPECT_EQ(table.FastLowerBound(qh, id),
+              testutil::DefinitionFastBound(table, query, db[id]));
   }
 }
 

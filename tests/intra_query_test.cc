@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "data/generators.h"
 #include "pruning/combined.h"
 #include "pruning/cse.h"
 #include "pruning/histogram_knn.h"
@@ -73,6 +74,83 @@ void ExpectBitIdenticalAcrossWorkers(const std::string& label,
       }
     }
   }
+}
+
+// The work fixture: NHL-like trajectories of 150-600 points, long enough
+// that a worker joins a query's refinement while it is still pruning.
+const TrajectoryDataset& WorkDb() {
+  static const TrajectoryDataset db = [] {
+    TrajectoryDataset d = GenNhlLike(400, 150, 600, 19);
+    d.NormalizeAll();
+    return d;
+  }();
+  return db;
+}
+
+constexpr size_t kWorkRefs = 8;
+
+const PairwiseEdrMatrix& WorkMatrix() {
+  static const PairwiseEdrMatrix matrix = PairwiseEdrMatrix::Build(
+      WorkDb(), WorkDb().SuggestedEpsilon(), kWorkRefs);
+  return matrix;
+}
+
+// Work, not only answers: every exact distance goes to one query-wide
+// top-k and every reference distance to one shared array, so w workers
+// refine about as many candidates as one. The excess comes from the
+// distances still in flight when a candidate is judged; it is not
+// bounded by (w - 1) * k alone (up to 19 extra DPs at k = 10 on a loaded
+// host, against 80-230 with a top-k per worker), hence the slack of a
+// quarter of the sequential count on top.
+void ExpectWorkNearSequential(const std::string& label, const KnnFn& knn) {
+  constexpr size_t kK = 10;
+  for (const Trajectory& query : testutil::MakeQueries(WorkDb(), 408, 3)) {
+    KnnOptions sequential;
+    sequential.intra_query_workers = 1;
+    sequential.pool = &Pool();
+    const size_t base = knn(query, kK, sequential).stats.edr_computed;
+    for (const unsigned workers : {2u, 4u}) {
+      KnnOptions options = sequential;
+      options.intra_query_workers = workers;
+      const size_t dps = knn(query, kK, options).stats.edr_computed;
+      EXPECT_LE(dps, base + (workers - 1) * kK + base / 4)
+          << label << " workers=" << workers << " sequential=" << base;
+    }
+  }
+}
+
+TEST(IntraQueryTest, WorkersComputeNearlySequentialDpCounts) {
+  const double eps = WorkDb().SuggestedEpsilon();
+  const QgramKnnSearcher ps2(WorkDb(), eps, /*q=*/1, QgramVariant::kMerge2D);
+  const QgramKnnSearcher ps1(WorkDb(), eps, /*q=*/1, QgramVariant::kMerge1D);
+  const HistogramKnnSearcher hse(WorkDb(), eps, HistogramTable::Kind::k2D, 1,
+                                 HistogramScan::kSequential);
+  const HistogramKnnSearcher hsr(WorkDb(), eps, HistogramTable::Kind::k2D, 1,
+                                 HistogramScan::kSorted);
+  const NearTriangleSearcher ntr(WorkDb(), eps, WorkMatrix());
+  const CseSearcher cse(WorkDb(), eps, WorkMatrix());
+  CombinedOptions combined_options;
+  combined_options.max_triangle = kWorkRefs;
+  const CombinedKnnSearcher combined(WorkDb(), eps, combined_options,
+                                     WorkMatrix());
+  combined_options.sorted_histogram_scan = false;
+  const CombinedKnnSearcher seq_scan(WorkDb(), eps, combined_options,
+                                     WorkMatrix());
+  const LcssKnnSearcher lcss(WorkDb(), eps, LcssFilter::kBoth);
+  const auto wrap = [](const auto& searcher) -> KnnFn {
+    return [&searcher](const Trajectory& q, size_t k, const KnnOptions& o) {
+      return searcher.Knn(q, k, o);
+    };
+  };
+  ExpectWorkNearSequential("PS2", wrap(ps2));
+  ExpectWorkNearSequential("PS1", wrap(ps1));
+  ExpectWorkNearSequential("HSE", wrap(hse));
+  ExpectWorkNearSequential("HSR", wrap(hsr));
+  ExpectWorkNearSequential("NTR", wrap(ntr));
+  ExpectWorkNearSequential("CSE", wrap(cse));
+  ExpectWorkNearSequential("2HPN", wrap(combined));
+  ExpectWorkNearSequential("2HPN/seq", wrap(seq_scan));
+  ExpectWorkNearSequential("LCSS-HP", wrap(lcss));
 }
 
 TEST(IntraQueryTest, QgramMergeJoinBitIdentical) {

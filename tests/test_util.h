@@ -1,11 +1,13 @@
 #ifndef EDR_TESTS_TEST_UTIL_H_
 #define EDR_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/rng.h"
 #include "core/trajectory.h"
+#include "pruning/histogram.h"
 
 namespace edr {
 namespace testutil {
@@ -55,6 +57,39 @@ inline std::vector<Trajectory> MakeQueries(const TrajectoryDataset& db,
     queries.push_back(std::move(q));
   }
   return queries;
+}
+
+/// The table's fast histogram bound between `q` and `s` from its
+/// definition: HistogramDistance2DFast on dense histograms over the
+/// table's grid, or for Kind::k1D the larger of the two per-dimension
+/// HistogramDistance1DFast. Independent of the table's column stores.
+inline int DefinitionFastBound(const HistogramTable& table,
+                               const Trajectory& q, const Trajectory& s) {
+  const HistogramGrid& grid = table.grid();
+  if (table.kind() == HistogramTable::Kind::k2D) {
+    return HistogramDistance2DFast(BuildHistogram2D(q, grid),
+                                   BuildHistogram2D(s, grid), grid);
+  }
+  return std::max(
+      HistogramDistance1DFast(BuildHistogram1D(q, grid, true),
+                              BuildHistogram1D(s, grid, true)),
+      HistogramDistance1DFast(BuildHistogram1D(q, grid, false),
+                              BuildHistogram1D(s, grid, false)));
+}
+
+/// The exact transport bound the fast one relaxes, by the same
+/// definition: HistogramDistance2D, or the larger HistogramDistance1D.
+inline int DefinitionExactBound(const HistogramTable& table,
+                                const Trajectory& q, const Trajectory& s) {
+  const HistogramGrid& grid = table.grid();
+  if (table.kind() == HistogramTable::Kind::k2D) {
+    return HistogramDistance2D(BuildHistogram2D(q, grid),
+                               BuildHistogram2D(s, grid), grid);
+  }
+  return std::max(HistogramDistance1D(BuildHistogram1D(q, grid, true),
+                                      BuildHistogram1D(s, grid, true)),
+                  HistogramDistance1D(BuildHistogram1D(q, grid, false),
+                                      BuildHistogram1D(s, grid, false)));
 }
 
 }  // namespace testutil

@@ -123,39 +123,6 @@ TEST(BoundedTopKTest, ThresholdLifecycle) {
   EXPECT_EQ(neighbors[1].id, 2u);
 }
 
-TEST(BoundedTopKTest, MergeIsScheduleIndependent) {
-  Rng rng(123);
-  std::vector<uint32_t> ids(400);
-  std::vector<double> dists(400);
-  std::vector<size_t> orders(400);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = static_cast<uint32_t>(i);
-    dists[i] = static_cast<double>(rng.UniformInt(0, 30));
-    orders[i] = i;
-  }
-  for (const size_t k : {1u, 7u, 25u}) {
-    BoundedTopK single(k);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      single.Offer(ids[i], dists[i], orders[i]);
-    }
-    const auto expected = std::move(single).TakeSortedNeighbors();
-
-    for (const size_t parts : {2u, 3u, 8u}) {
-      std::vector<BoundedTopK> shards(parts, BoundedTopK(k));
-      for (size_t i = 0; i < ids.size(); ++i) {
-        shards[i % parts].Offer(ids[i], dists[i], orders[i]);
-      }
-      const auto merged = BoundedTopK::Merge(std::move(shards), k);
-      ASSERT_EQ(expected.size(), merged.size())
-          << "k=" << k << " parts=" << parts;
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i].id, merged[i].id);
-        EXPECT_EQ(expected[i].distance, merged[i].distance);
-      }
-    }
-  }
-}
-
 TEST(SortNeighborsAscendingTest, PartialSelectionMatchesFullSort) {
   Rng rng(7);
   std::vector<Neighbor> base(300);
