@@ -1,10 +1,11 @@
 // Filter-path microbench: the vectorized whole-database lower-bound sweep
-// against the per-row bound loop it replaced, on a 10k-trajectory random
-// walk database; the adaptive column-storage layouts against the all-dense
-// baseline on a coarse and a fine (delta = 1-class) grid; the sweep on the
-// benchmark ledger's NHL-like table, certified against the bound's
-// definition; and the flat Q-gram posting-array counting pass next to the
-// early-decided check the combined searcher runs instead.
+// (at the active kernel level and pinned to scalar) against the per-row
+// bound loop it replaced, on a 10k-trajectory random walk database; the
+// column stores' layout census, memory and sweep time on a coarse and a
+// fine (delta = 1-class) grid; the sweep on the benchmark ledger's
+// NHL-like table, certified against the bound's definition; and the flat
+// Q-gram posting-array counting pass next to the early-decided check the
+// combined searcher runs instead.
 //
 // Emits JSON (stdout, or the file named by argv[1]):
 //
@@ -21,10 +22,10 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/cpu.h"
 #include "core/rng.h"
 #include "core/trajectory.h"
 #include "core/normalize.h"
@@ -52,6 +53,12 @@ double SecondsPerCall(const std::function<void()>& fn, int min_iters = 3) {
   }
 }
 
+/// FastLowerBoundSweep for one query: a group of one.
+void Sweep(const HistogramTable& table,
+           const HistogramTable::QueryHistogram& qh, std::vector<int>* out) {
+  table.FastLowerBoundSweep({&qh}, {out});
+}
+
 struct SweepRow {
   const char* kind = "";
   double per_row_s = 0.0;
@@ -60,14 +67,13 @@ struct SweepRow {
   bool identical = true;
 };
 
-/// One adaptive-vs-dense comparison: a histogram configuration (grid
-/// resolution) measured for memory and sweep throughput in both layouts.
+/// One histogram configuration (grid resolution) measured for memory
+/// against all-dense stores, and for sweep throughput.
 struct LayoutRow {
   const char* grid = "";
   size_t bins = 0;
-  HistogramStorageStats stats;      // of the adaptive table
+  HistogramStorageStats stats;
   double sweep_adaptive_s = 0.0;
-  double sweep_dense_s = -1.0;      // < 0: dense table infeasible, skipped
   bool identical = true;
 };
 
@@ -113,16 +119,14 @@ LedgerRow MeasureLedgerNhl(size_t count, size_t max_length,
   }
   std::vector<int> sweep;
   const double per_call = SecondsPerCall([&] {
-    for (const auto& qh : qhs) table.FastLowerBoundSweep(qh, &sweep);
+    for (const auto& qh : qhs) Sweep(table, qh, &sweep);
   });
   row.sweep_s = per_call / static_cast<double>(num_queries);
 
   // Certify against the definition: dense histograms of the query and of
   // every row, through HistogramDistance2DFast.
   std::vector<std::vector<int>> bounds(qhs.size());
-  for (size_t q = 0; q < qhs.size(); ++q) {
-    table.FastLowerBoundSweep(qhs[q], &bounds[q]);
-  }
+  for (size_t q = 0; q < qhs.size(); ++q) Sweep(table, qhs[q], &bounds[q]);
   const HistogramGrid& grid = table.grid();
   std::vector<std::vector<int>> hq;
   for (const Trajectory& q : queries) hq.push_back(BuildHistogram2D(q, grid));
@@ -136,11 +140,6 @@ LedgerRow MeasureLedgerNhl(size_t count, size_t max_length,
   }
   return row;
 }
-
-/// Building the all-dense table allocates stats.dense_equivalent_bytes in
-/// one block; cap what the bench will actually try (the fine grid's dense
-/// block is tens of GB at full scale — that infeasibility is the point).
-constexpr size_t kDenseFeasibleBytes = size_t{512} << 20;
 
 }  // namespace
 }  // namespace edr
@@ -206,20 +205,27 @@ int main(int argc, char** argv) {
     });
     std::vector<int> sweep;
     row.sweep_simd_s = SecondsPerCall([&] {
-      for (const auto& qh : qhs) table.FastLowerBoundSweep(qh, &sweep);
+      for (const auto& qh : qhs) Sweep(table, qh, &sweep);
     });
+    // The scalar level, pinned as EDR_FORCE_KERNEL=scalar would pin it.
     std::vector<int> scalar;
+    SetActiveKernelLevel(KernelLevel::kScalar);
     row.sweep_scalar_s = SecondsPerCall([&] {
-      for (const auto& qh : qhs) table.FastLowerBoundSweepScalar(qh, &scalar);
+      for (const auto& qh : qhs) Sweep(table, qh, &scalar);
     });
+    std::vector<std::vector<int>> scalar_bounds;
+    for (const auto& qh : qhs) {
+      Sweep(table, qh, &scalar);
+      scalar_bounds.push_back(scalar);
+    }
+    ResetActiveKernelLevel();
 
     // Certify equivalence on every query: sweep == scalar sweep == per-row.
-    for (const auto& qh : qhs) {
-      table.FastLowerBoundSweep(qh, &sweep);
-      table.FastLowerBoundSweepScalar(qh, &scalar);
+    for (size_t q = 0; q < qhs.size(); ++q) {
+      Sweep(table, qhs[q], &sweep);
       for (uint32_t id = 0; id < db.size(); ++id) {
-        if (sweep[id] != table.FastLowerBound(qh, id) ||
-            scalar[id] != sweep[id]) {
+        if (sweep[id] != table.FastLowerBound(qhs[q], id) ||
+            scalar_bounds[q][id] != sweep[id]) {
           row.identical = false;
         }
       }
@@ -234,16 +240,15 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  // --- Adaptive column layouts vs the all-dense block, coarse and fine
-  // grids. The fine grid is the delta = 1-class configuration the adaptive
-  // layout exists for: a tiny epsilon clamps to the ~512-bins-per-dimension
-  // cap, where the dense block costs bins * n * 4 bytes (GBs at full
-  // scale) while the columns are overwhelmingly sparse.
+  // --- Column layouts on coarse and fine grids. The fine grid is the
+  // delta = 1-class configuration the sparse layouts exist for: a tiny
+  // epsilon clamps to the ~512-bins-per-dimension cap, where all-dense
+  // stores would cost bins * n * 4 bytes each (GBs at full scale) while
+  // the columns are overwhelmingly sparse.
   std::vector<LayoutRow> layout_rows;
   for (const bool fine : {false, true}) {
     const double eps = fine ? kEps / 4096.0 : kEps;
-    const HistogramTable adaptive(db, eps, HistogramTable::Kind::k2D, 1,
-                                  HistogramLayout::kAdaptive);
+    const HistogramTable adaptive(db, eps, HistogramTable::Kind::k2D, 1);
     LayoutRow row;
     row.grid = fine ? "fine" : "coarse";
     row.bins = static_cast<size_t>(adaptive.grid().NumBins2D());
@@ -255,31 +260,14 @@ int main(int argc, char** argv) {
     }
     std::vector<int> a_bounds;
     row.sweep_adaptive_s = SecondsPerCall([&] {
-      for (const auto& qh : qhs) adaptive.FastLowerBoundSweep(qh, &a_bounds);
+      for (const auto& qh : qhs) Sweep(adaptive, qh, &a_bounds);
     });
-
-    if (row.stats.dense_equivalent_bytes <= kDenseFeasibleBytes) {
-      const HistogramTable dense(db, eps, HistogramTable::Kind::k2D, 1,
-                                 HistogramLayout::kDense);
-      std::vector<int> d_bounds;
-      row.sweep_dense_s = SecondsPerCall([&] {
-        for (const auto& qh : qhs) dense.FastLowerBoundSweep(qh, &d_bounds);
-      });
-      // Bit-identical bounds across layouts, every query, every id.
-      for (const auto& qh : qhs) {
-        adaptive.FastLowerBoundSweep(qh, &a_bounds);
-        dense.FastLowerBoundSweep(qh, &d_bounds);
-        if (a_bounds != d_bounds) row.identical = false;
-      }
-    } else {
-      // Dense block infeasible here; certify adaptive against the per-row
-      // bound of the same table instead.
-      for (const auto& qh : qhs) {
-        adaptive.FastLowerBoundSweep(qh, &a_bounds);
-        for (uint32_t id = 0; id < db.size(); ++id) {
-          if (a_bounds[id] != adaptive.FastLowerBound(qh, id)) {
-            row.identical = false;
-          }
+    // Certify the sweep against the per-row bound of the same table.
+    for (const auto& qh : qhs) {
+      Sweep(adaptive, qh, &a_bounds);
+      for (uint32_t id = 0; id < db.size(); ++id) {
+        if (a_bounds[id] != adaptive.FastLowerBound(qh, id)) {
+          row.identical = false;
         }
       }
     }
@@ -287,7 +275,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "layout[%s]: bins=%zu raw cols(d/b/s/e)=%zu/%zu/%zu/%zu "
-        "bytes=%.1fMB dense_equiv=%.1fMB (%.1fx) sweep=%.3fms dense=%s "
+        "bytes=%.1fMB dense_equiv=%.1fMB (%.1fx) sweep=%.3fms "
         "identical=%s\n",
         row.grid, row.bins, row.stats.raw.dense_columns,
         row.stats.raw.bitmap_columns, row.stats.raw.sparse_columns,
@@ -295,11 +283,7 @@ int main(int argc, char** argv) {
         row.stats.dense_equivalent_bytes / 1048576.0,
         static_cast<double>(row.stats.dense_equivalent_bytes) /
             static_cast<double>(row.stats.column_bytes),
-        row.sweep_adaptive_s * 1e3,
-        row.sweep_dense_s < 0
-            ? "skipped"
-            : (std::to_string(row.sweep_dense_s * 1e3) + "ms").c_str(),
-        row.identical ? "yes" : "NO");
+        row.sweep_adaptive_s * 1e3, row.identical ? "yes" : "NO");
     layout_rows.push_back(row);
   }
 
@@ -423,7 +407,7 @@ int main(int argc, char** argv) {
                  "     \"raw_bytes\": %zu, \"ns_bytes\": %zu, "
                  "\"adaptive_bytes\": %zu, \"dense_bytes\": %zu, "
                  "\"memory_reduction\": %.2f,\n"
-                 "     \"sweep_adaptive_ms\": %.3f, ",
+                 "     \"sweep_adaptive_ms\": %.3f, \"identical\": %s}%s\n",
                  r.grid, r.bins, r.stats.raw.dense_columns,
                  r.stats.raw.bitmap_columns, r.stats.raw.sparse_columns,
                  r.stats.raw.empty_columns, r.stats.ns.dense_columns,
@@ -433,17 +417,7 @@ int main(int argc, char** argv) {
                  r.stats.dense_equivalent_bytes,
                  static_cast<double>(r.stats.dense_equivalent_bytes) /
                      static_cast<double>(r.stats.column_bytes),
-                 r.sweep_adaptive_s * 1e3);
-    // A grid whose dense block was infeasible has no dense keys at all
-    // (rather than nulls), so a smoke run, where every dense block fits,
-    // only adds keys to a full-scale baseline and never retypes one.
-    if (r.sweep_dense_s >= 0) {
-      std::fprintf(out,
-                   "\"sweep_dense_ms\": %.3f, \"adaptive_vs_dense\": %.3f, ",
-                   r.sweep_dense_s * 1e3,
-                   r.sweep_dense_s / r.sweep_adaptive_s);
-    }
-    std::fprintf(out, "\"identical\": %s}%s\n", r.identical ? "true" : "false",
+                 r.sweep_adaptive_s * 1e3, r.identical ? "true" : "false",
                  i + 1 < layout_rows.size() ? "," : "");
   }
   std::fprintf(

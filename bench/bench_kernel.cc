@@ -54,8 +54,7 @@ double g_min_seconds = 0.2;
 // Every dispatch level, whether or not this host runs it, so the JSON
 // shape does not depend on the host.
 constexpr KernelLevel kLevels[] = {KernelLevel::kScalar, KernelLevel::kSse2,
-                                   KernelLevel::kAvx2, KernelLevel::kAvx512,
-                                   KernelLevel::kNeon};
+                                   KernelLevel::kAvx2, KernelLevel::kAvx512};
 
 Trajectory MakeNoisyCopy(const Trajectory& t, uint64_t seed) {
   Rng rng(seed);

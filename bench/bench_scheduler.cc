@@ -32,7 +32,7 @@
 #include "core/trajectory.h"
 #include "data/generators.h"
 #include "pruning/histogram.h"
-#include "pruning/qgram.h"
+#include "pruning/qgram_knn.h"
 #include "query/engine.h"
 #include "query/feature_cache.h"
 #include "query/plan_cache.h"
@@ -201,9 +201,9 @@ void PrintFusedRow(const FusedKernelRow& row) {
                row.fused_seconds * 1e3, speedup, row.identical ? "yes" : "NO");
 }
 
-/// Filter throughput of the fused histogram sweep versus the per-query
-/// sweeps it replaces: `group` near-duplicate queries, each side timed as
-/// the best of `passes` passes of `repeats` full-database evaluations.
+/// Filter throughput of one group sweep versus a sweep per member (groups
+/// of one): `group` near-duplicate queries, each side timed as the best of
+/// `passes` passes of `repeats` full-database evaluations.
 FusedKernelRow MeasureFusedHistogram(const HistogramTable& table,
                                      const std::vector<Trajectory>& group,
                                      size_t passes, size_t repeats) {
@@ -225,9 +225,9 @@ FusedKernelRow MeasureFusedHistogram(const HistogramTable& table,
 
   // Warm-up sizes the output vectors and faults the table in.
   for (size_t f = 0; f < qhs.size(); ++f) {
-    table.FastLowerBoundSweep(qhs[f], &unfused[f]);
+    table.FastLowerBoundSweep({&qhs[f]}, {&unfused[f]});
   }
-  table.FastLowerBoundSweepFused(qptrs, outs);
+  table.FastLowerBoundSweep(qptrs, outs);
   for (size_t f = 0; f < qhs.size(); ++f) {
     row.identical = row.identical && unfused[f] == fused[f];
   }
@@ -236,7 +236,7 @@ FusedKernelRow MeasureFusedHistogram(const HistogramTable& table,
     const auto start = std::chrono::steady_clock::now();
     for (size_t r = 0; r < repeats; ++r) {
       for (size_t f = 0; f < qhs.size(); ++f) {
-        table.FastLowerBoundSweep(qhs[f], &unfused[f]);
+        table.FastLowerBoundSweep({&qhs[f]}, {&unfused[f]});
       }
     }
     const double elapsed = SecondsSince(start);
@@ -246,7 +246,7 @@ FusedKernelRow MeasureFusedHistogram(const HistogramTable& table,
   for (size_t pass = 0; pass < passes; ++pass) {
     const auto start = std::chrono::steady_clock::now();
     for (size_t r = 0; r < repeats; ++r) {
-      table.FastLowerBoundSweepFused(qptrs, outs);
+      table.FastLowerBoundSweep(qptrs, outs);
     }
     const double elapsed = SecondsSince(start);
     row.fused_seconds =
@@ -256,54 +256,34 @@ FusedKernelRow MeasureFusedHistogram(const HistogramTable& table,
   return row;
 }
 
-/// Same comparison for the Q-gram merge-count filter: unfused is the
-/// per-query database scan PS2 runs (each member streams every posting
-/// slice), fused visits each slice once for the whole group.
-FusedKernelRow MeasureFusedQgram(const QgramMeansTable& table,
+/// Same comparison for the Q-gram merge-count filter of a PS2 searcher
+/// (QgramKnnSearcher::MatchCounts): unfused counts each member as a group
+/// of one (each member streams every posting slice), fused counts the
+/// whole group id-major, so each slice is streamed once while cache-hot.
+FusedKernelRow MeasureFusedQgram(const QgramKnnSearcher& searcher,
                                  const std::vector<Trajectory>& group,
-                                 double epsilon, int q, size_t passes,
-                                 size_t repeats) {
+                                 size_t passes, size_t repeats) {
   FusedKernelRow row;
   row.kernel = "qgram_merge_count_2d";
   row.group = group.size();
   row.repeats = repeats;
 
-  std::vector<std::vector<Point2>> means;
-  means.reserve(group.size());
-  for (const Trajectory& t : group) {
-    means.push_back(MeanValueQgrams(t, q));
-    SortMeans(means.back());
-  }
-  std::vector<const std::vector<Point2>*> mptrs;
-  for (const auto& m : means) mptrs.push_back(&m);
+  std::vector<const Trajectory*> members;
+  for (const Trajectory& t : group) members.push_back(&t);
+  std::vector<std::vector<size_t>> unfused(group.size());
+  std::vector<std::vector<size_t>> fused;
 
-  const size_t n = table.size();
-  std::vector<std::vector<size_t>> unfused(group.size(),
-                                           std::vector<size_t>(n, 0));
-  std::vector<size_t> counts(group.size(), 0);
-  std::vector<std::vector<size_t>> fused(group.size(),
-                                         std::vector<size_t>(n, 0));
-
-  for (size_t f = 0; f < means.size(); ++f) {
-    for (uint32_t id = 0; id < n; ++id) {
-      unfused[f][id] = table.CountMatches2D(means[f], epsilon, id);
-    }
+  for (size_t f = 0; f < members.size(); ++f) {
+    unfused[f] = std::move(searcher.MatchCounts({members[f]})[0]);
   }
-  for (uint32_t id = 0; id < n; ++id) {
-    table.CountMatchesFused2D(mptrs, epsilon, id, counts.data());
-    for (size_t f = 0; f < means.size(); ++f) fused[f][id] = counts[f];
-  }
-  for (size_t f = 0; f < means.size(); ++f) {
-    row.identical = row.identical && unfused[f] == fused[f];
-  }
+  fused = searcher.MatchCounts(members);
+  row.identical = unfused == fused;
 
   for (size_t pass = 0; pass < passes; ++pass) {
     const auto start = std::chrono::steady_clock::now();
     for (size_t r = 0; r < repeats; ++r) {
-      for (size_t f = 0; f < means.size(); ++f) {
-        for (uint32_t id = 0; id < n; ++id) {
-          unfused[f][id] = table.CountMatches2D(means[f], epsilon, id);
-        }
+      for (size_t f = 0; f < members.size(); ++f) {
+        unfused[f] = std::move(searcher.MatchCounts({members[f]})[0]);
       }
     }
     const double elapsed = SecondsSince(start);
@@ -312,12 +292,7 @@ FusedKernelRow MeasureFusedQgram(const QgramMeansTable& table,
   }
   for (size_t pass = 0; pass < passes; ++pass) {
     const auto start = std::chrono::steady_clock::now();
-    for (size_t r = 0; r < repeats; ++r) {
-      for (uint32_t id = 0; id < n; ++id) {
-        table.CountMatchesFused2D(mptrs, epsilon, id, counts.data());
-        for (size_t f = 0; f < means.size(); ++f) fused[f][id] = counts[f];
-      }
-    }
+    for (size_t r = 0; r < repeats; ++r) fused = searcher.MatchCounts(members);
     const double elapsed = SecondsSince(start);
     row.fused_seconds =
         pass == 0 ? elapsed : std::min(row.fused_seconds, elapsed);
@@ -645,12 +620,12 @@ int main(int argc, char** argv) {
   {
     const HistogramTable hist_table(*fused_db, kEps,
                                     HistogramTable::Kind::k2D, 1);
-    const QgramMeansTable qgram_table(*fused_db, /*q=*/1, /*dims=*/2);
+    const QgramKnnSearcher ps2(*fused_db, kEps, /*q=*/1,
+                               QgramVariant::kMerge2D);
     const FusedKernelRow kernel_rows[] = {
         MeasureFusedHistogram(hist_table, fused_group, fused_passes,
                               fused_repeats),
-        MeasureFusedQgram(qgram_table, fused_group, kEps, /*q=*/1,
-                          fused_passes, fused_repeats),
+        MeasureFusedQgram(ps2, fused_group, fused_passes, fused_repeats),
     };
     for (const FusedKernelRow& f : kernel_rows) {
       all_identical = all_identical && f.identical;

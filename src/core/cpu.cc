@@ -26,19 +26,12 @@ bool CpuHasAvx512() { return false; }
 
 #endif
 
-#if defined(__aarch64__) && !defined(EDR_DISABLE_SIMD)
-bool CpuHasNeon() { return true; }
-#else
-bool CpuHasNeon() { return false; }
-#endif
-
 const char* KernelLevelName(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar: return "scalar";
     case KernelLevel::kSse2: return "sse2";
     case KernelLevel::kAvx2: return "avx2";
     case KernelLevel::kAvx512: return "avx512";
-    case KernelLevel::kNeon: return "neon";
   }
   return "?";
 }
@@ -47,7 +40,7 @@ bool ParseKernelLevel(const char* name, KernelLevel* out) {
   if (name == nullptr) return false;
   for (const KernelLevel level :
        {KernelLevel::kScalar, KernelLevel::kSse2, KernelLevel::kAvx2,
-        KernelLevel::kAvx512, KernelLevel::kNeon}) {
+        KernelLevel::kAvx512}) {
     if (std::strcmp(name, KernelLevelName(level)) == 0) {
       *out = level;
       return true;
@@ -70,8 +63,6 @@ bool KernelLevelSupported(KernelLevel level) {
       return CpuHasAvx2();
     case KernelLevel::kAvx512:
       return CpuHasAvx512();
-    case KernelLevel::kNeon:
-      return CpuHasNeon();
   }
   return false;
 }
@@ -82,7 +73,6 @@ namespace {
 std::atomic<int> g_active_level{-1};
 
 KernelLevel WidestSupportedLevel() {
-  if (CpuHasNeon()) return KernelLevel::kNeon;
   if (CpuHasAvx512()) return KernelLevel::kAvx512;
   if (CpuHasAvx2()) return KernelLevel::kAvx2;
   if (KernelLevelSupported(KernelLevel::kSse2)) return KernelLevel::kSse2;
@@ -96,7 +86,7 @@ KernelLevel ResolveActiveLevel() {
   if (!ParseKernelLevel(env, &forced)) {
     std::fprintf(stderr,
                  "EDR_FORCE_KERNEL: unknown kernel level \"%s\" "
-                 "(expected scalar|sse2|avx2|avx512|neon)\n",
+                 "(expected scalar|sse2|avx2|avx512)\n",
                  env);
     std::exit(2);
   }

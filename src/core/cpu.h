@@ -5,13 +5,11 @@
 
 namespace edr {
 
-/// Maximum queries one fused filter sweep evaluates per database pass.
-/// Chosen to match the query-major register blocking of the fused kernels:
-/// eight int32 lanes fill one AVX2 register (one 256-bit min/add per
-/// posting), two NEON/SSE2 registers, or half an AVX-512 register (which
-/// processes two postings per iteration instead). Larger groups are
-/// chunked by the callers, so this is a kernel-shape constant, not a
-/// correctness limit.
+/// Maximum queries one histogram sweep serves per database pass, and the
+/// scheduler's default fusion-group width. It sizes the per-member int32
+/// accumulators every sweep block keeps on the stack and the per-bin cap
+/// arrays of a group's sweep plan. Larger groups are chunked inside the
+/// sweep, so this is a memory-shape constant, not a correctness limit.
 inline constexpr size_t kMaxFusionGroup = 8;
 
 /// Lane widths the integer sweep / merge-count / match-vector kernels are
@@ -23,10 +21,9 @@ enum class KernelLevel {
   kSse2,        ///< 128-bit lanes (baseline on x86-64)
   kAvx2,        ///< 256-bit lanes
   kAvx512,      ///< 512-bit lanes (AVX-512F)
-  kNeon,        ///< 128-bit lanes on aarch64
 };
 
-/// "scalar", "sse2", "avx2", "avx512", "neon".
+/// "scalar", "sse2", "avx2", "avx512".
 const char* KernelLevelName(KernelLevel level);
 
 /// Parses a kernel-level name as accepted by EDR_FORCE_KERNEL. Returns
@@ -39,7 +36,7 @@ bool ParseKernelLevel(const char* name, KernelLevel* out);
 bool KernelLevelSupported(KernelLevel level);
 
 /// The level all dispatching kernels run at, resolved on first use:
-/// the EDR_FORCE_KERNEL environment variable (scalar|sse2|avx2|avx512|neon)
+/// the EDR_FORCE_KERNEL environment variable (scalar|sse2|avx2|avx512)
 /// when set — exiting with an error message if the named level is unknown
 /// or unsupported on this host/build — otherwise the widest supported
 /// level. Kernels re-read this per call, so tests can flip it at runtime.
@@ -63,9 +60,6 @@ bool CpuHasAvx2();
 /// As CpuHasAvx2, for the AVX-512 foundation subset (AVX-512F) the sweep
 /// and merge-count kernels need.
 bool CpuHasAvx512();
-
-/// True on aarch64 builds with SIMD enabled (NEON is architectural there).
-bool CpuHasNeon();
 
 }  // namespace edr
 

@@ -19,11 +19,6 @@
 #define EDR_EDRKERNEL_AVX512 1
 #endif
 
-#if defined(__aarch64__) && !defined(EDR_DISABLE_SIMD)
-#include <arm_neon.h>
-#define EDR_EDRKERNEL_NEON 1
-#endif
-
 namespace edr {
 
 namespace {
@@ -351,60 +346,6 @@ __attribute__((target("avx512f"))) uint64_t MatchWordAvx512(
 
 #endif  // defined(EDR_EDRKERNEL_AVX512)
 
-#if defined(EDR_EDRKERNEL_NEON)
-
-// NEON: FABD gives |d| with the same single rounding as fabs(a - b); the
-// two compare lanes land in the word via lane extracts. The box test uses
-// the ordered far compares directly: a word is skipped when every lane of
-// the AND over its groups is all-ones.
-
-inline uint64x2_t FarNeon(const double* lo, const double* hi, float64x2_t s,
-                          float64x2_t eps, float64x2_t neg_eps) {
-  return vorrq_u64(vcgtq_f64(vsubq_f64(vld1q_f64(lo), s), eps),
-                   vcltq_f64(vsubq_f64(vld1q_f64(hi), s), neg_eps));
-}
-
-inline uint64x2_t MatchNeon(const double* v, float64x2_t s, float64x2_t eps) {
-  return vcleq_f64(vabdq_f64(vld1q_f64(v), s), eps);
-}
-
-template <typename PointT>
-uint64_t MatchWordNeon(const Pattern& p, size_t w, PointT s,
-                       double epsilon) {
-  const float64x2_t eps = vdupq_n_f64(epsilon);
-  const float64x2_t neg_eps = vdupq_n_f64(-epsilon);
-  const float64x2_t sx = vdupq_n_f64(s.x);
-  const float64x2_t sy = vdupq_n_f64(s.y);
-  const float64x2_t sz = vdupq_n_f64(PointZ(s));
-  const double* b = p.box + w * kBoxStride;
-  uint64x2_t far = vdupq_n_u64(~uint64_t{0});
-  for (size_t g = 0; g < 8; g += 2) {
-    uint64x2_t f =
-        vorrq_u64(FarNeon(b + kMinX + g, b + kMaxX + g, sx, eps, neg_eps),
-                  FarNeon(b + kMinY + g, b + kMaxY + g, sy, eps, neg_eps));
-    if constexpr (kIs3D<PointT>) {
-      f = vorrq_u64(f,
-                    FarNeon(b + kMinZ + g, b + kMaxZ + g, sz, eps, neg_eps));
-    }
-    far = vandq_u64(far, f);
-  }
-  if ((vgetq_lane_u64(far, 0) & vgetq_lane_u64(far, 1)) != 0) return 0;
-  const size_t base = w * 64;
-  uint64_t bits = 0;
-  for (size_t k = 0; k < 64; k += 2) {
-    uint64x2_t c = vandq_u64(MatchNeon(p.x + base + k, sx, eps),
-                             MatchNeon(p.y + base + k, sy, eps));
-    if constexpr (kIs3D<PointT>) {
-      c = vandq_u64(c, MatchNeon(p.z + base + k, sz, eps));
-    }
-    bits |= ((vgetq_lane_u64(c, 0) & 1) | ((vgetq_lane_u64(c, 1) & 1) << 1))
-            << k;
-  }
-  return bits;
-}
-
-#endif  // defined(EDR_EDRKERNEL_NEON)
-
 // ---------------------------------------------------------------------------
 // Myers' bit-parallel recurrence (Myers 1999, with Hyyro's carry-in
 // correction as implemented in edlib). The pattern is the shorter
@@ -512,15 +453,6 @@ __attribute__((target("avx512f"), flatten, aligned(64))) int MyersAvx512(
 }
 #endif
 
-#if defined(EDR_EDRKERNEL_NEON)
-template <typename PointT>
-__attribute__((flatten, aligned(64))) int MyersNeon(
-    const Pattern& p, const PointT* text, size_t n, size_t m, double epsilon,
-    int bound, EdrScratch& sc) {
-  return MyersCore<MatchWordNeon<PointT>>(p, text, n, m, epsilon, bound, sc);
-}
-#endif
-
 template <typename PointT>
 using MyersFn = int (*)(const Pattern&, const PointT*, size_t, size_t,
                         double, int, EdrScratch&);
@@ -540,9 +472,6 @@ MyersFn<PointT> MyersFor(KernelLevel level) {
 #endif
 #if defined(EDR_EDRKERNEL_SSE2)
     case KernelLevel::kSse2: return MyersSse2<PointT>;
-#endif
-#if defined(EDR_EDRKERNEL_NEON)
-    case KernelLevel::kNeon: return MyersNeon<PointT>;
 #endif
     default: return MyersScalar<PointT>;
   }

@@ -2,8 +2,10 @@
 #define EDR_DISTANCE_EDR_KERNEL_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <new>
 #include <vector>
 
 #include "core/trajectory.h"
@@ -30,6 +32,30 @@ const char* EdrKernelName(EdrKernel kernel);
 EdrKernel DefaultEdrKernel();
 void SetDefaultEdrKernel(EdrKernel kernel);
 
+/// Allocates on 64-byte (cache-line) boundaries. The widest match kernel
+/// reads each 8-row group of the SoA pattern copy with one 64-byte load;
+/// from a line-aligned buffer that load never straddles two cache lines,
+/// wherever earlier allocations happened to leave the heap.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlignment{64};
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
+  }
+  void deallocate(T* p, size_t) { ::operator delete(p, kAlignment); }
+
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) {
+    return true;
+  }
+};
+
 /// Reusable working memory for the EDR kernels, sized once and grown
 /// monotonically, so no distance call on a query's refinement loop touches
 /// the allocator. One instance per thread; see ThreadLocalEdrScratch().
@@ -43,7 +69,8 @@ void SetDefaultEdrKernel(EdrKernel kernel);
 /// the exact compares; the two bit-vector words of the Myers recurrence
 /// (vp/vn, one bit per pattern row; the match words are built inside the
 /// word loop and never stored); and the two rolling integer rows of the
-/// scalar DP.
+/// scalar DP. The pattern rows and boxes start on cache-line boundaries
+/// (CacheLineAllocator).
 class EdrScratch {
  public:
   static constexpr size_t kBoxStride = 6 * 8;
@@ -81,14 +108,15 @@ class EdrScratch {
   int* curr_row() { return curr_.data(); }
 
  private:
-  std::vector<double> px_, py_, pz_, box_;
+  std::vector<double, CacheLineAllocator<double>> px_, py_, pz_, box_;
   std::vector<uint64_t> vp_, vn_;
   std::vector<int> prev_, curr_;
 };
 
-/// The calling thread's scratch buffer. Parallel users (ParallelKnn
-/// workers, PairwiseEdrMatrix::BuildParallel) each get their own copy for
-/// free; single-threaded searchers share one warm buffer per thread.
+/// The calling thread's scratch buffer. Parallel users (pool workers
+/// refining a batch, PairwiseEdrMatrix::BuildParallel) each get their own
+/// copy for free; single-threaded searchers share one warm buffer per
+/// thread.
 EdrScratch& ThreadLocalEdrScratch();
 
 /// Bound value meaning "no early abandon": large enough that no reachable

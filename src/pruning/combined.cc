@@ -45,54 +45,13 @@ CombinedKnnSearcher::CombinedKnnSearcher(const TrajectoryDataset& db,
       epsilon_(epsilon),
       options_(options),
       histograms_(db, epsilon, options.histogram_kind,
-                  options.histogram_delta, options.histogram_layout),
+                  options.histogram_delta),
       qgram_means_(db, options.q, /*dims=*/2),
       matrix_(std::move(matrix)) {}
 
 KnnResult CombinedKnnSearcher::Knn(const Trajectory& query, size_t k,
                                    const KnnOptions& options) const {
-  const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
-
-  std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
-  RecordSchedBudget(trace.get(), options);
-  TraceSpan sweep_span(trace.get(), "bound_sweep");
-  // Both query features go through the cache under the same keys the
-  // standalone histogram / PS2 searchers use, so a mixed workload shares
-  // entries across methods.
-  const auto qh_ptr = GetOrBuildFeature<HistogramTable::QueryHistogram>(
-      options.feature_cache, histograms_.feature_key(), query,
-      [&] { return histograms_.MakeQueryHistogram(query); });
-  const HistogramTable::QueryHistogram& qh = *qh_ptr;
-  const auto means_ptr = GetOrBuildFeature<std::vector<Point2>>(
-      options.feature_cache,
-      "qgram.means2d.sorted/q=" + std::to_string(options_.q), query, [&] {
-        std::vector<Point2> m = MeanValueQgrams(query, options_.q);
-        SortMeans(m);
-        return m;
-      });
-  const std::vector<Point2>& query_means = *means_ptr;
-
-  // Every prune order contains the histogram step, so all fast lower
-  // bounds are produced up front by one vectorized sweep (sharded over the
-  // pool) — far cheaper than per-row calls even for ids a preceding filter
-  // would have pruned. When the histogram filter runs first (and sorted
-  // scanning is enabled) we additionally adopt the HSR strategy:
-  // candidates in ascending-bound order, hard stop at the first bound
-  // above the k-th distance.
-  std::vector<int> bounds;
-  histograms_.FastLowerBoundSweepParallel(qh, &bounds, options);
-  sweep_span.End();
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return RefineWithBounds(query, k, options, bounds, query_means,
-                          std::move(trace), filter_seconds);
+  return std::move(KnnFused({&query}, k, options)[0]);
 }
 
 std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
@@ -122,7 +81,10 @@ std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
   for (size_t f = 0; f < group; ++f) {
     traces[f] = MakeQueryTrace();
     RecordSchedBudget(traces[f].get(), options);
-    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("fused_sweep");
+    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("bound_sweep");
+    // Both query features go through the cache under the same keys the
+    // standalone histogram and PS2 searchers use, so a mixed workload
+    // shares entries across methods.
     features[f] = GetOrBuildFeature<HistogramTable::QueryHistogram>(
         options.feature_cache, histograms_.feature_key(), *queries[f],
         [&] { return histograms_.MakeQueryHistogram(*queries[f]); });
@@ -137,10 +99,15 @@ std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
     qhs[f] = features[f].get();
     outs[f] = &bounds[f];
   }
-  // The histogram sweep — the one up-front whole-database pass — is fused;
-  // the lazy Q-gram and near-triangle filters run inside each member's
-  // refinement exactly as in the single-query path.
-  histograms_.FastLowerBoundSweepFusedParallel(qhs, outs, options);
+  // Every prune order contains the histogram step, so all fast lower
+  // bounds are produced up front by one sweep for the whole group (sharded
+  // over the pool): far cheaper than per-row calls, even for ids a
+  // preceding filter would have pruned. The lazy Q-gram and near-triangle
+  // filters run inside each member's refinement. When the histogram
+  // filter runs first (and sorted scanning is enabled), refinement adopts
+  // the HSR strategy: candidates in ascending-bound order, hard stop at
+  // the first bound above the k-th distance.
+  histograms_.FastLowerBoundSweep(qhs, outs, options);
   for (size_t f = 0; f < group; ++f) {
     if (traces[f] != nullptr) traces[f]->End(span_ids[f]);
   }
@@ -287,7 +254,7 @@ KnnResult CombinedKnnSearcher::Range(const Trajectory& query, int radius,
       options_.order[0] == PruneStep::kHistogram &&
       options_.sorted_histogram_scan;
   std::vector<int> bounds;
-  histograms_.FastLowerBoundSweep(qh, &bounds);
+  histograms_.FastLowerBoundSweep({&qh}, {&bounds});
   std::vector<uint32_t> order(db_.size());
   std::iota(order.begin(), order.end(), 0);
   if (histogram_first) {

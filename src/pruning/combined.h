@@ -32,9 +32,6 @@ struct CombinedOptions {
   /// ("1HPN", the overall winner in Figures 12-13).
   HistogramTable::Kind histogram_kind = HistogramTable::Kind::k2D;
   int histogram_delta = 1;
-  /// Column storage policy of the histogram table (pure memory/speed knob;
-  /// results are identical across layouts).
-  HistogramLayout histogram_layout = HistogramLayout::kAdaptive;
   /// Q-gram size; the experiments pick the merge-join PS2 filter with
   /// q = 1 (Section 5.4), the best stand-alone Q-gram configuration.
   int q = 1;
@@ -71,16 +68,17 @@ class CombinedKnnSearcher {
                       const CombinedOptions& options,
                       PairwiseEdrMatrix matrix);
 
-  /// `options` shards the bound sweep and refinement over the thread pool;
-  /// results are bit-identical for every worker count.
+  /// KnnFused for a group of one.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
 
-  /// Answers a fusion group of queries with one cache-blocked pass over
-  /// the histogram table (the only whole-database filter sweep the
-  /// combined searcher runs up front — Q-gram counts and near-triangle
-  /// bounds are evaluated lazily per candidate and stay per-query).
-  /// `results[i]` is bit-identical to `Knn(*queries[i], k, options)`.
+  /// The query path: answers a fusion group of queries with one
+  /// cache-blocked pass over the histogram table (the only whole-database
+  /// filter sweep the combined searcher runs up front; Q-gram counts and
+  /// near-triangle bounds are evaluated lazily per candidate and stay
+  /// per member). A member's answer is the same for every group size and
+  /// worker count. `options` shards the bound sweep and refinement over
+  /// the thread pool.
   std::vector<KnnResult> KnnFused(
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
@@ -106,7 +104,7 @@ class CombinedKnnSearcher {
   const CombinedOptions& options() const { return options_; }
 
  private:
-  /// The per-query tail shared by Knn and KnnFused: the lazy filter chain
+  /// The per-member tail of KnnFused: the lazy filter chain
   /// over precomputed histogram bounds, bounded refinement, stats/trace.
   KnnResult RefineWithBounds(const Trajectory& query, size_t k,
                              const KnnOptions& options,

@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <queue>
+#include <span>
 #include <unordered_map>
 
 #include "core/cpu.h"
@@ -24,11 +25,6 @@
 #include <immintrin.h>
 #define EDR_HISTOGRAM_AVX2 1
 #define EDR_HISTOGRAM_AVX512 1
-#endif
-
-#if defined(__aarch64__) && !defined(EDR_DISABLE_SIMD)
-#include <arm_neon.h>
-#define EDR_HISTOGRAM_NEON 1
 #endif
 
 namespace edr {
@@ -295,7 +291,7 @@ void NeighborhoodSums(const std::vector<OccupiedBin>& occupied, int nx,
 // ---------------------------------------------------------------------------
 // Sweep kernels. Both sides of the fast bound add min(cap, column value)
 // over a block of trajectory ids, one query column at a time — pure int32
-// lane arithmetic, so every lane width (scalar/SSE2/AVX2/AVX-512/NEON) and
+// lane arithmetic, so every lane width (scalar/SSE2/AVX2/AVX-512) and
 // every column layout produces identical integers in any order. A cap is
 // always >= 1: a query bin's count, or the neighbourhood sum of a bin next
 // to an occupied one.
@@ -381,21 +377,6 @@ __attribute__((target("avx512f"))) void MinCapAccumAvx512(int32_t cap,
 }
 
 #endif  // defined(EDR_HISTOGRAM_AVX512)
-
-#if defined(EDR_HISTOGRAM_NEON)
-
-inline void MinCapAccumNeon(int32_t cap, const int32_t* col, int32_t* side,
-                            size_t len) {
-  const int32x4_t vcap = vdupq_n_s32(cap);
-  size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    vst1q_s32(side + i, vaddq_s32(vld1q_s32(side + i),
-                                  vminq_s32(vcap, vld1q_s32(col + i))));
-  }
-  for (; i < len; ++i) side[i] += std::min(cap, col[i]);
-}
-
-#endif  // defined(EDR_HISTOGRAM_NEON)
 
 // ---------------------------------------------------------------------------
 // Bitmap and blocked-sparse block kernels. A bitmap column holds only 1s,
@@ -541,11 +522,6 @@ SweepKernels SweepKernelsFor(KernelLevel level) {
       k.min_cap_accum = MinCapAccumSimd;
       break;
 #endif
-#if defined(EDR_HISTOGRAM_NEON)
-    case KernelLevel::kNeon:
-      k.min_cap_accum = MinCapAccumNeon;
-      break;
-#endif
     default:
       break;
   }
@@ -605,27 +581,38 @@ int SumOf(const std::vector<int>& h) {
 
 HistogramGrid HistogramGrid::For(const DatasetStats& stats, double bin_size) {
   HistogramGrid grid;
+  // A dataset without a single point leaves the stats at min = +inf and
+  // max = -inf. Its table holds no mass, so a one-bin grid serves it.
+  if (!(stats.min_xy.x <= stats.max_xy.x &&
+        stats.min_xy.y <= stats.max_xy.y)) {
+    grid.bin_size = std::max(bin_size, 1e-12);
+    return grid;
+  }
   // Guard degenerate thresholds: a zero or tiny bin size would blow the
   // grid up (or divide by zero). Clamping the bin size *up* is always
   // sound — matched pairs stay within adjacent bins for any bin size
   // >= epsilon — it only loosens the bound. Cap the grid at ~512 bins
-  // per dimension.
-  const double range = std::max(stats.max_xy.x - stats.min_xy.x,
-                                stats.max_xy.y - stats.min_xy.y);
-  bin_size = std::max({bin_size, range / 512.0, 1e-12});
+  // per dimension. Halving before subtracting keeps the span finite for
+  // coordinates near +-DBL_MAX, where max - min overflows.
+  const double half_range =
+      std::max(stats.max_xy.x / 2 - stats.min_xy.x / 2,
+               stats.max_xy.y / 2 - stats.min_xy.y / 2);
+  bin_size = std::max({bin_size, half_range / 256.0, 1e-12});
   grid.bin_size = bin_size;
   // One bin of slack on each side so any element within epsilon of the
-  // data range still falls in a real (non-clamped) bin.
+  // data range still falls in a real (non-clamped) bin. The span is halved
+  // the same way (the quotient is unchanged wherever hi - lo is finite),
+  // and the count is clamped in double before the cast, as ClampedBin
+  // does: an infinite coordinate still makes it NaN or +inf.
   grid.min_x = stats.min_xy.x - bin_size;
   grid.min_y = stats.min_xy.y - bin_size;
-  grid.nx = static_cast<int>(
-                std::ceil((stats.max_xy.x - grid.min_x) / bin_size)) +
-            2;
-  grid.ny = static_cast<int>(
-                std::ceil((stats.max_xy.y - grid.min_y) / bin_size)) +
-            2;
-  grid.nx = std::max(grid.nx, 1);
-  grid.ny = std::max(grid.ny, 1);
+  const auto bins = [bin_size](double lo, double hi) {
+    const double count = std::ceil((hi / 2 - lo / 2) / (bin_size / 2)) + 2;
+    if (!(count >= 1.0)) return 1;
+    return static_cast<int>(std::min(count, 1024.0));
+  };
+  grid.nx = bins(grid.min_x, stats.max_xy.x);
+  grid.ny = bins(grid.min_y, stats.max_xy.y);
   return grid;
 }
 
@@ -678,14 +665,6 @@ int HistogramDistance1DFast(const std::vector<int>& hr,
   return longer - TransportUpperBound(hr, hs, PathNeighbors);
 }
 
-const char* HistogramLayoutName(HistogramLayout layout) {
-  switch (layout) {
-    case HistogramLayout::kAdaptive: return "adaptive";
-    case HistogramLayout::kDense: return "dense";
-  }
-  return "?";
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -713,9 +692,7 @@ inline size_t WordsPerColumn(size_t n) { return (n + 63) / 64; }
 constexpr double kBitmapMinDensity = 1.0 / 32.0;
 constexpr double kDenseMinDensity = 0.25;
 
-uint8_t ClassifyColumn(HistogramLayout layout, uint32_t occ, int32_t max_count,
-                       size_t n) {
-  if (layout == HistogramLayout::kDense) return kColDense;
+uint8_t ClassifyColumn(uint32_t occ, int32_t max_count, size_t n) {
   if (occ == 0) return kColEmpty;
   const double density = static_cast<double>(occ) / static_cast<double>(n);
   if (max_count == 1 && density >= kBitmapMinDensity) return kColBitmap;
@@ -770,8 +747,7 @@ class ColumnStoreBuilder {
     max_[bin] = std::max(max_[bin], b.count);
   }
 
-  void Allocate(HistogramLayout policy, size_t n,
-                HistogramTable::ColumnStore* store) {
+  void Allocate(size_t n, HistogramTable::ColumnStore* store) {
     store_ = store;
     n_ = n;
     num_blocks_ = (n + kSweepBlock - 1) / kSweepBlock;
@@ -782,7 +758,7 @@ class ColumnStoreBuilder {
     uint32_t bitmap_cols = 0;
     uint32_t postings = 0;
     for (size_t b = 0; b < num_bins; ++b) {
-      const uint8_t lay = ClassifyColumn(policy, occ_[b], max_[b], n);
+      const uint8_t lay = ClassifyColumn(occ_[b], max_[b], n);
       store->layout[b] = lay;
       switch (lay) {
         case kColDense: store->slot[b] = dense_cols++; break;
@@ -854,20 +830,15 @@ class ColumnStoreBuilder {
 }  // namespace
 
 HistogramTable::HistogramTable(const TrajectoryDataset& db, double epsilon,
-                               Kind kind, int delta, HistogramLayout layout)
-    : kind_(kind), delta_(std::max(1, delta)), layout_(layout) {
+                               Kind kind, int delta)
+    : kind_(kind), delta_(std::max(1, delta)) {
   grid_ = HistogramGrid::For(db.Stats(), epsilon * delta_);
   {
     // %.17g round-trips doubles exactly, so equal keys <=> equal grids.
-    // The storage layout never changes a QueryHistogram, but it is part of
-    // the semantic configuration — keying on it guarantees a layout change
-    // can never serve a feature cached under another table config.
-    char buf[176];
-    std::snprintf(buf, sizeof(buf),
-                  "hist.%s/grid=%d.%d/%.17g,%.17g,%.17g/layout=%s",
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "hist.%s/grid=%d.%d/%.17g,%.17g,%.17g",
                   kind_ == Kind::k2D ? "2d" : "1d", grid_.nx, grid_.ny,
-                  grid_.min_x, grid_.min_y, grid_.bin_size,
-                  HistogramLayoutName(layout_));
+                  grid_.min_x, grid_.min_y, grid_.bin_size);
     feature_key_ = buf;
   }
   totals_.reserve(db.size());
@@ -927,8 +898,8 @@ void HistogramTable::BuildTable(const TrajectoryDataset& db,
     for (const OccupiedBin& b : occ) raw.Count(b);
     for (const OccupiedBin& b : dil) ns.Count(b);
   });
-  raw.Allocate(layout_, n, &flat->raw);
-  ns.Allocate(layout_, n, &flat->ns);
+  raw.Allocate(n, &flat->raw);
+  ns.Allocate(n, &flat->ns);
   for_each_id([&](uint32_t id, const std::vector<OccupiedBin>& occ,
                   const std::vector<OccupiedBin>& dil) {
     for (const OccupiedBin& b : occ) raw.Put(id, b);
@@ -1056,8 +1027,8 @@ int HistogramTable::FastLowerBound(const QueryHistogram& query,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Sweep plumbing. Every sweep is a group sweep: the single-query paths are
-// a group of one. A group's (bin, cap) lists are merged into one ascending
+// Sweep plumbing. Every sweep is a group sweep: a single query is a group
+// of one. A group's (bin, cap) lists are merged into one ascending
 // list of *distinct* bins per side, so each column is resolved once per
 // block and clamped into every member that uses it. Per member, the clamps
 // are exactly its own (bin, cap) terms, and both sides are int32 sums, so
@@ -1221,31 +1192,33 @@ void TransportBlock(const HistogramTable::FlatHistograms& f,
 
 }  // namespace
 
-void HistogramTable::SweepGroup(
+void HistogramTable::FastLowerBoundSweep(
     const std::vector<const QueryHistogram*>& queries,
-    const std::vector<std::vector<int>*>& outs, KernelLevel level,
-    const KnnOptions* options) const {
-  if (queries.size() > kMaxFusionGroup) {
-    for (size_t begin = 0; begin < queries.size(); begin += kMaxFusionGroup) {
-      const size_t end = std::min(queries.size(), begin + kMaxFusionGroup);
-      SweepGroup(std::vector<const QueryHistogram*>(queries.begin() + begin,
-                                                    queries.begin() + end),
-                 std::vector<std::vector<int>*>(outs.begin() + begin,
-                                                outs.begin() + end),
-                 level, options);
-    }
-    return;
+    const std::vector<std::vector<int>*>& outs,
+    const KnnOptions& options) const {
+  // One level for every chunk and shard of the call, so an
+  // EDR_FORCE_KERNEL or test pin applies to the whole sweep.
+  const KernelLevel level = ActiveKernelLevel();
+  for (size_t begin = 0; begin < queries.size(); begin += kMaxFusionGroup) {
+    const size_t group = std::min(kMaxFusionGroup, queries.size() - begin);
+    SweepGroup(std::span(queries).subspan(begin, group),
+               std::span(outs).subspan(begin, group), level, options);
   }
+}
+
+void HistogramTable::SweepGroup(
+    std::span<const QueryHistogram* const> queries,
+    std::span<std::vector<int>* const> outs, KernelLevel level,
+    const KnnOptions& options) const {
+  const SweepKernels kernels = SweepKernelsFor(level);
   const size_t group = queries.size();
-  if (group == 0) return;
   const size_t n = totals_.size();
   const size_t num_blocks = (n + kSweepBlock - 1) / kSweepBlock;
   for (std::vector<int>* out : outs) out->resize(n);
 
   // Multi-member groups share plans through the plan cache when one is
   // attached; a group of one always builds its (tiny) plan.
-  FusedPlanCache* plan_cache =
-      options != nullptr && group > 1 ? options->plan_cache : nullptr;
+  FusedPlanCache* plan_cache = group > 1 ? options.plan_cache : nullptr;
 
   // Local member views, canonically ordered when a plan cache is attached:
   // members are stably sorted by occupied-list fingerprint so every
@@ -1253,8 +1226,8 @@ void HistogramTable::SweepGroup(
   // member's bounds are independent of its slot (side-A and side-B sums
   // are per-member), so permuting is bit-identical — certified by
   // fused_sweep_test and plan_cache_test.
-  std::vector<const QueryHistogram*> qs(queries);
-  std::vector<std::vector<int>*> os(outs);
+  std::vector<const QueryHistogram*> qs(queries.begin(), queries.end());
+  std::vector<std::vector<int>*> os(outs.begin(), outs.end());
   if (plan_cache != nullptr) {
     std::vector<uint64_t> fp(group, 0);
     for (size_t fq = 0; fq < group; ++fq) {
@@ -1297,9 +1270,6 @@ void HistogramTable::SweepGroup(
     }
   }
 
-  // Lane kernels, resolved once per call so every shard of this sweep runs
-  // one level (EDR_FORCE_KERNEL / test pins are honored dynamically).
-  const SweepKernels kernels = SweepKernelsFor(level);
   const auto sweep_range = [&](size_t block_begin, size_t block_end) {
     alignas(64) int32_t t[kMaxFusionGroup][kSweepBlock];
     alignas(64) int32_t td[kMaxFusionGroup][kSweepBlock];
@@ -1328,8 +1298,7 @@ void HistogramTable::SweepGroup(
     }
   };
 
-  const unsigned workers =
-      options != nullptr ? ResolveIntraQueryWorkers(*options) : 1;
+  const unsigned workers = ResolveIntraQueryWorkers(options);
   if (workers <= 1 || num_blocks <= 1) {
     sweep_range(0, num_blocks);
     return;
@@ -1338,41 +1307,12 @@ void HistogramTable::SweepGroup(
   // its own kSweepBlock-aligned output slices, so the sharded sweep is
   // bit-identical to the sequential one for any worker count.
   const size_t ranges = std::min<size_t>(workers, num_blocks);
-  IntraQueryPool(*options).ParallelFor(
+  IntraQueryPool(options).ParallelFor(
       ranges,
       [&](size_t r) {
         sweep_range(r * num_blocks / ranges, (r + 1) * num_blocks / ranges);
       },
       static_cast<unsigned>(ranges));
-}
-
-void HistogramTable::FastLowerBoundSweep(const QueryHistogram& query,
-                                         std::vector<int>* out) const {
-  SweepGroup({&query}, {out}, ActiveKernelLevel(), nullptr);
-}
-
-void HistogramTable::FastLowerBoundSweepParallel(
-    const QueryHistogram& query, std::vector<int>* out,
-    const KnnOptions& options) const {
-  SweepGroup({&query}, {out}, ActiveKernelLevel(), &options);
-}
-
-void HistogramTable::FastLowerBoundSweepScalar(const QueryHistogram& query,
-                                               std::vector<int>* out) const {
-  SweepGroup({&query}, {out}, KernelLevel::kScalar, nullptr);
-}
-
-void HistogramTable::FastLowerBoundSweepFused(
-    const std::vector<const QueryHistogram*>& queries,
-    const std::vector<std::vector<int>*>& outs) const {
-  SweepGroup(queries, outs, ActiveKernelLevel(), nullptr);
-}
-
-void HistogramTable::FastLowerBoundSweepFusedParallel(
-    const std::vector<const QueryHistogram*>& queries,
-    const std::vector<std::vector<int>*>& outs,
-    const KnnOptions& options) const {
-  SweepGroup(queries, outs, ActiveKernelLevel(), &options);
 }
 
 uint64_t HistogramTable::QueryBinSignature(const Trajectory& query) const {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,24 +96,6 @@ int HistogramDistance2DFast(const std::vector<int>& hr,
 int HistogramDistance1DFast(const std::vector<int>& hr,
                             const std::vector<int>& hs);
 
-/// Storage policy for the per-bin filter columns of a HistogramTable.
-///
-/// The PR-2 layout kept one dense bin-major int32 block — O(bins * n)
-/// memory, which blows up at fine grids (delta = 1 on large coordinate
-/// ranges caps out at a ~512x512 grid, i.e. ~n MB per thousand bins).
-/// kAdaptive classifies every bin column at build time from its measured
-/// density and stores it in the cheapest layout that keeps the
-/// cache-blocked column-sweep shape; kDense forces all-dense blocks
-/// (baseline for benchmarks and equivalence tests). Both layouts produce
-/// bit-identical bounds — the policy is a pure memory/speed knob.
-enum class HistogramLayout {
-  kAdaptive,
-  kDense,
-};
-
-/// "adaptive" or "dense".
-const char* HistogramLayoutName(HistogramLayout layout);
-
 /// Layout census and byte count of one column store of a HistogramTable.
 struct ColumnStoreStats {
   size_t dense_columns = 0;   ///< stored as dense int32 columns
@@ -152,8 +135,9 @@ struct HistogramStorageStats {
 /// with N(b) the same-or-adjacent bins of b. Either way a query touches
 /// one column per bin it occupies or neighbours, so the sweep's cost
 /// follows the query's neighbourhood rather than the table. Each column is
-/// kept in one of four layouts chosen per column at build time
-/// (HistogramLayout::kAdaptive):
+/// kept in one of four layouts, chosen per column at build time from its
+/// measured density (a dense block for every column would cost
+/// O(bins * n) memory, which blows up at the fine grids):
 ///
 ///  - *dense* columns stay bin-major int32 (`dense[slot * n + id]`), the
 ///    layout FastLowerBoundSweep streams over with SIMD;
@@ -173,13 +157,11 @@ class HistogramTable {
   /// bound is the max of the two per-dimension bounds (each lower-bounds
   /// EDR by Corollary 1, so their max does too).
   HistogramTable(const TrajectoryDataset& db, double epsilon, Kind kind,
-                 int delta = 1,
-                 HistogramLayout layout = HistogramLayout::kAdaptive);
+                 int delta = 1);
 
   /// Precomputes the query side of the fast bound once; returns an opaque
   /// handle. A function of the query and the grid only (never of the
-  /// table's data or layout), so a cached handle serves any table on the
-  /// same grid.
+  /// table's data), so a cached handle serves any table on the same grid.
   struct QueryHistogram {
     /// One histogram dimension: the 2-D grid, or the x / y subranges.
     struct Dim {
@@ -210,57 +192,28 @@ class HistogramTable {
   /// by the searchers.
   int FastLowerBound(const QueryHistogram& query, uint32_t id) const;
 
-  /// FastLowerBound for the *entire database* in one cache-blocked pass:
-  /// `(*out)[id] == FastLowerBound(query, id)` for every id, bit for bit.
-  /// Each block clamps the query's columns into int32 accumulators,
-  /// dispatching per column on its storage layout — dense columns stream
-  /// through the widest SIMD lanes the host offers (AVX-512/AVX2/SSE2/NEON
-  /// behind ActiveKernelLevel()), bitmap and blocked-sparse columns
-  /// scatter into the same accumulator. This is what HSE/HSR and the
-  /// combined searcher consume instead of n per-row calls.
-  void FastLowerBoundSweep(const QueryHistogram& query,
-                           std::vector<int>* out) const;
-
-  /// FastLowerBoundSweep with its cache blocks sharded over the intra-query
-  /// thread pool (options.intra_query_workers participants; 1 = the plain
-  /// sequential sweep, no pool touched). Every block writes its own output
-  /// range by index, so the result is bit-identical to FastLowerBoundSweep
-  /// for any worker count.
-  void FastLowerBoundSweepParallel(const QueryHistogram& query,
-                                   std::vector<int>* out,
-                                   const KnnOptions& options) const;
-
-  /// Portable scalar reference for FastLowerBoundSweep: identical results
-  /// on every platform (and the only path when SIMD is unavailable or
-  /// EDR_DISABLE_SIMD is defined). Exposed so tests can certify the SIMD
-  /// sweep bit-identical.
-  void FastLowerBoundSweepScalar(const QueryHistogram& query,
-                                 std::vector<int>* out) const;
-
-  /// FastLowerBoundSweep for a *fusion group* of queries in one
-  /// cache-blocked database pass: `(*outs[f])[id]` is bit-identical to what
-  /// FastLowerBoundSweep(*queries[f], ...) writes, for every group size.
-  /// The group shares each sweep block while it is cache-hot: each
+  /// FastLowerBound for every member of a group of queries and the
+  /// *entire database*, in one cache-blocked pass: `(*outs[f])[id] ==
+  /// FastLowerBound(*queries[f], id)` for every id, bit for bit, whatever
+  /// the group size. A single query is a group of one. Each block clamps
+  /// the query columns into int32 accumulators, dispatching per column on
+  /// its storage layout: dense columns stream through the widest SIMD
+  /// lanes of ActiveKernelLevel() (read once per call), bitmap and
+  /// blocked-sparse columns scatter into the same accumulators. Each
   /// *distinct* bin of the group resolves its column once and clamps it
   /// into every member that uses it (int32 addition commutes, so the
-  /// per-query sums are exact). Groups larger than kMaxFusionGroup are
-  /// chunked.
-  void FastLowerBoundSweepFused(
-      const std::vector<const QueryHistogram*>& queries,
-      const std::vector<std::vector<int>*>& outs) const;
-
-  /// FastLowerBoundSweepFused with its cache blocks sharded over the
-  /// intra-query pool, exactly like FastLowerBoundSweepParallel; every
-  /// worker serves the whole fusion group over its own block range, so the
-  /// result stays bit-identical for any worker count.
-  void FastLowerBoundSweepFusedParallel(
-      const std::vector<const QueryHistogram*>& queries,
-      const std::vector<std::vector<int>*>& outs,
-      const KnnOptions& options) const;
+  /// per-member sums are exact). Groups larger than kMaxFusionGroup are
+  /// chunked. `options.intra_query_workers` shards the blocks over the
+  /// intra-query pool; every block writes its own output range by index,
+  /// so the result is the same for any worker count. Groups of two or more
+  /// share their sweep plans through `options.plan_cache` when one is
+  /// attached.
+  void FastLowerBoundSweep(const std::vector<const QueryHistogram*>& queries,
+                           const std::vector<std::vector<int>*>& outs,
+                           const KnnOptions& options = {}) const;
 
   Kind kind() const { return kind_; }
   int delta() const { return delta_; }
-  HistogramLayout layout() const { return layout_; }
   const HistogramGrid& grid() const { return grid_; }
   size_t size() const { return totals_.size(); }
 
@@ -269,9 +222,8 @@ class HistogramTable {
   HistogramStorageStats storage_stats() const;
 
   /// FeatureCache config key for this table's query histograms. Encodes
-  /// everything MakeQueryHistogram depends on — the kind and the exact
-  /// grid geometry — plus the storage-layout policy, so a layout change
-  /// can never serve a feature cached under another configuration.
+  /// everything MakeQueryHistogram depends on: the kind and the exact grid
+  /// geometry.
   const std::string& feature_key() const { return feature_key_; }
 
   /// One store of bin columns (see the class comment). Public only so the
@@ -309,16 +261,13 @@ class HistogramTable {
   /// chunk by chunk in parallel — deterministic for any worker count.
   void BuildTable(const TrajectoryDataset& db, FlatHistograms* flat) const;
 
-  /// Sweeps one group of at most kMaxFusionGroup queries at `level`,
-  /// sharded over options->intra_query_workers (sequential when `options`
-  /// is null). Every public sweep funnels through here.
-  void SweepGroup(const std::vector<const QueryHistogram*>& queries,
-                  const std::vector<std::vector<int>*>& outs,
-                  KernelLevel level, const KnnOptions* options) const;
+  /// Sweeps one chunk of at most kMaxFusionGroup queries at `level`.
+  void SweepGroup(std::span<const QueryHistogram* const> queries,
+                  std::span<std::vector<int>* const> outs, KernelLevel level,
+                  const KnnOptions& options) const;
 
   Kind kind_;
   int delta_;
-  HistogramLayout layout_;
   HistogramGrid grid_;
   std::string feature_key_;
   std::vector<FlatHistograms> dims_;  ///< the 2-D grid, or x then y

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <vector>
 
 #include "distance/edr_kernel.h"
@@ -16,45 +15,15 @@ namespace edr {
 HistogramKnnSearcher::HistogramKnnSearcher(const TrajectoryDataset& db,
                                            double epsilon,
                                            HistogramTable::Kind kind,
-                                           int delta, HistogramScan scan,
-                                           HistogramLayout layout)
+                                           int delta, HistogramScan scan)
     : db_(db),
       epsilon_(epsilon),
       scan_(scan),
-      table_(db, epsilon, kind, delta, layout) {}
+      table_(db, epsilon, kind, delta) {}
 
 KnnResult HistogramKnnSearcher::Knn(const Trajectory& query, size_t k,
                                     const KnnOptions& options) const {
-  const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
-
-  std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
-  RecordSchedBudget(trace.get(), options);
-  TraceSpan sweep_span(trace.get(), "bound_sweep");
-  const std::shared_ptr<const HistogramTable::QueryHistogram> qh_ptr =
-      GetOrBuildFeature<HistogramTable::QueryHistogram>(
-          options.feature_cache, table_.feature_key(), query,
-          [&] { return table_.MakeQueryHistogram(query); });
-  const HistogramTable::QueryHistogram& qh = *qh_ptr;
-
-  // Both scans consume the whole bound array anyway, so it is produced by
-  // one vectorized sweep over the flat tables instead of n per-row calls.
-  // (The exact max-flow bound prunes almost nothing beyond the fast bound
-  // at ~25x the cost, so the searchers do not consult it; see
-  // bench_ablation for the measured tightness gap.)
-  std::vector<int> bounds;
-  table_.FastLowerBoundSweepParallel(qh, &bounds, options);
-  sweep_span.End();
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return RefineWithBounds(query, k, options, bounds, std::move(trace),
-                          filter_seconds);
+  return std::move(KnnFused({&query}, k, options)[0]);
 }
 
 std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
@@ -72,9 +41,8 @@ std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
     return results;
   }
 
-  // Per-member features go through the same cache keys as the single-query
-  // path; each member's trace records the shared database pass as a
-  // "fused_sweep" span (all members pay — and amortize — the one sweep).
+  // Every member's trace records the one shared database pass, feature
+  // fetch included, as its "bound_sweep" span.
   std::vector<std::shared_ptr<QueryTrace>> traces(group);
   std::vector<int32_t> span_ids(group, -1);
   std::vector<std::shared_ptr<const HistogramTable::QueryHistogram>> features(
@@ -85,14 +53,19 @@ std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
   for (size_t f = 0; f < group; ++f) {
     traces[f] = MakeQueryTrace();
     RecordSchedBudget(traces[f].get(), options);
-    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("fused_sweep");
+    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("bound_sweep");
     features[f] = GetOrBuildFeature<HistogramTable::QueryHistogram>(
         options.feature_cache, table_.feature_key(), *queries[f],
         [&] { return table_.MakeQueryHistogram(*queries[f]); });
     qhs[f] = features[f].get();
     outs[f] = &bounds[f];
   }
-  table_.FastLowerBoundSweepFusedParallel(qhs, outs, options);
+  // Both scans consume the whole bound array anyway, so it is produced by
+  // one vectorized sweep over the column stores instead of n per-row
+  // calls. (The exact max-flow bound prunes almost nothing beyond the fast
+  // bound at ~25x the cost, so the searchers do not consult it; see
+  // bench_ablation for the measured tightness gap.)
+  table_.FastLowerBoundSweep(qhs, outs, options);
   for (size_t f = 0; f < group; ++f) {
     if (traces[f] != nullptr) traces[f]->End(span_ids[f]);
   }
@@ -196,7 +169,7 @@ KnnResult HistogramKnnSearcher::Range(const Trajectory& query,
   const EdrKernel kernel = DefaultEdrKernel();
   EdrScratch& scratch = ThreadLocalEdrScratch();
   std::vector<int> bounds;
-  table_.FastLowerBoundSweep(qh, &bounds);
+  table_.FastLowerBoundSweep({&qh}, {&bounds});
   KnnResult out;
   size_t computed = 0;
   StageCounters& stages = out.stats.stages;

@@ -27,26 +27,22 @@ enum class HistogramScan {
 class HistogramKnnSearcher {
  public:
   /// `kind`/`delta` select the embedding: {k2D, delta} covers the paper's
-  /// 2HE (delta=1) through 2H4E (delta=4); {k1D, 1} is 1HE. `layout`
-  /// picks the table's column storage policy (a pure memory/speed knob —
-  /// identical results either way).
+  /// 2HE (delta=1) through 2H4E (delta=4); {k1D, 1} is 1HE.
   HistogramKnnSearcher(const TrajectoryDataset& db, double epsilon,
                        HistogramTable::Kind kind, int delta,
-                       HistogramScan scan,
-                       HistogramLayout layout = HistogramLayout::kAdaptive);
+                       HistogramScan scan);
 
-  /// `options` shards the bound sweep and refinement over the thread pool;
-  /// results are bit-identical for every worker count.
+  /// KnnFused for a group of one.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
 
-  /// Answers a fusion group of queries with one cache-blocked pass over
-  /// the histogram table: the fused sweep streams every column block once
-  /// and evaluates all members' transport bounds against it, then each
-  /// member runs the unchanged per-query refinement. `results[i]` is
-  /// bit-identical to `Knn(*queries[i], k, options)` for every group size
-  /// and worker count — fusing changes only how often the table is
-  /// streamed, never any member's bound sequence.
+  /// The query path: answers a fusion group of queries with one
+  /// cache-blocked pass over the histogram table, which streams every
+  /// column block once and evaluates all members' transport bounds against
+  /// it; then each member runs its own refinement. A member's answer is
+  /// the same for every group size and worker count — fusing changes only
+  /// how often the table is streamed, never any member's bound sequence.
+  /// `options` shards the bound sweep and refinement over the thread pool.
   std::vector<KnnResult> KnnFused(
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
@@ -65,7 +61,7 @@ class HistogramKnnSearcher {
   std::string name() const;
 
  private:
-  /// The refinement phase shared by Knn and KnnFused: scans candidates
+  /// The refinement phase of one member: scans candidates
   /// against precomputed lower bounds (HSE database order or HSR sorted
   /// order), fills in stats/trace, and records query metrics.
   KnnResult RefineWithBounds(const Trajectory& query, size_t k,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 
 #include "distance/lcss.h"
 #include "obs/trace.h"
@@ -26,79 +25,16 @@ double LcssDistanceBoundFromCap(size_t m, size_t n, long score_cap) {
 }  // namespace
 
 LcssKnnSearcher::LcssKnnSearcher(const TrajectoryDataset& db, double epsilon,
-                                 LcssFilter filter, HistogramLayout layout)
+                                 LcssFilter filter)
     : db_(db),
       epsilon_(epsilon),
       filter_(filter),
-      histograms_(db, epsilon, HistogramTable::Kind::k2D, 1, layout),
+      histograms_(db, epsilon, HistogramTable::Kind::k2D, 1),
       qgram_means_(db, /*q=*/1, /*dims=*/2) {}
 
 KnnResult LcssKnnSearcher::Knn(const Trajectory& query, size_t k,
                                const KnnOptions& options) const {
-  const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
-  const size_t m = query.size();
-  std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
-  RecordSchedBudget(trace.get(), options);
-  TraceSpan sweep_span(trace.get(), "bound_sweep");
-
-  const bool use_histogram =
-      filter_ == LcssFilter::kHistogram || filter_ == LcssFilter::kBoth;
-  const bool use_qgram =
-      filter_ == LcssFilter::kQgram || filter_ == LcssFilter::kBoth;
-
-  // Cached under the same keys the EDR searchers use (the table geometry
-  // and q=1 sorted means are method-agnostic), so an EDR query warming the
-  // cache also warms the LCSS path and vice versa.
-  std::shared_ptr<const HistogramTable::QueryHistogram> qh_ptr;
-  if (use_histogram) {
-    qh_ptr = GetOrBuildFeature<HistogramTable::QueryHistogram>(
-        options.feature_cache, histograms_.feature_key(), query,
-        [&] { return histograms_.MakeQueryHistogram(query); });
-  } else {
-    qh_ptr = std::make_shared<const HistogramTable::QueryHistogram>();
-  }
-  const HistogramTable::QueryHistogram& qh = *qh_ptr;
-  std::shared_ptr<const std::vector<Point2>> means_ptr;
-  if (use_qgram) {
-    means_ptr = GetOrBuildFeature<std::vector<Point2>>(
-        options.feature_cache, "qgram.means2d.sorted/q=1", query, [&] {
-          std::vector<Point2> m = MeanValueQgrams(query, 1);
-          SortMeans(m);
-          return m;
-        });
-  } else {
-    means_ptr = std::make_shared<const std::vector<Point2>>();
-  }
-  const std::vector<Point2>& query_means = *means_ptr;
-
-  // Distance lower bounds from the histogram sweep (sharded over the
-  // pool); candidates are later visited in ascending-bound (HSR) order.
-  std::vector<double> bounds;
-  if (use_histogram) {
-    std::vector<int> edr_bounds;
-    histograms_.FastLowerBoundSweepParallel(qh, &edr_bounds, options);
-    bounds.resize(db_.size());
-    for (size_t i = 0; i < db_.size(); ++i) {
-      const size_t n = db_[i].size();
-      // The sweep returns max(m, n) - U with U >= T* >= LCSS; recover
-      // the score cap U (clamped to min(m, n) inside the bound).
-      const long total = static_cast<long>(std::max(m, n));
-      const long transport_cap = total - edr_bounds[i];
-      bounds[i] = LcssDistanceBoundFromCap(m, n, transport_cap);
-    }
-  }
-  sweep_span.End();
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return RefineWithBounds(query, k, options, bounds, query_means,
-                          std::move(trace), filter_seconds);
+  return std::move(KnnFused({&query}, k, options)[0]);
 }
 
 std::vector<KnnResult> LcssKnnSearcher::KnnFused(
@@ -129,7 +65,10 @@ std::vector<KnnResult> LcssKnnSearcher::KnnFused(
   for (size_t f = 0; f < group; ++f) {
     traces[f] = MakeQueryTrace();
     RecordSchedBudget(traces[f].get(), options);
-    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("fused_sweep");
+    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("bound_sweep");
+    // Cached under the same keys the EDR searchers use (the table geometry
+    // and q=1 sorted means are method-agnostic), so an EDR query warming
+    // the cache also warms the LCSS path and vice versa.
     if (use_histogram) {
       features[f] = GetOrBuildFeature<HistogramTable::QueryHistogram>(
           options.feature_cache, histograms_.feature_key(), *queries[f],
@@ -148,9 +87,10 @@ std::vector<KnnResult> LcssKnnSearcher::KnnFused(
     }
   }
 
-  // The histogram bound sweep is the only whole-database filter pass;
-  // fuse it. The per-member cap -> distance mapping below is the same
-  // arithmetic the single-query path applies to its own sweep output.
+  // The histogram bound sweep is the only whole-database filter pass, one
+  // for the whole group (sharded over the pool). Each member's distance
+  // lower bounds come from its sweep output; refinement later visits
+  // candidates in ascending-bound (HSR) order.
   std::vector<std::vector<double>> bounds(group);
   if (use_histogram) {
     std::vector<const HistogramTable::QueryHistogram*> qhs(group);
@@ -160,12 +100,14 @@ std::vector<KnnResult> LcssKnnSearcher::KnnFused(
       qhs[f] = features[f].get();
       outs[f] = &edr_bounds[f];
     }
-    histograms_.FastLowerBoundSweepFusedParallel(qhs, outs, options);
+    histograms_.FastLowerBoundSweep(qhs, outs, options);
     for (size_t f = 0; f < group; ++f) {
       const size_t m = queries[f]->size();
       bounds[f].resize(db_.size());
       for (size_t i = 0; i < db_.size(); ++i) {
         const size_t n = db_[i].size();
+        // The sweep returns max(m, n) - U with U >= T* >= LCSS; recover
+        // the score cap U (clamped to min(m, n) inside the bound).
         const long total = static_cast<long>(std::max(m, n));
         const long transport_cap = total - edr_bounds[f][i];
         bounds[f][i] = LcssDistanceBoundFromCap(m, n, transport_cap);

@@ -39,19 +39,18 @@ enum class LcssFilter {
 class LcssKnnSearcher {
  public:
   LcssKnnSearcher(const TrajectoryDataset& db, double epsilon,
-                  LcssFilter filter,
-                  HistogramLayout layout = HistogramLayout::kAdaptive);
+                  LcssFilter filter);
 
-  /// `options` shards the bound sweep, count filter, and exact-LCSS
-  /// refinement over the thread pool; results are bit-identical for every
-  /// worker count.
+  /// KnnFused for a group of one.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
 
-  /// Answers a fusion group of queries; when the histogram filter is
-  /// active its whole-database bound sweep is fused into one cache-blocked
-  /// table pass serving every member. `results[i]` is bit-identical to
-  /// `Knn(*queries[i], k, options)` for every filter configuration.
+  /// The query path: when the histogram filter is active, one
+  /// cache-blocked table pass computes the whole group's bounds; then each
+  /// member runs the count filter and exact-LCSS refinement. A member's
+  /// answer is the same for every group size, filter configuration and
+  /// worker count. `options` shards the bound sweep, count filter and
+  /// refinement over the thread pool.
   std::vector<KnnResult> KnnFused(
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
@@ -66,7 +65,7 @@ class LcssKnnSearcher {
   std::string name() const;
 
  private:
-  /// Per-query tail shared by Knn and KnnFused: the count filter plus
+  /// Per-member tail of KnnFused: the count filter plus
   /// exact-LCSS refinement over precomputed distance bounds (`bounds`
   /// empty when the histogram filter is off).
   KnnResult RefineWithBounds(const Trajectory& query, size_t k,

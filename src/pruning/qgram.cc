@@ -12,11 +12,6 @@
 #define EDR_QGRAM_AVX512 1
 #endif
 
-#if defined(__aarch64__) && !defined(EDR_DISABLE_SIMD)
-#include <arm_neon.h>
-#define EDR_QGRAM_NEON 1
-#endif
-
 namespace edr {
 
 std::vector<Point2> MeanValueQgrams(const Trajectory& t, int q) {
@@ -250,36 +245,6 @@ __attribute__((target("avx512f"))) bool WindowHasMatchAvx512(
 
 #endif  // defined(EDR_QGRAM_AVX512)
 
-#if defined(EDR_QGRAM_NEON)
-
-/// NEON window scan, 2 mean pairs per step (FABD computes |y - qy| with a
-/// single rounding of the subtraction, exactly like fabs(y - qy)).
-inline bool WindowHasMatchNeon(const double* xs, const double* ys,
-                               size_t window_start, size_t end, double x_hi,
-                               double qy, double epsilon) {
-  const float64x2_t v_hi = vdupq_n_f64(x_hi);
-  const float64x2_t v_qy = vdupq_n_f64(qy);
-  const float64x2_t v_eps = vdupq_n_f64(epsilon);
-  size_t j = window_start;
-  for (; j + 2 <= end; j += 2) {
-    const float64x2_t x = vld1q_f64(xs + j);
-    const uint64x2_t in_window = vcleq_f64(x, v_hi);
-    const uint64_t in0 = vgetq_lane_u64(in_window, 0);
-    const uint64_t in1 = vgetq_lane_u64(in_window, 1);
-    if ((in0 | in1) == 0) return false;
-    const float64x2_t dy = vabdq_f64(vld1q_f64(ys + j), v_qy);
-    const uint64x2_t y_ok = vcleq_f64(dy, v_eps);
-    if ((in0 & vgetq_lane_u64(y_ok, 0)) != 0 ||
-        (in1 & vgetq_lane_u64(y_ok, 1)) != 0) {
-      return true;
-    }
-    if (in1 == 0) return false;  // Window ended inside the block.
-  }
-  return WindowHasMatchScalar(xs, ys, j, end, x_hi, qy, epsilon);
-}
-
-#endif  // defined(EDR_QGRAM_NEON)
-
 using WindowHasMatchFn = bool (*)(const double*, const double*, size_t,
                                   size_t, double, double, double);
 
@@ -294,9 +259,6 @@ WindowHasMatchFn WindowHasMatchFor(KernelLevel level) {
 #endif
 #if defined(EDR_QGRAM_AVX2)
     case KernelLevel::kAvx2: return WindowHasMatchAvx2;
-#endif
-#if defined(EDR_QGRAM_NEON)
-    case KernelLevel::kNeon: return WindowHasMatchNeon;
 #endif
     default: return WindowHasMatchScalar;
   }
@@ -361,47 +323,6 @@ size_t QgramMeansTable::CountMatches1D(const std::vector<double>& query_means,
     if (window_start < end && xs_[window_start] <= qm + epsilon) ++count;
   }
   return count;
-}
-
-void QgramMeansTable::CountMatchesFused2D(
-    const std::vector<const std::vector<Point2>*>& query_means,
-    double epsilon, uint32_t id, size_t* counts) const {
-  const size_t begin = offsets_[id];
-  const size_t end = offsets_[id + 1];
-  // One kernel resolution for the whole group (CountMatches2D resolves
-  // per call; per-member resolutions of the same level are equivalent).
-  const WindowHasMatchFn window_has_match =
-      WindowHasMatchFor(ActiveKernelLevel());
-  for (size_t fq = 0; fq < query_means.size(); ++fq) {
-    size_t count = 0;
-    size_t window_start = begin;
-    for (const Point2& qm : *query_means[fq]) {
-      window_start =
-          GallopLowerBound(xs_.data(), window_start, end, qm.x - epsilon);
-      if (window_has_match(xs_.data(), ys_.data(), window_start, end,
-                           qm.x + epsilon, qm.y, epsilon)) {
-        ++count;
-      }
-    }
-    counts[fq] = count;
-  }
-}
-
-void QgramMeansTable::CountMatchesFused1D(
-    const std::vector<const std::vector<double>*>& query_means,
-    double epsilon, uint32_t id, size_t* counts) const {
-  const size_t begin = offsets_[id];
-  const size_t end = offsets_[id + 1];
-  for (size_t fq = 0; fq < query_means.size(); ++fq) {
-    size_t count = 0;
-    size_t window_start = begin;
-    for (const double qm : *query_means[fq]) {
-      window_start =
-          GallopLowerBound(xs_.data(), window_start, end, qm - epsilon);
-      if (window_start < end && xs_[window_start] <= qm + epsilon) ++count;
-    }
-    counts[fq] = count;
-  }
 }
 
 }  // namespace edr

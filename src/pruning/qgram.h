@@ -99,21 +99,6 @@ class QgramMeansTable {
   bool AtLeastMatches2D(const std::vector<Point2>& query_means,
                         double epsilon, uint32_t id, size_t threshold) const;
 
-  /// Fused merge-count: one visit of trajectory `id`'s posting slice
-  /// serves a whole fusion group — `counts[f]` is bit-identical to
-  /// CountMatches2D(*query_means[f], epsilon, id). Each member's gallop /
-  /// window walk is independent, so fusing only changes *when* the slice
-  /// is streamed (once, while cache-hot, for all members) and never what
-  /// any member counts.
-  void CountMatchesFused2D(
-      const std::vector<const std::vector<Point2>*>& query_means,
-      double epsilon, uint32_t id, size_t* counts) const;
-
-  /// 1-D analogue of CountMatchesFused2D.
-  void CountMatchesFused1D(
-      const std::vector<const std::vector<double>*>& query_means,
-      double epsilon, uint32_t id, size_t* counts) const;
-
  private:
   int dims_;
   std::vector<double> xs_;

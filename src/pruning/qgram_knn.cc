@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
+#include <functional>
+#include <type_traits>
 
-#include "core/cpu.h"
 #include "distance/edr_kernel.h"
 #include "obs/trace.h"
 #include "pruning/qgram.h"
@@ -73,75 +73,129 @@ QgramKnnSearcher::QgramKnnSearcher(const TrajectoryDataset& db,
   }
 }
 
-std::vector<size_t> QgramKnnSearcher::MatchCounts(
-    const Trajectory& query, const KnnOptions& options) const {
-  std::vector<size_t> counts(db_.size(), 0);
+namespace {
+
+/// Each member's Q-gram mean vector, through the feature cache under `key`.
+template <typename Build>
+auto MemberMeans(const std::vector<const Trajectory*>& queries,
+                 const KnnOptions& options, const std::string& key,
+                 const Build& build) {
+  using Means = std::invoke_result_t<const Build&, const Trajectory&>;
+  std::vector<std::shared_ptr<const Means>> means(queries.size());
+  for (size_t f = 0; f < queries.size(); ++f) {
+    means[f] = GetOrBuildFeature<Means>(options.feature_cache, key,
+                                        *queries[f],
+                                        [&] { return build(*queries[f]); });
+  }
+  return means;
+}
+
+/// The tree variants' count: the whole group's grams probe the shared
+/// read-only index in one pass, sorted by probe coordinate so neighbouring
+/// probes descend warm tree paths. `search(mean, visit)` visits the id of
+/// every indexed gram within epsilon of `mean`. A gram counts a trajectory
+/// at most once (a gram of Q either matches some gram of S or it does
+/// not), against its own member's last-gram array. Each (member, gram) is
+/// probed exactly once, so no count depends on the probe order.
+template <typename Mean, typename KeyFn, typename SearchFn>
+void CountByProbes(const std::vector<std::shared_ptr<const std::vector<Mean>>>&
+                       means,
+                   size_t n, const KeyFn& key, const SearchFn& search,
+                   std::vector<std::vector<size_t>>* counts) {
+  struct Probe {
+    double key;
+    uint32_t f;
+    uint32_t g;
+  };
+  std::vector<Probe> probes;
+  for (uint32_t f = 0; f < means.size(); ++f) {
+    for (uint32_t g = 0; g < means[f]->size(); ++g) {
+      probes.push_back({key((*means[f])[g]), f, g});
+    }
+  }
+  std::sort(probes.begin(), probes.end(), [](const Probe& a, const Probe& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.f != b.f ? a.f < b.f : a.g < b.g;
+  });
+  std::vector<std::vector<size_t>> last_gram(
+      means.size(), std::vector<size_t>(n, static_cast<size_t>(-1)));
+  for (const Probe& p : probes) {
+    std::vector<size_t>& lg = last_gram[p.f];
+    std::vector<size_t>& cnt = (*counts)[p.f];
+    search((*means[p.f])[p.g], [&](uint32_t id) {
+      if (lg[id] != p.g) {
+        lg[id] = p.g;
+        ++cnt[id];
+      }
+    });
+  }
+}
+
+}  // namespace
+
+std::vector<std::vector<size_t>> QgramKnnSearcher::MatchCounts(
+    const std::vector<const Trajectory*>& queries,
+    const KnnOptions& options) const {
+  const size_t group = queries.size();
+  std::vector<std::vector<size_t>> counts(
+      group, std::vector<size_t>(db_.size(), 0));
+  const auto raw_2d = [this](const Trajectory& t) {
+    return MeanValueQgrams(t, q_);
+  };
+  const auto raw_1d = [this](const Trajectory& t) {
+    return MeanValueQgrams1D(t, q_, /*use_x=*/true);
+  };
   switch (variant_) {
-    case QgramVariant::kRtree2D: {
-      // For each query-gram mean, probe the tree with the epsilon square
-      // and count each trajectory at most once per query gram (a gram of Q
-      // either matches some gram of S or it does not). Probes mutate the
-      // shared last_gram array, so this variant counts sequentially.
-      std::vector<size_t> last_gram(db_.size(), static_cast<size_t>(-1));
-      const auto means_ptr = GetOrBuildFeature<std::vector<Point2>>(
-          options.feature_cache, feature_key_, query,
-          [&] { return MeanValueQgrams(query, q_); });
-      const std::vector<Point2>& means = *means_ptr;
-      for (size_t g = 0; g < means.size(); ++g) {
-        rtree_->SearchRange(Rect::Around(means[g], epsilon_),
-                            [&](uint32_t id) {
-                              if (last_gram[id] != g) {
-                                last_gram[id] = g;
-                                ++counts[id];
-                              }
-                            });
-      }
+    case QgramVariant::kRtree2D:
+      CountByProbes(
+          MemberMeans(queries, options, feature_key_, raw_2d), db_.size(),
+          [](const Point2& m) { return m.x; },
+          [this](const Point2& m, const std::function<void(uint32_t)>& visit) {
+            rtree_->SearchRange(Rect::Around(m, epsilon_), visit);
+          },
+          &counts);
       break;
-    }
-    case QgramVariant::kBtree1D: {
-      std::vector<size_t> last_gram(db_.size(), static_cast<size_t>(-1));
-      const auto means_ptr = GetOrBuildFeature<std::vector<double>>(
-          options.feature_cache, feature_key_, query,
-          [&] { return MeanValueQgrams1D(query, q_, /*use_x=*/true); });
-      const std::vector<double>& means = *means_ptr;
-      for (size_t g = 0; g < means.size(); ++g) {
-        btree_->SearchRange(means[g] - epsilon_, means[g] + epsilon_,
-                            [&](double, uint32_t id) {
-                              if (last_gram[id] != g) {
-                                last_gram[id] = g;
-                                ++counts[id];
-                              }
-                            });
-      }
+    case QgramVariant::kBtree1D:
+      CountByProbes(
+          MemberMeans(queries, options, feature_key_, raw_1d), db_.size(),
+          [](double m) { return m; },
+          [this](double m, const std::function<void(uint32_t)>& visit) {
+            btree_->SearchRange(m - epsilon_, m + epsilon_,
+                                [&](double, uint32_t id) { visit(id); });
+          },
+          &counts);
       break;
-    }
     case QgramVariant::kMerge2D: {
-      const auto means_ptr = GetOrBuildFeature<std::vector<Point2>>(
-          options.feature_cache, feature_key_, query, [&] {
-            std::vector<Point2> m = MeanValueQgrams(query, q_);
+      const auto means =
+          MemberMeans(queries, options, feature_key_, [&](const Trajectory& t) {
+            std::vector<Point2> m = raw_2d(t);
             SortMeans(m);
             return m;
           });
-      const std::vector<Point2>& means = *means_ptr;
-      // Each trajectory's count reads only its own flat slice and writes
-      // only its own output element — shard the ids over the pool.
+      // Id-major: each trajectory's posting slice is merge-counted against
+      // every member while it is cache-hot. A count reads only its own
+      // slice and writes only its own element, so the ids shard over the
+      // pool.
       IntraQueryParallelFor(db_.size(), options, [&](size_t i) {
-        counts[i] =
-            means_->CountMatches2D(means, epsilon_, static_cast<uint32_t>(i));
+        for (size_t f = 0; f < group; ++f) {
+          counts[f][i] = means_->CountMatches2D(*means[f], epsilon_,
+                                                static_cast<uint32_t>(i));
+        }
       });
       break;
     }
     case QgramVariant::kMerge1D: {
-      const auto means_ptr = GetOrBuildFeature<std::vector<double>>(
-          options.feature_cache, feature_key_, query, [&] {
-            std::vector<double> m = MeanValueQgrams1D(query, q_, /*use_x=*/true);
+      const auto means =
+          MemberMeans(queries, options, feature_key_, [&](const Trajectory& t) {
+            std::vector<double> m = raw_1d(t);
             std::sort(m.begin(), m.end());
             return m;
           });
-      const std::vector<double>& means = *means_ptr;
       IntraQueryParallelFor(db_.size(), options, [&](size_t i) {
-        counts[i] =
-            means_->CountMatches1D(means, epsilon_, static_cast<uint32_t>(i));
+        for (size_t f = 0; f < group; ++f) {
+          counts[f][i] = means_->CountMatches1D(*means[f], epsilon_,
+                                                static_cast<uint32_t>(i));
+        }
       });
       break;
     }
@@ -151,26 +205,7 @@ std::vector<size_t> QgramKnnSearcher::MatchCounts(
 
 KnnResult QgramKnnSearcher::Knn(const Trajectory& query, size_t k,
                                 const KnnOptions& options) const {
-  const auto start = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  if (k == 0) {
-    // Nothing can be returned; skip the scan (and the -inf bestSoFar the
-    // threshold arithmetic below cannot represent).
-    out.stats.stages.FinalizeNotVisited(db_.size());
-    return out;
-  }
-
-  std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
-  RecordSchedBudget(trace.get(), options);
-  TraceSpan filter_span(trace.get(), "match_count");
-  const std::vector<size_t> counts = MatchCounts(query, options);
-  filter_span.End();
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return RefineWithCounts(query, k, options, counts, std::move(trace),
-                          filter_seconds);
+  return std::move(KnnFused({&query}, k, options)[0]);
 }
 
 std::vector<KnnResult> QgramKnnSearcher::KnnFused(
@@ -181,6 +216,8 @@ std::vector<KnnResult> QgramKnnSearcher::KnnFused(
   if (group == 0) return results;
   const auto start = std::chrono::steady_clock::now();
   if (k == 0) {
+    // Nothing can be returned; skip the scan (and the -inf bestSoFar the
+    // threshold arithmetic cannot represent).
     for (KnnResult& r : results) {
       r.stats.db_size = db_.size();
       r.stats.stages.FinalizeNotVisited(db_.size());
@@ -193,144 +230,10 @@ std::vector<KnnResult> QgramKnnSearcher::KnnFused(
   for (size_t f = 0; f < group; ++f) {
     traces[f] = MakeQueryTrace();
     RecordSchedBudget(traces[f].get(), options);
-    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("fused_sweep");
+    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("match_count");
   }
-
-  // Merge variants: one streaming pass over the flat posting arrays per
-  // id-shard — each trajectory's slice is merge-counted against every
-  // member while it is cache-hot, members chunked to the kernel group
-  // width. Tree variants: one probe pass over the shared read-only index —
-  // every member's grams are probed with private (per-member) dedup and
-  // count state, the whole group's probes sorted by coordinate so
-  // neighboring probes descend warm tree paths.
-  std::vector<std::vector<size_t>> counts(
-      group, std::vector<size_t>(db_.size(), 0));
-  if (variant_ == QgramVariant::kRtree2D) {
-    std::vector<std::shared_ptr<const std::vector<Point2>>> features(group);
-    for (size_t f = 0; f < group; ++f) {
-      features[f] = GetOrBuildFeature<std::vector<Point2>>(
-          options.feature_cache, feature_key_, *queries[f],
-          [&] { return MeanValueQgrams(*queries[f], q_); });
-    }
-    // Per-member probe state keeps the shared tree re-entrant: a gram of
-    // member f deduplicates only against f's own last-gram array, exactly
-    // as f's solo MatchCounts pass would.
-    std::vector<std::vector<size_t>> last_gram(
-        group, std::vector<size_t>(db_.size(), static_cast<size_t>(-1)));
-    struct Probe {
-      double key;
-      uint32_t f;
-      uint32_t g;
-    };
-    std::vector<Probe> probes;
-    for (uint32_t f = 0; f < group; ++f) {
-      const std::vector<Point2>& means = *features[f];
-      for (uint32_t g = 0; g < means.size(); ++g) {
-        probes.push_back({means[g].x, f, g});
-      }
-    }
-    // Deterministic coordinate order; each (member, gram) appears exactly
-    // once, so any probe order yields the same counts.
-    std::sort(probes.begin(), probes.end(),
-              [](const Probe& a, const Probe& b) {
-                if (a.key != b.key) return a.key < b.key;
-                return a.f != b.f ? a.f < b.f : a.g < b.g;
-              });
-    for (const Probe& p : probes) {
-      const Point2& mean = (*features[p.f])[p.g];
-      std::vector<size_t>& lg = last_gram[p.f];
-      std::vector<size_t>& cnt = counts[p.f];
-      const size_t g = p.g;
-      rtree_->SearchRange(Rect::Around(mean, epsilon_), [&](uint32_t id) {
-        if (lg[id] != g) {
-          lg[id] = g;
-          ++cnt[id];
-        }
-      });
-    }
-  } else if (variant_ == QgramVariant::kBtree1D) {
-    std::vector<std::shared_ptr<const std::vector<double>>> features(group);
-    for (size_t f = 0; f < group; ++f) {
-      features[f] = GetOrBuildFeature<std::vector<double>>(
-          options.feature_cache, feature_key_, *queries[f], [&] {
-            return MeanValueQgrams1D(*queries[f], q_, /*use_x=*/true);
-          });
-    }
-    std::vector<std::vector<size_t>> last_gram(
-        group, std::vector<size_t>(db_.size(), static_cast<size_t>(-1)));
-    struct Probe {
-      double key;
-      uint32_t f;
-      uint32_t g;
-    };
-    std::vector<Probe> probes;
-    for (uint32_t f = 0; f < group; ++f) {
-      const std::vector<double>& means = *features[f];
-      for (uint32_t g = 0; g < means.size(); ++g) {
-        probes.push_back({means[g], f, g});
-      }
-    }
-    std::sort(probes.begin(), probes.end(),
-              [](const Probe& a, const Probe& b) {
-                if (a.key != b.key) return a.key < b.key;
-                return a.f != b.f ? a.f < b.f : a.g < b.g;
-              });
-    for (const Probe& p : probes) {
-      std::vector<size_t>& lg = last_gram[p.f];
-      std::vector<size_t>& cnt = counts[p.f];
-      const size_t g = p.g;
-      btree_->SearchRange(p.key - epsilon_, p.key + epsilon_,
-                          [&](double, uint32_t id) {
-                            if (lg[id] != g) {
-                              lg[id] = g;
-                              ++cnt[id];
-                            }
-                          });
-    }
-  } else if (variant_ == QgramVariant::kMerge2D) {
-    std::vector<std::shared_ptr<const std::vector<Point2>>> features(group);
-    for (size_t f = 0; f < group; ++f) {
-      features[f] = GetOrBuildFeature<std::vector<Point2>>(
-          options.feature_cache, feature_key_, *queries[f], [&] {
-            std::vector<Point2> m = MeanValueQgrams(*queries[f], q_);
-            SortMeans(m);
-            return m;
-          });
-    }
-    for (size_t base = 0; base < group; base += kMaxFusionGroup) {
-      const size_t chunk = std::min(kMaxFusionGroup, group - base);
-      std::vector<const std::vector<Point2>*> qms(chunk);
-      for (size_t c = 0; c < chunk; ++c) qms[c] = features[base + c].get();
-      IntraQueryParallelFor(db_.size(), options, [&](size_t i) {
-        size_t tmp[kMaxFusionGroup];
-        means_->CountMatchesFused2D(qms, epsilon_,
-                                    static_cast<uint32_t>(i), tmp);
-        for (size_t c = 0; c < chunk; ++c) counts[base + c][i] = tmp[c];
-      });
-    }
-  } else {
-    std::vector<std::shared_ptr<const std::vector<double>>> features(group);
-    for (size_t f = 0; f < group; ++f) {
-      features[f] = GetOrBuildFeature<std::vector<double>>(
-          options.feature_cache, feature_key_, *queries[f], [&] {
-            std::vector<double> m =
-                MeanValueQgrams1D(*queries[f], q_, /*use_x=*/true);
-            std::sort(m.begin(), m.end());
-            return m;
-          });
-    }
-    for (size_t base = 0; base < group; base += kMaxFusionGroup) {
-      const size_t chunk = std::min(kMaxFusionGroup, group - base);
-      std::vector<const std::vector<double>*> qms(chunk);
-      for (size_t c = 0; c < chunk; ++c) qms[c] = features[base + c].get();
-      IntraQueryParallelFor(db_.size(), options, [&](size_t i) {
-        size_t tmp[kMaxFusionGroup];
-        means_->CountMatchesFused1D(qms, epsilon_,
-                                    static_cast<uint32_t>(i), tmp);
-        for (size_t c = 0; c < chunk; ++c) counts[base + c][i] = tmp[c];
-      });
-    }
-  }
+  const std::vector<std::vector<size_t>> counts =
+      MatchCounts(queries, options);
   for (size_t f = 0; f < group; ++f) {
     if (traces[f] != nullptr) traces[f]->End(span_ids[f]);
   }
@@ -468,7 +371,7 @@ uint64_t QgramKnnSearcher::FusionFingerprint(const Trajectory& query) const {
 KnnResult QgramKnnSearcher::Range(const Trajectory& query, int radius,
                                   size_t max_results) const {
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<size_t> counts = MatchCounts(query);
+  const std::vector<size_t> counts = std::move(MatchCounts({&query})[0]);
   const EdrKernel kernel = DefaultEdrKernel();
   EdrScratch& scratch = ThreadLocalEdrScratch();
 

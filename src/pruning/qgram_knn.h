@@ -48,25 +48,17 @@ class QgramKnnSearcher {
   QgramKnnSearcher(const TrajectoryDataset& db, double epsilon, int q,
                    QgramVariant variant);
 
-  /// Answers a k-NN query. Thread-compatible: concurrent calls on distinct
-  /// searchers are safe; a single searcher is read-only at query time.
-  /// `options` shards the counting and refinement passes over the thread
-  /// pool; results are bit-identical for every worker count.
+  /// KnnFused for a group of one. Thread-compatible: concurrent calls on
+  /// distinct searchers are safe; a single searcher is read-only at query
+  /// time.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
 
-  /// Answers a fusion group of queries with one fused counting pass, then
-  /// each member runs the unchanged count-ordered refinement; `results[i]`
-  /// is bit-identical to `Knn(*queries[i], k, options)`. The merge-join
-  /// variants (PS2/PS1) stream the flat posting arrays once, merge-counting
-  /// every trajectory's cache-hot mean slice against all members. The
-  /// tree-probe variants (PR/PB) fuse too: probe state (`last_gram` dedup +
-  /// counts) is per member, making the shared tree's read-only range
-  /// probes re-entrant, and the whole group's probes run in one pass
-  /// ordered by probe coordinate so neighboring probes share tree paths.
-  /// Counts are probe-order invariant — each (member, gram) is probed
-  /// exactly once and deduped against that member's own state — which is
-  /// what makes the fused tree pass bit-identical to member-wise calls.
+  /// The query path: one counting pass for a whole fusion group
+  /// (MatchCounts), then each member runs its own count-ordered
+  /// refinement. A member's answer is the same for every group size and
+  /// worker count. `options` shards the counting (merge variants) and the
+  /// refinement over the thread pool.
   std::vector<KnnResult> KnnFused(
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
@@ -88,19 +80,25 @@ class QgramKnnSearcher {
   KnnResult Range(const Trajectory& query, int radius,
                   size_t max_results = 0) const;
 
-  /// Per-trajectory matching-gram counts for a query; exposed for tests
-  /// and for the combined searcher. The merge-join variants (PS1/PS2)
-  /// count independent per-trajectory slices, so `options` can shard them
-  /// over the pool; the tree-probe variants (PR/PB) stay sequential.
-  std::vector<size_t> MatchCounts(const Trajectory& query,
-                                  const KnnOptions& options = {}) const;
+  /// Per-trajectory matching-gram counts for every member of a group:
+  /// `counts[f][id]` counts the grams of `*queries[f]` matching some gram
+  /// of db[id], whatever the group. The merge-join variants (PS2/PS1)
+  /// count id-major, so each trajectory's posting slice is merged against
+  /// every member while it is cache-hot, and `options` shards the ids over
+  /// the pool. The tree variants (PR/PB) probe the shared read-only index
+  /// once for the whole group, ordered by probe coordinate so neighbouring
+  /// probes share tree paths, with per-member dedup state; they stay
+  /// sequential. Exposed for tests.
+  std::vector<std::vector<size_t>> MatchCounts(
+      const std::vector<const Trajectory*>& queries,
+      const KnnOptions& options = {}) const;
 
   QgramVariant variant() const { return variant_; }
   int q() const { return q_; }
   std::string name() const;
 
  private:
-  /// Everything after the counting pass, shared by Knn and KnnFused:
+  /// Everything after the counting pass, for one member:
   /// descending-count ordering, Theorem-3 pruning, bounded refinement,
   /// stats/trace fill-in.
   KnnResult RefineWithCounts(const Trajectory& query, size_t k,

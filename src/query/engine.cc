@@ -54,16 +54,14 @@ const QgramKnnSearcher& QueryEngine::Qgram(QgramVariant variant, int q) {
 
 const HistogramKnnSearcher& QueryEngine::Histogram(HistogramTable::Kind kind,
                                                    int delta,
-                                                   HistogramScan scan,
-                                                   HistogramLayout layout) {
-  const auto key = std::make_tuple(static_cast<int>(kind), delta,
-                                   static_cast<int>(scan),
-                                   static_cast<int>(layout));
+                                                   HistogramScan scan) {
+  const auto key =
+      std::make_tuple(static_cast<int>(kind), delta, static_cast<int>(scan));
   auto it = histograms_.find(key);
   if (it == histograms_.end()) {
     it = histograms_
              .emplace(key, std::make_unique<HistogramKnnSearcher>(
-                               db_, epsilon_, kind, delta, scan, layout))
+                               db_, epsilon_, kind, delta, scan))
              .first;
   }
   return *it->second;
@@ -117,8 +115,6 @@ const CombinedKnnSearcher& QueryEngine::Combined(
   key += "/q" + std::to_string(options.q);
   key += "/t" + std::to_string(options.max_triangle);
   key += options.sorted_histogram_scan ? "/sorted" : "/seq";
-  key += "/";
-  key += HistogramLayoutName(options.histogram_layout);
   auto it = combined_.find(key);
   if (it == combined_.end()) {
     it = combined_
@@ -130,15 +126,13 @@ const CombinedKnnSearcher& QueryEngine::Combined(
   return *it->second;
 }
 
-const LcssKnnSearcher& QueryEngine::Lcss(LcssFilter filter,
-                                         HistogramLayout layout) {
-  const auto key =
-      std::make_pair(static_cast<int>(filter), static_cast<int>(layout));
+const LcssKnnSearcher& QueryEngine::Lcss(LcssFilter filter) {
+  const int key = static_cast<int>(filter);
   auto it = lcss_.find(key);
   if (it == lcss_.end()) {
     it = lcss_
              .emplace(key, std::make_unique<LcssKnnSearcher>(db_, epsilon_,
-                                                             filter, layout))
+                                                             filter))
              .first;
   }
   return *it->second;
@@ -230,9 +224,8 @@ NamedSearcher QueryEngine::MakeQgram(QgramVariant variant, int q,
 
 NamedSearcher QueryEngine::MakeHistogram(HistogramTable::Kind kind, int delta,
                                          HistogramScan scan,
-                                         const KnnOptions& options,
-                                         HistogramLayout layout) {
-  return MakeNamed(Histogram(kind, delta, scan, layout), options);
+                                         const KnnOptions& options) {
+  return MakeNamed(Histogram(kind, delta, scan), options);
 }
 
 NamedSearcher QueryEngine::MakeNearTriangle(size_t max_triangle,
@@ -251,9 +244,8 @@ NamedSearcher QueryEngine::MakeCombined(const CombinedOptions& options,
 }
 
 NamedSearcher QueryEngine::MakeLcss(LcssFilter filter,
-                                    const KnnOptions& options,
-                                    HistogramLayout layout) {
-  return MakeNamed(Lcss(filter, layout), options);
+                                    const KnnOptions& options) {
+  return MakeNamed(Lcss(filter), options);
 }
 
 }  // namespace edr

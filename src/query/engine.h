@@ -108,11 +108,9 @@ class QueryEngine {
   /// Mean-value Q-gram searcher (Section 4.1), cached per (variant, q).
   const QgramKnnSearcher& Qgram(QgramVariant variant, int q);
 
-  /// Histogram searcher (Section 4.3), cached per (kind, delta, scan,
-  /// layout).
-  const HistogramKnnSearcher& Histogram(
-      HistogramTable::Kind kind, int delta, HistogramScan scan,
-      HistogramLayout layout = HistogramLayout::kAdaptive);
+  /// Histogram searcher (Section 4.3), cached per (kind, delta, scan).
+  const HistogramKnnSearcher& Histogram(HistogramTable::Kind kind, int delta,
+                                        HistogramScan scan);
 
   /// Near-triangle searcher (Section 4.2), cached per reference budget.
   const NearTriangleSearcher& NearTriangle(size_t max_triangle = 400);
@@ -124,10 +122,8 @@ class QueryEngine {
   const CombinedKnnSearcher& Combined(const CombinedOptions& options);
 
   /// LCSS searcher (the paper's "details omitted" transfer of the pruning
-  /// techniques to LCSS), cached per (filter, layout).
-  const LcssKnnSearcher& Lcss(
-      LcssFilter filter,
-      HistogramLayout layout = HistogramLayout::kAdaptive);
+  /// techniques to LCSS), cached per filter.
+  const LcssKnnSearcher& Lcss(LcssFilter filter);
 
   /// Convenience wrappers producing NamedSearcher handles. The bound
   /// `options` configure intra-query parallelism for every call made
@@ -135,18 +131,16 @@ class QueryEngine {
   NamedSearcher MakeSeqScan(bool early_abandon = false) const;
   NamedSearcher MakeQgram(QgramVariant variant, int q,
                           const KnnOptions& options = {});
-  NamedSearcher MakeHistogram(
-      HistogramTable::Kind kind, int delta, HistogramScan scan,
-      const KnnOptions& options = {},
-      HistogramLayout layout = HistogramLayout::kAdaptive);
+  NamedSearcher MakeHistogram(HistogramTable::Kind kind, int delta,
+                              HistogramScan scan,
+                              const KnnOptions& options = {});
   NamedSearcher MakeNearTriangle(size_t max_triangle = 400,
                                  const KnnOptions& options = {});
   NamedSearcher MakeCse(size_t max_triangle = 400,
                         const KnnOptions& options = {});
   NamedSearcher MakeCombined(const CombinedOptions& options,
                              const KnnOptions& knn_options = {});
-  NamedSearcher MakeLcss(LcssFilter filter, const KnnOptions& options = {},
-                         HistogramLayout layout = HistogramLayout::kAdaptive);
+  NamedSearcher MakeLcss(LcssFilter filter, const KnnOptions& options = {});
 
  private:
   /// Reference-column matrix shared by NTR / CSE / combined searchers.
@@ -156,14 +150,13 @@ class QueryEngine {
   double epsilon_;
 
   std::map<std::pair<int, int>, std::unique_ptr<QgramKnnSearcher>> qgrams_;
-  std::map<std::tuple<int, int, int, int>,
-           std::unique_ptr<HistogramKnnSearcher>>
+  std::map<std::tuple<int, int, int>, std::unique_ptr<HistogramKnnSearcher>>
       histograms_;
   std::map<size_t, std::unique_ptr<PairwiseEdrMatrix>> matrices_;
   std::map<size_t, std::unique_ptr<NearTriangleSearcher>> near_triangles_;
   std::map<size_t, std::unique_ptr<CseSearcher>> cses_;
   std::map<std::string, std::unique_ptr<CombinedKnnSearcher>> combined_;
-  std::map<std::pair<int, int>, std::unique_ptr<LcssKnnSearcher>> lcss_;
+  std::map<int, std::unique_ptr<LcssKnnSearcher>> lcss_;
 };
 
 }  // namespace edr

@@ -40,7 +40,7 @@ struct KnnOptions {
   /// fusion group's sweep derives from its members);
   /// nullptr = rebuild the plan every fused call. Cached plans are
   /// bit-identical to freshly built ones, so attaching a cache never
-  /// changes results. Ignored by single-query calls.
+  /// changes results. Groups of one never consult it.
   FusedPlanCache* plan_cache = nullptr;
 };
 

@@ -41,8 +41,9 @@ struct ThreadPoolStats {
 /// A persistent work-stealing thread pool for batch query execution.
 ///
 /// Workers are spawned once and parked on a condition variable between
-/// jobs, so repeated ParallelFor calls (ParallelKnn, QueryEngine::KnnBatch,
-/// PairwiseEdrMatrix builds) pay no thread create/join cost per call.
+/// jobs, so repeated ParallelFor calls (QueryEngine::KnnBatch, intra-query
+/// sharding, PairwiseEdrMatrix builds) pay no thread create/join cost per
+/// call.
 /// Because the workers are persistent, each worker's ThreadLocalEdrScratch
 /// stays warm across calls: after the first batch, no distance computation
 /// on the pool touches the allocator.

@@ -7,6 +7,7 @@
 #include "distance/edr_kernel.h"
 #include "pruning/histogram.h"
 #include "pruning/qgram.h"
+#include "pruning/qgram_knn.h"
 #include "test_util.h"
 
 namespace edr {
@@ -15,8 +16,7 @@ namespace {
 constexpr double kEps = 0.25;
 
 const KernelLevel kAllLevels[] = {KernelLevel::kScalar, KernelLevel::kSse2,
-                                  KernelLevel::kAvx2, KernelLevel::kAvx512,
-                                  KernelLevel::kNeon};
+                                  KernelLevel::kAvx2, KernelLevel::kAvx512};
 
 /// Restores the environment-resolved dispatch level however a test exits.
 struct LevelGuard {
@@ -84,9 +84,7 @@ TEST(CpuDispatchTest, AllSupportedLevelsBitIdentical) {
   EdrScratch scratch;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const auto qh = table.MakeQueryHistogram(queries[qi]);
-    std::vector<int> sweep;
-    table.FastLowerBoundSweep(qh, &sweep);
-    base_sweeps.push_back(std::move(sweep));
+    base_sweeps.push_back(testutil::SweepOne(table, qh));
     std::vector<size_t> counts(db.size());
     std::vector<int> dists(db.size());
     for (uint32_t id = 0; id < db.size(); ++id) {
@@ -103,9 +101,7 @@ TEST(CpuDispatchTest, AllSupportedLevelsBitIdentical) {
     SCOPED_TRACE(KernelLevelName(level));
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const auto qh = table.MakeQueryHistogram(queries[qi]);
-      std::vector<int> sweep;
-      table.FastLowerBoundSweep(qh, &sweep);
-      EXPECT_EQ(sweep, base_sweeps[qi]);
+      EXPECT_EQ(testutil::SweepOne(table, qh), base_sweeps[qi]);
       for (uint32_t id = 0; id < db.size(); ++id) {
         ASSERT_EQ(means_table.CountMatches2D(query_means[qi], kEps, id),
                   base_counts[qi][id])
@@ -118,9 +114,9 @@ TEST(CpuDispatchTest, AllSupportedLevelsBitIdentical) {
   }
 }
 
-// The bitmap word-walk and blocked-sparse scatter column kernels, plus the
-// fused query-major kernels on top of them, must be bit-identical to the
-// pinned-scalar baseline at every supported level. The dataset is shaped
+// The bitmap word-walk and blocked-sparse scatter column kernels must be
+// bit-identical to the pinned-scalar baseline at every supported level,
+// for one query and for a group. The dataset is shaped
 // so the adaptive table holds all four column layouts at once: a tight
 // all-ones cluster (bitmap), a repeated-point cluster (dense), far-away
 // random walks (blocked-sparse), and untouched space (empty).
@@ -148,8 +144,7 @@ TEST(CpuDispatchTest, MixedLayoutSweepsBitIdenticalAcrossLevels) {
     }
     db.Add(w);
   }
-  const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1,
-                             HistogramLayout::kAdaptive);
+  const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1);
   const HistogramStorageStats stats = table.storage_stats();
   ASSERT_GT(stats.raw.bitmap_columns, 0u);
   ASSERT_GT(stats.raw.sparse_columns, 0u);
@@ -168,10 +163,10 @@ TEST(CpuDispatchTest, MixedLayoutSweepsBitIdenticalAcrossLevels) {
   std::vector<std::vector<int>> base_fused(qhs.size());
   std::vector<std::vector<int>*> base_outs;
   for (size_t i = 0; i < qhs.size(); ++i) {
-    table.FastLowerBoundSweep(qhs[i], &base_single[i]);
+    base_single[i] = testutil::SweepOne(table, qhs[i]);
     base_outs.push_back(&base_fused[i]);
   }
-  table.FastLowerBoundSweepFused(group, base_outs);
+  table.FastLowerBoundSweep(group, base_outs);
   for (size_t i = 0; i < qhs.size(); ++i) {
     ASSERT_EQ(base_fused[i], base_single[i]) << "scalar fused i=" << i;
   }
@@ -181,58 +176,43 @@ TEST(CpuDispatchTest, MixedLayoutSweepsBitIdenticalAcrossLevels) {
     ASSERT_TRUE(SetActiveKernelLevel(level));
     SCOPED_TRACE(KernelLevelName(level));
     for (size_t i = 0; i < qhs.size(); ++i) {
-      std::vector<int> sweep;
-      table.FastLowerBoundSweep(qhs[i], &sweep);
-      EXPECT_EQ(sweep, base_single[i]) << "single i=" << i;
+      EXPECT_EQ(testutil::SweepOne(table, qhs[i]), base_single[i])
+          << "single i=" << i;
     }
     std::vector<std::vector<int>> fused(qhs.size());
     std::vector<std::vector<int>*> outs;
     for (size_t i = 0; i < qhs.size(); ++i) outs.push_back(&fused[i]);
-    table.FastLowerBoundSweepFused(group, outs);
+    table.FastLowerBoundSweep(group, outs);
     for (size_t i = 0; i < qhs.size(); ++i) {
       EXPECT_EQ(fused[i], base_single[i]) << "fused i=" << i;
     }
   }
 }
 
-// The fused Q-gram merge-count kernels must match the scalar baseline at
-// every supported level and group size.
+// A group's Q-gram counts (QgramKnnSearcher::MatchCounts, both merge
+// variants) must match the scalar per-member counts at every supported
+// level.
 TEST(CpuDispatchTest, FusedQgramCountsBitIdenticalAcrossLevels) {
   LevelGuard guard;
   const TrajectoryDataset db = testutil::SmallDataset(605, 200, 6, 40);
   const auto queries = testutil::MakeQueries(db, 606, 4);
-  const QgramMeansTable means_table(db, /*q=*/1, /*dims=*/2);
-  std::vector<std::vector<Point2>> query_means;
-  std::vector<const std::vector<Point2>*> group;
-  for (const Trajectory& q : queries) {
-    std::vector<Point2> means = MeanValueQgrams(q, 1);
-    SortMeans(means);
-    query_means.push_back(std::move(means));
-  }
-  for (const auto& m : query_means) group.push_back(&m);
+  std::vector<const Trajectory*> group;
+  for (const Trajectory& q : queries) group.push_back(&q);
 
-  ASSERT_TRUE(SetActiveKernelLevel(KernelLevel::kScalar));
-  std::vector<std::vector<size_t>> base(group.size(),
-                                        std::vector<size_t>(db.size()));
-  std::vector<size_t> tmp(group.size());
-  for (uint32_t id = 0; id < db.size(); ++id) {
-    means_table.CountMatchesFused2D(group, kEps, id, tmp.data());
-    for (size_t f = 0; f < group.size(); ++f) {
-      ASSERT_EQ(tmp[f], means_table.CountMatches2D(*group[f], kEps, id))
-          << "scalar fused id=" << id;
-      base[f][id] = tmp[f];
+  for (const QgramVariant variant :
+       {QgramVariant::kMerge2D, QgramVariant::kMerge1D}) {
+    const QgramKnnSearcher searcher(db, kEps, /*q=*/1, variant);
+    SCOPED_TRACE(QgramVariantName(variant));
+    ASSERT_TRUE(SetActiveKernelLevel(KernelLevel::kScalar));
+    std::vector<std::vector<size_t>> base;
+    for (const Trajectory* q : group) {
+      base.push_back(std::move(searcher.MatchCounts({q})[0]));
     }
-  }
-
-  for (const KernelLevel level : kAllLevels) {
-    if (!KernelLevelSupported(level)) continue;
-    ASSERT_TRUE(SetActiveKernelLevel(level));
-    SCOPED_TRACE(KernelLevelName(level));
-    for (uint32_t id = 0; id < db.size(); ++id) {
-      means_table.CountMatchesFused2D(group, kEps, id, tmp.data());
-      for (size_t f = 0; f < group.size(); ++f) {
-        ASSERT_EQ(tmp[f], base[f][id]) << "id=" << id << " member=" << f;
-      }
+    for (const KernelLevel level : kAllLevels) {
+      if (!KernelLevelSupported(level)) continue;
+      ASSERT_TRUE(SetActiveKernelLevel(level));
+      SCOPED_TRACE(KernelLevelName(level));
+      EXPECT_EQ(searcher.MatchCounts(group), base);
     }
   }
 }

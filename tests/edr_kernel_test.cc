@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <type_traits>
@@ -16,8 +17,8 @@
 #include "distance/distance3.h"
 #include "distance/edr.h"
 #include "pruning/combined.h"
+#include "query/engine.h"
 #include "query/knn.h"
-#include "query/parallel.h"
 #include "test_util.h"
 
 namespace edr {
@@ -254,7 +255,7 @@ void ExpectAllLevelsExact(const TrajectoryT& a, const TrajectoryT& b,
   const int expected = EdrDistance(a, b, eps);
   for (const KernelLevel level :
        {KernelLevel::kScalar, KernelLevel::kSse2, KernelLevel::kAvx2,
-        KernelLevel::kAvx512, KernelLevel::kNeon}) {
+        KernelLevel::kAvx512}) {
     if (!SetActiveKernelLevel(level)) continue;
     SCOPED_TRACE(KernelLevelName(level));
     ASSERT_EQ(EdrDistanceBitParallel(a, b, eps, scratch), expected)
@@ -320,8 +321,7 @@ void ExpectBoundedIdenticalAcrossLevels(const TrajectoryT& a,
     const int reference =
         EdrDistanceBitParallelBounded(a, b, eps, bound, scratch);
     for (const KernelLevel level :
-         {KernelLevel::kSse2, KernelLevel::kAvx2, KernelLevel::kAvx512,
-          KernelLevel::kNeon}) {
+         {KernelLevel::kSse2, KernelLevel::kAvx2, KernelLevel::kAvx512}) {
       if (!SetActiveKernelLevel(level)) continue;
       ASSERT_EQ(EdrDistanceBitParallelBounded(a, b, eps, bound, scratch),
                 reference)
@@ -391,21 +391,42 @@ TEST(EdrKernelTest, CombinedSearcherLosslessUnderBothKernels) {
   }
 }
 
-// ParallelKnn workers each use their own thread-local scratch; results
-// must match the single-threaded scan exactly.
-TEST(EdrKernelTest, ParallelKnnMatchesSequentialWithThreadLocalScratch) {
+// Pool workers answering a batch each use their own thread-local scratch;
+// results must match the single-threaded scan exactly.
+TEST(EdrKernelTest, KnnBatchMatchesSequentialWithThreadLocalScratch) {
   KernelGuard guard;
   SetDefaultEdrKernel(EdrKernel::kBitParallel);
   const TrajectoryDataset db = testutil::SmallDataset(31, 40);
   const std::vector<Trajectory> queries = testutil::MakeQueries(db, 32, 6);
+  const QueryEngine engine(db, 0.25);
 
-  const auto search = [&db](const Trajectory& q, size_t k) {
-    return SequentialScanKnn(db, q, k, 0.25);
-  };
-  const std::vector<KnnResult> parallel = ParallelKnn(search, queries, 5, 4);
+  const std::vector<KnnResult> batch =
+      engine.KnnBatch(engine.MakeSeqScan(), queries, 5, 4);
+  ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    const KnnResult seq = search(queries[i], 5);
-    EXPECT_TRUE(SameKnnDistances(seq, parallel[i])) << "query " << i;
+    const KnnResult seq = SequentialScanKnn(db, queries[i], 5, 0.25);
+    EXPECT_TRUE(SameKnnDistances(seq, batch[i])) << "query " << i;
+  }
+}
+
+// The pattern rows and group boxes start on 64-byte boundaries however
+// often ReservePattern regrows them, so the widest match kernel's 64-byte
+// loads never straddle two cache lines.
+TEST(EdrKernelTest, ScratchPatternBuffersAreCacheLineAligned) {
+  EdrScratch scratch;
+  const auto aligned = [](const double* p) {
+    return reinterpret_cast<uintptr_t>(p) % 64 == 0;
+  };
+  std::vector<std::vector<char>> held;
+  for (const size_t m : {1, 64, 65, 200, 640, 1000, 4097}) {
+    // Odd-sized allocations kept alive between regrowths move where the
+    // heap would otherwise place the next buffers.
+    held.emplace_back(m * 8 + 24);
+    scratch.ReservePattern(m);
+    EXPECT_TRUE(aligned(scratch.px())) << "m=" << m;
+    EXPECT_TRUE(aligned(scratch.py())) << "m=" << m;
+    EXPECT_TRUE(aligned(scratch.pz())) << "m=" << m;
+    EXPECT_TRUE(aligned(scratch.box())) << "m=" << m;
   }
 }
 

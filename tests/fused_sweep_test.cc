@@ -1,10 +1,9 @@
-// Certifies the fused multi-query filter sweeps bit-identical to the
-// single-query paths at every level of the stack: the histogram table's
-// fused bound sweep (all four adaptive column layouts, both table kinds),
-// the Q-gram means table's fused merge-count, every fused-capable
-// searcher's KnnFused, and the adaptive scheduler's fusion-group
-// formation. Fusing amortizes database streaming across a query group —
-// it must never change any member's answer.
+// Certifies group (fused) filter passes bit-identical to groups of one at
+// every level of the stack: the histogram table's bound sweep (all four
+// column layouts, both table kinds), the Q-gram searchers' group counts,
+// every fusion-capable searcher's KnnFused, and the adaptive scheduler's
+// fusion-group formation. Fusing amortizes database streaming across a
+// query group — it must never change any member's answer.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +42,7 @@ const std::vector<Trajectory>& Queries() {
   return queries;
 }
 
-/// A dataset whose adaptive histogram table holds all four column layouts
+/// A dataset whose histogram table holds all four column layouts
 /// at once (at epsilon 0.05): 220 single-point trajectories in a tight
 /// cluster fill a few bins with all-ones counts at high occupancy
 /// (bitmap), 150 repeated-point trajectories in a second tight cluster
@@ -76,8 +75,8 @@ TrajectoryDataset MixedLayoutDataset() {
   return db;
 }
 
-/// Group sizes the certification sweeps: singleton, partial, the kernels'
-/// register-blocking width, and one past it (exercises chunking).
+/// Group sizes the certification sweeps: singleton, partial, the sweep's
+/// group width, and one past it (exercises chunking).
 std::vector<size_t> GroupSizes() {
   return {1, 2, kMaxFusionGroup, kMaxFusionGroup + 3};
 }
@@ -92,7 +91,7 @@ void ExpectFusedSweepMatches(const HistogramTable& table,
 
   std::vector<std::vector<int>> expected(qhs.size());
   for (size_t i = 0; i < qhs.size(); ++i) {
-    table.FastLowerBoundSweep(qhs[i], &expected[i]);
+    expected[i] = testutil::SweepOne(table, qhs[i]);
   }
 
   for (const size_t g : GroupSizes()) {
@@ -103,11 +102,8 @@ void ExpectFusedSweepMatches(const HistogramTable& table,
       group[i] = &qhs[i % qhs.size()];
       outs[i] = &fused[i];
     }
-    if (options != nullptr) {
-      table.FastLowerBoundSweepFusedParallel(group, outs, *options);
-    } else {
-      table.FastLowerBoundSweepFused(group, outs);
-    }
+    table.FastLowerBoundSweep(group, outs,
+                              options != nullptr ? *options : KnnOptions{});
     for (size_t i = 0; i < g; ++i) {
       EXPECT_EQ(fused[i], expected[i % qhs.size()])
           << context << " group=" << g << " member=" << i;
@@ -115,9 +111,11 @@ void ExpectFusedSweepMatches(const HistogramTable& table,
   }
 }
 
-// The core tentpole guarantee at the table level: fused bounds are bit
-// for bit the single-sweep bounds for every group size, both table kinds,
-// both layout policies, sequential and sharded over 4 workers.
+// The core guarantee at the table level: group bounds are bit for bit
+// the bounds of groups of one for every group size, both table kinds, at
+// two grid resolutions (epsilon 0.25 mixes dense, bitmap and sparse
+// columns; epsilon 4 is nearly all dense), sequential and sharded over 4
+// workers.
 TEST(FusedSweepTest, TableBoundsBitIdenticalAllKindsAndLayouts) {
   static ThreadPool pool(4);
   KnnOptions parallel;
@@ -126,12 +124,11 @@ TEST(FusedSweepTest, TableBoundsBitIdenticalAllKindsAndLayouts) {
   const auto queries = testutil::MakeQueries(Db(), 1203, 8);
   for (const HistogramTable::Kind kind :
        {HistogramTable::Kind::k2D, HistogramTable::Kind::k1D}) {
-    for (const HistogramLayout layout :
-         {HistogramLayout::kAdaptive, HistogramLayout::kDense}) {
-      const HistogramTable table(Db(), kEps, kind, 1, layout);
+    for (const double eps : {kEps, 4.0}) {
+      const HistogramTable table(Db(), eps, kind, 1);
       const std::string context =
           std::string(kind == HistogramTable::Kind::k2D ? "2d/" : "1d/") +
-          HistogramLayoutName(layout);
+          "eps=" + std::to_string(eps);
       ExpectFusedSweepMatches(table, queries, nullptr, context + "/seq");
       ExpectFusedSweepMatches(table, queries, &parallel, context + "/par4");
     }
@@ -144,8 +141,7 @@ TEST(FusedSweepTest, TableBoundsBitIdenticalAllKindsAndLayouts) {
 // within a single sweep.
 TEST(FusedSweepTest, AllFourColumnLayoutsInOneFusedSweep) {
   const TrajectoryDataset db = MixedLayoutDataset();
-  const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1,
-                             HistogramLayout::kAdaptive);
+  const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1);
   const HistogramStorageStats stats = table.storage_stats();
   ASSERT_GT(stats.raw.dense_columns, 0u) << "dataset no longer drives dense";
   ASSERT_GT(stats.raw.bitmap_columns, 0u) << "dataset no longer drives bitmap";
@@ -161,47 +157,28 @@ TEST(FusedSweepTest, AllFourColumnLayoutsInOneFusedSweep) {
   ExpectFusedSweepMatches(table, queries, nullptr, "mixed");
 }
 
-// Fused merge-counts off the flat Q-gram posting arrays match the
-// per-query counts for every trajectory and group size, 2-D and 1-D.
+// Group counts match the counts of groups of one for every trajectory and
+// group size, in all four Q-gram variants (merge-join 2-D and 1-D, and the
+// tree probes with per-member dedup state).
 TEST(FusedSweepTest, QgramFusedCountsBitIdentical) {
   const auto queries = testutil::MakeQueries(Db(), 1204, 8);
-
-  const QgramMeansTable table2d(Db(), /*q=*/1, /*dims=*/2);
-  std::vector<std::vector<Point2>> means2d;
-  for (const Trajectory& q : queries) {
-    std::vector<Point2> m = MeanValueQgrams(q, 1);
-    SortMeans(m);
-    means2d.push_back(std::move(m));
-  }
-  for (const size_t g : GroupSizes()) {
-    std::vector<const std::vector<Point2>*> group(g);
-    for (size_t i = 0; i < g; ++i) group[i] = &means2d[i % means2d.size()];
-    std::vector<size_t> counts(g);
-    for (uint32_t id = 0; id < table2d.size(); ++id) {
-      table2d.CountMatchesFused2D(group, kEps, id, counts.data());
-      for (size_t i = 0; i < g; ++i) {
-        ASSERT_EQ(counts[i], table2d.CountMatches2D(*group[i], kEps, id))
-            << "2d id=" << id << " group=" << g << " member=" << i;
-      }
+  for (const QgramVariant variant :
+       {QgramVariant::kMerge2D, QgramVariant::kMerge1D,
+        QgramVariant::kRtree2D, QgramVariant::kBtree1D}) {
+    const QgramKnnSearcher searcher(Db(), kEps, /*q=*/1, variant);
+    std::vector<std::vector<size_t>> solo;
+    for (const Trajectory& q : queries) {
+      solo.push_back(std::move(searcher.MatchCounts({&q})[0]));
     }
-  }
-
-  const QgramMeansTable table1d(Db(), /*q=*/1, /*dims=*/1);
-  std::vector<std::vector<double>> means1d;
-  for (const Trajectory& q : queries) {
-    std::vector<double> m = MeanValueQgrams1D(q, 1, /*use_x=*/true);
-    std::sort(m.begin(), m.end());
-    means1d.push_back(std::move(m));
-  }
-  for (const size_t g : GroupSizes()) {
-    std::vector<const std::vector<double>*> group(g);
-    for (size_t i = 0; i < g; ++i) group[i] = &means1d[i % means1d.size()];
-    std::vector<size_t> counts(g);
-    for (uint32_t id = 0; id < table1d.size(); ++id) {
-      table1d.CountMatchesFused1D(group, kEps, id, counts.data());
+    for (const size_t g : GroupSizes()) {
+      std::vector<const Trajectory*> group(g);
+      for (size_t i = 0; i < g; ++i) group[i] = &queries[i % queries.size()];
+      const std::vector<std::vector<size_t>> counts =
+          searcher.MatchCounts(group);
+      ASSERT_EQ(counts.size(), g);
       for (size_t i = 0; i < g; ++i) {
-        ASSERT_EQ(counts[i], table1d.CountMatches1D(*group[i], kEps, id))
-            << "1d id=" << id << " group=" << g << " member=" << i;
+        EXPECT_EQ(counts[i], solo[i % queries.size()])
+            << searcher.name() << " group=" << g << " member=" << i;
       }
     }
   }

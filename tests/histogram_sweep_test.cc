@@ -37,10 +37,8 @@ void ExpectSweepMatchesPerRow(const HistogramTable& table,
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const HistogramTable::QueryHistogram qh =
         table.MakeQueryHistogram(queries[qi]);
-    std::vector<int> sweep;
-    table.FastLowerBoundSweep(qh, &sweep);
-    std::vector<int> scalar;
-    table.FastLowerBoundSweepScalar(qh, &scalar);
+    const std::vector<int> sweep = testutil::SweepOne(table, qh);
+    const std::vector<int> scalar = testutil::ScalarSweep(table, qh);
     ASSERT_EQ(sweep.size(), db.size());
     ASSERT_EQ(scalar.size(), db.size());
     for (uint32_t id = 0; id < db.size(); ++id) {
@@ -77,8 +75,7 @@ TEST(HistogramSweepTest, SweepNeverExceedsExactBoundOrEdr) {
   const std::vector<Trajectory> queries = testutil::MakeQueries(db, 908, 3);
   for (const Trajectory& q : queries) {
     const HistogramTable::QueryHistogram qh = table.MakeQueryHistogram(q);
-    std::vector<int> sweep;
-    table.FastLowerBoundSweep(qh, &sweep);
+    const std::vector<int> sweep = testutil::SweepOne(table, qh);
     for (uint32_t id = 0; id < db.size(); ++id) {
       const int exact = testutil::DefinitionExactBound(table, q, db[id]);
       EXPECT_LE(sweep[id], exact) << id;
@@ -98,8 +95,7 @@ TEST(HistogramSweepTest, EmptyQueryAndShortTrajectories) {
 
   const Trajectory empty;
   const HistogramTable::QueryHistogram qh = table.MakeQueryHistogram(empty);
-  std::vector<int> sweep;
-  table.FastLowerBoundSweep(qh, &sweep);
+  const std::vector<int> sweep = testutil::SweepOne(table, qh);
   ASSERT_EQ(sweep.size(), db.size());
   for (uint32_t id = 0; id < db.size(); ++id) {
     // An empty query cannot match anything: the bound is |S| exactly.
@@ -118,10 +114,10 @@ long FirstMismatch(const std::vector<int>& got, const std::vector<int>& want) {
 }
 
 /// Checks every path of the fast bound — the per-row FastLowerBound, the
-/// single sweep, the scalar sweep, the sweep sharded over 4 workers, and
-/// the fused sweep (sequential and sharded) at group sizes 1, 3 and
-/// kMaxFusionGroup + 1 — against the bound's definition on freshly built
-/// dense histograms of the query and of every db[id].
+/// sweep of one query at the active and at the scalar level, sharded over
+/// 4 workers, and group sweeps (sequential and sharded) at group sizes 1,
+/// 3 and kMaxFusionGroup + 1 — against the bound's definition on freshly
+/// built dense histograms of the query and of every db[id].
 void ExpectEveryPathMatchesDefinition(const TrajectoryDataset& db,
                                       const HistogramTable& table,
                                       const std::vector<Trajectory>& queries,
@@ -147,11 +143,11 @@ void ExpectEveryPathMatchesDefinition(const TrajectoryDataset& db,
       got[id] = table.FastLowerBound(qhs[qi], id);
     }
     EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "per-row, query " << qi;
-    table.FastLowerBoundSweep(qhs[qi], &got);
+    got = testutil::SweepOne(table, qhs[qi]);
     EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "sweep, query " << qi;
-    table.FastLowerBoundSweepScalar(qhs[qi], &got);
+    got = testutil::ScalarSweep(table, qhs[qi]);
     EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "scalar, query " << qi;
-    table.FastLowerBoundSweepParallel(qhs[qi], &got, parallel);
+    got = testutil::SweepOne(table, qhs[qi], parallel);
     EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "parallel, query " << qi;
   }
 
@@ -163,15 +159,15 @@ void ExpectEveryPathMatchesDefinition(const TrajectoryDataset& db,
       group[i] = &qhs[i % qhs.size()];
       outs[i] = &fused[i];
     }
-    table.FastLowerBoundSweepFused(group, outs);
+    table.FastLowerBoundSweep(group, outs);
     for (size_t i = 0; i < g; ++i) {
       EXPECT_EQ(FirstMismatch(fused[i], want[i % qhs.size()]), -1)
-          << "fused, group " << g << " member " << i;
+          << "group " << g << " member " << i;
     }
-    table.FastLowerBoundSweepFusedParallel(group, outs, parallel);
+    table.FastLowerBoundSweep(group, outs, parallel);
     for (size_t i = 0; i < g; ++i) {
       EXPECT_EQ(FirstMismatch(fused[i], want[i % qhs.size()]), -1)
-          << "fused parallel, group " << g << " member " << i;
+          << "group parallel, group " << g << " member " << i;
     }
   }
 }
@@ -260,8 +256,8 @@ TEST(HistogramSweepTest, EveryPathMatchesDefinitionOnOneBinWideData) {
   }
 }
 
-// Clustered multi-point trajectories give the adaptive table dense
-// columns in both stores; the all-dense layout is checked too.
+// Clustered multi-point trajectories give the table dense columns in both
+// stores.
 TEST(HistogramSweepTest, EveryPathMatchesDefinitionWithDenseColumns) {
   Rng rng(917);
   TrajectoryDataset db("dense");
@@ -273,14 +269,11 @@ TEST(HistogramSweepTest, EveryPathMatchesDefinitionWithDenseColumns) {
     db.Add(t);
   }
   const std::vector<Trajectory> queries = EdgeQueries(db, 918);
-  const HistogramTable adaptive(db, 0.05, HistogramTable::Kind::k2D, 1);
-  const HistogramStorageStats stats = adaptive.storage_stats();
+  const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1);
+  const HistogramStorageStats stats = table.storage_stats();
   ASSERT_GT(stats.raw.dense_columns, 0u) << "dataset no longer drives dense";
   ASSERT_GT(stats.ns.dense_columns, 0u) << "dataset no longer drives dense";
-  ExpectEveryPathMatchesDefinition(db, adaptive, queries, "adaptive");
-  const HistogramTable dense(db, 0.05, HistogramTable::Kind::k2D, 1,
-                             HistogramLayout::kDense);
-  ExpectEveryPathMatchesDefinition(db, dense, queries, "dense");
+  ExpectEveryPathMatchesDefinition(db, table, queries, "dense columns");
 }
 
 // NaN and +-1e300 query coordinates take the clamped binning path: the
@@ -306,8 +299,7 @@ TEST(HistogramSweepTest, NonFiniteAndFarQueriesStaySound) {
     for (const Trajectory& q : queries) {
       EXPECT_NE(table.QueryBinSignature(q), 0u);
       const HistogramTable::QueryHistogram qh = table.MakeQueryHistogram(q);
-      std::vector<int> sweep;
-      table.FastLowerBoundSweep(qh, &sweep);
+      const std::vector<int> sweep = testutil::SweepOne(table, qh);
       for (uint32_t id = 0; id < db.size(); ++id) {
         EXPECT_EQ(sweep[id], testutil::DefinitionFastBound(table, q, db[id]));
         EXPECT_LE(sweep[id], EdrDistance(q, db[id], kEps));
@@ -316,6 +308,54 @@ TEST(HistogramSweepTest, NonFiniteAndFarQueriesStaySound) {
     ExpectEveryPathMatchesDefinition(
         db, table, queries,
         kind == HistogramTable::Kind::k2D ? "non-finite 2D" : "non-finite 1D");
+  }
+}
+
+// Datasets whose range the grid cannot span directly: every trajectory
+// empty (the stats keep min = +inf, max = -inf), and coordinates near
+// +-1e308 (max - min overflows to +inf). Both must build a table whose
+// sweep is well-defined, equals the definition and stays below EDR.
+TEST(HistogramSweepTest, EmptyAndFarDatasetsStaySound) {
+  TrajectoryDataset empty("all-empty");
+  for (int i = 0; i < 4; ++i) empty.Add(Trajectory());
+
+  Rng rng(921);
+  TrajectoryDataset far("far");
+  for (int i = 0; i < 40; ++i) {
+    Trajectory t;
+    for (int j = 0; j < 6; ++j) {
+      const double sx = rng.UniformInt(0, 1) == 0 ? -1.0 : 1.0;
+      const double sy = rng.UniformInt(0, 1) == 0 ? -1.0 : 1.0;
+      t.Append({sx * 1e308 * rng.Uniform(0.999, 1.0),
+                sy * 1e308 * rng.Uniform(0.999, 1.0)});
+    }
+    far.Add(t);
+  }
+  far.Add(testutil::RandomWalk(rng, 12));
+
+  for (const TrajectoryDataset* db : {&empty, &far}) {
+    std::vector<Trajectory> queries = {Trajectory(),
+                                       testutil::RandomWalk(rng, 9)};
+    if (!(*db)[0].empty()) {
+      queries.push_back((*db)[0]);
+      queries.push_back((*db)[db->size() - 1]);
+    }
+    for (const HistogramTable::Kind kind :
+         {HistogramTable::Kind::k2D, HistogramTable::Kind::k1D}) {
+      const HistogramTable table(*db, kEps, kind, 1);
+      SCOPED_TRACE(db->name() + (kind == HistogramTable::Kind::k2D ? " 2D"
+                                                                   : " 1D"));
+      for (const Trajectory& q : queries) {
+        const std::vector<int> sweep =
+            testutil::SweepOne(table, table.MakeQueryHistogram(q));
+        ASSERT_EQ(sweep.size(), db->size());
+        for (uint32_t id = 0; id < db->size(); ++id) {
+          EXPECT_EQ(sweep[id],
+                    testutil::DefinitionFastBound(table, q, (*db)[id]));
+          EXPECT_LE(sweep[id], EdrDistance(q, (*db)[id], kEps)) << id;
+        }
+      }
+    }
   }
 }
 

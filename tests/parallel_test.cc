@@ -1,64 +1,12 @@
-#include "query/parallel.h"
-
 #include <gtest/gtest.h>
 
 #include "pruning/near_triangle.h"
-#include "query/engine.h"
 #include "test_util.h"
 
 namespace edr {
 namespace {
 
 constexpr double kEps = 0.25;
-
-TEST(ParallelKnnTest, MatchesSequentialResults) {
-  const TrajectoryDataset db = testutil::SmallDataset(701, 60, 8, 50);
-  QueryEngine engine(db, kEps);
-  const std::vector<Trajectory> queries = testutil::MakeQueries(db, 702, 8);
-
-  const auto search = [&engine](const Trajectory& q, size_t k) {
-    return engine.SeqScan(q, k);
-  };
-  const std::vector<KnnResult> parallel =
-      ParallelKnn(search, queries, 10, 4);
-  ASSERT_EQ(parallel.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(
-        SameKnnDistances(engine.SeqScan(queries[i], 10), parallel[i]))
-        << i;
-  }
-}
-
-TEST(ParallelKnnTest, PrunedSearcherIsThreadCompatible) {
-  const TrajectoryDataset db = testutil::SmallDataset(703, 80, 8, 60);
-  QueryEngine engine(db, kEps);
-  CombinedOptions combo;
-  combo.max_triangle = 20;
-  const CombinedKnnSearcher& searcher = engine.Combined(combo);
-  const std::vector<Trajectory> queries = testutil::MakeQueries(db, 704, 12);
-
-  const std::vector<KnnResult> parallel = ParallelKnn(
-      [&searcher](const Trajectory& q, size_t k) {
-        return searcher.Knn(q, k);
-      },
-      queries, 8, 4);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(SameKnnDistances(engine.SeqScan(queries[i], 8),
-                                 parallel[i]))
-        << i;
-  }
-}
-
-TEST(ParallelKnnTest, EmptyQueriesAndSingleThread) {
-  const TrajectoryDataset db = testutil::SmallDataset(705, 10);
-  QueryEngine engine(db, kEps);
-  const auto search = [&engine](const Trajectory& q, size_t k) {
-    return engine.SeqScan(q, k);
-  };
-  EXPECT_TRUE(ParallelKnn(search, {}, 5).empty());
-  const std::vector<Trajectory> one = {db[0]};
-  EXPECT_EQ(ParallelKnn(search, one, 5, 1).size(), 1u);
-}
 
 TEST(ParallelMatrixBuildTest, IdenticalToSequentialBuild) {
   const TrajectoryDataset db = testutil::SmallDataset(706, 40, 5, 40);

@@ -33,11 +33,13 @@ TEST(QgramKnnTest, AllVariantsAgreeOnMatchCountsSemantics) {
   for (const int q : {1, 2}) {
     const QgramKnnSearcher pr(db, kEps, q, QgramVariant::kRtree2D);
     const QgramKnnSearcher ps2(db, kEps, q, QgramVariant::kMerge2D);
-    EXPECT_EQ(pr.MatchCounts(query), ps2.MatchCounts(query)) << "q=" << q;
+    EXPECT_EQ(pr.MatchCounts({&query}), ps2.MatchCounts({&query}))
+        << "q=" << q;
 
     const QgramKnnSearcher pb(db, kEps, q, QgramVariant::kBtree1D);
     const QgramKnnSearcher ps1(db, kEps, q, QgramVariant::kMerge1D);
-    EXPECT_EQ(pb.MatchCounts(query), ps1.MatchCounts(query)) << "q=" << q;
+    EXPECT_EQ(pb.MatchCounts({&query}), ps1.MatchCounts({&query}))
+        << "q=" << q;
   }
 }
 
@@ -48,8 +50,8 @@ TEST(QgramKnnTest, TwoDimensionalCountsNeverExceedOneDimensional) {
   const Trajectory query = db[5];
   const QgramKnnSearcher ps2(db, kEps, 1, QgramVariant::kMerge2D);
   const QgramKnnSearcher ps1(db, kEps, 1, QgramVariant::kMerge1D);
-  const std::vector<size_t> c2 = ps2.MatchCounts(query);
-  const std::vector<size_t> c1 = ps1.MatchCounts(query);
+  const std::vector<size_t> c2 = ps2.MatchCounts({&query})[0];
+  const std::vector<size_t> c1 = ps1.MatchCounts({&query})[0];
   for (size_t i = 0; i < db.size(); ++i) {
     EXPECT_LE(c2[i], c1[i]);
   }

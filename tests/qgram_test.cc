@@ -194,7 +194,7 @@ TEST(QgramTest, AtLeastMatches2DDecidesTheCountAtEveryLevel) {
   }
   for (const KernelLevel level :
        {KernelLevel::kScalar, KernelLevel::kSse2, KernelLevel::kAvx2,
-        KernelLevel::kAvx512, KernelLevel::kNeon}) {
+        KernelLevel::kAvx512}) {
     if (!SetActiveKernelLevel(level)) continue;
     SCOPED_TRACE(KernelLevelName(level));
     for (const double eps : {0.0, 0.25, 1e300}) {

@@ -4,10 +4,12 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/cpu.h"
 #include "core/dataset.h"
 #include "core/rng.h"
 #include "core/trajectory.h"
 #include "pruning/histogram.h"
+#include "query/knn.h"
 
 namespace edr {
 namespace testutil {
@@ -75,6 +77,26 @@ inline int DefinitionFastBound(const HistogramTable& table,
                               BuildHistogram1D(s, grid, true)),
       HistogramDistance1DFast(BuildHistogram1D(q, grid, false),
                               BuildHistogram1D(s, grid, false)));
+}
+
+/// HistogramTable::FastLowerBoundSweep for one query: a group of one.
+inline std::vector<int> SweepOne(const HistogramTable& table,
+                                 const HistogramTable::QueryHistogram& qh,
+                                 const KnnOptions& options = {}) {
+  std::vector<int> out;
+  table.FastLowerBoundSweep({&qh}, {&out}, options);
+  return out;
+}
+
+/// SweepOne with the kernel dispatch pinned to the portable scalar level;
+/// the environment-resolved level is restored afterwards.
+inline std::vector<int> ScalarSweep(const HistogramTable& table,
+                                    const HistogramTable::QueryHistogram& qh) {
+  struct Unpin {
+    ~Unpin() { ResetActiveKernelLevel(); }
+  } unpin;
+  SetActiveKernelLevel(KernelLevel::kScalar);
+  return SweepOne(table, qh);
 }
 
 /// The exact transport bound the fast one relaxes, by the same
