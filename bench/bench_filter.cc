@@ -3,9 +3,10 @@
 // bound loop it replaced, on a 10k-trajectory random walk database; the
 // column stores' layout census, memory and sweep time on a coarse and a
 // fine (delta = 1-class) grid; the sweep on the benchmark ledger's
-// NHL-like table, certified against the bound's definition; and the flat
-// Q-gram posting-array counting pass next to the early-decided check the
-// combined searcher runs instead.
+// NHL-like table, certified against the bound's definition, and pinned to
+// each kernel dispatch level next to the Q-gram check on the same data;
+// and the flat Q-gram posting-array counting pass next to the
+// early-decided check the combined searcher runs instead.
 //
 // Emits JSON (stdout, or the file named by argv[1]):
 //
@@ -39,6 +40,11 @@ namespace edr {
 namespace {
 
 double g_min_seconds = 0.2;
+
+/// Every dispatch level, whether or not this host runs it, so the JSON
+/// keeps one row per level on every host.
+constexpr KernelLevel kLevels[] = {KernelLevel::kScalar, KernelLevel::kSse2,
+                                   KernelLevel::kAvx2, KernelLevel::kAvx512};
 
 double SecondsPerCall(const std::function<void()>& fn, int min_iters = 3) {
   fn();  // Warm-up sizes scratch and faults the tables in.
@@ -77,6 +83,19 @@ struct LayoutRow {
   bool identical = true;
 };
 
+/// One kernel dispatch level on the ledger's NHL-like data, per query
+/// (median of rounds): the 2-D and 1-D histogram sweeps and the combined
+/// searcher's Q-gram check (AtLeastMatches2D at each row's Theorem 1
+/// threshold). Unsupported levels keep their row with zero timings.
+struct LevelRow {
+  KernelLevel level = KernelLevel::kScalar;
+  bool supported = false;
+  double sweep_2d_s = 0.0;
+  double sweep_1d_s = 0.0;
+  double decide_s = 0.0;
+  bool identical = true;  ///< every output equals the scalar level's
+};
+
 /// The sweep on the ledger's NHL-like 2HPN table (2-D, delta = 1, the
 /// dataset's suggested epsilon), with the sizes of both column stores.
 struct LedgerRow {
@@ -87,8 +106,123 @@ struct LedgerRow {
   double build_s = 0.0;
   double sweep_s = 0.0;  ///< per query
   HistogramStorageStats stats;
-  bool identical = true;  ///< every bound equals the definition
+  /// Every bound equals the definition, and every level's outputs equal
+  /// the scalar level's.
+  bool identical = true;
+  std::vector<LevelRow> levels;
 };
+
+/// Every kernel level's row on the ledger data. Each level's sweeps and
+/// decisions are certified equal to the scalar level's, which comes first.
+std::vector<LevelRow> MeasureLevels(
+    const TrajectoryDataset& db, const std::vector<Trajectory>& queries,
+    const HistogramTable& table_2d, double epsilon) {
+  const HistogramTable table_1d(db, epsilon, HistogramTable::Kind::k1D, 1);
+  const QgramMeansTable means_table(db, /*q=*/1, /*dims=*/2);
+  // Thresholds at each query's exact k-th distance (k = 20), as main's
+  // decision pass on the random walks sets them; ids whose threshold is
+  // <= 0 are skipped, as the combined searcher skips them.
+  std::vector<HistogramTable::QueryHistogram> qh_2d;
+  std::vector<HistogramTable::QueryHistogram> qh_1d;
+  std::vector<std::vector<Point2>> query_means;
+  std::vector<std::vector<long>> thresholds;
+  EdrScratch scratch;
+  for (const Trajectory& q : queries) {
+    qh_2d.push_back(table_2d.MakeQueryHistogram(q));
+    qh_1d.push_back(table_1d.MakeQueryHistogram(q));
+    std::vector<Point2> means = MeanValueQgrams(q, 1);
+    SortMeans(means);
+    query_means.push_back(std::move(means));
+    std::vector<int> dists(db.size());
+    for (uint32_t id = 0; id < db.size(); ++id) {
+      dists[id] = EdrDistanceBitParallel(q, db[id], epsilon, scratch);
+    }
+    constexpr size_t kK = 20;
+    std::nth_element(dists.begin(), dists.begin() + (kK - 1), dists.end());
+    std::vector<long>& th = thresholds.emplace_back(db.size());
+    for (uint32_t id = 0; id < db.size(); ++id) {
+      th[id] = QgramCountThreshold(q.size(), db[id].size(), 1, dists[kK - 1]);
+    }
+  }
+  const double per_query = 1.0 / static_cast<double>(queries.size());
+  const auto decide = [&](size_t f, std::vector<uint8_t>* out) {
+    out->resize(db.size());
+    for (uint32_t id = 0; id < db.size(); ++id) {
+      const long th = thresholds[f][id];
+      (*out)[id] = th <= 0 || means_table.AtLeastMatches2D(
+                                  query_means[f], epsilon, id,
+                                  static_cast<size_t>(th));
+    }
+  };
+
+  /// Every query's outputs at one level.
+  struct Outputs {
+    std::vector<std::vector<int>> sweep_2d, sweep_1d;
+    std::vector<std::vector<uint8_t>> decided;
+    bool operator==(const Outputs&) const = default;
+  };
+  std::vector<LevelRow> rows;
+  Outputs scalar;  // kLevels starts with kScalar
+  for (const KernelLevel level : kLevels) {
+    LevelRow& row = rows.emplace_back();
+    row.level = level;
+    row.supported = SetActiveKernelLevel(level);
+    if (!row.supported) continue;
+    Outputs o;
+    o.sweep_2d.resize(queries.size());
+    o.sweep_1d.resize(queries.size());
+    o.decided.resize(queries.size());
+    for (size_t f = 0; f < queries.size(); ++f) {
+      Sweep(table_2d, qh_2d[f], &o.sweep_2d[f]);
+      Sweep(table_1d, qh_1d[f], &o.sweep_1d[f]);
+      decide(f, &o.decided[f]);
+    }
+    if (level == KernelLevel::kScalar) scalar = o;
+    row.identical = o == scalar;
+  }
+
+  // The timings rotate through the levels in rounds, so the host's slow
+  // drift lands on every level alike; each row reports its median round.
+  constexpr size_t kRounds = 5;
+  std::vector<std::vector<double>> sweep_2d(rows.size()), sweep_1d(rows.size()),
+      decide_s(rows.size());
+  std::vector<int> bounds;
+  std::vector<uint8_t> decided;
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (!rows[i].supported) continue;
+      SetActiveKernelLevel(rows[i].level);
+      sweep_2d[i].push_back(SecondsPerCall([&] {
+        for (const auto& qh : qh_2d) Sweep(table_2d, qh, &bounds);
+      }));
+      sweep_1d[i].push_back(SecondsPerCall([&] {
+        for (const auto& qh : qh_1d) Sweep(table_1d, qh, &bounds);
+      }));
+      decide_s[i].push_back(SecondsPerCall([&] {
+        for (size_t f = 0; f < queries.size(); ++f) decide(f, &decided);
+      }));
+    }
+  }
+  const auto median = [per_query](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return per_query * v[v.size() / 2];
+  };
+  for (size_t i = 0; i < rows.size(); ++i) {
+    LevelRow& row = rows[i];
+    if (!row.supported) continue;
+    row.sweep_2d_s = median(sweep_2d[i]);
+    row.sweep_1d_s = median(sweep_1d[i]);
+    row.decide_s = median(decide_s[i]);
+    std::fprintf(stderr,
+                 "ledger nhl level=%s: sweep 2D %.3fms 1D %.3fms, "
+                 "qgram decide %.3fms per query identical=%s\n",
+                 KernelLevelName(row.level), row.sweep_2d_s * 1e3,
+                 row.sweep_1d_s * 1e3, row.decide_s * 1e3,
+                 row.identical ? "yes" : "NO");
+  }
+  ResetActiveKernelLevel();
+  return rows;
+}
 
 /// Builds the table on GenNhlLike(count, 30, max_length, 19), normalized
 /// as the ledger normalizes it, and sweeps locally time-shifted members.
@@ -137,6 +271,10 @@ LedgerRow MeasureLedgerNhl(size_t count, size_t max_length,
         row.identical = false;
       }
     }
+  }
+  row.levels = MeasureLevels(db, queries, table, row.epsilon);
+  for (const LevelRow& level : row.levels) {
+    row.identical = row.identical && level.identical;
   }
   return row;
 }
@@ -274,12 +412,12 @@ int main(int argc, char** argv) {
     all_identical = all_identical && row.identical;
     std::fprintf(
         stderr,
-        "layout[%s]: bins=%zu raw cols(d/b/s/e)=%zu/%zu/%zu/%zu "
+        "layout[%s]: bins=%zu raw cols(d/s/e)=%zu/%zu/%zu "
         "bytes=%.1fMB dense_equiv=%.1fMB (%.1fx) sweep=%.3fms "
         "identical=%s\n",
         row.grid, row.bins, row.stats.raw.dense_columns,
-        row.stats.raw.bitmap_columns, row.stats.raw.sparse_columns,
-        row.stats.raw.empty_columns, row.stats.column_bytes / 1048576.0,
+        row.stats.raw.sparse_columns, row.stats.raw.empty_columns,
+        row.stats.column_bytes / 1048576.0,
         row.stats.dense_equivalent_bytes / 1048576.0,
         static_cast<double>(row.stats.dense_equivalent_bytes) /
             static_cast<double>(row.stats.column_bytes),
@@ -294,15 +432,13 @@ int main(int argc, char** argv) {
   all_identical = all_identical && ledger.identical;
   std::fprintf(stderr,
                "ledger nhl: n=%zu bins=%zu build=%.3fs sweep=%.3fms/query "
-               "raw=%.1fMB (d/b/s %zu/%zu/%zu) ns=%.1fMB (d/b/s %zu/%zu/%zu) "
+               "raw=%.1fMB (d/s %zu/%zu) ns=%.1fMB (d/s %zu/%zu) "
                "identical=%s\n",
                ledger.db_size, ledger.bins, ledger.build_s,
                ledger.sweep_s * 1e3, ledger.stats.raw.bytes / 1048576.0,
-               ledger.stats.raw.dense_columns, ledger.stats.raw.bitmap_columns,
-               ledger.stats.raw.sparse_columns,
+               ledger.stats.raw.dense_columns, ledger.stats.raw.sparse_columns,
                ledger.stats.ns.bytes / 1048576.0,
-               ledger.stats.ns.dense_columns, ledger.stats.ns.bitmap_columns,
-               ledger.stats.ns.sparse_columns,
+               ledger.stats.ns.dense_columns, ledger.stats.ns.sparse_columns,
                ledger.identical ? "yes" : "NO");
 
   // --- Flat Q-gram posting arrays: the PS2-style counting pass, and the
@@ -399,19 +535,18 @@ int main(int argc, char** argv) {
     const LayoutRow& r = layout_rows[i];
     std::fprintf(out,
                  "    {\"grid\": \"%s\", \"bins\": %zu, "
-                 "\"dense_columns\": %zu, \"bitmap_columns\": %zu, "
+                 "\"dense_columns\": %zu, "
                  "\"sparse_columns\": %zu, \"empty_columns\": %zu,\n"
                  "     \"ns_dense_columns\": %zu, "
-                 "\"ns_bitmap_columns\": %zu, \"ns_sparse_columns\": %zu, "
+                 "\"ns_sparse_columns\": %zu, "
                  "\"ns_empty_columns\": %zu,\n"
                  "     \"raw_bytes\": %zu, \"ns_bytes\": %zu, "
                  "\"adaptive_bytes\": %zu, \"dense_bytes\": %zu, "
                  "\"memory_reduction\": %.2f,\n"
                  "     \"sweep_adaptive_ms\": %.3f, \"identical\": %s}%s\n",
                  r.grid, r.bins, r.stats.raw.dense_columns,
-                 r.stats.raw.bitmap_columns, r.stats.raw.sparse_columns,
-                 r.stats.raw.empty_columns, r.stats.ns.dense_columns,
-                 r.stats.ns.bitmap_columns, r.stats.ns.sparse_columns,
+                 r.stats.raw.sparse_columns, r.stats.raw.empty_columns,
+                 r.stats.ns.dense_columns, r.stats.ns.sparse_columns,
                  r.stats.ns.empty_columns, r.stats.raw.bytes,
                  r.stats.ns.bytes, r.stats.column_bytes,
                  r.stats.dense_equivalent_bytes,
@@ -426,16 +561,38 @@ int main(int argc, char** argv) {
       "\"epsilon\": %.6f, \"bins\": %zu,\n"
       "    \"build_s\": %.3f, \"sweep_ms_per_query\": %.3f,\n"
       "    \"raw_bytes\": %zu, \"raw_dense_columns\": %zu, "
-      "\"raw_bitmap_columns\": %zu, \"raw_sparse_columns\": %zu,\n"
+      "\"raw_sparse_columns\": %zu,\n"
       "    \"ns_bytes\": %zu, \"ns_dense_columns\": %zu, "
-      "\"ns_bitmap_columns\": %zu, \"ns_sparse_columns\": %zu,\n"
-      "    \"identical\": %s},\n",
+      "\"ns_sparse_columns\": %zu,\n"
+      "    \"levels\": [\n",
       ledger.db_size, ledger.queries, ledger.epsilon, ledger.bins,
       ledger.build_s, ledger.sweep_s * 1e3, ledger.stats.raw.bytes,
-      ledger.stats.raw.dense_columns, ledger.stats.raw.bitmap_columns,
-      ledger.stats.raw.sparse_columns, ledger.stats.ns.bytes,
-      ledger.stats.ns.dense_columns, ledger.stats.ns.bitmap_columns,
-      ledger.stats.ns.sparse_columns, ledger.identical ? "true" : "false");
+      ledger.stats.raw.dense_columns, ledger.stats.raw.sparse_columns,
+      ledger.stats.ns.bytes, ledger.stats.ns.dense_columns,
+      ledger.stats.ns.sparse_columns);
+  const LevelRow& scalar = ledger.levels.front();
+  const auto speedup = [](double base_s, double s) {
+    return s > 0.0 ? base_s / s : 0.0;
+  };
+  for (size_t i = 0; i < ledger.levels.size(); ++i) {
+    const LevelRow& r = ledger.levels[i];
+    std::fprintf(
+        out,
+        "      {\"level\": \"%s\", \"supported\": %s, "
+        "\"sweep_2d_ms_per_query\": %.4f, \"sweep_1d_ms_per_query\": %.4f, "
+        "\"qgram_decide_ms_per_query\": %.4f,\n"
+        "       \"sweep_2d_speedup_vs_scalar\": %.2f, "
+        "\"sweep_1d_speedup_vs_scalar\": %.2f, "
+        "\"qgram_decide_speedup_vs_scalar\": %.2f, \"identical\": %s}%s\n",
+        KernelLevelName(r.level), r.supported ? "true" : "false",
+        r.sweep_2d_s * 1e3, r.sweep_1d_s * 1e3, r.decide_s * 1e3,
+        speedup(scalar.sweep_2d_s, r.sweep_2d_s),
+        speedup(scalar.sweep_1d_s, r.sweep_1d_s),
+        speedup(scalar.decide_s, r.decide_s), r.identical ? "true" : "false",
+        i + 1 < ledger.levels.size() ? "," : "");
+  }
+  std::fprintf(out, "    ],\n    \"identical\": %s},\n",
+               ledger.identical ? "true" : "false");
   std::fprintf(out,
                "  \"qgram_flat_count_ms\": %.3f,\n"
                "  \"qgram_decide_ms\": %.3f,\n"

@@ -7,6 +7,12 @@
 
 namespace edr {
 
+namespace {
+
+// True when the running CPU supports the instruction set *and* the build
+// can emit it (x86-64, GCC/Clang, SIMD not disabled). Each probe runs
+// once; KernelLevelSupported is how the rest of the library asks, so one
+// binary dispatches correctly on any x86-64 machine.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(EDR_DISABLE_SIMD)
 
 bool CpuHasAvx2() {
@@ -14,6 +20,7 @@ bool CpuHasAvx2() {
   return has;
 }
 
+/// The AVX-512 foundation subset (AVX-512F) the kernels need.
 bool CpuHasAvx512() {
   static const bool has = __builtin_cpu_supports("avx512f") != 0;
   return has;
@@ -25,6 +32,8 @@ bool CpuHasAvx2() { return false; }
 bool CpuHasAvx512() { return false; }
 
 #endif
+
+}  // namespace
 
 const char* KernelLevelName(KernelLevel level) {
   switch (level) {

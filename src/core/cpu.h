@@ -51,16 +51,6 @@ bool SetActiveKernelLevel(KernelLevel level);
 /// from the environment / CPU probe.
 void ResetActiveKernelLevel();
 
-/// True when the running CPU supports AVX2 *and* the build can emit it
-/// (x86-64, GCC/Clang, SIMD not disabled). The result is computed once;
-/// kernels use it to dispatch between their AVX2 and SSE2/scalar bodies at
-/// runtime, so one binary runs correctly on any x86-64 machine.
-bool CpuHasAvx2();
-
-/// As CpuHasAvx2, for the AVX-512 foundation subset (AVX-512F) the sweep
-/// and merge-count kernels need.
-bool CpuHasAvx512();
-
 }  // namespace edr
 
 #endif  // EDR_CORE_CPU_H_

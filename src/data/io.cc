@@ -1,10 +1,12 @@
 #include "data/io.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 static_assert(sizeof(edr::Point2) == 2 * sizeof(double),
@@ -37,23 +39,40 @@ Result<TrajectoryDataset> LoadCsv(const std::string& path) {
   bool have_current = false;
   long current_index = -1;
   Trajectory current;
+  std::unordered_set<long> finished;  ///< indexes of completed trajectories
 
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
+    const auto invalid = [&](const char* what) {
+      return Status::InvalidArgument(std::string(what) + " at " + path + ":" +
+                                     std::to_string(line_no) + ": " + line);
+    };
     long index = 0;
     int label = -1;
     double x = 0.0;
     double y = 0.0;
-    if (std::sscanf(line.c_str(), "%ld,%d,%lf,%lf", &index, &label, &x, &y) !=
-        4) {
-      return Status::InvalidArgument("malformed CSV at " + path + ":" +
-                                     std::to_string(line_no) + ": " + line);
+    int consumed = -1;
+    // The trailing " %n" skips whitespace (a CRLF line's '\r' included) and
+    // records where parsing stopped; anything after it is garbage.
+    if (std::sscanf(line.c_str(), "%ld,%d,%lf,%lf %n", &index, &label, &x, &y,
+                    &consumed) != 4 ||
+        consumed != static_cast<int>(line.size())) {
+      return invalid("malformed CSV");
+    }
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      return invalid("non-finite coordinate");
     }
     if (!have_current || index != current_index) {
-      if (have_current) db.Add(std::move(current));
+      if (finished.count(index) != 0) {
+        return invalid("trajectory index reappears after another one");
+      }
+      if (have_current) {
+        finished.insert(current_index);
+        db.Add(std::move(current));
+      }
       current = Trajectory();
       current.set_label(label);
       current_index = index;
@@ -110,6 +129,15 @@ Result<TrajectoryDataset> LoadBinary(const std::string& path) {
   uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in) return Status::IoError("truncated header: " + path);
+  // Bytes after the header, counted down as the trajectories are read.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  if (!in || header_end < 0 || file_end < header_end) {
+    return Status::IoError("cannot size " + path);
+  }
+  uint64_t left = static_cast<uint64_t>(file_end - header_end);
 
   TrajectoryDataset db(path);
   for (uint64_t i = 0; i < count; ++i) {
@@ -118,16 +146,23 @@ Result<TrajectoryDataset> LoadBinary(const std::string& path) {
     in.read(reinterpret_cast<char*>(&label), sizeof(label));
     in.read(reinterpret_cast<char*>(&length), sizeof(length));
     if (!in) return Status::IoError("truncated trajectory header: " + path);
-    // Cap per-trajectory allocations before trusting the header.
-    constexpr uint64_t kMaxLength = 1ULL << 30;
-    if (length > kMaxLength) {
-      return Status::InvalidArgument("implausible trajectory length in " +
-                                     path);
+    left -= sizeof(label) + sizeof(length);
+    // Trust the header's length only as far as the file backs it, so a
+    // corrupt header cannot make the allocation below outgrow the file.
+    if (length > left / sizeof(Point2)) {
+      return Status::IoError("truncated payload: " + path);
     }
+    left -= length * sizeof(Point2);
     std::vector<Point2> points(length);
     in.read(reinterpret_cast<char*>(points.data()),
             static_cast<std::streamsize>(length * sizeof(Point2)));
     if (!in) return Status::IoError("truncated payload: " + path);
+    for (const Point2& p : points) {
+      if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+        return Status::InvalidArgument("non-finite coordinate in trajectory " +
+                                       std::to_string(i) + " of " + path);
+      }
+    }
     db.Add(Trajectory(std::move(points), label));
   }
   return db;

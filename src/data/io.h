@@ -20,7 +20,10 @@ Status SaveCsv(const TrajectoryDataset& db, const std::string& path);
 /// Reads a dataset written by SaveCsv (or produced externally in the same
 /// format). Lines starting with '#' and blank lines are skipped.
 /// Trajectory indexes must be grouped (all samples of a trajectory on
-/// consecutive lines) but need not be dense or ordered.
+/// consecutive lines) but need not be dense or ordered. Fails with
+/// kInvalidArgument, naming path:line, on a malformed line or trailing
+/// characters after its last field, a NaN or infinite coordinate, or an
+/// index that reappears after another trajectory's lines.
 Result<TrajectoryDataset> LoadCsv(const std::string& path);
 
 /// Writes a dataset in a compact little-endian binary format (roughly 3x
@@ -31,7 +34,9 @@ Result<TrajectoryDataset> LoadCsv(const std::string& path);
 Status SaveBinary(const TrajectoryDataset& db, const std::string& path);
 
 /// Reads a dataset written by SaveBinary. Fails with kInvalidArgument on
-/// a bad magic/version and kIoError on truncation.
+/// a bad magic/version or a NaN or infinite coordinate, and with kIoError
+/// on truncation, including a length header that claims more points than
+/// the rest of the file holds (checked before anything is allocated).
 Result<TrajectoryDataset> LoadBinary(const std::string& path);
 
 }  // namespace edr

@@ -16,15 +16,8 @@
 #include "query/plan_cache.h"
 #include "query/thread_pool.h"
 
-#if defined(__SSE2__) && !defined(EDR_DISABLE_SIMD)
-#include <emmintrin.h>
-#define EDR_HISTOGRAM_SIMD 1
-#endif
-
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(EDR_DISABLE_SIMD)
-#include <immintrin.h>
-#define EDR_HISTOGRAM_AVX2 1
-#define EDR_HISTOGRAM_AVX512 1
+#define EDR_HISTOGRAM_WIDE 1
 #endif
 
 namespace edr {
@@ -291,10 +284,9 @@ void NeighborhoodSums(const std::vector<OccupiedBin>& occupied, int nx,
 // ---------------------------------------------------------------------------
 // Sweep kernels. Both sides of the fast bound add min(cap, column value)
 // over a block of trajectory ids, one query column at a time — pure int32
-// lane arithmetic, so every lane width (scalar/SSE2/AVX2/AVX-512) and
-// every column layout produces identical integers in any order. A cap is
-// always >= 1: a query bin's count, or the neighbourhood sum of a bin next
-// to an occupied one.
+// arithmetic, so every lane width and both stored column layouts produce
+// identical integers in any order. A cap is always >= 1: a query bin's
+// count, or the neighbourhood sum of a bin next to an occupied one.
 // ---------------------------------------------------------------------------
 
 /// Ids per cache block: the int32 accumulators of a block stay
@@ -303,229 +295,53 @@ void NeighborhoodSums(const std::vector<OccupiedBin>& occupied, int nx,
 constexpr size_t kSweepBlock = 1024;
 static_assert(kSweepBlock <= 65536, "blocked-sparse local ids are uint16");
 
-inline void MinCapAccumScalar(int32_t cap, const int32_t* col, int32_t* side,
-                              size_t len) {
+/// The one dense min-cap loop body. At -O3 (the Release build) GCC
+/// vectorizes it for every target it is built at: to compare-and-blend
+/// SSE2 at the x86-64 baseline, and to ymm / zmm vpminsd inside the AVX2
+/// and AVX-512 entry points below.
+inline void MinCapAccum(int32_t cap, const int32_t* col, int32_t* side,
+                        size_t len) {
   for (size_t i = 0; i < len; ++i) side[i] += std::min(cap, col[i]);
 }
 
-#if defined(EDR_HISTOGRAM_SIMD)
+// The entry points of each level start on 64-byte boundaries, like the
+// Myers kernels, so their loops keep their place in the instruction fetch
+// windows when unrelated code linked before them changes size.
 
-inline __m128i MinI32(__m128i a, __m128i b) {
-  // SSE2 has no epi32 min; compose it from a compare mask (SSE4.1's
-  // pminsd computes exactly this).
-  const __m128i lt = _mm_cmplt_epi32(a, b);
-  return _mm_or_si128(_mm_and_si128(lt, a), _mm_andnot_si128(lt, b));
+__attribute__((flatten, aligned(64))) void MinCapAccumScalar(
+    int32_t cap, const int32_t* col, int32_t* side, size_t len) {
+  MinCapAccum(cap, col, side, len);
 }
 
-inline void MinCapAccumSimd(int32_t cap, const int32_t* col, int32_t* side,
-                            size_t len) {
-  const __m128i vcap = _mm_set1_epi32(cap);
-  size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m128i c =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + i));
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(side + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(side + i),
-                     _mm_add_epi32(s, MinI32(vcap, c)));
-  }
-  for (; i < len; ++i) side[i] += std::min(cap, col[i]);
+#if defined(EDR_HISTOGRAM_WIDE)
+
+__attribute__((target("avx2"), flatten, aligned(64))) void MinCapAccumAvx2(
+    int32_t cap, const int32_t* col, int32_t* side, size_t len) {
+  MinCapAccum(cap, col, side, len);
 }
 
-#endif  // defined(EDR_HISTOGRAM_SIMD)
-
-#if defined(EDR_HISTOGRAM_AVX2)
-
-// AVX2/AVX-512 bodies compiled via the target attribute (no extra compile
-// flags), selected at runtime through ActiveKernelLevel() — the lane math
-// is identical int32 adds/mins, only wider than the SSE2 kernels.
-
-__attribute__((target("avx2"))) void MinCapAccumAvx2(int32_t cap,
-                                                     const int32_t* col,
-                                                     int32_t* side,
-                                                     size_t len) {
-  const __m256i vcap = _mm256_set1_epi32(cap);
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(side + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(side + i),
-                        _mm256_add_epi32(s, _mm256_min_epi32(vcap, c)));
-  }
-  for (; i < len; ++i) side[i] += std::min(cap, col[i]);
+__attribute__((target("avx512f"), flatten, aligned(64))) void
+MinCapAccumAvx512(int32_t cap, const int32_t* col, int32_t* side,
+                  size_t len) {
+  MinCapAccum(cap, col, side, len);
 }
 
-#endif  // defined(EDR_HISTOGRAM_AVX2)
-
-#if defined(EDR_HISTOGRAM_AVX512)
-
-__attribute__((target("avx512f"))) void MinCapAccumAvx512(int32_t cap,
-                                                          const int32_t* col,
-                                                          int32_t* side,
-                                                          size_t len) {
-  const __m512i vcap = _mm512_set1_epi32(cap);
-  size_t i = 0;
-  for (; i + 16 <= len; i += 16) {
-    const __m512i c = _mm512_loadu_si512(col + i);
-    const __m512i s = _mm512_loadu_si512(side + i);
-    _mm512_storeu_si512(side + i,
-                        _mm512_add_epi32(s, _mm512_min_epi32(vcap, c)));
-  }
-  for (; i < len; ++i) side[i] += std::min(cap, col[i]);
-}
-
-#endif  // defined(EDR_HISTOGRAM_AVX512)
-
-// ---------------------------------------------------------------------------
-// Bitmap and blocked-sparse block kernels. A bitmap column holds only 1s,
-// and min(cap, 1) == 1 for every cap, so it adds +1 per set bit; a sparse
-// column scatters min(cap, value) per (local id, value) posting. Both add
-// the same integers to distinct accumulator slots whatever the lane shape,
-// so every body below is bit-identical to the scalar walk.
-// ---------------------------------------------------------------------------
-
-/// Scalar reference: count-trailing-zeros walk over the set bits.
-inline void BitmapAccumScalar(const uint64_t* words, size_t word_count,
-                              int32_t* side) {
-  for (size_t w = 0; w < word_count; ++w) {
-    uint64_t bits = words[w];
-    while (bits != 0) {
-      side[w * 64 + static_cast<size_t>(__builtin_ctzll(bits))] += 1;
-      bits &= bits - 1;
-    }
-  }
-}
-
-inline void SparseMinCapScalar(const uint16_t* local_ids,
-                               const int32_t* counts, uint32_t begin,
-                               uint32_t end, int32_t cap, int32_t* side) {
-  for (uint32_t p = begin; p < end; ++p) {
-    side[local_ids[p]] += std::min(cap, counts[p]);
-  }
-}
-
-#if defined(EDR_HISTOGRAM_AVX2)
-
-/// Expands each byte of a word into eight 0/-1 lanes (bit b set <=> lane b
-/// matches its power-of-two probe) and subtracts the mask from the
-/// accumulator — one masked add per byte instead of one scalar add per set
-/// bit. Lanes past a short tail block read and write back unchanged
-/// accumulator slots (their bits are never set), staying inside the
-/// kSweepBlock stack buffer because word_count * 64 <= kSweepBlock.
-__attribute__((target("avx2"))) void BitmapAccumAvx2(const uint64_t* words,
-                                                     size_t word_count,
-                                                     int32_t* side) {
-  const __m256i bitpos = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-  for (size_t w = 0; w < word_count; ++w) {
-    const uint64_t bits = words[w];
-    if (bits == 0) continue;
-    int32_t* base = side + w * 64;
-    for (size_t c = 0; c < 8; ++c) {
-      const int32_t byte = static_cast<int32_t>((bits >> (c * 8)) & 0xFF);
-      if (byte == 0) continue;
-      const __m256i vb = _mm256_set1_epi32(byte);
-      const __m256i m =
-          _mm256_cmpeq_epi32(_mm256_and_si256(vb, bitpos), bitpos);
-      __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + c * 8));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(base + c * 8),
-                          _mm256_sub_epi32(a, m));
-    }
-  }
-}
-
-#endif  // defined(EDR_HISTOGRAM_AVX2)
-
-#if defined(EDR_HISTOGRAM_AVX512)
-
-/// The word's 16-bit slices are the mask registers directly:
-/// four masked 16-lane +1 adds per word.
-__attribute__((target("avx512f"))) void BitmapAccumAvx512(
-    const uint64_t* words, size_t word_count, int32_t* side) {
-  const __m512i ones = _mm512_set1_epi32(1);
-  for (size_t w = 0; w < word_count; ++w) {
-    const uint64_t bits = words[w];
-    if (bits == 0) continue;
-    int32_t* base = side + w * 64;
-    for (size_t c = 0; c < 4; ++c) {
-      const __mmask16 m = static_cast<__mmask16>((bits >> (c * 16)) & 0xFFFF);
-      if (m == 0) continue;
-      __m512i a = _mm512_loadu_si512(base + c * 16);
-      _mm512_storeu_si512(base + c * 16, _mm512_mask_add_epi32(a, m, a, ones));
-    }
-  }
-}
-
-/// Gather/min-add/scatter over 16 postings at a time. A column stores at
-/// most one posting per trajectory id, so the 16 local ids are distinct
-/// and the scatter is conflict-free — no vpconflictd pass needed.
-__attribute__((target("avx512f"))) void SparseMinCapAvx512(
-    const uint16_t* local_ids, const int32_t* counts, uint32_t begin,
-    uint32_t end, int32_t cap, int32_t* side) {
-  const __m512i vcap = _mm512_set1_epi32(cap);
-  uint32_t p = begin;
-  for (; p + 16 <= end; p += 16) {
-    const __m256i raw =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(local_ids + p));
-    const __m512i idx = _mm512_cvtepu16_epi32(raw);
-    const __m512i c = _mm512_min_epi32(vcap, _mm512_loadu_si512(counts + p));
-    // Masked form with an explicit zero source: the plain gather expands
-    // to _mm512_undefined_epi32, which -Wmaybe-uninitialized flags.
-    const __m512i g = _mm512_mask_i32gather_epi32(
-        _mm512_setzero_si512(), static_cast<__mmask16>(0xFFFF), idx, side, 4);
-    _mm512_i32scatter_epi32(side, idx, _mm512_add_epi32(g, c), 4);
-  }
-  for (; p < end; ++p) {
-    side[local_ids[p]] += std::min(cap, counts[p]);
-  }
-}
-
-#endif  // defined(EDR_HISTOGRAM_AVX512)
+#endif  // defined(EDR_HISTOGRAM_WIDE)
 
 using MinCapAccumFn = void (*)(int32_t, const int32_t*, int32_t*, size_t);
-using BitmapAccumFn = void (*)(const uint64_t*, size_t, int32_t*);
-using SparseMinCapFn = void (*)(const uint16_t*, const int32_t*, uint32_t,
-                                uint32_t, int32_t, int32_t*);
 
-/// The three sweep kernels of one dispatch level, resolved together once
-/// per sweep call. Levels whose bodies are not compiled into this build,
-/// and families without a body at some level (the SSE2 bitmap walk, or
-/// the AVX2 scatter, where gathers without scatters lose to the scalar
-/// loop), fall back to scalar — every combination computes identical
-/// integers.
-struct SweepKernels {
-  MinCapAccumFn min_cap_accum = MinCapAccumScalar;
-  BitmapAccumFn bitmap_accum = BitmapAccumScalar;
-  SparseMinCapFn sparse_min_cap = SparseMinCapScalar;
-};
-
-SweepKernels SweepKernelsFor(KernelLevel level) {
-  SweepKernels k;
+/// The dense kernel of a dispatch level, resolved once per sweep call.
+/// kSse2 shares the scalar entry point (the compiler already emits SSE2
+/// for it), as the Q-gram window scan does; levels not compiled into this
+/// build fall back to scalar too.
+MinCapAccumFn MinCapAccumFor(KernelLevel level) {
   switch (level) {
-#if defined(EDR_HISTOGRAM_AVX512)
-    case KernelLevel::kAvx512:
-      k.min_cap_accum = MinCapAccumAvx512;
-      k.bitmap_accum = BitmapAccumAvx512;
-      k.sparse_min_cap = SparseMinCapAvx512;
-      break;
+#if defined(EDR_HISTOGRAM_WIDE)
+    case KernelLevel::kAvx512: return MinCapAccumAvx512;
+    case KernelLevel::kAvx2: return MinCapAccumAvx2;
 #endif
-#if defined(EDR_HISTOGRAM_AVX2)
-    case KernelLevel::kAvx2:
-      k.min_cap_accum = MinCapAccumAvx2;
-      k.bitmap_accum = BitmapAccumAvx2;
-      break;
-#endif
-#if defined(EDR_HISTOGRAM_SIMD)
-    case KernelLevel::kSse2:
-      k.min_cap_accum = MinCapAccumSimd;
-      break;
-#endif
-    default:
-      break;
+    default: return MinCapAccumScalar;
   }
-  return k;
 }
 
 /// floor(pos) clamped to [0, bins - 1], with NaN sent to bin 0. The clamp
@@ -675,29 +491,21 @@ namespace {
 
 enum ColLayout : uint8_t {
   kColEmpty = 0,   ///< no trajectory has mass there; nothing stored
-  kColDense = 1,   ///< bin-major int32 column (the PR-2 layout)
-  kColBitmap = 2,  ///< every stored value is 1; one bit per id
-  kColSparse = 3,  ///< (local id, value) postings grouped by sweep block
+  kColDense = 1,   ///< bin-major int32 column
+  kColSparse = 2,  ///< (local id, value) postings grouped by sweep block
 };
 
-/// Bitmap words per column.
-inline size_t WordsPerColumn(size_t n) { return (n + 63) / 64; }
-
-/// Column-density thresholds of the adaptive heuristic (ALGORITHMS.md §14).
-/// Bytes per column: dense 4n; bitmap n/8; blocked-sparse ~6*occ plus the
-/// 4*(num_blocks+1) block index. Bitmap wins over postings for all-ones
-/// columns above ~n/48 occupancy; dense only pays once a quarter of the
-/// database occupies the bin (at which point the streaming SIMD min-add
-/// also beats posting scatter).
-constexpr double kBitmapMinDensity = 1.0 / 32.0;
+/// Column-density threshold of the adaptive heuristic (ALGORITHMS.md §14).
+/// Bytes per column: dense 4n; blocked-sparse ~6*occ plus the
+/// 4*(num_blocks+1) block index. Dense only pays once a quarter of the
+/// database occupies the bin, at which point the streaming min-add also
+/// beats the posting loop.
 constexpr double kDenseMinDensity = 0.25;
 
-uint8_t ClassifyColumn(uint32_t occ, int32_t max_count, size_t n) {
+uint8_t ClassifyColumn(uint32_t occ, size_t n) {
   if (occ == 0) return kColEmpty;
   const double density = static_cast<double>(occ) / static_cast<double>(n);
-  if (max_count == 1 && density >= kBitmapMinDensity) return kColBitmap;
-  if (density >= kDenseMinDensity) return kColDense;
-  return kColSparse;
+  return density >= kDenseMinDensity ? kColDense : kColSparse;
 }
 
 /// Fills `t`'s occupied (bin, count) list in ascending bin order without
@@ -738,14 +546,9 @@ void FillOccupied(const Trajectory& t, const HistogramGrid& grid, int mode,
 /// column's postings sorted, so its block index is written on the fly.
 class ColumnStoreBuilder {
  public:
-  explicit ColumnStoreBuilder(size_t num_bins)
-      : occ_(num_bins, 0), max_(num_bins, 0) {}
+  explicit ColumnStoreBuilder(size_t num_bins) : occ_(num_bins, 0) {}
 
-  void Count(const OccupiedBin& b) {
-    const size_t bin = static_cast<size_t>(b.bin);
-    occ_[bin]++;
-    max_[bin] = std::max(max_[bin], b.count);
-  }
+  void Count(const OccupiedBin& b) { occ_[static_cast<size_t>(b.bin)]++; }
 
   void Allocate(size_t n, HistogramTable::ColumnStore* store) {
     store_ = store;
@@ -755,14 +558,12 @@ class ColumnStoreBuilder {
     store->layout.assign(num_bins, kColEmpty);
     store->slot.assign(num_bins, 0);
     uint32_t dense_cols = 0;
-    uint32_t bitmap_cols = 0;
     uint32_t postings = 0;
     for (size_t b = 0; b < num_bins; ++b) {
-      const uint8_t lay = ClassifyColumn(occ_[b], max_[b], n);
+      const uint8_t lay = ClassifyColumn(occ_[b], n);
       store->layout[b] = lay;
       switch (lay) {
         case kColDense: store->slot[b] = dense_cols++; break;
-        case kColBitmap: store->slot[b] = bitmap_cols++; break;
         case kColSparse:
           store->slot[b] = static_cast<uint32_t>(cursor_.size());
           cursor_.push_back(postings);
@@ -772,8 +573,6 @@ class ColumnStoreBuilder {
       }
     }
     store->dense.assign(static_cast<size_t>(dense_cols) * n, 0);
-    store->bits.assign(static_cast<size_t>(bitmap_cols) * WordsPerColumn(n),
-                       0);
     store->sp_block_offsets.assign(cursor_.size() * (num_blocks_ + 1), 0);
     store->sp_local_ids.resize(postings);
     store->sp_counts.resize(postings);
@@ -786,10 +585,6 @@ class ColumnStoreBuilder {
     switch (store_->layout[bin]) {
       case kColDense:
         store_->dense[slot * n_ + id] = b.count;
-        break;
-      case kColBitmap:
-        store_->bits[slot * WordsPerColumn(n_) + id / 64] |= uint64_t{1}
-                                                             << (id & 63);
         break;
       case kColSparse: {
         const uint32_t p = cursor_[slot]++;
@@ -819,7 +614,6 @@ class ColumnStoreBuilder {
 
  private:
   std::vector<uint32_t> occ_;  ///< per bin: ids with a non-zero value
-  std::vector<int32_t> max_;   ///< per bin: largest value
   HistogramTable::ColumnStore* store_ = nullptr;
   size_t n_ = 0;
   size_t num_blocks_ = 0;
@@ -915,13 +709,11 @@ HistogramStorageStats HistogramTable::storage_stats() const {
     for (const uint8_t lay : s.layout) {
       switch (lay) {
         case kColDense: out->dense_columns++; break;
-        case kColBitmap: out->bitmap_columns++; break;
         case kColSparse: out->sparse_columns++; break;
         default: out->empty_columns++; break;
       }
     }
     out->bytes += s.dense.size() * sizeof(int32_t) +
-                  s.bits.size() * sizeof(uint64_t) +
                   s.sp_block_offsets.size() * sizeof(uint32_t) +
                   s.sp_local_ids.size() * sizeof(uint16_t) +
                   s.sp_counts.size() * sizeof(int32_t) +
@@ -974,9 +766,6 @@ int ColumnValueAt(const HistogramTable::FlatHistograms& f,
   switch (s.layout[static_cast<size_t>(bin)]) {
     case kColDense:
       return s.dense[slot * f.n + id];
-    case kColBitmap:
-      return static_cast<int>(
-          (s.bits[slot * WordsPerColumn(f.n) + id / 64] >> (id & 63)) & 1);
     case kColSparse: {
       const size_t block = id / kSweepBlock;
       const uint32_t* bo =
@@ -1097,7 +886,6 @@ FusedPlanData BuildFusedPlanData(
 struct ColumnBlock {
   uint8_t layout = kColEmpty;
   const int32_t* dense = nullptr;       ///< kColDense: the block's values
-  const uint64_t* words = nullptr;      ///< kColBitmap: the block's words
   const uint16_t* local_ids = nullptr;  ///< kColSparse: postings
   const int32_t* counts = nullptr;      ///<   [begin, end) of the block
   uint32_t begin = 0;
@@ -1105,8 +893,7 @@ struct ColumnBlock {
 };
 
 /// Enters column `bin` at sweep block `block`. Blocks start at multiples
-/// of kSweepBlock, so bitmap reads start on a word boundary and the
-/// blocked-sparse block index applies directly.
+/// of kSweepBlock, so the blocked-sparse block index applies directly.
 ColumnBlock BlockOf(const HistogramTable::FlatHistograms& f,
                     const HistogramTable::ColumnStore& s, int bin,
                     size_t block) {
@@ -1117,9 +904,6 @@ ColumnBlock BlockOf(const HistogramTable::FlatHistograms& f,
   switch (c.layout) {
     case kColDense:
       c.dense = s.dense.data() + slot * f.n + i0;
-      break;
-    case kColBitmap:
-      c.words = s.bits.data() + slot * WordsPerColumn(f.n) + i0 / 64;
       break;
     case kColSparse: {
       const uint32_t* bo =
@@ -1137,17 +921,17 @@ ColumnBlock BlockOf(const HistogramTable::FlatHistograms& f,
 }
 
 /// side[j] += min(cap, the column's value at the block's j-th id), for
-/// j < len, dispatching on the column's layout; cap >= 1.
+/// j < len, dispatching on the column's layout; cap >= 1. Dense columns
+/// run the level's kernel; sparse ones add min(cap, value) per posting of
+/// the block with the same scalar loop at every level.
 inline void MinCapBlock(const ColumnBlock& c, int32_t cap, size_t len,
-                        int32_t* side, const SweepKernels& kernels) {
+                        int32_t* side, MinCapAccumFn min_cap_accum) {
   switch (c.layout) {
-    case kColDense: kernels.min_cap_accum(cap, c.dense, side, len); break;
-    case kColBitmap:
-      kernels.bitmap_accum(c.words, (len + 63) / 64, side);
-      break;
+    case kColDense: min_cap_accum(cap, c.dense, side, len); break;
     case kColSparse:
-      kernels.sparse_min_cap(c.local_ids, c.counts, c.begin, c.end, cap,
-                             side);
+      for (uint32_t p = c.begin; p < c.end; ++p) {
+        side[c.local_ids[p]] += std::min(cap, c.counts[p]);
+      }
       break;
     default: break;
   }
@@ -1155,16 +939,18 @@ inline void MinCapBlock(const ColumnBlock& c, int32_t cap, size_t len,
 
 /// Clamps the column of every plan entry into the side accumulator of
 /// every member with a cap on it, over one block.
-void ClampColumns(const HistogramTable::FlatHistograms& f,
-                  const HistogramTable::ColumnStore& store,
-                  const std::vector<FusedBinEntry>& entries, size_t group,
-                  size_t block, size_t len, const SweepKernels& kernels,
-                  int32_t (*side)[kSweepBlock]) {
+__attribute__((aligned(64))) void ClampColumns(
+    const HistogramTable::FlatHistograms& f,
+    const HistogramTable::ColumnStore& store,
+    const std::vector<FusedBinEntry>& entries, size_t group, size_t block,
+    size_t len, MinCapAccumFn min_cap_accum, int32_t (*side)[kSweepBlock]) {
   for (const FusedBinEntry& e : entries) {
     const ColumnBlock c = BlockOf(f, store, e.bin, block);
     if (c.layout == kColEmpty) continue;
     for (size_t fq = 0; fq < group; ++fq) {
-      if (e.cap[fq] > 0) MinCapBlock(c, e.cap[fq], len, side[fq], kernels);
+      if (e.cap[fq] > 0) {
+        MinCapBlock(c, e.cap[fq], len, side[fq], min_cap_accum);
+      }
     }
   }
 }
@@ -1172,16 +958,18 @@ void ClampColumns(const HistogramTable::FlatHistograms& f,
 /// out[f][j] = member f's min(side A, side B) for the block's j-th id:
 /// side A clamps the NS columns of the query bins, side B the raw columns
 /// of the dilated bins.
-void TransportBlock(const HistogramTable::FlatHistograms& f,
-                    const FusedPlanData& plan, const SweepKernels& kernels,
-                    size_t block, size_t len, int32_t (*out)[kSweepBlock]) {
+__attribute__((aligned(64))) void TransportBlock(
+    const HistogramTable::FlatHistograms& f, const FusedPlanData& plan,
+    MinCapAccumFn min_cap_accum, size_t block, size_t len,
+    int32_t (*out)[kSweepBlock]) {
   alignas(64) int32_t side_b[kMaxFusionGroup][kSweepBlock];
   for (size_t fq = 0; fq < plan.group; ++fq) {
     std::fill_n(out[fq], len, 0);
     std::fill_n(side_b[fq], len, 0);
   }
-  ClampColumns(f, f.ns, plan.bins, plan.group, block, len, kernels, out);
-  ClampColumns(f, f.raw, plan.dilated, plan.group, block, len, kernels,
+  ClampColumns(f, f.ns, plan.bins, plan.group, block, len, min_cap_accum,
+               out);
+  ClampColumns(f, f.raw, plan.dilated, plan.group, block, len, min_cap_accum,
                side_b);
   for (size_t fq = 0; fq < plan.group; ++fq) {
     for (size_t j = 0; j < len; ++j) {
@@ -1210,7 +998,7 @@ void HistogramTable::SweepGroup(
     std::span<const QueryHistogram* const> queries,
     std::span<std::vector<int>* const> outs, KernelLevel level,
     const KnnOptions& options) const {
-  const SweepKernels kernels = SweepKernelsFor(level);
+  const MinCapAccumFn min_cap_accum = MinCapAccumFor(level);
   const size_t group = queries.size();
   const size_t n = totals_.size();
   const size_t num_blocks = (n + kSweepBlock - 1) / kSweepBlock;
@@ -1276,11 +1064,11 @@ void HistogramTable::SweepGroup(
     for (size_t block = block_begin; block < block_end; ++block) {
       const size_t i0 = block * kSweepBlock;
       const size_t len = std::min(kSweepBlock, n - i0);
-      TransportBlock(dims_[0], *plans[0], kernels, block, len, t);
+      TransportBlock(dims_[0], *plans[0], min_cap_accum, block, len, t);
       // Kind::k1D: longer - min(tx, ty) is the max of the per-dimension
       // bounds.
       for (size_t d = 1; d < dims_.size(); ++d) {
-        TransportBlock(dims_[d], *plans[d], kernels, block, len, td);
+        TransportBlock(dims_[d], *plans[d], min_cap_accum, block, len, td);
         for (size_t fq = 0; fq < group; ++fq) {
           for (size_t j = 0; j < len; ++j) {
             t[fq][j] = std::min(t[fq][j], td[fq][j]);

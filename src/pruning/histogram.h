@@ -99,11 +99,9 @@ int HistogramDistance1DFast(const std::vector<int>& hr,
 /// Layout census and byte count of one column store of a HistogramTable.
 struct ColumnStoreStats {
   size_t dense_columns = 0;   ///< stored as dense int32 columns
-  size_t bitmap_columns = 0;  ///< all-ones columns stored as bitmaps
   size_t sparse_columns = 0;  ///< blocked-sparse posting columns
   size_t empty_columns = 0;   ///< nothing stored at all
-  /// Dense block + bitmaps + postings + block index + per-column
-  /// layout/slot tables.
+  /// Dense block + postings + block index + per-column layout/slot tables.
   size_t bytes = 0;
 };
 
@@ -135,13 +133,13 @@ struct HistogramStorageStats {
 /// with N(b) the same-or-adjacent bins of b. Either way a query touches
 /// one column per bin it occupies or neighbours, so the sweep's cost
 /// follows the query's neighbourhood rather than the table. Each column is
-/// kept in one of four layouts, chosen per column at build time from its
-/// measured density (a dense block for every column would cost
-/// O(bins * n) memory, which blows up at the fine grids):
+/// kept in one of three layouts, chosen per column at build time from its
+/// density alone (a dense block for every column would cost O(bins * n)
+/// memory, which blows up at the fine grids):
 ///
-///  - *dense* columns stay bin-major int32 (`dense[slot * n + id]`), the
-///    layout FastLowerBoundSweep streams over with SIMD;
-///  - *bitmap* columns (every stored value is 1) keep one bit per id;
+///  - *dense* columns (a quarter of the ids or more) stay bin-major int32
+///    (`dense[slot * n + id]`), which FastLowerBoundSweep streams through
+///    one min-cap loop vectorized at each kernel level;
 ///  - *blocked-sparse* columns keep (local id, value) postings grouped by
 ///    sweep block, entered O(1) via a per-column block index;
 ///  - *empty* columns store nothing.
@@ -197,9 +195,9 @@ class HistogramTable {
   /// FastLowerBound(*queries[f], id)` for every id, bit for bit, whatever
   /// the group size. A single query is a group of one. Each block clamps
   /// the query columns into int32 accumulators, dispatching per column on
-  /// its storage layout: dense columns stream through the widest SIMD
-  /// lanes of ActiveKernelLevel() (read once per call), bitmap and
-  /// blocked-sparse columns scatter into the same accumulators. Each
+  /// its storage layout: dense columns stream through the min-cap loop
+  /// built for ActiveKernelLevel() (read once per call), blocked-sparse
+  /// columns add their postings into the same accumulators. Each
   /// *distinct* bin of the group resolves its column once and clamps it
   /// into every member that uses it (int32 addition commutes, so the
   /// per-member sums are exact). Groups larger than kMaxFusionGroup are
@@ -233,7 +231,6 @@ class HistogramTable {
     std::vector<uint8_t> layout;  ///< per bin: the ColLayout code
     std::vector<uint32_t> slot;   ///< per bin: index in its layout's store
     std::vector<int32_t> dense;   ///< dense cols: dense[slot * n + id]
-    std::vector<uint64_t> bits;   ///< bitmap cols: one bit per id
     /// Blocked-sparse cols: postings (local id within block, value) in
     /// ascending id order, entered per block via the block index
     /// sp_block_offsets[slot * (num_blocks + 1) + block].

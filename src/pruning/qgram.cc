@@ -116,8 +116,14 @@ namespace {
 /// exponential probe from `begin`, then binary search the bracketed run.
 /// Equivalent to std::lower_bound but O(log gap) when the answer is near
 /// `begin` — the common case for sorted merge windows that only advance.
-size_t GallopLowerBound(const double* xs, size_t begin, size_t end,
-                        double limit) {
+///
+/// This, the window scans below and AtLeastMatches2D start on 64-byte
+/// boundaries, like the Myers kernels, so their loops keep their place in
+/// the instruction fetch windows when unrelated code linked before them
+/// changes size.
+__attribute__((aligned(64))) size_t GallopLowerBound(const double* xs,
+                                                     size_t begin, size_t end,
+                                                     double limit) {
   if (begin >= end || xs[begin] >= limit) return begin;
   size_t offset = 1;
   while (begin + offset < end && xs[begin + offset] < limit) offset <<= 1;
@@ -173,9 +179,9 @@ namespace {
 /// One window scan of the 2-D merge-count: true iff some j in
 /// [window_start, end) with xs[j] <= x_hi has |ys[j] - qy| <= epsilon,
 /// stopping at the first j with xs[j] > x_hi (xs is sorted).
-inline bool WindowHasMatchScalar(const double* xs, const double* ys,
-                                 size_t window_start, size_t end, double x_hi,
-                                 double qy, double epsilon) {
+__attribute__((aligned(64))) inline bool WindowHasMatchScalar(
+    const double* xs, const double* ys, size_t window_start, size_t end,
+    double x_hi, double qy, double epsilon) {
   for (size_t j = window_start; j < end; ++j) {
     if (xs[j] > x_hi) return false;
     if (std::fabs(ys[j] - qy) <= epsilon) return true;
@@ -191,7 +197,7 @@ inline bool WindowHasMatchScalar(const double* xs, const double* ys,
 /// (in-window x AND y within epsilon) or some lane leaves the x-window —
 /// the match mask already excludes out-of-window lanes, and the sorted xs
 /// guarantee nothing beyond the first out-of-window lane can match.
-__attribute__((target("avx2"))) bool WindowHasMatchAvx2(
+__attribute__((target("avx2"), aligned(64))) bool WindowHasMatchAvx2(
     const double* xs, const double* ys, size_t window_start, size_t end,
     double x_hi, double qy, double epsilon) {
   const __m256d v_hi = _mm256_set1_pd(x_hi);
@@ -223,7 +229,7 @@ __attribute__((target("avx2"))) bool WindowHasMatchAvx2(
 /// the AVX2 body, using predicate masks directly: sorted xs make the
 /// in-window mask a *prefix* mask, so a match bit can never sit past the
 /// first out-of-window lane and the block verdicts match scalar order.
-__attribute__((target("avx512f"))) bool WindowHasMatchAvx512(
+__attribute__((target("avx512f"), aligned(64))) bool WindowHasMatchAvx512(
     const double* xs, const double* ys, size_t window_start, size_t end,
     double x_hi, double qy, double epsilon) {
   const __m512d v_hi = _mm512_set1_pd(x_hi);
@@ -284,9 +290,9 @@ size_t QgramMeansTable::CountMatches2D(const std::vector<Point2>& query_means,
   return count;
 }
 
-bool QgramMeansTable::AtLeastMatches2D(const std::vector<Point2>& query_means,
-                                       double epsilon, uint32_t id,
-                                       size_t threshold) const {
+__attribute__((aligned(64))) bool QgramMeansTable::AtLeastMatches2D(
+    const std::vector<Point2>& query_means, double epsilon, uint32_t id,
+    size_t threshold) const {
   // The same merge as CountMatches2D, so the count after every query mean
   // equals its prefix count there. It can only grow by one per query mean
   // still to come, and once the window reaches the end of the slice no

@@ -114,12 +114,12 @@ TEST(CpuDispatchTest, AllSupportedLevelsBitIdentical) {
   }
 }
 
-// The bitmap word-walk and blocked-sparse scatter column kernels must be
+// The dense min-cap kernel and the blocked-sparse posting loop must be
 // bit-identical to the pinned-scalar baseline at every supported level,
-// for one query and for a group. The dataset is shaped
-// so the adaptive table holds all four column layouts at once: a tight
-// all-ones cluster (bitmap), a repeated-point cluster (dense), far-away
-// random walks (blocked-sparse), and untouched space (empty).
+// for one query and for a group. The dataset is shaped so the adaptive
+// table holds every column layout at once: a tight all-ones cluster and a
+// repeated-point cluster (dense), far-away random walks (blocked-sparse),
+// and untouched space (empty).
 TEST(CpuDispatchTest, MixedLayoutSweepsBitIdenticalAcrossLevels) {
   LevelGuard guard;
   Rng rng(604);
@@ -146,7 +146,6 @@ TEST(CpuDispatchTest, MixedLayoutSweepsBitIdenticalAcrossLevels) {
   }
   const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1);
   const HistogramStorageStats stats = table.storage_stats();
-  ASSERT_GT(stats.raw.bitmap_columns, 0u);
   ASSERT_GT(stats.raw.sparse_columns, 0u);
   ASSERT_GT(stats.raw.dense_columns, 0u);
   ASSERT_GT(stats.raw.empty_columns, 0u);

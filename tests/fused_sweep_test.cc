@@ -1,6 +1,6 @@
 // Certifies group (fused) filter passes bit-identical to groups of one at
-// every level of the stack: the histogram table's bound sweep (all four
-// column layouts, both table kinds), the Q-gram searchers' group counts,
+// every level of the stack: the histogram table's bound sweep (every
+// column layout, both table kinds), the Q-gram searchers' group counts,
 // every fusion-capable searcher's KnnFused, and the adaptive scheduler's
 // fusion-group formation. Fusing amortizes database streaming across a
 // query group — it must never change any member's answer.
@@ -42,13 +42,13 @@ const std::vector<Trajectory>& Queries() {
   return queries;
 }
 
-/// A dataset whose histogram table holds all four column layouts
-/// at once (at epsilon 0.05): 220 single-point trajectories in a tight
-/// cluster fill a few bins with all-ones counts at high occupancy
-/// (bitmap), 150 repeated-point trajectories in a second tight cluster
-/// drive counts above one at >25% occupancy (dense), random walks far
-/// from both clusters leave low-occupancy postings (blocked-sparse), and
-/// the space in between stays untouched (empty).
+/// A dataset whose histogram table holds every column layout at once (at
+/// epsilon 0.05): 220 single-point trajectories in a tight cluster fill a
+/// few bins with all-ones counts at high occupancy and 150 repeated-point
+/// trajectories in a second tight cluster drive counts above one at >25%
+/// occupancy (both dense), random walks far from both clusters leave
+/// low-occupancy postings (blocked-sparse), and the space in between stays
+/// untouched (empty).
 TrajectoryDataset MixedLayoutDataset() {
   Rng rng(1301);
   TrajectoryDataset db("mixed-layouts");
@@ -113,8 +113,8 @@ void ExpectFusedSweepMatches(const HistogramTable& table,
 
 // The core guarantee at the table level: group bounds are bit for bit
 // the bounds of groups of one for every group size, both table kinds, at
-// two grid resolutions (epsilon 0.25 mixes dense, bitmap and sparse
-// columns; epsilon 4 is nearly all dense), sequential and sharded over 4
+// two grid resolutions (epsilon 0.25 mixes dense and sparse columns;
+// epsilon 4 is nearly all dense), sequential and sharded over 4
 // workers.
 TEST(FusedSweepTest, TableBoundsBitIdenticalAllKindsAndLayouts) {
   static ThreadPool pool(4);
@@ -135,21 +135,20 @@ TEST(FusedSweepTest, TableBoundsBitIdenticalAllKindsAndLayouts) {
   }
 }
 
-// Same guarantee on a table that provably holds all four adaptive column
-// layouts at once, so the fused block kernels cross every dispatch path
-// (dense min-cap, bitmap accumulate, blocked-sparse scatter, empty skip)
-// within a single sweep.
-TEST(FusedSweepTest, AllFourColumnLayoutsInOneFusedSweep) {
+// Same guarantee on a table that provably holds every adaptive column
+// layout at once, so the fused block kernels cross every dispatch path
+// (dense min-cap, blocked-sparse postings, empty skip) within a single
+// sweep.
+TEST(FusedSweepTest, AllColumnLayoutsInOneFusedSweep) {
   const TrajectoryDataset db = MixedLayoutDataset();
   const HistogramTable table(db, 0.05, HistogramTable::Kind::k2D, 1);
   const HistogramStorageStats stats = table.storage_stats();
   ASSERT_GT(stats.raw.dense_columns, 0u) << "dataset no longer drives dense";
-  ASSERT_GT(stats.raw.bitmap_columns, 0u) << "dataset no longer drives bitmap";
   ASSERT_GT(stats.raw.sparse_columns, 0u) << "dataset no longer drives sparse";
   ASSERT_GT(stats.raw.empty_columns, 0u) << "dataset no longer drives empty";
 
-  // Queries drawn from every region (bitmap cluster, dense cluster,
-  // walks), so the fused plan's distinct bins span all layouts.
+  // Queries drawn from every region (all-ones cluster, repeated-point
+  // cluster, walks), so the fused plan's distinct bins span all layouts.
   std::vector<Trajectory> queries;
   for (const size_t i : {0, 60, 120, 230, 280, 340, 375, 400}) {
     queries.push_back(db[i]);

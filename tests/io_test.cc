@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "data/generators.h"
@@ -13,6 +17,25 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// Writes `contents` to a temporary CSV file and loads it.
+Result<TrajectoryDataset> LoadCsvText(const std::string& name,
+                                      const std::string& contents) {
+  const std::string path = TempPath(name);
+  { std::ofstream(path) << contents; }
+  Result<TrajectoryDataset> r = LoadCsv(path);
+  std::remove(path.c_str());
+  return r;
+}
+
+/// Expects an InvalidArgument whose message names line `line_no`.
+void ExpectRejectedAtLine(const Result<TrajectoryDataset>& r, int line_no) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  const std::string at_line = std::string(":") + std::to_string(line_no);
+  EXPECT_NE(r.status().message().find(at_line + ":"), std::string::npos)
+      << r.status().message();
 }
 
 TEST(IoTest, RoundTripPreservesEverything) {
@@ -168,6 +191,89 @@ TEST(BinaryIoTest, CsvAndBinaryAgree) {
   }
   std::remove(csv.c_str());
   std::remove(bin.c_str());
+}
+
+// sscanf stops at the first character no field can take, so a line with
+// garbage after its last number used to load as if the garbage were not
+// there.
+TEST(IoTest, TrailingCharactersRejected) {
+  ExpectRejectedAtLine(LoadCsvText("trailing.csv", "0,1,2.5garbage,0.5\n"),
+                       1);
+  ExpectRejectedAtLine(
+      LoadCsvText("trailing2.csv", "# header\n0,1,0.5,0.5\n0,1,0.5,0.5x\n"),
+      3);
+  // Trailing whitespace, a CRLF line end's '\r' included, is not garbage.
+  const Result<TrajectoryDataset> r =
+      LoadCsvText("crlf.csv", "0,1,0.5,0.5\r\n0,1,0.25,0.75  \n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_EQ((*r)[0].size(), 2u);
+}
+
+TEST(IoTest, NonFiniteCoordinatesRejected) {
+  ExpectRejectedAtLine(LoadCsvText("nan.csv", "0,1,0.5,0.5\n0,1,nan,0.5\n"),
+                       2);
+  ExpectRejectedAtLine(LoadCsvText("inf.csv", "0,1,0.5,inf\n"), 1);
+  ExpectRejectedAtLine(LoadCsvText("ninf.csv", "0,1,-INFINITY,0.5\n"), 1);
+}
+
+// Samples of one trajectory must be on consecutive lines; an index that
+// comes back after another trajectory's lines used to start a second
+// trajectory with the same index.
+TEST(IoTest, ReappearingIndexRejected) {
+  ExpectRejectedAtLine(LoadCsvText("reappear.csv",
+                                   "0,-1,0.0,0.0\n"
+                                   "1,-1,1.0,1.0\n"
+                                   "1,-1,1.5,1.5\n"
+                                   "0,-1,2.0,2.0\n"),
+                       4);
+}
+
+TEST(BinaryIoTest, NonFiniteCoordinatesRejected) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    TrajectoryDataset db;
+    db.Add(Trajectory({{0.0, 0.0}, {1.0, 1.0}}));
+    db.Add(Trajectory({{2.0, 2.0}, {3.0, bad}}));
+    const std::string path = TempPath("nonfinite.edrt");
+    ASSERT_TRUE(SaveBinary(db, path).ok());
+    const Result<TrajectoryDataset> r = LoadBinary(path);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    std::remove(path.c_str());
+  }
+}
+
+// A 28-byte file whose one trajectory header claims 2^26 points: the
+// loader must see that the file cannot hold them before it allocates the
+// 1 GiB the header asks for (peak RSS stays where it was).
+TEST(BinaryIoTest, LengthBeyondFileRejectedBeforeAllocating) {
+  const std::string path = TempPath("huge_header.edrt");
+  {
+    std::ofstream out(path, std::ios::binary);
+    const uint32_t version = 1;
+    const uint64_t count = 1;
+    const int32_t label = -1;
+    const uint64_t length = uint64_t{1} << 26;
+    out.write("EDRT", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    out.write(reinterpret_cast<const char*>(&label), sizeof(label));
+    out.write(reinterpret_cast<const char*>(&length), sizeof(length));
+  }
+  const auto peak_rss_kb = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<long>(usage.ru_maxrss);
+  };
+  const long before_kb = peak_rss_kb();
+  const Result<TrajectoryDataset> r = LoadBinary(path);
+  const long grown_kb = peak_rss_kb() - before_kb;
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_LT(grown_kb, 64 * 1024) << "peak RSS grew by " << grown_kb << " kB";
+  std::remove(path.c_str());
 }
 
 TEST(IoTest, SaveToBadPathFails) {
