@@ -1,22 +1,28 @@
 // Intra-query parallelism bench: per-query latency distribution (p50 /
-// p95 / max) of the filter-and-refine searchers at 1, 4, and 8 workers
-// sharding a single query over a dedicated thread pool, on a
-// 10k-trajectory random walk database.
+// p95 / max) and DPs per query (the refinement work the filters left, the
+// complement of the paper's pruning power) of the filter-and-refine
+// searchers at 1, 4, and 8 workers sharding a single query over a
+// dedicated thread pool, on a 10k-trajectory random walk database.
 //
 // Emits JSON (stdout, or the file named by argv[1]):
 //
 //   ./bench/bench_intra_query BENCH_intra_query.json
 //
-// Every multi-worker run is certified bit-identical to the single-worker
-// run before its latency is reported. "host_cores" records the machine's
-// core count: worker counts beyond it measure scheduling overhead, not
-// speedup, so interpret the committed baseline relative to that field.
+// Each row is the median over 5 passes of the 20 queries; the passes
+// rotate through the worker counts, so slow drift of a shared host spreads
+// over every row. One pass alone moved a p50 by 20% between two runs of
+// the same binary. Every multi-worker answer is certified bit-identical to
+// the single-worker one before its latency is reported. "host_cores"
+// records the machine's core count: worker counts beyond it measure
+// scheduling overhead, not speedup, so interpret the committed baseline
+// relative to that field.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,12 +44,15 @@ constexpr double kEps = 0.25;
 constexpr size_t kDbSize = 10000;
 constexpr size_t kQueries = 20;
 constexpr size_t kK = 10;
+constexpr size_t kPasses = 5;
+constexpr unsigned kWorkerCounts[] = {1, 4, 8};
 
 struct LatencyRow {
   unsigned workers = 1;
   double p50_s = 0.0;
   double p95_s = 0.0;
   double max_s = 0.0;
+  double dp_per_query = 0.0;
   bool identical = true;
 };
 
@@ -54,6 +63,12 @@ double NearestRank(std::vector<double> sorted, double q) {
   idx = idx > 0 ? idx - 1 : 0;
   idx = std::min(idx, sorted.size() - 1);
   return sorted[idx];
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 bool SameNeighbors(const KnnResult& a, const KnnResult& b) {
@@ -69,6 +84,36 @@ bool SameNeighbors(const KnnResult& a, const KnnResult& b) {
 
 using KnnFn = std::function<KnnResult(const Trajectory&, const KnnOptions&)>;
 
+/// One timed pass of every query at `workers`, certified against the
+/// single-worker `reference` answers.
+LatencyRow MeasurePass(const KnnFn& knn, const std::vector<Trajectory>& queries,
+                       const std::vector<KnnResult>& reference,
+                       unsigned workers, ThreadPool& pool) {
+  KnnOptions options;
+  options.intra_query_workers = workers;
+  options.pool = &pool;
+  LatencyRow row;
+  row.workers = workers;
+  std::vector<double> latencies;
+  latencies.reserve(queries.size());
+  size_t dps = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const KnnResult result = knn(queries[i], options);
+    const auto stop = std::chrono::steady_clock::now();
+    latencies.push_back(std::chrono::duration<double>(stop - start).count());
+    dps += result.stats.edr_computed;
+    row.identical = row.identical && SameNeighbors(reference[i], result);
+  }
+  std::sort(latencies.begin(), latencies.end());
+  row.p50_s = NearestRank(latencies, 0.50);
+  row.p95_s = NearestRank(latencies, 0.95);
+  row.max_s = latencies.back();
+  row.dp_per_query =
+      static_cast<double>(dps) / static_cast<double>(queries.size());
+  return row;
+}
+
 std::vector<LatencyRow> MeasureMethod(
     const char* name, const KnnFn& knn,
     const std::vector<Trajectory>& queries, ThreadPool& pool) {
@@ -77,35 +122,42 @@ std::vector<LatencyRow> MeasureMethod(
   reference.reserve(queries.size());
   for (const Trajectory& q : queries) reference.push_back(knn(q, {}));
 
-  std::vector<LatencyRow> rows;
-  for (const unsigned workers : {1u, 4u, 8u}) {
-    KnnOptions options;
-    options.intra_query_workers = workers;
-    options.pool = &pool;
-
-    LatencyRow row;
-    row.workers = workers;
-    std::vector<double> latencies;
-    latencies.reserve(queries.size());
-    // One warm-up pass sizes scratch buffers, then the measured pass.
-    for (const Trajectory& q : queries) knn(q, options);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto start = std::chrono::steady_clock::now();
-      const KnnResult result = knn(queries[i], options);
-      const auto stop = std::chrono::steady_clock::now();
-      latencies.push_back(
-          std::chrono::duration<double>(stop - start).count());
-      row.identical = row.identical && SameNeighbors(reference[i], result);
+  // One warm-up pass per worker count sizes scratch buffers, then the
+  // measured passes rotate through the worker counts.
+  constexpr size_t kRows = std::size(kWorkerCounts);
+  for (size_t r = 0; r < kRows; ++r) {
+    MeasurePass(knn, queries, reference, kWorkerCounts[r], pool);
+  }
+  std::vector<std::vector<LatencyRow>> passes(kRows);
+  for (size_t pass = 0; pass < kPasses; ++pass) {
+    for (size_t r = 0; r < kRows; ++r) {
+      passes[r].push_back(
+          MeasurePass(knn, queries, reference, kWorkerCounts[r], pool));
     }
-    std::sort(latencies.begin(), latencies.end());
-    row.p50_s = NearestRank(latencies, 0.50);
-    row.p95_s = NearestRank(latencies, 0.95);
-    row.max_s = latencies.back();
+  }
+
+  std::vector<LatencyRow> rows;
+  for (size_t r = 0; r < kRows; ++r) {
+    const auto median_of = [&](double LatencyRow::* field) {
+      std::vector<double> v;
+      for (const LatencyRow& p : passes[r]) v.push_back(p.*field);
+      return Median(std::move(v));
+    };
+    LatencyRow row;
+    row.workers = kWorkerCounts[r];
+    row.p50_s = median_of(&LatencyRow::p50_s);
+    row.p95_s = median_of(&LatencyRow::p95_s);
+    row.max_s = median_of(&LatencyRow::max_s);
+    row.dp_per_query = median_of(&LatencyRow::dp_per_query);
+    for (const LatencyRow& p : passes[r]) {
+      row.identical = row.identical && p.identical;
+    }
     std::fprintf(stderr,
                  "%-6s workers=%u p50=%.3fms p95=%.3fms max=%.3fms "
-                 "identical=%s\n",
-                 name, workers, row.p50_s * 1e3, row.p95_s * 1e3,
-                 row.max_s * 1e3, row.identical ? "yes" : "NO");
+                 "dp/query=%.2f identical=%s\n",
+                 name, row.workers, row.p50_s * 1e3, row.p95_s * 1e3,
+                 row.max_s * 1e3, row.dp_per_query,
+                 row.identical ? "yes" : "NO");
     rows.push_back(row);
   }
   return rows;
@@ -182,8 +234,10 @@ int main(int argc, char** argv) {
       std::snprintf(buf, sizeof(buf),
                     "      {\"workers\": %u, \"p50_ms\": %.3f, "
                     "\"p95_ms\": %.3f, \"max_ms\": %.3f, "
+                    "\"dp_per_query\": %.2f, "
                     "\"speedup_p50_vs_1\": %.2f, \"identical\": %s}%s\n",
                     r.workers, r.p50_s * 1e3, r.p95_s * 1e3, r.max_s * 1e3,
+                    r.dp_per_query,
                     base_p50 > 0.0 ? base_p50 / r.p50_s : 0.0,
                     r.identical ? "true" : "false",
                     i + 1 < rows.size() ? "," : "");
@@ -194,8 +248,9 @@ int main(int argc, char** argv) {
 
   std::fprintf(out,
                "{\n  \"bench\": \"intra_query\",\n  \"db_size\": %zu,\n"
-               "  \"queries\": %zu,\n  \"k\": %zu,\n  \"epsilon\": %.3f,\n",
-               db.size(), queries.size(), kK, kEps);
+               "  \"queries\": %zu,\n  \"passes\": %zu,\n  \"k\": %zu,\n"
+               "  \"epsilon\": %.3f,\n",
+               db.size(), queries.size(), kPasses, kK, kEps);
   bench::FprintHostJson(out);
   std::fprintf(out,
                "  \"methods\": [\n%s  ],\n"

@@ -1,10 +1,14 @@
 #include "data/io.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
@@ -50,17 +54,39 @@ Result<TrajectoryDataset> LoadCsv(const std::string& path) {
       return Status::InvalidArgument(std::string(what) + " at " + path + ":" +
                                      std::to_string(line_no) + ": " + line);
     };
-    long index = 0;
-    int label = -1;
-    double x = 0.0;
-    double y = 0.0;
-    int consumed = -1;
-    // The trailing " %n" skips whitespace (a CRLF line's '\r' included) and
-    // records where parsing stopped; anything after it is garbage.
-    if (std::sscanf(line.c_str(), "%ld,%d,%lf,%lf %n", &index, &label, &x, &y,
-                    &consumed) != 4 ||
-        consumed != static_cast<int>(line.size())) {
-      return invalid("malformed CSV");
+    // Each field reads as strtol (base 10) or strtod reads it: leading
+    // whitespace and a sign allowed, hex floats too. The first three end at
+    // a comma; after the last, only whitespace (a CRLF line's '\r'
+    // included) may follow. Integers out of range are rejected, not
+    // clamped or wrapped.
+    const char* p = line.c_str();
+    const char* const line_end = p + line.size();
+    char* end = nullptr;
+    const auto ends_at_comma = [&] {
+      if (end == p || *end != ',') return false;
+      p = end + 1;
+      return true;
+    };
+    errno = 0;
+    const long index = std::strtol(p, &end, 10);
+    const bool index_in_range = errno != ERANGE;
+    if (!ends_at_comma()) return invalid("malformed CSV");
+    errno = 0;
+    const long label = std::strtol(p, &end, 10);
+    const bool label_in_range = errno != ERANGE &&
+                                label >= std::numeric_limits<int>::min() &&
+                                label <= std::numeric_limits<int>::max();
+    if (!ends_at_comma()) return invalid("malformed CSV");
+    const double x = std::strtod(p, &end);
+    if (!ends_at_comma()) return invalid("malformed CSV");
+    const double y = std::strtod(p, &end);
+    if (end == p) return invalid("malformed CSV");
+    while (end != line_end && std::isspace(static_cast<unsigned char>(*end))) {
+      ++end;
+    }
+    if (end != line_end) return invalid("malformed CSV");
+    if (!index_in_range || !label_in_range) {
+      return invalid("integer out of range");
     }
     if (!std::isfinite(x) || !std::isfinite(y)) {
       return invalid("non-finite coordinate");
@@ -74,7 +100,7 @@ Result<TrajectoryDataset> LoadCsv(const std::string& path) {
         db.Add(std::move(current));
       }
       current = Trajectory();
-      current.set_label(label);
+      current.set_label(static_cast<int>(label));
       current_index = index;
       have_current = true;
     }

@@ -104,14 +104,18 @@ class CombinedKnnSearcher {
   const CombinedOptions& options() const { return options_; }
 
  private:
-  /// The per-member tail of KnnFused: the lazy filter chain
-  /// over precomputed histogram bounds, bounded refinement, stats/trace.
-  KnnResult RefineWithBounds(const Trajectory& query, size_t k,
-                             const KnnOptions& options,
-                             const std::vector<int>& bounds,
-                             const std::vector<Point2>& query_means,
-                             std::shared_ptr<QueryTrace> trace,
-                             double filter_seconds) const;
+  /// Answers one query from its precomputed histogram bounds and sorted
+  /// Q-gram means: returns scan(order, prune, distance) with the configured
+  /// candidate order, the filter chain in options_.order and bounded EDR
+  /// (recording the reference distances) — scan is FilterAndRefine for Knn
+  /// and ScanRange for Range.
+  template <typename ScanFn>
+  KnnResult Search(const Trajectory& query, const std::vector<int>& bounds,
+                   const std::vector<Point2>& query_means,
+                   ScanFn&& scan) const;
+
+  /// The query's Q-gram means, sorted for the merge-join count.
+  std::vector<Point2> SortedMeans(const Trajectory& query) const;
 
   const TrajectoryDataset& db_;
   double epsilon_;

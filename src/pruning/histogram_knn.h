@@ -1,8 +1,8 @@
 #ifndef EDR_PRUNING_HISTOGRAM_KNN_H_
 #define EDR_PRUNING_HISTOGRAM_KNN_H_
 
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/dataset.h"
 #include "pruning/histogram.h"
@@ -61,15 +61,6 @@ class HistogramKnnSearcher {
   std::string name() const;
 
  private:
-  /// The refinement phase of one member: scans candidates
-  /// against precomputed lower bounds (HSE database order or HSR sorted
-  /// order), fills in stats/trace, and records query metrics.
-  KnnResult RefineWithBounds(const Trajectory& query, size_t k,
-                             const KnnOptions& options,
-                             const std::vector<int>& bounds,
-                             std::shared_ptr<QueryTrace> trace,
-                             double filter_seconds) const;
-
   const TrajectoryDataset& db_;
   double epsilon_;
   HistogramScan scan_;

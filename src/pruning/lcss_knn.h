@@ -65,16 +65,6 @@ class LcssKnnSearcher {
   std::string name() const;
 
  private:
-  /// Per-member tail of KnnFused: the count filter plus
-  /// exact-LCSS refinement over precomputed distance bounds (`bounds`
-  /// empty when the histogram filter is off).
-  KnnResult RefineWithBounds(const Trajectory& query, size_t k,
-                             const KnnOptions& options,
-                             const std::vector<double>& bounds,
-                             const std::vector<Point2>& query_means,
-                             std::shared_ptr<QueryTrace> trace,
-                             double filter_seconds) const;
-
   const TrajectoryDataset& db_;
   double epsilon_;
   LcssFilter filter_;

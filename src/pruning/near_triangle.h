@@ -1,11 +1,14 @@
 #ifndef EDR_PRUNING_NEAR_TRIANGLE_H_
 #define EDR_PRUNING_NEAR_TRIANGLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/dataset.h"
+#include "obs/stage_counters.h"
+#include "query/intra_query.h"
 #include "query/knn.h"
 
 namespace edr {
@@ -54,6 +57,24 @@ class PairwiseEdrMatrix {
   std::vector<int> distances_;
 };
 
+/// The near-triangle filter step (Figure 4, lines 2-4) for S = db[id]:
+/// prunes S, bumping triangle_pruned, when some reference R in `refs`
+/// gives EDR(Q, R) - EDR(S, R) - slack > threshold, a lower bound on
+/// EDR(Q, S) above the threshold. NTR and the combined searcher use slack
+/// |S| (Theorem 5); CSE uses its shift constant.
+inline bool TrianglePrunes(StageCounters& st, const PairwiseEdrMatrix& matrix,
+                           const SharedRefDistances& refs, uint32_t id,
+                           double slack, double threshold) {
+  double max_prune_dist = 0.0;
+  refs.ForEach([&](uint32_t ref, double ref_dist) {
+    const double bound = ref_dist - matrix.at(ref, id) - slack;
+    max_prune_dist = std::max(max_prune_dist, bound);
+  });
+  if (max_prune_dist <= threshold) return false;
+  st.Bump(&StageCounters::triangle_pruned);
+  return true;
+}
+
 /// k-NN searcher using the near triangle inequality (Theorem 5):
 ///
 ///   EDR(Q, S) + EDR(S, R) + |S| >= EDR(Q, R)
@@ -77,8 +98,9 @@ class NearTriangleSearcher {
   NearTriangleSearcher(const TrajectoryDataset& db, double epsilon,
                        PairwiseEdrMatrix matrix);
 
-  /// `options` shards the refinement scan over the thread pool (per-worker
-  /// reference arrays); results are bit-identical for every worker count.
+  /// `options` shards the refinement scan over the thread pool (one
+  /// reference array shared by the workers); results are bit-identical for
+  /// every worker count.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
 

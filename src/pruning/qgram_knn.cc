@@ -6,12 +6,9 @@
 #include <functional>
 #include <type_traits>
 
-#include "distance/edr_kernel.h"
-#include "obs/trace.h"
 #include "pruning/qgram.h"
 #include "query/feature_cache.h"
 #include "query/intra_query.h"
-#include "query/topk.h"
 
 namespace edr {
 
@@ -203,6 +200,26 @@ std::vector<std::vector<size_t>> QgramKnnSearcher::MatchCounts(
   return counts;
 }
 
+namespace {
+
+/// The Q-gram searchers' filter (Theorems 1 and 3): fewer matching grams
+/// than max(|Q|, |S|) - q + 1 - threshold * q means EDR(Q, S) > threshold.
+/// Nothing prunes before the threshold is finite.
+auto CountFilter(const TrajectoryDataset& db, const Trajectory& query, int q,
+                 const std::vector<size_t>& counts) {
+  return [&db, &query, &counts, q](StageCounters& st, uint32_t id,
+                                   double threshold) {
+    if (std::isinf(threshold)) return false;
+    const long th = QgramCountThreshold(query.size(), db[id].size(), q,
+                                        static_cast<long>(threshold));
+    if (static_cast<long>(counts[id]) >= th) return false;
+    st.Bump(&StageCounters::qgram_pruned);
+    return true;
+  };
+}
+
+}  // namespace
+
 KnnResult QgramKnnSearcher::Knn(const Trajectory& query, size_t k,
                                 const KnnOptions& options) const {
   return std::move(KnnFused({&query}, k, options)[0]);
@@ -211,128 +228,31 @@ KnnResult QgramKnnSearcher::Knn(const Trajectory& query, size_t k,
 std::vector<KnnResult> QgramKnnSearcher::KnnFused(
     const std::vector<const Trajectory*>& queries, size_t k,
     const KnnOptions& options) const {
-  const size_t group = queries.size();
-  std::vector<KnnResult> results(group);
-  if (group == 0) return results;
-  const auto start = std::chrono::steady_clock::now();
-  if (k == 0) {
-    // Nothing can be returned; skip the scan (and the -inf bestSoFar the
-    // threshold arithmetic cannot represent).
-    for (KnnResult& r : results) {
-      r.stats.db_size = db_.size();
-      r.stats.stages.FinalizeNotVisited(db_.size());
-    }
-    return results;
-  }
-
-  std::vector<std::shared_ptr<QueryTrace>> traces(group);
-  std::vector<int32_t> span_ids(group, -1);
-  for (size_t f = 0; f < group; ++f) {
-    traces[f] = MakeQueryTrace();
-    RecordSchedBudget(traces[f].get(), options);
-    if (traces[f] != nullptr) span_ids[f] = traces[f]->Begin("match_count");
-  }
-  const std::vector<std::vector<size_t>> counts =
-      MatchCounts(queries, options);
-  for (size_t f = 0; f < group; ++f) {
-    if (traces[f] != nullptr) traces[f]->End(span_ids[f]);
-  }
-  const double filter_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  for (size_t f = 0; f < group; ++f) {
-    results[f] = RefineWithCounts(*queries[f], k, options, counts[f],
-                                  std::move(traces[f]), filter_seconds);
-  }
-  return results;
-}
-
-KnnResult QgramKnnSearcher::RefineWithCounts(
-    const Trajectory& query, size_t k, const KnnOptions& options,
-    const std::vector<size_t>& counts, std::shared_ptr<QueryTrace> trace,
-    double filter_seconds) const {
-  const auto refine_entry = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.stats.db_size = db_.size();
-  TraceSpan order_span(trace.get(), "order_build");
-  // Canonical visit order: descending count, ties by ascending id —
-  // drained lazily so only the prefix the scan actually visits is ordered.
-  std::vector<StreamingOrder<long>::Entry> entries(db_.size());
-  for (size_t i = 0; i < db_.size(); ++i) {
-    entries[i] = {-static_cast<long>(counts[i]), static_cast<uint32_t>(i)};
-  }
-  order_span.End();
-  // Candidate ordering belongs to the filter phase in the reported split.
-  const auto order_done = std::chrono::steady_clock::now();
-  filter_seconds +=
-      std::chrono::duration<double>(order_done - refine_entry).count();
-
-  const EdrKernel kernel = DefaultEdrKernel();
-  const long query_len = static_cast<long>(query.size());
-  const unsigned slots = ResolveIntraQueryWorkers(options);
-  std::vector<size_t> computed(slots, 0);
-  std::vector<StageCounters> slot_stages(slots);
-
-  const auto refine = [&](unsigned slot, uint32_t id, double threshold,
-                          double* dist) {
-    const Trajectory& s = db_[id];
-    StageCounters& st = slot_stages[slot];
-    st.Bump(&StageCounters::considered);
-    if (!std::isinf(threshold)) {
-      // Theorem 3: fewer matching grams than the per-candidate threshold
-      // means EDR(Q, S) > bestSoFar.
-      const long th = QgramCountThreshold(query.size(), s.size(), q_,
-                                          static_cast<long>(threshold));
-      if (static_cast<long>(counts[id]) < th) {
-        st.Bump(&StageCounters::qgram_pruned);
-        return false;
-      }
-    }
-    // Refinement with the running k-th distance as an early-abandon bound:
-    // exact when the candidate could enter the result, otherwise some
-    // lower bound > bestSoFar that the selection rejects just the same.
-    const int bound = EdrBoundFromKthDistance(threshold);
-    const int d = EdrDistanceBoundedWith(kernel, ThreadLocalEdrScratch(),
-                                         query, s, epsilon_, bound);
-    ++computed[slot];
-    st.CountDp(query.size(), s.size());
-    if (d > bound) {
-      st.Bump(&StageCounters::dp_early_abandoned);
-      return false;
-    }
-    *dist = static_cast<double>(d);
-    return true;
+  std::vector<std::vector<size_t>> counts;
+  const auto count = [&] { counts = MatchCounts(queries, options); };
+  const auto refine = [&](size_t f, RefineRequest req) {
+    const Trajectory& query = *queries[f];
+    const std::vector<size_t>& c = counts[f];
+    // Canonical visit order: descending count, ties by ascending id.
+    const auto key = [&c](uint32_t id) { return -static_cast<long>(c[id]); };
+    // Smallest Theorem-3 threshold any remaining trajectory can have:
+    // lengths are at least |Q| inside max(|Q|, |S|). Counts only decrease
+    // from here, so once the count falls below it, everything remaining is
+    // pruned and the whole scan stops.
+    const long query_len = static_cast<long>(query.size());
+    const auto stop = [this, query_len](long key, double threshold) {
+      if (std::isinf(threshold)) return false;
+      const long universal_threshold =
+          query_len - static_cast<long>(q_) + 1 -
+          static_cast<long>(threshold) * static_cast<long>(q_);
+      return -key < universal_threshold;
+    };
+    return FilterAndRefine(std::move(req), k, InKeyOrder{key, stop},
+                           CountFilter(db_, query, q_, c),
+                           BoundedEdr(db_, query, epsilon_));
   };
-  // Smallest Theorem-3 threshold any remaining trajectory can have:
-  // lengths are at least |Q| inside max(|Q|, |S|). Counts only decrease
-  // from here, so once the count falls below it, everything remaining is
-  // pruned and the whole scan stops.
-  const auto stop = [&](long key, double threshold) {
-    if (std::isinf(threshold)) return false;
-    const long universal_threshold =
-        query_len - static_cast<long>(q_) + 1 -
-        static_cast<long>(threshold) * static_cast<long>(q_);
-    return -key < universal_threshold;
-  };
-  TraceSpan refine_span(trace.get(), "refine");
-  out.neighbors = RefineInKeyOrder<long>(std::move(entries), k, options,
-                                         refine, stop,
-                                         {trace.get(), refine_span.id()});
-  refine_span.End();
-
-  const auto stop_time = std::chrono::steady_clock::now();
-  for (const size_t c : computed) out.stats.edr_computed += c;
-  for (const StageCounters& st : slot_stages) out.stats.stages.Add(st);
-  out.stats.stages.FinalizeNotVisited(db_.size());
-  out.stats.filter_seconds = filter_seconds;
-  out.stats.refine_seconds =
-      std::chrono::duration<double>(stop_time - order_done).count();
-  out.stats.elapsed_seconds =
-      out.stats.filter_seconds + out.stats.refine_seconds;
-  out.trace = std::move(trace);
-  RecordQueryMetrics(out.stats);
-  return out;
+  return RunFusionGroup(db_, queries, k, options, "match_count", count,
+                        refine);
 }
 
 std::string QgramKnnSearcher::name() const {
@@ -367,46 +287,13 @@ uint64_t QgramKnnSearcher::FusionFingerprint(const Trajectory& query) const {
   return sig;
 }
 
-
 KnnResult QgramKnnSearcher::Range(const Trajectory& query, int radius,
                                   size_t max_results) const {
   const auto start = std::chrono::steady_clock::now();
   const std::vector<size_t> counts = std::move(MatchCounts({&query})[0]);
-  const EdrKernel kernel = DefaultEdrKernel();
-  EdrScratch& scratch = ThreadLocalEdrScratch();
-
-  KnnResult out;
-  size_t computed = 0;
-  StageCounters& stages = out.stats.stages;
-  for (uint32_t id = 0; id < db_.size(); ++id) {
-    const Trajectory& s = db_[id];
-    stages.Bump(&StageCounters::considered);
-    const long threshold =
-        QgramCountThreshold(query.size(), s.size(), q_, radius);
-    if (static_cast<long>(counts[id]) < threshold) {  // Theorem 1.
-      stages.Bump(&StageCounters::qgram_pruned);
-      continue;
-    }
-    // Exact whenever dist <= radius (the only candidates reported).
-    const int dist =
-        EdrDistanceBoundedWith(kernel, scratch, query, s, epsilon_, radius);
-    ++computed;
-    stages.CountDp(query.size(), s.size());
-    if (dist <= radius) {
-      out.neighbors.push_back({id, static_cast<double>(dist)});
-    } else {
-      stages.Bump(&StageCounters::dp_early_abandoned);
-    }
-  }
-  SortNeighborsAscending(&out.neighbors, max_results);
-  const auto stop = std::chrono::steady_clock::now();
-  out.stats.db_size = db_.size();
-  out.stats.edr_computed = computed;
-  stages.FinalizeNotVisited(db_.size());
-  out.stats.elapsed_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  RecordQueryMetrics(out.stats);
-  return out;
+  return ScanRange(db_, query, start, radius, max_results, InDbOrder{},
+                   CountFilter(db_, query, q_, counts),
+                   BoundedEdr(db_, query, epsilon_));
 }
 
 }  // namespace edr

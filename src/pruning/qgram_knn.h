@@ -98,15 +98,6 @@ class QgramKnnSearcher {
   std::string name() const;
 
  private:
-  /// Everything after the counting pass, for one member:
-  /// descending-count ordering, Theorem-3 pruning, bounded refinement,
-  /// stats/trace fill-in.
-  KnnResult RefineWithCounts(const Trajectory& query, size_t k,
-                             const KnnOptions& options,
-                             const std::vector<size_t>& counts,
-                             std::shared_ptr<QueryTrace> trace,
-                             double filter_seconds) const;
-
   const TrajectoryDataset& db_;
   double epsilon_;
   int q_;

@@ -1,16 +1,41 @@
 #ifndef EDR_QUERY_INTRA_QUERY_H_
 #define EDR_QUERY_INTRA_QUERY_H_
 
+// The paper's filter-and-refine skeleton (Figure 6), written once for every
+// k-NN searcher: visit the candidates in some order, run the searcher's
+// filters against the running k-th distance, and refine the survivors with
+// the true distance. A searcher supplies only
+//   - its candidate order: InDbOrder, or InKeyOrder / InBoundOrder
+//     (ascending (key, id) order with a monotone stop test);
+//   - its filter chain, prune(StageCounters&, id, threshold) -> pruned,
+//     which bumps the bucket of the filter that fired;
+//   - its distance, distance(id, threshold) -> Refined: BoundedEdr (which
+//     can also record the near-triangle reference distances), or exact
+//     LCSS for the LCSS searcher.
+// FilterAndRefine answers a k-NN query (threshold = the running k-th
+// distance, refinement sharded over the worker slots), ScanRange a range
+// query (threshold = the radius, one slot), and RunFusionGroup runs a fusion
+// group's one up-front filter pass before each member's FilterAndRefine.
+// The driver owns everything else: the per-slot stage counters, DP counts
+// and DP times, the "refine" span with one "refine_worker" per slot and the
+// "dp" aggregate, the phase split, the k = 0 answer and the query metrics.
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/dataset.h"
+#include "core/trajectory.h"
+#include "distance/edr_kernel.h"
+#include "obs/stage_counters.h"
 #include "obs/trace.h"
 #include "query/knn.h"
 #include "query/thread_pool.h"
@@ -87,9 +112,10 @@ class SharedTopK {
 /// The reference distances one query has refined so far, shared by all
 /// of its refinement slots, so the near-triangle prunes (NTR, CSE and the
 /// combined searcher) read every reference any slot computed, not only
-/// their own. A stored value may be a bounded-refinement lower bound of
-/// EDR(Q, ref); substituting it only shrinks a prune bound, so reading any
-/// subset of the entries keeps pruning lossless.
+/// their own. The references are the ids below the capacity (the columns
+/// of the PairwiseEdrMatrix). A stored value may be a bounded-refinement
+/// lower bound of EDR(Q, ref); substituting it only shrinks a prune bound,
+/// so reading any subset of the entries keeps pruning lossless.
 ///
 /// Append-only up to a fixed capacity: a writer fills the next entry under
 /// the lock and publishes it by storing the count with release order, so
@@ -98,11 +124,13 @@ class SharedRefDistances {
  public:
   explicit SharedRefDistances(size_t capacity) : entries_(capacity) {}
 
-  void Add(uint32_t ref, double distance) {
+  /// Records EDR(Q, id) if `id` is a reference; other ids are ignored.
+  void Add(uint32_t id, double distance) {
+    if (id >= entries_.size()) return;
     std::lock_guard<std::mutex> lock(mu_);
     const size_t count = count_.load(std::memory_order_relaxed);
     if (count == entries_.size()) return;
-    entries_[count] = {ref, distance};
+    entries_[count] = {id, distance};
     count_.store(count + 1, std::memory_order_release);
   }
 
@@ -133,71 +161,17 @@ inline unsigned ResolveIntraQueryWorkers(const KnnOptions& options) {
   return IntraQueryPool(options).num_workers() + 1;
 }
 
-/// Records the worker budget this query was granted as a `sched` node on
-/// the query's trace (count = resolved participant count, zero duration —
-/// the budget is a decision, not a phase). Every searcher calls this at
-/// the top of Knn so traces show the schedule the batch scheduler chose.
-inline void RecordSchedBudget(QueryTrace* trace, const KnnOptions& options) {
-  if constexpr (kObsEnabled) {
-    if (trace != nullptr) {
-      trace->AddAggregate("sched", 0.0, ResolveIntraQueryWorkers(options));
-    }
-  } else {
-    (void)trace;
-    (void)options;
+/// A fresh trace for one k-NN call, with the worker budget the call was
+/// granted recorded as a `sched` node (count = resolved participant count,
+/// zero duration — the budget is a decision, not a phase), so traces show
+/// the schedule the batch scheduler chose. Null under EDR_DISABLE_OBS.
+inline std::shared_ptr<QueryTrace> KnnTrace(const KnnOptions& options) {
+  std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
+  if (trace != nullptr) {
+    trace->AddAggregate("sched", 0.0, ResolveIntraQueryWorkers(options));
   }
+  return trace;
 }
-
-/// Per-worker-slot DP wall time for the searchers whose filter checks
-/// interleave with their DPs, so their phase split is derived: refine =
-/// the summed DP time, filter = the rest of the query. One cache line per
-/// slot, since a slot's sum is written after every DP. No clock is read
-/// under EDR_DISABLE_OBS.
-class SlotDpTimer {
- public:
-  explicit SlotDpTimer(unsigned slots) : seconds_(slots) {}
-
-  /// Runs dp() for worker slot `slot`, adds its wall time to the slot's
-  /// sum and returns its result.
-  template <typename DpFn>
-  int Time(unsigned slot, DpFn&& dp) {
-    if constexpr (kObsEnabled) {
-      const auto start = std::chrono::steady_clock::now();
-      const int d = dp();
-      seconds_[slot].v += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-      return d;
-    } else {
-      return dp();
-    }
-  }
-
-  /// Sets stats->refine_seconds to the summed DP time, clamped to
-  /// stats->elapsed_seconds, and filter_seconds to the rest, and records
-  /// the sum as a "dp" aggregate on `trace`. Under EDR_DISABLE_OBS nothing
-  /// was timed and `stats` keeps the split the caller set.
-  void SplitPhases(SearchStats* stats, QueryTrace* trace) const {
-    if constexpr (kObsEnabled) {
-      double total = 0.0;
-      for (const Slot& s : seconds_) total += s.v;
-      if (trace != nullptr) {
-        trace->AddAggregate("dp", total, stats->stages.dp_invoked);
-      }
-      stats->refine_seconds = std::min(total, stats->elapsed_seconds);
-      stats->filter_seconds = stats->elapsed_seconds - stats->refine_seconds;
-    } else {
-      (void)stats;
-      (void)trace;
-    }
-  }
-
- private:
-  struct alignas(64) Slot {
-    double v = 0.0;
-  };
-  std::vector<Slot> seconds_;
-};
 
 /// fn(i) for every i in [0, n), sharded per the intra-query options; the
 /// sequential setting (1 worker) runs a plain loop without touching the
@@ -264,13 +238,13 @@ class KeyOrderStream {
   bool stopped_ = false;
 };
 
-/// Runs `loop(slot)` on `slots` participants of the pool (or inline when
-/// one slot suffices). Each slot's run is recorded as a "refine_worker"
-/// span under `tc` so the per-query trace shows the worker shard
-/// breakdown.
+/// Runs `loop(slot)` on `slots` participants of the options' pool (or
+/// inline when one slot suffices). Each slot's run is recorded as a
+/// "refine_worker" span under `tc` so the per-query trace shows the worker
+/// shard breakdown.
 template <typename LoopFn>
-void RunSlots(unsigned slots, ThreadPool& pool, LoopFn&& loop,
-              const TraceContext& tc = {}) {
+void RunSlots(unsigned slots, const KnnOptions& options, LoopFn&& loop,
+              const TraceContext& tc) {
   auto traced = [&](size_t slot) {
     TraceSpan span(tc.trace, "refine_worker", tc.parent);
     loop(slot);
@@ -278,91 +252,341 @@ void RunSlots(unsigned slots, ThreadPool& pool, LoopFn&& loop,
   if (slots <= 1) {
     traced(size_t{0});
   } else {
-    pool.ParallelFor(slots, traced, slots);
+    IntraQueryPool(options).ParallelFor(slots, traced, slots);
   }
 }
 
 }  // namespace internal
 
-/// Parallel filter-and-refine over candidates in database order (the HSE /
-/// near-triangle / CSE scan shape: no candidate ordering, no early stop).
-///
-/// `process(slot, id, threshold, &dist)` evaluates the searcher's filter
-/// chain against `threshold` and, if the candidate survives, computes its
-/// distance with `threshold` as the early-abandon bound. It returns true
-/// iff `dist` holds the candidate's *exact* distance (i.e. the computation
-/// was not abandoned); only exact distances enter the result.
-///
-/// Result identity across worker counts: the shared threshold is always an
-/// upper bound on the final k-th distance, so every true neighbor survives
-/// filtering in every schedule, is refined exactly, and is offered to the
-/// query-wide SharedTopK, which keeps the k lexicographically smallest
-/// (distance, rank) pairs — a schedule-independent set.
-template <typename ProcessFn>
-std::vector<Neighbor> RefineInDbOrder(size_t n, size_t k,
-                                      const KnnOptions& options,
-                                      ProcessFn&& process,
-                                      const TraceContext& tc = {}) {
-  const unsigned slots = ResolveIntraQueryWorkers(options);
-  ThreadPool& pool = IntraQueryPool(options);
-  internal::DbOrderStream stream(n);
-  SharedTopK top(k, slots);
-
-  auto loop = [&](size_t slot) {
-    uint32_t id = 0;
-    size_t rank = 0;
-    while (stream.Next(&id, &rank)) {
-      double dist = 0.0;
-      if (!process(static_cast<unsigned>(slot), id, top.Threshold(),
-                   &dist)) {
-        continue;
+/// Candidate order: database order, ids 0..n-1 (HSE, NTR, CSE, the
+/// combined searcher without a sorted histogram scan, and the range
+/// queries). No ordering work and no early stop; a candidate's rank is its
+/// id.
+struct InDbOrder {
+  /// Offers to `sink` every candidate that process(slot, id, threshold,
+  /// &dist) refines exactly, with `slots` workers drawing ids from one
+  /// cursor; `threshold` is sink.Threshold() read per candidate.
+  template <typename Sink, typename ProcessFn>
+  void Visit(size_t n, unsigned slots, const KnnOptions& options, Sink& sink,
+             ProcessFn& process, const TraceContext& tc) const {
+    internal::DbOrderStream stream(n);
+    auto loop = [&](size_t slot) {
+      uint32_t id = 0;
+      size_t rank = 0;
+      while (stream.Next(&id, &rank)) {
+        double dist = 0.0;
+        if (process(static_cast<unsigned>(slot), id, sink.Threshold(),
+                    &dist)) {
+          sink.Offer(id, dist, rank);
+        }
       }
-      top.Offer(id, dist, rank);
+    };
+    internal::RunSlots(slots, options, loop, tc);
+  }
+};
+
+/// Candidate order: ascending canonical (key(id), id), drained lazily from
+/// a StreamingOrder so only the visited prefix is ordered (HSR, the Q-gram
+/// searchers, LCSS with its histogram filter and the combined searcher's
+/// sorted scan). When stop(key, threshold) holds for the canonically next
+/// candidate, every remaining candidate is prunable too and the whole scan
+/// halts; that candidate is never visited. `stop` must be monotone in the
+/// threshold (a larger threshold never stops earlier), so a stale —
+/// necessarily larger — threshold read is conservative.
+template <typename KeyFn, typename StopFn>
+struct InKeyOrder {
+  KeyFn key;
+  StopFn stop;
+
+  /// As InDbOrder::Visit, in (key, id) order with the early stop.
+  template <typename Sink, typename ProcessFn>
+  void Visit(size_t n, unsigned slots, const KnnOptions& options, Sink& sink,
+             ProcessFn& process, const TraceContext& tc) const {
+    using Key = std::decay_t<std::invoke_result_t<const KeyFn&, uint32_t>>;
+    std::vector<typename StreamingOrder<Key>::Entry> entries(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t id = static_cast<uint32_t>(i);
+      entries[i] = {key(id), id};
     }
-  };
-  internal::RunSlots(slots, pool, loop, tc);
-  return std::move(top).Take();
+    internal::KeyOrderStream<Key> stream(
+        StreamingOrder<Key>(std::move(entries)));
+    auto loop = [&](size_t slot) {
+      typename StreamingOrder<Key>::Entry entry;
+      size_t rank = 0;
+      while (stream.Next(&entry, &rank)) {
+        const double threshold = sink.Threshold();
+        if (stop(entry.key, threshold)) {
+          stream.Stop();
+          break;
+        }
+        double dist = 0.0;
+        if (process(static_cast<unsigned>(slot), entry.id, threshold,
+                    &dist)) {
+          sink.Offer(entry.id, dist, rank);
+        }
+      }
+    };
+    internal::RunSlots(slots, options, loop, tc);
+  }
+};
+
+/// InKeyOrder over per-candidate lower bounds: in ascending bound order,
+/// once the next bound exceeds the threshold, so does every later one.
+template <typename KeyFn>
+auto InBoundOrder(KeyFn bound) {
+  return InKeyOrder{std::move(bound), [](auto key, double threshold) {
+                      return static_cast<double>(key) > threshold;
+                    }};
 }
 
-/// Parallel filter-and-refine over candidates in ascending canonical
-/// (key, id) order (the HSR / Q-gram / combined scan shape), with an early
-/// stop: when `stop(key, threshold)` fires for the canonically next
-/// candidate, every remaining candidate is prunable too (keys only grow)
-/// and the whole scan halts.
-///
-/// Same result-identity argument as RefineInDbOrder; `stop` must be
-/// monotone in the threshold (a larger threshold never stops earlier), so
-/// a stale — necessarily larger — threshold read is conservative.
-template <typename Key, typename ProcessFn, typename StopFn>
-std::vector<Neighbor> RefineInKeyOrder(
-    std::vector<typename StreamingOrder<Key>::Entry> entries, size_t k,
-    const KnnOptions& options, ProcessFn&& process, StopFn&& stop,
-    const TraceContext& tc = {}) {
-  const unsigned slots = ResolveIntraQueryWorkers(options);
-  ThreadPool& pool = IntraQueryPool(options);
-  internal::KeyOrderStream<Key> stream(
-      StreamingOrder<Key>(std::move(entries)));
-  SharedTopK top(k, slots);
+/// One refinement's outcome: the candidate's exact distance, or — when the
+/// computation abandoned past the threshold — a lower bound above it.
+struct Refined {
+  double distance = 0.0;
+  bool exact = true;
+};
 
-  auto loop = [&](size_t slot) {
-    typename StreamingOrder<Key>::Entry entry;
-    size_t rank = 0;
-    while (stream.Next(&entry, &rank)) {
-      const double threshold = top.Threshold();
-      if (stop(entry.key, threshold)) {
-        stream.Stop();
-        break;
-      }
-      double dist = 0.0;
-      if (!process(static_cast<unsigned>(slot), entry.id, threshold,
-                   &dist)) {
-        continue;
-      }
-      top.Offer(entry.id, dist, rank);
+/// The EDR searchers' distance: EDR with the threshold as its early-abandon
+/// bound, exact whenever the candidate could enter the answer and
+/// otherwise some lower bound above the threshold, which the answer
+/// rejects just the same. With `refs`, every reference's DP value is also
+/// recorded there (the near-triangle procArray of Figure 4).
+class BoundedEdr {
+ public:
+  BoundedEdr(const TrajectoryDataset& db, const Trajectory& query,
+             double epsilon, SharedRefDistances* refs = nullptr)
+      : db_(db),
+        query_(query),
+        epsilon_(epsilon),
+        kernel_(DefaultEdrKernel()),
+        refs_(refs) {}
+
+  Refined operator()(uint32_t id, double threshold) const {
+    const int bound = EdrBoundFromKthDistance(threshold);
+    const int d = EdrDistanceBoundedWith(kernel_, ThreadLocalEdrScratch(),
+                                         query_, db_[id], epsilon_, bound);
+    if (refs_ != nullptr) refs_->Add(id, static_cast<double>(d));
+    return {static_cast<double>(d), d <= bound};
+  }
+
+ private:
+  const TrajectoryDataset& db_;
+  const Trajectory& query_;
+  double epsilon_;
+  EdrKernel kernel_;
+  SharedRefDistances* refs_;
+};
+
+/// What the driver needs to know about one query besides its order, filter
+/// chain and distance: the data, the execution options (worker count and
+/// pool), the query's trace (null under EDR_DISABLE_OBS), and the time its
+/// up-front filter pass took (shared by a fusion group; 0 for searchers
+/// without one).
+struct RefineRequest {
+  const TrajectoryDataset& db;
+  const Trajectory& query;
+  KnnOptions options;
+  std::shared_ptr<QueryTrace> trace;
+  double filter_seconds = 0.0;
+};
+
+namespace internal {
+
+using Clock = std::chrono::steady_clock;
+
+inline double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The answer to a query that can return nothing (k = 0): no candidate is
+/// visited, so every one counts as not visited.
+inline KnnResult EmptyAnswer(size_t db_size) {
+  KnnResult out;
+  out.stats.db_size = db_size;
+  out.stats.stages.FinalizeNotVisited(db_size);
+  return out;
+}
+
+/// The range scan's sink: every exact distance within the radius. The
+/// scan runs on one slot, so no lock.
+class RangeHits {
+ public:
+  explicit RangeHits(int radius) : radius_(static_cast<double>(radius)) {}
+
+  double Threshold() const { return radius_; }
+  void Offer(uint32_t id, double distance, size_t /*rank*/) {
+    hits_.push_back({id, distance});
+  }
+  std::vector<Neighbor> Take(size_t max_results) && {
+    SortNeighborsAscending(&hits_, max_results);
+    return std::move(hits_);
+  }
+
+ private:
+  double radius_;
+  std::vector<Neighbor> hits_;
+};
+
+/// One worker slot's share of a refinement's bookkeeping, on cache lines
+/// of its own (it is written for every candidate).
+struct alignas(64) RefineSlot {
+  StageCounters stages;
+  size_t computed = 0;
+  double dp_seconds = 0.0;
+};
+
+/// The skeleton behind FilterAndRefine and ScanRange: visits `order` on
+/// `slots` workers, offers every exact distance to `sink`, takes the
+/// answer with take(), and fills in the stats.
+///
+/// Phase split, one rule for every searcher: with observability compiled
+/// in, the distance calls are timed per slot, refine_seconds is their sum
+/// (clamped to the elapsed time) and filter_seconds the rest; the trace
+/// gets the sum as a "dp" aggregate under "refine". Under EDR_DISABLE_OBS
+/// no clock is read per candidate: filter is the up-front pass and refine
+/// the rest.
+template <typename Order, typename Sink, typename PruneFn,
+          typename DistanceFn, typename TakeFn>
+KnnResult Drive(RefineRequest& req, unsigned slots, const Order& order,
+                Sink& sink, PruneFn&& prune, DistanceFn&& distance,
+                TakeFn&& take) {
+  const Clock::time_point start = Clock::now();
+  std::vector<RefineSlot> state(slots);
+  const size_t query_len = req.query.size();
+  auto process = [&](unsigned slot, uint32_t id, double threshold,
+                     double* dist) {
+    RefineSlot& s = state[slot];
+    s.stages.Bump(&StageCounters::considered);
+    if (prune(s.stages, id, threshold)) return false;
+    Refined r;
+    if constexpr (kObsEnabled) {
+      const Clock::time_point dp_start = Clock::now();
+      r = distance(id, threshold);
+      s.dp_seconds += SecondsSince(dp_start);
+    } else {
+      r = distance(id, threshold);
     }
+    ++s.computed;
+    s.stages.CountDp(query_len, req.db[id].size());
+    if (!r.exact) {
+      s.stages.Bump(&StageCounters::dp_early_abandoned);
+      return false;
+    }
+    *dist = r.distance;
+    return true;
   };
-  internal::RunSlots(slots, pool, loop, tc);
-  return std::move(top).Take();
+
+  KnnResult out;
+  TraceSpan span(req.trace.get(), "refine");
+  order.Visit(req.db.size(), slots, req.options, sink, process,
+              {req.trace.get(), span.id()});
+  out.neighbors = take();
+  span.End();
+  const double refine_wall = SecondsSince(start);
+
+  SearchStats& stats = out.stats;
+  stats.db_size = req.db.size();
+  double dp_seconds = 0.0;
+  for (const RefineSlot& s : state) {
+    stats.edr_computed += s.computed;
+    stats.stages.Add(s.stages);
+    dp_seconds += s.dp_seconds;
+  }
+  stats.stages.FinalizeNotVisited(stats.db_size);
+  stats.elapsed_seconds = req.filter_seconds + refine_wall;
+  if constexpr (kObsEnabled) {
+    if (req.trace != nullptr) {
+      req.trace->AddAggregate("dp", dp_seconds, stats.stages.dp_invoked,
+                              span.id());
+    }
+    stats.refine_seconds = std::min(dp_seconds, stats.elapsed_seconds);
+    stats.filter_seconds = stats.elapsed_seconds - stats.refine_seconds;
+  } else {
+    stats.filter_seconds = req.filter_seconds;
+    stats.refine_seconds = refine_wall;
+  }
+  out.trace = std::move(req.trace);
+  RecordQueryMetrics(stats);
+  return out;
+}
+
+}  // namespace internal
+
+/// Answers one k-NN query: visits the candidates in `order` on the worker
+/// slots `req.options` grants, prunes with prune(stages, id, threshold)
+/// against the running k-th distance, refines the survivors with
+/// distance(id, threshold) and returns the k nearest exact distances.
+///
+/// Result identity across worker counts: every exact distance goes to one
+/// query-wide SharedTopK, whose k-th is the shared threshold. That
+/// threshold is always an upper bound on the final k-th distance, so every
+/// true neighbour survives filtering in every schedule, is refined exactly
+/// and is offered; the top-k keeps the k lexicographically smallest
+/// (distance, rank) pairs, a schedule-independent set.
+template <typename Order, typename PruneFn, typename DistanceFn>
+KnnResult FilterAndRefine(RefineRequest req, size_t k, const Order& order,
+                          PruneFn&& prune, DistanceFn&& distance) {
+  if (k == 0) return internal::EmptyAnswer(req.db.size());
+  const unsigned slots = ResolveIntraQueryWorkers(req.options);
+  SharedTopK top(k, slots);
+  return internal::Drive(req, slots, order, top, prune, distance,
+                         [&] { return std::move(top).Take(); });
+}
+
+/// Answers one range query on one slot: every candidate with distance at
+/// most `radius`, ascending by (distance, id), through the same filter
+/// chain and distance as FilterAndRefine with `radius` as the threshold.
+/// `start` is when the query began; the time up to this call is its filter
+/// pass. A nonzero `max_results` keeps only that many nearest matches,
+/// selected without sorting the whole list.
+template <typename Order, typename PruneFn, typename DistanceFn>
+KnnResult ScanRange(const TrajectoryDataset& db, const Trajectory& query,
+                    internal::Clock::time_point start, int radius,
+                    size_t max_results, const Order& order, PruneFn&& prune,
+                    DistanceFn&& distance) {
+  RefineRequest req{db, query, KnnOptions{}, MakeQueryTrace(),
+                    internal::SecondsSince(start)};
+  internal::RangeHits hits(radius);
+  return internal::Drive(req, 1, order, hits, prune, distance, [&] {
+    return std::move(hits).Take(max_results);
+  });
+}
+
+/// The query path of the fusion-capable searchers (histogram, Q-gram,
+/// combined, LCSS): answers a group of queries with one up-front filter
+/// pass, pass() (feature fetches included), recorded as a `pass_span` span
+/// on every member's trace, then returns member(f, request) for each member
+/// f, where the request carries the pass time as the member's filter phase.
+/// A group with k = 0 answers without a pass.
+template <typename PassFn, typename MemberFn>
+std::vector<KnnResult> RunFusionGroup(
+    const TrajectoryDataset& db, const std::vector<const Trajectory*>& queries,
+    size_t k, const KnnOptions& options, const char* pass_span,
+    PassFn&& pass, MemberFn&& member) {
+  const internal::Clock::time_point start = internal::Clock::now();
+  const size_t group = queries.size();
+  if (group == 0 || k == 0) {
+    return std::vector<KnnResult>(group, internal::EmptyAnswer(db.size()));
+  }
+  std::vector<std::shared_ptr<QueryTrace>> traces(group);
+  std::vector<int32_t> spans(group, -1);
+  for (size_t f = 0; f < group; ++f) {
+    traces[f] = KnnTrace(options);
+    if (traces[f] != nullptr) spans[f] = traces[f]->Begin(pass_span);
+  }
+  pass();
+  for (size_t f = 0; f < group; ++f) {
+    if (traces[f] != nullptr) traces[f]->End(spans[f]);
+  }
+  const double filter_seconds = internal::SecondsSince(start);
+  std::vector<KnnResult> results;
+  results.reserve(group);
+  for (size_t f = 0; f < group; ++f) {
+    results.push_back(member(f, RefineRequest{db, *queries[f], options,
+                                              std::move(traces[f]),
+                                              filter_seconds}));
+  }
+  return results;
 }
 
 }  // namespace edr

@@ -68,14 +68,15 @@ struct SearchStats {
   /// Wall-clock time spent answering the query, including filter work.
   double elapsed_seconds = 0.0;
   /// Per-phase split of elapsed_seconds: the filter phase (lower-bound
-  /// sweeps, match counting, candidate ordering) versus the refinement
-  /// phase (true distance computations + result maintenance). Searchers
-  /// with a distinct filter pass report it directly; searchers that
-  /// interleave filter checks with their DPs (NTR / CSE / combined) time
-  /// the DPs per worker slot (SlotDpTimer) — refine is the summed DP
-  /// time, filter the rest — so the columns are never silently zero. (In
-  /// EDR_DISABLE_OBS builds NTR / CSE fall back to filter = 0,
-  /// refine = elapsed, and combined to filter = its up-front sweep.)
+  /// sweeps, match counting, candidate ordering, per-candidate filter
+  /// checks) versus the refinement phase (true distance computations).
+  /// One rule for every searcher (the filter-and-refine driver in
+  /// query/intra_query.h): with observability compiled in, refine is the
+  /// distance time summed over the worker slots, clamped to the elapsed
+  /// time, and filter is the rest. In EDR_DISABLE_OBS builds no clock is
+  /// read per candidate: filter is the up-front pass (zero for NTR / CSE,
+  /// which have none) and refine the rest. The sequential-scan baselines
+  /// report all of their time as refine.
   double filter_seconds = 0.0;
   double refine_seconds = 0.0;
 

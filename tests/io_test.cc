@@ -202,12 +202,41 @@ TEST(IoTest, TrailingCharactersRejected) {
   ExpectRejectedAtLine(
       LoadCsvText("trailing2.csv", "# header\n0,1,0.5,0.5\n0,1,0.5,0.5x\n"),
       3);
-  // Trailing whitespace, a CRLF line end's '\r' included, is not garbage.
-  const Result<TrajectoryDataset> r =
-      LoadCsvText("crlf.csv", "0,1,0.5,0.5\r\n0,1,0.25,0.75  \n");
+  // Trailing whitespace, a CRLF line end's '\r' included, is not garbage;
+  // nor is whitespace after a comma, a leading '+' or a hex float.
+  const Result<TrajectoryDataset> r = LoadCsvText(
+      "crlf.csv",
+      "0,1,0.5,0.5\r\n0,1,0.25,0.75  \n"
+      " +1, +2, +0x1p-1,\t-0.25\n");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->size(), 1u);
+  ASSERT_EQ(r->size(), 2u);
   EXPECT_EQ((*r)[0].size(), 2u);
+  EXPECT_EQ((*r)[1].label(), 2);
+  ASSERT_EQ((*r)[1].size(), 1u);
+  EXPECT_EQ((*r)[1][0].x, 0.5);
+  EXPECT_EQ((*r)[1][0].y, -0.25);
+}
+
+// The trajectory index and the label are range-checked: an out-of-range
+// integer used to load wrapped or clamped (strtol/scanf semantics).
+TEST(IoTest, OutOfRangeIntegersRejected) {
+  ExpectRejectedAtLine(LoadCsvText("label.csv", "0,4294967297,0.5,0.5\n"), 1);
+  ExpectRejectedAtLine(
+      LoadCsvText("label_neg.csv", "0,1,0.5,0.5\n0,-2147483649,0.5,0.5\n"),
+      2);
+  ExpectRejectedAtLine(
+      LoadCsvText("index.csv", "99999999999999999999,1,0.5,0.5\n"), 1);
+  ExpectRejectedAtLine(
+      LoadCsvText("index_neg.csv", "-99999999999999999999,1,0.5,0.5\n"), 1);
+  // The extremes of each type still load.
+  const Result<TrajectoryDataset> r =
+      LoadCsvText("extremes.csv",
+                  "9223372036854775807,2147483647,0.5,0.5\n"
+                  "-9223372036854775808,-2147483648,0.5,0.5\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 2u);
+  EXPECT_EQ((*r)[0].label(), std::numeric_limits<int>::max());
+  EXPECT_EQ((*r)[1].label(), std::numeric_limits<int>::min());
 }
 
 TEST(IoTest, NonFiniteCoordinatesRejected) {

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -339,6 +340,78 @@ TEST(ObsStageTest, CombinedSplitsPhasesAtTheDp) {
       ASSERT_NE(r.trace, nullptr);
       EXPECT_GT(r.stats.refine_seconds, 0.0);
       EXPECT_GT(r.trace->PhaseSeconds("dp"), 0.0);
+    }
+  }
+}
+
+TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
+  // Every searcher runs through one filter-and-refine driver, so every
+  // trace has the same refinement phase: one "refine" span whose children
+  // are the per-slot "refine_worker" spans, and one "dp" aggregate counting
+  // the DPs. The phase split covers the elapsed time in every build.
+  const HistogramKnnSearcher hse(Db(), kEps, HistogramTable::Kind::k2D, 1,
+                                 HistogramScan::kSequential);
+  const HistogramKnnSearcher hsr(Db(), kEps, HistogramTable::Kind::k2D, 1,
+                                 HistogramScan::kSorted);
+  const QgramKnnSearcher ps2(Db(), kEps, /*q=*/1, QgramVariant::kMerge2D);
+  const QgramKnnSearcher pr(Db(), kEps, /*q=*/1, QgramVariant::kRtree2D);
+  const NearTriangleSearcher ntr(Db(), kEps, Matrix());
+  const CseSearcher cse(Db(), kEps, Matrix());
+  CombinedOptions combined_options;
+  combined_options.max_triangle = kMaxTriangle;
+  const CombinedKnnSearcher combined(Db(), kEps, combined_options, Matrix());
+  const LcssKnnSearcher lcss(Db(), kEps, LcssFilter::kBoth);
+  const auto knn_of = [](const auto& searcher) -> KnnFn {
+    return [&searcher](const Trajectory& q, size_t k, const KnnOptions& o) {
+      return searcher.Knn(q, k, o);
+    };
+  };
+  const std::vector<std::pair<std::string, KnnFn>> searchers = {
+      {"HSE", knn_of(hse)},        {"HSR", knn_of(hsr)},
+      {"PS2", knn_of(ps2)},        {"PR", knn_of(pr)},
+      {"NTR", knn_of(ntr)},        {"CSE", knn_of(cse)},
+      {"2HPN", knn_of(combined)},  {"LCSS-HP", knn_of(lcss)},
+  };
+  const auto queries = testutil::MakeQueries(Db(), 528, 1);
+  for (const auto& [label, knn] : searchers) {
+    for (const unsigned workers : {1u, 4u}) {
+      const std::string where = label + " workers=" + std::to_string(workers);
+      KnnOptions options;
+      options.intra_query_workers = workers;
+      options.pool = &Pool();
+      const KnnResult r = knn(queries[0], 10, options);
+      EXPECT_GE(r.stats.filter_seconds, 0.0) << where;
+      EXPECT_GE(r.stats.refine_seconds, 0.0) << where;
+      EXPECT_NEAR(r.stats.filter_seconds + r.stats.refine_seconds,
+                  r.stats.elapsed_seconds, 1e-9)
+          << where;
+      if constexpr (kObsEnabled) {
+        ASSERT_NE(r.trace, nullptr) << where;
+        const std::vector<QueryTrace::Node> nodes = r.trace->nodes();
+        std::vector<int32_t> refines;
+        for (size_t i = 0; i < nodes.size(); ++i) {
+          if (std::string(nodes[i].name) == "refine") {
+            refines.push_back(static_cast<int32_t>(i));
+          }
+        }
+        ASSERT_EQ(refines.size(), 1u) << where;
+        size_t refine_workers = 0;
+        size_t dps = 0;
+        for (const QueryTrace::Node& node : nodes) {
+          const std::string name = node.name;
+          if (name == "refine_worker") {
+            EXPECT_EQ(node.parent, refines[0]) << where;
+            ++refine_workers;
+          } else if (name == "dp") {
+            EXPECT_EQ(node.count, r.stats.stages.dp_invoked) << where;
+            ++dps;
+          }
+        }
+        EXPECT_EQ(refine_workers, workers) << where;
+        EXPECT_EQ(dps, 1u) << where;
+      } else {
+        EXPECT_EQ(r.trace, nullptr) << where;
+      }
     }
   }
 }

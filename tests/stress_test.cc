@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "data/generators.h"
 #include "data/noise.h"
 #include "eval/metrics.h"
+#include "obs/obs.h"
 #include "query/engine.h"
+#include "query/thread_pool.h"
 #include "test_util.h"
 
 namespace edr {
@@ -54,6 +58,18 @@ TrajectoryDataset RandomDataset(Rng& rng) {
 
 class StressTest : public ::testing::TestWithParam<uint64_t> {};
 
+ThreadPool& Pool() {
+  static ThreadPool pool(4);
+  return pool;
+}
+
+void ExpectConserves(const KnnResult& result, size_t db_size,
+                     const std::string& label) {
+  if constexpr (kObsEnabled) {
+    EXPECT_TRUE(result.stats.stages.Conserves(db_size)) << label;
+  }
+}
+
 TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
   Rng rng(GetParam());
   const TrajectoryDataset db = RandomDataset(rng);
@@ -61,57 +77,98 @@ TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
   const size_t k = static_cast<size_t>(rng.UniformInt(1, 25));
 
   QueryEngine engine(db, epsilon);
+  const int ps2_q = static_cast<int>(rng.UniformInt(1, 4));
+  const int pr_q = static_cast<int>(rng.UniformInt(1, 4));
+  const size_t ntr_refs = static_cast<size_t>(rng.UniformInt(1, 30));
+  const HistogramTable::Kind hist_kind = rng.NextDouble() < 0.5
+                                             ? HistogramTable::Kind::k2D
+                                             : HistogramTable::Kind::k1D;
+  const int hist_delta = static_cast<int>(rng.UniformInt(1, 4));
+  const HistogramScan hist_scan = rng.NextDouble() < 0.5
+                                      ? HistogramScan::kSorted
+                                      : HistogramScan::kSequential;
+  CombinedOptions combo;
+  combo.order = AllPruneOrders()[static_cast<size_t>(rng.UniformInt(0, 5))];
+  combo.histogram_kind = rng.NextDouble() < 0.5 ? HistogramTable::Kind::k2D
+                                                : HistogramTable::Kind::k1D;
+  combo.histogram_delta = static_cast<int>(rng.UniformInt(1, 3));
+  combo.q = static_cast<int>(rng.UniformInt(1, 3));
+  combo.max_triangle = static_cast<size_t>(rng.UniformInt(1, 40));
+  combo.sorted_histogram_scan = rng.NextDouble() < 0.5;
+
   std::vector<NamedSearcher> searchers;
   searchers.push_back(engine.MakeSeqScan(true));
-  searchers.push_back(engine.MakeQgram(
-      QgramVariant::kMerge2D, static_cast<int>(rng.UniformInt(1, 4))));
-  searchers.push_back(engine.MakeQgram(
-      QgramVariant::kRtree2D, static_cast<int>(rng.UniformInt(1, 4))));
-  searchers.push_back(engine.MakeNearTriangle(
-      static_cast<size_t>(rng.UniformInt(1, 30))));
-  searchers.push_back(engine.MakeHistogram(
-      rng.NextDouble() < 0.5 ? HistogramTable::Kind::k2D
-                             : HistogramTable::Kind::k1D,
-      static_cast<int>(rng.UniformInt(1, 4)),
-      rng.NextDouble() < 0.5 ? HistogramScan::kSorted
-                             : HistogramScan::kSequential));
-  {
-    CombinedOptions combo;
-    combo.order = AllPruneOrders()[static_cast<size_t>(
-        rng.UniformInt(0, 5))];
-    combo.histogram_kind = rng.NextDouble() < 0.5
-                               ? HistogramTable::Kind::k2D
-                               : HistogramTable::Kind::k1D;
-    combo.histogram_delta = static_cast<int>(rng.UniformInt(1, 3));
-    combo.q = static_cast<int>(rng.UniformInt(1, 3));
-    combo.max_triangle = static_cast<size_t>(rng.UniformInt(1, 40));
-    combo.sorted_histogram_scan = rng.NextDouble() < 0.5;
-    searchers.push_back(engine.MakeCombined(combo));
+  searchers.push_back(engine.MakeQgram(QgramVariant::kMerge2D, ps2_q));
+  searchers.push_back(engine.MakeQgram(QgramVariant::kRtree2D, pr_q));
+  searchers.push_back(engine.MakeNearTriangle(ntr_refs));
+  searchers.push_back(engine.MakeHistogram(hist_kind, hist_delta, hist_scan));
+  searchers.push_back(engine.MakeCombined(combo));
+
+  // Every searcher answers each query sequentially, at 4 workers, and as a
+  // member of one fusion group of all three queries.
+  KnnOptions parallel;
+  parallel.intra_query_workers = 4;
+  parallel.pool = &Pool();
+  const std::vector<Trajectory> queries =
+      testutil::MakeQueries(db, rng.NextU64(), 3);
+  std::vector<KnnResult> expected;
+  for (const Trajectory& query : queries) {
+    expected.push_back(engine.SeqScan(query, k));
+  }
+  const std::vector<const Trajectory*> group = {&queries[0], &queries[1],
+                                                &queries[2]};
+  for (const NamedSearcher& s : searchers) {
+    const std::string where = s.name + " eps=" + std::to_string(epsilon) +
+                              " k=" + std::to_string(k) +
+                              " db=" + std::to_string(db.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const KnnResult actual = s.search(queries[i], k);
+      ASSERT_TRUE(SameKnnDistances(expected[i], actual)) << where;
+      ExpectConserves(actual, db.size(), where);
+      const KnnResult sharded = s.search_with(queries[i], k, parallel);
+      ASSERT_TRUE(SameKnnDistances(expected[i], sharded))
+          << where << " workers=4";
+      ExpectConserves(sharded, db.size(), where + " workers=4");
+    }
+    if (!s.search_fused) continue;
+    const std::vector<KnnResult> fused = s.search_fused(group, k, parallel);
+    ASSERT_EQ(fused.size(), group.size()) << where;
+    for (size_t i = 0; i < group.size(); ++i) {
+      ASSERT_TRUE(SameKnnDistances(expected[i], fused[i]))
+          << where << " fused member " << i;
+      ExpectConserves(fused[i], db.size(), where + " fused");
+    }
   }
 
-  const std::vector<Trajectory> queries =
-      testutil::MakeQueries(db, rng.NextU64(), 2);
-  for (const Trajectory& query : queries) {
-    const KnnResult expected = engine.SeqScan(query, k);
-    for (const NamedSearcher& s : searchers) {
-      const KnnResult actual = s.search(query, k);
-      ASSERT_TRUE(SameKnnDistances(expected, actual))
-          << s.name << " eps=" << epsilon << " k=" << k
-          << " db=" << db.size();
-    }
-    // Range queries too, at a radius drawn near the k-th distance so the
-    // result set is non-trivial.
-    if (!expected.neighbors.empty()) {
-      const int radius =
-          static_cast<int>(expected.neighbors.back().distance) + 1;
-      const KnnResult range_expected =
-          SequentialScanRange(db, query, radius, epsilon);
-      CombinedOptions combo;
-      combo.max_triangle = 10;
-      const KnnResult range_actual =
-          engine.Combined(combo).Range(query, radius);
-      ASSERT_EQ(range_expected.neighbors.size(),
-                range_actual.neighbors.size());
+  // Range queries too, at a radius drawn near the k-th distance so the
+  // result set is non-trivial. Every range answer is the same ascending
+  // (distance, id) list as the sequential scan's.
+  CombinedOptions sorted_combo;
+  sorted_combo.max_triangle = 10;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (expected[i].neighbors.empty()) continue;
+    const Trajectory& query = queries[i];
+    const int radius =
+        static_cast<int>(expected[i].neighbors.back().distance) + 1;
+    const KnnResult range_expected =
+        SequentialScanRange(db, query, radius, epsilon);
+    const std::vector<std::pair<std::string, KnnResult>> ranges = {
+        {"2HPN", engine.Combined(sorted_combo).Range(query, radius)},
+        {"combined", engine.Combined(combo).Range(query, radius)},
+        {"PS2", engine.Qgram(QgramVariant::kMerge2D, ps2_q).Range(query,
+                                                                 radius)},
+        {"PR", engine.Qgram(QgramVariant::kRtree2D, pr_q).Range(query,
+                                                               radius)},
+        {"NTR", engine.NearTriangle(ntr_refs).Range(query, radius)},
+        {"histogram", engine.Histogram(hist_kind, hist_delta, hist_scan)
+                          .Range(query, radius)},
+    };
+    for (const auto& [name, actual] : ranges) {
+      const std::string where = name + ".Range radius=" +
+                                std::to_string(radius) +
+                                " eps=" + std::to_string(epsilon);
+      ASSERT_EQ(range_expected.neighbors, actual.neighbors) << where;
+      ExpectConserves(actual, db.size(), where);
     }
   }
 }
