@@ -39,18 +39,10 @@ void AppendRecordJson(std::string* out, const FlightRecord& r,
                 "\", \"ms\": %.6f, \"filter_ms\": %.6f, \"refine_ms\": %.6f, "
                 "\"db_size\": %zu, \"edr_computed\": %zu, "
                 "\"sched_budget\": %u, \"fusion_group\": %zu, "
-                "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                "\"group_shared_fraction\": %.6f, "
-                "\"plan_cache_hits\": %llu, \"plan_cache_misses\": %llu, "
-                "\"stages\": ",
+                "\"group_shared_fraction\": %.6f, \"stages\": ",
                 r.latency_seconds * 1e3, r.filter_seconds * 1e3,
                 r.refine_seconds * 1e3, r.db_size, r.edr_computed,
-                r.sched_budget, r.fusion_group,
-                static_cast<unsigned long long>(r.cache_hits),
-                static_cast<unsigned long long>(r.cache_misses),
-                r.group_shared_fraction,
-                static_cast<unsigned long long>(r.plan_cache_hits),
-                static_cast<unsigned long long>(r.plan_cache_misses));
+                r.sched_budget, r.fusion_group, r.group_shared_fraction);
   *out += buf;
   *out += r.stages.ToJson();
   if (include_trace) {

@@ -207,7 +207,6 @@ void MetricsHttpEndpoint::ServeConnection(int fd) {
                                      : &FlightRecorder::Global();
   if (path == "/metrics") {
     OpenMetricsOptions om;
-    om.prefix = options_.prefix;
     om.exemplars = flight;
     WriteResponse(fd, 200, "OK", kContentTypeOpenMetrics,
                   RenderOpenMetrics(MetricsRegistry::Global().Snapshot(), om));

@@ -37,8 +37,6 @@ class MetricsHttpEndpoint {
     const FlightRecorder* flight = nullptr;
     /// /timeline source; nullptr serves 404 on that route.
     const TimelineSampler* timeline = nullptr;
-    /// OpenMetrics metric-family prefix.
-    std::string prefix = "edr_";
     /// Per-recv/send socket timeout on accepted connections. The accept
     /// loop serves serially, so this bounds how long one silent client
     /// can stall other scrapers (and how long Stop() waits on a

@@ -31,14 +31,13 @@ std::string FormatLe(double seconds) {
 
 }  // namespace
 
-std::string OpenMetricsName(std::string_view registry_name,
-                            std::string_view prefix) {
-  std::string out(prefix);
-  out.reserve(prefix.size() + registry_name.size());
+std::string OpenMetricsName(std::string_view registry_name) {
+  // The prefix starts with a letter, so the name is always valid.
+  std::string out = "edr_";
+  out.reserve(out.size() + registry_name.size());
   for (const char c : registry_name) {
     out += NameChar(c) ? c : '_';
   }
-  if (out.empty() || !NameStartChar(out[0])) out.insert(out.begin(), '_');
   // A family literally named *_total would make the counter sample
   // "..._total_total"; fold the suffix into the sample instead.
   constexpr std::string_view kTotal = "_total";
@@ -69,7 +68,7 @@ std::string RenderOpenMetrics(const MetricsSnapshot& snapshot,
   char buf[256];
 
   for (const MetricsSnapshot::CounterRow& c : snapshot.counters) {
-    const std::string name = OpenMetricsName(c.name, options.prefix);
+    const std::string name = OpenMetricsName(c.name);
     out += "# TYPE " + name + " counter\n";
     std::snprintf(buf, sizeof(buf), "%s_total %llu\n", name.c_str(),
                   static_cast<unsigned long long>(c.value));
@@ -77,14 +76,14 @@ std::string RenderOpenMetrics(const MetricsSnapshot& snapshot,
   }
 
   for (const MetricsSnapshot::GaugeRow& g : snapshot.gauges) {
-    const std::string name = OpenMetricsName(g.name, options.prefix);
+    const std::string name = OpenMetricsName(g.name);
     out += "# TYPE " + name + " gauge\n";
     std::snprintf(buf, sizeof(buf), "%s %.9g\n", name.c_str(), g.value);
     out += buf;
   }
 
   for (const MetricsSnapshot::HistogramRow& h : snapshot.histograms) {
-    const std::string name = OpenMetricsName(h.name, options.prefix);
+    const std::string name = OpenMetricsName(h.name);
     out += "# TYPE " + name + " histogram\n";
     constexpr std::string_view kSeconds = "_seconds";
     if (name.size() > kSeconds.size() &&

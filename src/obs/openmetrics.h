@@ -10,20 +10,17 @@ class FlightRecorder;
 struct MetricsSnapshot;
 
 /// The registry entry name mapped to an OpenMetrics metric family name:
-/// prefixed, every character outside [a-zA-Z0-9_:] replaced with '_'
-/// (registry names use dots — "query.dp_total" → "edr_query_dp_total"),
-/// and a trailing "_total" stripped so the counter sample suffix does not
-/// double up.
-std::string OpenMetricsName(std::string_view registry_name,
-                            std::string_view prefix = "edr_");
+/// prefixed with "edr_", every character outside [a-zA-Z0-9_:] replaced
+/// with '_' (registry names use dots — "query.dp_total" →
+/// "edr_query_dp_total"), and a trailing "_total" stripped so the counter
+/// sample suffix does not double up.
+std::string OpenMetricsName(std::string_view registry_name);
 
 /// Escapes a label value per the OpenMetrics ABNF: backslash, double
 /// quote, and newline become \\ \" \n.
 std::string OpenMetricsEscapeLabel(std::string_view value);
 
 struct OpenMetricsOptions {
-  /// Prepended to every metric family name.
-  std::string prefix = "edr_";
   /// When set, the "query.seconds" histogram's tail buckets carry
   /// exemplars referencing this recorder's retained slowest queries
   /// (label entry_id = FlightRecord::id), so a scrape can jump from a

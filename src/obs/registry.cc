@@ -76,16 +76,6 @@ void LatencyHistogram::Reset() {
   sum_ns_.store(0, std::memory_order_relaxed);
 }
 
-LatencyHistogram::Drained LatencyHistogram::Drain() {
-  Drained out;
-  for (size_t b = 0; b < kBuckets; ++b) {
-    out.buckets[b] = buckets_[b].exchange(0, std::memory_order_relaxed);
-  }
-  out.count = count_.exchange(0, std::memory_order_relaxed);
-  out.sum_ns = sum_ns_.exchange(0, std::memory_order_relaxed);
-  return out;
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();  // leaked
   return *registry;
@@ -138,62 +128,89 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
-MetricsSnapshot MetricsRegistry::SnapshotAndReset() {
-  MetricsSnapshot snapshot;
-  std::lock_guard<std::mutex> lock(mu_);
-  snapshot.counters.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    snapshot.counters.push_back({name, counter->Drain()});
-  }
-  // Gauges are levels, not accumulations: a delta scrape reports the
-  // current level and leaves it standing.
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.push_back({name, gauge->Load()});
-  }
-  snapshot.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    const LatencyHistogram::Drained d = histogram->Drain();
-    MetricsSnapshot::HistogramRow row;
-    row.name = name;
-    row.count = d.count;
-    row.total_seconds = static_cast<double>(d.sum_ns) * 1e-9;
-    row.p50_seconds = LatencyHistogram::PercentileFromBuckets(d.buckets, 0.50);
-    row.p95_seconds = LatencyHistogram::PercentileFromBuckets(d.buckets, 0.95);
-    row.p99_seconds = LatencyHistogram::PercentileFromBuckets(d.buckets, 0.99);
-    row.buckets = d.buckets;
-    snapshot.histograms.push_back(std::move(row));
-  }
-  return snapshot;
+const LibraryMetrics& LibraryMetrics::Get() {
+  static const LibraryMetrics metrics = [] {
+    MetricsRegistry& r = MetricsRegistry::Global();
+    return LibraryMetrics{
+        .query_count = r.Counter("query.count"),
+        .query_dp_total = r.Counter("query.dp_total"),
+        .query_dp_cells = r.Counter("query.dp_cells"),
+        .query_candidates_pruned = r.Counter("query.candidates_pruned"),
+        .query_candidates_total = r.Counter("query.candidates_total"),
+        .query_seconds = r.Histogram("query.seconds"),
+        .batch_count = r.Counter("batch.count"),
+        .batch_queries = r.Counter("batch.queries"),
+        .batch_seconds = r.Histogram("batch.seconds"),
+        .sched_waves = r.Counter("sched.waves"),
+        .sched_wave_queries = r.Counter("sched.wave_queries"),
+        .sched_widened_queries = r.Counter("sched.widened_queries"),
+        .sched_budget_granted = r.Counter("sched.budget_granted"),
+        .sched_fused_groups = r.Counter("sched.fused_groups"),
+        .sched_fused_queries = r.Counter("sched.fused_queries"),
+        .sched_group_similarity = r.Counter("sched.group_similarity"),
+        .sched_group_fifo = r.Counter("sched.group_fifo"),
+        .sched_group_forced = r.Counter("sched.group_forced"),
+        .sched_group_shared_bin_fraction =
+            r.Gauge("sched.group_shared_bin_fraction"),
+        .feature_cache_hits = r.Counter("feature_cache.hits"),
+        .feature_cache_misses = r.Counter("feature_cache.misses"),
+        .feature_cache_evictions = r.Counter("feature_cache.evictions"),
+        .plan_cache_hits = r.Counter("plan_cache.hits"),
+        .plan_cache_misses = r.Counter("plan_cache.misses"),
+        .plan_cache_evictions = r.Counter("plan_cache.evictions"),
+        .plan_cache_collisions = r.Counter("plan_cache.collisions"),
+    };
+  }();
+  return metrics;
 }
 
-void RegisterStandardMetrics() {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  static const char* const kCounters[] = {
-      "query.count",          "query.dp_total",
-      "query.dp_cells",       "query.candidates_pruned",
-      "query.candidates_total", "batch.count",
-      "batch.queries",        "sched.waves",
-      "sched.wave_queries",   "sched.widened_queries",
-      "sched.budget_granted", "sched.fused_groups",
-      "sched.fused_queries",  "sched.group_similarity",
-      "sched.group_fifo",     "sched.group_forced",
-      "feature_cache.hits",   "feature_cache.misses",
-      "feature_cache.evictions", "plan_cache.hits",
-      "plan_cache.misses",    "plan_cache.evictions",
-      "plan_cache.collisions",
-  };
-  for (const char* name : kCounters) registry.Counter(name);
-  registry.Gauge("sched.group_shared_bin_fraction");
-  registry.Histogram("query.seconds");
-  registry.Histogram("batch.seconds");
-}
+void RegisterStandardMetrics() { LibraryMetrics::Get(); }
 
 void MetricsRegistry::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
+}
+
+namespace {
+
+template <typename Row>
+const Row* FindRow(const std::vector<Row>& rows, const std::string& name) {
+  for (const Row& row : rows) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+/// later - earlier, or `later` when the value went backwards (a reset).
+uint64_t CountSince(uint64_t later, uint64_t earlier) {
+  return later >= earlier ? later - earlier : later;
+}
+
+}  // namespace
+
+MetricsSnapshot MetricsSnapshot::Since(const MetricsSnapshot& earlier) const {
+  MetricsSnapshot delta = *this;  // gauges keep this snapshot's level
+  for (CounterRow& row : delta.counters) {
+    if (const CounterRow* e = FindRow(earlier.counters, row.name)) {
+      row.value = CountSince(row.value, e->value);
+    }
+  }
+  for (HistogramRow& row : delta.histograms) {
+    const HistogramRow* e = FindRow(earlier.histograms, row.name);
+    if (e != nullptr && e->count <= row.count) {
+      for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+        row.buckets[b] = CountSince(row.buckets[b], e->buckets[b]);
+      }
+      row.count -= e->count;
+      row.total_seconds = std::max(0.0, row.total_seconds - e->total_seconds);
+    }
+    row.p50_seconds = LatencyHistogram::PercentileFromBuckets(row.buckets, 0.50);
+    row.p95_seconds = LatencyHistogram::PercentileFromBuckets(row.buckets, 0.95);
+    row.p99_seconds = LatencyHistogram::PercentileFromBuckets(row.buckets, 0.99);
+  }
+  return delta;
 }
 
 std::string MetricsSnapshot::ToJson() const {

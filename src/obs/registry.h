@@ -32,10 +32,6 @@ struct alignas(64) ObsCounter {
   }
   uint64_t Load() const { return value.load(std::memory_order_relaxed); }
   void Reset() { value.store(0, std::memory_order_relaxed); }
-  /// Atomically reads and zeroes — the delta-scrape primitive. Increments
-  /// racing the exchange land after it and count toward the next scrape,
-  /// so no increment is ever double-reported or lost.
-  uint64_t Drain() { return value.exchange(0, std::memory_order_relaxed); }
 };
 
 static_assert(sizeof(ObsCounter) == 64 && alignof(ObsCounter) == 64,
@@ -44,8 +40,8 @@ static_assert(sizeof(ObsCounter) == 64 && alignof(ObsCounter) == 64,
 /// A process-wide gauge: a level that is *set*, not accumulated — e.g.
 /// the shared-bin fraction of the most recent fusion group. Same cache
 /// line padding and relaxed-atomic discipline as ObsCounter. Gauges are
-/// levels, so delta scrapes (SnapshotAndReset) report them unchanged
-/// instead of zeroing them.
+/// levels, so a snapshot difference (MetricsSnapshot::Since) reports the
+/// later level instead of subtracting.
 struct alignas(64) ObsGauge {
   std::atomic<double> value{0.0};
 
@@ -91,20 +87,8 @@ class LatencyHistogram {
 
   void Reset();
 
-  /// Atomically moves the histogram's contents out (buckets, count, sum)
-  /// and zeroes it — LatencyHistogram's half of a delta scrape. Per-bucket
-  /// exchanges are not a single atomic cut: a sample recorded mid-drain
-  /// lands wholly in this scrape or wholly in the next, never in both,
-  /// which is the granularity a periodic scraper needs.
-  struct Drained {
-    std::array<uint64_t, kBuckets> buckets = {};
-    uint64_t count = 0;
-    uint64_t sum_ns = 0;
-  };
-  Drained Drain();
-
   /// Nearest-rank percentile over an explicit bucket array (the shared
-  /// math behind PercentileSeconds and the delta-snapshot path).
+  /// math behind PercentileSeconds and MetricsSnapshot::Since).
   static double PercentileFromBuckets(
       const std::array<uint64_t, kBuckets>& counts, double q);
 
@@ -159,6 +143,14 @@ struct MetricsSnapshot {
   /// "name value" row per counter, then a latency table with
   /// count / total / p50 / p95 / p99 columns.
   std::string ToTable() const;
+
+  /// The activity between `earlier` and this snapshot, both cumulative.
+  /// Counters subtract; histogram buckets, counts and sums subtract, and
+  /// the percentiles are recomputed from the bucket differences. An entry
+  /// missing from `earlier` (registered in between) counts from zero, and
+  /// so does an entry whose count went backwards (a test's Reset).
+  /// Gauges are levels and keep this snapshot's value.
+  MetricsSnapshot Since(const MetricsSnapshot& earlier) const;
 };
 
 /// Upper edge, in seconds, of log bucket `b` — the histogram's `le`
@@ -166,17 +158,6 @@ struct MetricsSnapshot {
 inline double LatencyBucketUpperSeconds(size_t b) {
   return static_cast<double>(uint64_t{1} << (b == 0 ? 0 : b)) * 1e-9;
 }
-
-/// Registers (without incrementing) every metric name the library emits —
-/// query.*, batch.*, sched.* (including the fused-sweep and
-/// fusion-grouping counters plus the shared-bin-fraction gauge),
-/// feature_cache.*, and plan_cache.* — so snapshots, the --metrics-json
-/// table export, and the OpenMetrics exposition always list them,
-/// zero-valued when idle.
-/// Without this, lazily-registered counters (e.g. sched.fused_groups)
-/// only appear after the first event of their kind, which made them easy
-/// to miss in exports. Idempotent; safe in every build.
-void RegisterStandardMetrics();
 
 /// Name-addressed registry of process-wide counters and histograms.
 /// Lookup takes a mutex and is meant for setup (resolve once, keep the
@@ -193,14 +174,10 @@ class MetricsRegistry {
   ObsGauge& Gauge(const std::string& name);
   LatencyHistogram& Histogram(const std::string& name);
 
+  /// The cumulative totals. Nothing ever resets the registry outside
+  /// tests: a periodic reader takes the difference of two snapshots
+  /// (MetricsSnapshot::Since), so every reader sees the same totals.
   MetricsSnapshot Snapshot() const;
-
-  /// Delta-snapshot: returns everything accumulated since the previous
-  /// SnapshotAndReset (or process start) and atomically zeroes the
-  /// registry, so a long-lived process can be scraped periodically
-  /// without the client doing monotonic-counter subtraction. Entries stay
-  /// registered; activity racing the scrape rolls into the next delta.
-  MetricsSnapshot SnapshotAndReset();
 
   /// Zeroes every registered entry (tests only; entries stay registered).
   void ResetForTest();
@@ -211,6 +188,52 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<ObsGauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
 };
+
+/// Every metric the library records, each resolved once from the global
+/// registry: the one place a library metric's name is spelled. Recording
+/// sites go through LibraryMetrics::Get() and touch only the atomics.
+struct LibraryMetrics {
+  // query.*: one update per finished query (RecordQueryMetrics).
+  ObsCounter& query_count;
+  ObsCounter& query_dp_total;
+  ObsCounter& query_dp_cells;
+  ObsCounter& query_candidates_pruned;
+  ObsCounter& query_candidates_total;
+  LatencyHistogram& query_seconds;
+  // batch.*: one update per RunScheduled batch.
+  ObsCounter& batch_count;
+  ObsCounter& batch_queries;
+  LatencyHistogram& batch_seconds;
+  // sched.*: each AdaptiveScheduler::Step's SchedulerStats delta, plus
+  // the most recent fusion group's shared-bin fraction (a level).
+  ObsCounter& sched_waves;
+  ObsCounter& sched_wave_queries;
+  ObsCounter& sched_widened_queries;
+  ObsCounter& sched_budget_granted;
+  ObsCounter& sched_fused_groups;
+  ObsCounter& sched_fused_queries;
+  ObsCounter& sched_group_similarity;
+  ObsCounter& sched_group_fifo;
+  ObsCounter& sched_group_forced;
+  ObsGauge& sched_group_shared_bin_fraction;
+  // feature_cache.* and plan_cache.*: mirrors of every cache's own stats.
+  ObsCounter& feature_cache_hits;
+  ObsCounter& feature_cache_misses;
+  ObsCounter& feature_cache_evictions;
+  ObsCounter& plan_cache_hits;
+  ObsCounter& plan_cache_misses;
+  ObsCounter& plan_cache_evictions;
+  ObsCounter& plan_cache_collisions;
+
+  /// The process-wide table; the first call registers every entry.
+  static const LibraryMetrics& Get();
+};
+
+/// Registers (without incrementing) every library metric, so snapshots,
+/// the --metrics-json table export and the OpenMetrics exposition list
+/// them all, zero-valued when idle, before the first event of each kind.
+/// Idempotent; safe in every build.
+void RegisterStandardMetrics();
 
 }  // namespace edr
 

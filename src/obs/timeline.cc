@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/registry.h"
 #include "query/thread_pool.h"
 
 namespace edr {
@@ -23,6 +22,21 @@ double Percentile(std::vector<double> values, double q) {
 
 }  // namespace
 
+bool TimelineSampler::ValidInterval(double seconds, std::string* error) {
+  // The upper cap keeps the condition-variable wait inside steady_clock's
+  // range; NaN fails both comparisons.
+  if (seconds > 0.0 && seconds <= kMaxIntervalSeconds) return true;
+  if (error != nullptr) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "interval must be a positive number of seconds, at most "
+                  "%g (got %g)",
+                  kMaxIntervalSeconds, seconds);
+    *error = buf;
+  }
+  return false;
+}
+
 TimelineSampler::TimelineSampler() : TimelineSampler(Options()) {}
 
 TimelineSampler::TimelineSampler(const Options& options)
@@ -34,11 +48,18 @@ TimelineSampler::~TimelineSampler() { Stop(); }
 
 bool TimelineSampler::Start() {
   if constexpr (kObsEnabled) {
-    if (!(options_.interval_seconds > 0.0)) return false;
+    if (!ValidInterval(options_.interval_seconds) ||
+        !ValidInterval(options_.metrics_interval_seconds)) {
+      return false;
+    }
     std::lock_guard<std::mutex> lock(mu_);
     if (thread_.joinable()) return true;  // already running
     stop_ = false;
     start_ = std::chrono::steady_clock::now();
+    if (options_.metrics_sink) {
+      last_metrics_ = MetricsRegistry::Global().Snapshot();
+      next_metrics_seconds_ = options_.metrics_interval_seconds;
+    }
     thread_ = std::thread([this] { Run(); });
     return true;
   } else {
@@ -56,8 +77,10 @@ void TimelineSampler::Stop() {
   }
   cv_.notify_all();
   to_join.join();
-  // One final sample so the timeline always covers the stop edge.
-  TakeSample();
+  // One final sample and metrics line, so the timeline always covers the
+  // stop edge and the lines add up to everything since Start().
+  const double t_seconds = TakeSample();
+  if (options_.metrics_sink) EmitMetricsLine(t_seconds);
 }
 
 bool TimelineSampler::running() const {
@@ -66,50 +89,60 @@ bool TimelineSampler::running() const {
 }
 
 void TimelineSampler::Run() {
+  const auto interval =
+      std::chrono::duration<double>(options_.interval_seconds);
   std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    const auto interval =
-        std::chrono::duration<double>(options_.interval_seconds);
-    if (cv_.wait_for(lock, interval, [this] { return stop_; })) break;
+  while (!cv_.wait_for(lock, interval, [this] { return stop_; })) {
     lock.unlock();
-    TakeSample();
+    const double t_seconds = TakeSample();
+    if (options_.metrics_sink && t_seconds >= next_metrics_seconds_) {
+      EmitMetricsLine(t_seconds);
+    }
     lock.lock();
   }
 }
 
-void TimelineSampler::TakeSample() {
-  if constexpr (kObsEnabled) {
-    ThreadPool& pool =
-        options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
-    // Registry references resolved once; entries are process-lifetime.
-    static ObsCounter& fused_groups =
-        MetricsRegistry::Global().Counter("sched.fused_groups");
-    static ObsCounter& fused_queries =
-        MetricsRegistry::Global().Counter("sched.fused_queries");
+double TimelineSampler::TakeSample() {
+  ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
+  const LibraryMetrics& metrics = LibraryMetrics::Get();
 
-    UtilizationSample sample;
-    sample.t_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    sample.busy_workers = pool.BusyWorkers();
-    sample.capacity = pool.num_workers() + 1;
-    sample.queue_depth = pool.QueueDepth();
-    sample.backlog = options_.backlog ? options_.backlog() : 0;
-    sample.cache_entries =
-        options_.cache_entries ? options_.cache_entries() : 0;
-    sample.fused_groups = fused_groups.Load();
-    sample.fused_queries = fused_queries.Load();
+  UtilizationSample sample;
+  sample.t_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+          .count();
+  sample.busy_workers = pool.BusyWorkers();
+  sample.capacity = pool.num_workers() + 1;
+  sample.queue_depth = pool.QueueDepth();
+  sample.backlog = options_.backlog ? options_.backlog() : 0;
+  sample.cache_entries =
+      options_.cache_entries ? options_.cache_entries() : 0;
+  sample.fused_groups = metrics.sched_fused_groups.Load();
+  sample.fused_queries = metrics.sched_fused_queries.Load();
 
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ring_.size() < options_.capacity) {
-      ring_.push_back(sample);
-    } else {
-      ring_[next_ % options_.capacity] = sample;
-    }
-    next_ = (next_ + 1) % options_.capacity;
-    ++total_;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ring_.size() < options_.capacity) {
+    ring_.push_back(sample);
+  } else {
+    ring_[next_ % options_.capacity] = sample;
   }
+  next_ = (next_ + 1) % options_.capacity;
+  ++total_;
+  return sample.t_seconds;
+}
+
+void TimelineSampler::EmitMetricsLine(double t_seconds) {
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const std::string delta = snapshot.Since(last_metrics_).ToJson();
+  last_metrics_ = std::move(snapshot);
+  // The next multiple of the interval after this tick: no drift, and at
+  // most one line per tick when the interval is shorter than a tick.
+  const double every = options_.metrics_interval_seconds;
+  next_metrics_seconds_ = t_seconds - std::fmod(t_seconds, every) + every;
+  char head[64];
+  std::snprintf(head, sizeof(head), "{\"t_ms\": %.1f, \"metrics\": ",
+                t_seconds * 1e3);
+  options_.metrics_sink(head + delta + "}");
 }
 
 std::vector<UtilizationSample> TimelineSampler::Samples() const {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/registry.h"
 
 namespace edr {
 
@@ -44,16 +45,25 @@ struct UtilizationSummary {
   size_t max_queue_depth = 0;
 };
 
-/// A background thread snapshotting live utilization signals at a fixed
-/// interval into a bounded ring — the continuous view of pool occupancy,
-/// scheduler backlog, and cache occupancy that per-query records cannot
-/// give. The sampler only ever reads relaxed atomics and registry
-/// counters, so it perturbs the query path by nothing but its own core
-/// time; the ring overwrites oldest samples, so a long serve run holds
-/// the latest window at fixed memory. In EDR_DISABLE_OBS builds Start()
-/// is a no-op: no thread, no samples.
+/// The one telemetry thread: at a fixed interval it snapshots live
+/// utilization signals into a bounded ring — the continuous view of pool
+/// occupancy, scheduler backlog, and cache occupancy that per-query
+/// records cannot give — and, when a metrics sink is set, hands it one
+/// JSON line per metrics interval ({"t_ms": ..., "metrics": {...}})
+/// holding the registry activity since the previous line (the first line:
+/// since Start()). The lines are differences of cumulative snapshots
+/// (MetricsSnapshot::Since), so the registry is never reset and every other
+/// export stays cumulative. The sampler only ever reads relaxed atomics and
+/// registry counters, so it perturbs the query path by nothing but its own
+/// core time; the ring overwrites oldest samples, so a long serve run holds
+/// the latest window at fixed memory. In EDR_DISABLE_OBS builds Start() is
+/// a no-op: no thread, no samples, no metrics lines.
 class TimelineSampler {
  public:
+  /// The longest interval ValidInterval accepts, far inside what
+  /// steady_clock can wait on.
+  static constexpr double kMaxIntervalSeconds = 1e6;
+
   struct Options {
     double interval_seconds = 0.02;
     size_t capacity = 4096;
@@ -63,7 +73,18 @@ class TimelineSampler {
     std::function<size_t()> backlog;
     /// Feature-cache occupancy probe (entries); optional.
     std::function<size_t()> cache_entries;
+    /// Receives each metrics line, one JSON object without a trailing
+    /// newline; unset = no metrics lines.
+    std::function<void(const std::string& line)> metrics_sink;
+    /// A metrics line goes out on the first tick at or after each multiple
+    /// of this interval since Start(), and once more at Stop().
+    double metrics_interval_seconds = 1.0;
   };
+
+  /// True iff `seconds` is a usable interval: finite, positive and at most
+  /// kMaxIntervalSeconds. Callers parsing user flags should reject invalid
+  /// values with `*error` instead of silently not sampling.
+  static bool ValidInterval(double seconds, std::string* error = nullptr);
 
   TimelineSampler();
   explicit TimelineSampler(const Options& options);
@@ -72,13 +93,14 @@ class TimelineSampler {
   TimelineSampler(const TimelineSampler&) = delete;
   TimelineSampler& operator=(const TimelineSampler&) = delete;
 
-  /// Spawns the sampler thread; false (with no thread) when the interval
-  /// is not positive or observability is compiled out. Idempotent while
-  /// running.
+  /// Spawns the sampler thread; false (with no thread) when either
+  /// interval fails ValidInterval or observability is compiled out.
+  /// Idempotent while running.
   bool Start();
 
-  /// Takes one final sample, stops the thread, and keeps the timeline
-  /// readable. Idempotent.
+  /// Stops the thread, takes one final sample, hands the final metrics
+  /// line to the sink, and keeps the timeline readable. Idempotent: later
+  /// calls (and the destructor) emit nothing.
   void Stop();
 
   bool running() const;
@@ -96,10 +118,17 @@ class TimelineSampler {
 
  private:
   void Run();
-  void TakeSample();
+  /// Records one sample; returns its time since Start().
+  double TakeSample();
+  /// Hands the sink the registry activity since the previous line.
+  void EmitMetricsLine(double t_seconds);
 
   Options options_;
   std::chrono::steady_clock::time_point start_;
+  /// Metrics-line state, touched only by the sampler thread and by
+  /// Start()/Stop() while no sampler thread runs.
+  MetricsSnapshot last_metrics_;
+  double next_metrics_seconds_ = 0.0;  ///< since start_
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -2,29 +2,10 @@
 
 #include <cstring>
 
-#include "obs/obs.h"
 #include "obs/registry.h"
 
 namespace edr {
 namespace {
-
-/// Registry mirrors resolved once; in EDR_DISABLE_OBS builds Inc() is a
-/// no-op, so the mirrors cost nothing there.
-ObsCounter& HitCounter() {
-  static ObsCounter& c =
-      MetricsRegistry::Global().Counter("feature_cache.hits");
-  return c;
-}
-ObsCounter& MissCounter() {
-  static ObsCounter& c =
-      MetricsRegistry::Global().Counter("feature_cache.misses");
-  return c;
-}
-ObsCounter& EvictionCounter() {
-  static ObsCounter& c =
-      MetricsRegistry::Global().Counter("feature_cache.evictions");
-  return c;
-}
 
 void HashBits(uint64_t* h, uint64_t bits) {
   for (int shift = 0; shift < 64; shift += 8) {
@@ -76,11 +57,11 @@ std::shared_ptr<const void> FeatureCache::Lookup(const std::string& config_key,
   if (it != index_.end() && it->second->points == query.points()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
     ++hits_;
-    HitCounter().Inc();
+    LibraryMetrics::Get().feature_cache_hits.Inc();
     return it->second->value;
   }
   ++misses_;
-  MissCounter().Inc();
+  LibraryMetrics::Get().feature_cache_misses.Inc();
   return nullptr;
 }
 
@@ -103,7 +84,7 @@ void FeatureCache::Insert(const std::string& config_key, uint64_t fingerprint,
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++evictions_;
-    EvictionCounter().Inc();
+    LibraryMetrics::Get().feature_cache_evictions.Inc();
   }
   lru_.push_front(Entry{key, query.points(), std::move(value)});
   index_.emplace(std::move(key), lru_.begin());

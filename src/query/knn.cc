@@ -6,6 +6,7 @@
 
 #include "distance/edr.h"
 #include "distance/edr_kernel.h"
+#include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "query/topk.h"
@@ -26,29 +27,46 @@ void KnnResultList::Offer(uint32_t id, double distance) {
 
 void RecordQueryMetrics(const SearchStats& stats) {
   if constexpr (kObsEnabled) {
-    // Resolved once; registry entries live for the process lifetime.
-    static ObsCounter& queries =
-        MetricsRegistry::Global().Counter("query.count");
-    static ObsCounter& dp_total =
-        MetricsRegistry::Global().Counter("query.dp_total");
-    static ObsCounter& dp_cells =
-        MetricsRegistry::Global().Counter("query.dp_cells");
-    static ObsCounter& pruned =
-        MetricsRegistry::Global().Counter("query.candidates_pruned");
-    static ObsCounter& scanned =
-        MetricsRegistry::Global().Counter("query.candidates_total");
-    static LatencyHistogram& latency =
-        MetricsRegistry::Global().Histogram("query.seconds");
-    queries.Inc();
-    dp_total.Inc(stats.edr_computed);
-    dp_cells.Inc(stats.stages.dp_cells);
-    scanned.Inc(stats.db_size);
-    pruned.Inc(stats.db_size >= stats.edr_computed
-                   ? stats.db_size - stats.edr_computed
-                   : 0);
-    latency.Record(stats.elapsed_seconds);
+    const LibraryMetrics& metrics = LibraryMetrics::Get();
+    metrics.query_count.Inc();
+    metrics.query_dp_total.Inc(stats.edr_computed);
+    metrics.query_dp_cells.Inc(stats.stages.dp_cells);
+    metrics.query_candidates_total.Inc(stats.db_size);
+    metrics.query_candidates_pruned.Inc(
+        stats.db_size >= stats.edr_computed
+            ? stats.db_size - stats.edr_computed
+            : 0);
+    metrics.query_seconds.Record(stats.elapsed_seconds);
   } else {
     (void)stats;
+  }
+}
+
+void PublishFlight(const std::string& searcher, const KnnResult& result,
+                   unsigned sched_budget, size_t fusion_group,
+                   double group_shared_fraction) {
+  if constexpr (kObsEnabled) {
+    FlightRecorder& recorder = FlightRecorder::Global();
+    if (!recorder.enabled()) return;
+    FlightRecord record;
+    record.searcher = searcher;
+    record.latency_seconds = result.stats.elapsed_seconds;
+    record.filter_seconds = result.stats.filter_seconds;
+    record.refine_seconds = result.stats.refine_seconds;
+    record.db_size = result.stats.db_size;
+    record.edr_computed = result.stats.edr_computed;
+    record.stages = result.stats.stages;
+    record.sched_budget = sched_budget;
+    record.fusion_group = fusion_group;
+    record.group_shared_fraction = group_shared_fraction;
+    record.trace = result.trace;
+    recorder.Publish(std::move(record));
+  } else {
+    (void)searcher;
+    (void)result;
+    (void)sched_budget;
+    (void)fusion_group;
+    (void)group_shared_fraction;
   }
 }
 

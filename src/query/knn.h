@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dataset.h"
@@ -110,6 +111,17 @@ struct KnnResult {
 /// every searcher at the end of Knn; compiles to nothing when
 /// observability is disabled.
 void RecordQueryMetrics(const SearchStats& stats);
+
+/// Sends one completed query to FlightRecorder::Global() with its schedule
+/// context: the intra-query budget granted, the fusion group's size and
+/// its shared-bin fraction. A query that did not go through the scheduler
+/// passes 0 for all three. The disabled-recorder path is one relaxed load
+/// and builds no record; the call compiles to nothing under
+/// EDR_DISABLE_OBS. Safe from pool workers; `result` is only copied from,
+/// so publication cannot perturb answers.
+void PublishFlight(const std::string& searcher, const KnnResult& result,
+                   unsigned sched_budget, size_t fusion_group,
+                   double group_shared_fraction);
 
 /// A bounded list of the k nearest neighbors seen so far, kept sorted in
 /// ascending distance. This is the paper's `result` array; `KthDistance()`

@@ -1,32 +1,9 @@
 #include "query/plan_cache.h"
 
-#include "obs/obs.h"
 #include "obs/registry.h"
 
 namespace edr {
 namespace {
-
-/// Registry mirrors resolved once; in EDR_DISABLE_OBS builds Inc() is a
-/// no-op, so the mirrors cost nothing there.
-ObsCounter& HitCounter() {
-  static ObsCounter& c = MetricsRegistry::Global().Counter("plan_cache.hits");
-  return c;
-}
-ObsCounter& MissCounter() {
-  static ObsCounter& c =
-      MetricsRegistry::Global().Counter("plan_cache.misses");
-  return c;
-}
-ObsCounter& EvictionCounter() {
-  static ObsCounter& c =
-      MetricsRegistry::Global().Counter("plan_cache.evictions");
-  return c;
-}
-ObsCounter& CollisionCounter() {
-  static ObsCounter& c =
-      MetricsRegistry::Global().Counter("plan_cache.collisions");
-  return c;
-}
 
 void HashBits(uint64_t* h, uint64_t bits) {
   for (int shift = 0; shift < 64; shift += 8) {
@@ -105,14 +82,14 @@ std::shared_ptr<const void> FusedPlanCache::Lookup(
     if (verified) {
       lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
       ++hits_;
-      HitCounter().Inc();
+      LibraryMetrics::Get().plan_cache_hits.Inc();
       return it->second->value;
     }
     ++collisions_;
-    CollisionCounter().Inc();
+    LibraryMetrics::Get().plan_cache_collisions.Inc();
   }
   ++misses_;
-  MissCounter().Inc();
+  LibraryMetrics::Get().plan_cache_misses.Inc();
   return nullptr;
 }
 
@@ -139,7 +116,7 @@ void FusedPlanCache::Insert(const std::string& config_key,
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++evictions_;
-    EvictionCounter().Inc();
+    LibraryMetrics::Get().plan_cache_evictions.Inc();
   }
   lru_.push_front(Entry{key, std::move(copies), std::move(value)});
   index_.emplace(std::move(key), lru_.begin());

@@ -8,10 +8,7 @@
 #include <vector>
 
 #include "core/cpu.h"
-#include "obs/flight_recorder.h"
 #include "obs/registry.h"
-#include "query/feature_cache.h"
-#include "query/plan_cache.h"
 #include "query/thread_pool.h"
 
 namespace edr {
@@ -19,143 +16,6 @@ namespace {
 
 ThreadPool& ResolvePool(ThreadPool* pool) {
   return pool != nullptr ? *pool : ThreadPool::Global();
-}
-
-/// Process-wide batch accounting: how many batches ran, how many queries
-/// they carried, and the whole-batch wall-time distribution (the outer
-/// timer that per-query elapsed_seconds cannot replace under concurrency).
-void RecordScheduledBatchMetrics(const SchedulerStats& stats,
-                                 double seconds) {
-  if constexpr (kObsEnabled) {
-    static ObsCounter& batches =
-        MetricsRegistry::Global().Counter("batch.count");
-    static ObsCounter& batch_queries =
-        MetricsRegistry::Global().Counter("batch.queries");
-    static LatencyHistogram& latency =
-        MetricsRegistry::Global().Histogram("batch.seconds");
-    batches.Inc();
-    batch_queries.Inc(stats.queries);
-    latency.Record(seconds);
-  } else {
-    (void)stats;
-    (void)seconds;
-  }
-}
-
-/// Schedule-shape counters, recorded per scheduler step so the streaming
-/// QuerySession path feeds them too, not just RunScheduled batches.
-void RecordSchedStep(uint64_t waves, uint64_t wave_queries, uint64_t widened,
-                     uint64_t budget_granted) {
-  if constexpr (kObsEnabled) {
-    static ObsCounter& waves_counter =
-        MetricsRegistry::Global().Counter("sched.waves");
-    static ObsCounter& wave_queries_counter =
-        MetricsRegistry::Global().Counter("sched.wave_queries");
-    static ObsCounter& widened_counter =
-        MetricsRegistry::Global().Counter("sched.widened_queries");
-    static ObsCounter& budget_counter =
-        MetricsRegistry::Global().Counter("sched.budget_granted");
-    waves_counter.Inc(waves);
-    wave_queries_counter.Inc(wave_queries);
-    widened_counter.Inc(widened);
-    budget_counter.Inc(budget_granted);
-  } else {
-    (void)waves;
-    (void)wave_queries;
-    (void)widened;
-    (void)budget_granted;
-  }
-}
-
-/// Fusion counters, one (groups, queries) increment per fused dispatch.
-void RecordSchedFused(uint64_t groups, uint64_t queries) {
-  if constexpr (kObsEnabled) {
-    static ObsCounter& groups_counter =
-        MetricsRegistry::Global().Counter("sched.fused_groups");
-    static ObsCounter& queries_counter =
-        MetricsRegistry::Global().Counter("sched.fused_queries");
-    groups_counter.Inc(groups);
-    queries_counter.Inc(queries);
-  } else {
-    (void)groups;
-    (void)queries;
-  }
-}
-
-/// One increment per fused dispatch on the group-formation counters, plus
-/// the shared-bin-fraction gauge (a level: the most recent group's
-/// achieved fraction, not an accumulation).
-void RecordSchedGroup(bool similarity, bool forced, double shared_fraction) {
-  if constexpr (kObsEnabled) {
-    static ObsCounter& similarity_counter =
-        MetricsRegistry::Global().Counter("sched.group_similarity");
-    static ObsCounter& fifo_counter =
-        MetricsRegistry::Global().Counter("sched.group_fifo");
-    static ObsCounter& forced_counter =
-        MetricsRegistry::Global().Counter("sched.group_forced");
-    static ObsGauge& fraction_gauge =
-        MetricsRegistry::Global().Gauge("sched.group_shared_bin_fraction");
-    if (forced) {
-      forced_counter.Inc();
-    } else if (similarity) {
-      similarity_counter.Inc();
-    } else {
-      fifo_counter.Inc();
-    }
-    fraction_gauge.Set(shared_fraction);
-  } else {
-    (void)similarity;
-    (void)forced;
-    (void)shared_fraction;
-  }
-}
-
-/// Sends one completed scheduled query to the global flight recorder with
-/// its schedule context attached. The enabled() pre-check keeps the
-/// disabled path to one relaxed load — no record is even built — and the
-/// whole call compiles away under EDR_DISABLE_OBS. Safe from pool workers
-/// (wave emits run concurrently); results are never touched, only copied
-/// from, so publication cannot perturb answers.
-void PublishScheduledFlight(const std::string& searcher_name,
-                            const KnnResult& result, unsigned budget,
-                            size_t fusion_group, FeatureCache* cache,
-                            double shared_fraction = 0.0,
-                            FusedPlanCache* plan_cache = nullptr) {
-  if constexpr (kObsEnabled) {
-    FlightRecorder& recorder = FlightRecorder::Global();
-    if (!recorder.enabled()) return;
-    FlightRecord record;
-    record.searcher = searcher_name;
-    record.latency_seconds = result.stats.elapsed_seconds;
-    record.filter_seconds = result.stats.filter_seconds;
-    record.refine_seconds = result.stats.refine_seconds;
-    record.db_size = result.stats.db_size;
-    record.edr_computed = result.stats.edr_computed;
-    record.stages = result.stats.stages;
-    record.sched_budget = budget;
-    record.fusion_group = fusion_group;
-    if (cache != nullptr) {
-      const FeatureCache::Stats cs = cache->stats();
-      record.cache_hits = cs.hits;
-      record.cache_misses = cs.misses;
-    }
-    record.group_shared_fraction = shared_fraction;
-    if (plan_cache != nullptr) {
-      const FusedPlanCache::Stats ps = plan_cache->stats();
-      record.plan_cache_hits = ps.hits;
-      record.plan_cache_misses = ps.misses;
-    }
-    record.trace = result.trace;
-    recorder.Publish(std::move(record));
-  } else {
-    (void)searcher_name;
-    (void)result;
-    (void)budget;
-    (void)fusion_group;
-    (void)cache;
-    (void)shared_fraction;
-    (void)plan_cache;
-  }
 }
 
 }  // namespace
@@ -218,7 +78,6 @@ unsigned AdaptiveScheduler::GrantBudget(size_t pending) const {
 }
 
 size_t AdaptiveScheduler::WidenPending() const {
-  if (policy_.widen_pending != 0) return policy_.widen_pending;
   return std::max<size_t>(1, Capacity() / 2);
 }
 
@@ -238,7 +97,6 @@ size_t AdaptiveScheduler::MaxFusion() const {
 }
 
 size_t AdaptiveScheduler::GroupWindow() const {
-  if (policy_.group_window != 0) return policy_.group_window;
   return std::max<size_t>(16, 4 * MaxFusion());
 }
 
@@ -426,6 +284,33 @@ size_t AdaptiveScheduler::Step(
     std::deque<size_t>* pending,
     const std::function<const Trajectory&(size_t)>& query_at,
     const std::function<void(size_t, KnnResult&&)>& emit) {
+  const SchedulerStats before = stats_;
+  const size_t completed = Dispatch(pending, query_at, emit);
+  if constexpr (kObsEnabled) {
+    // The step's own stats delta, so the streaming QuerySession path
+    // feeds the sched.* counters too, not just RunScheduled batches.
+    const LibraryMetrics& metrics = LibraryMetrics::Get();
+    metrics.sched_waves.Inc(stats_.waves - before.waves);
+    metrics.sched_wave_queries.Inc(stats_.wave_queries - before.wave_queries);
+    metrics.sched_widened_queries.Inc(stats_.widened_queries -
+                                      before.widened_queries);
+    metrics.sched_budget_granted.Inc(stats_.budget_granted -
+                                     before.budget_granted);
+    metrics.sched_fused_groups.Inc(stats_.fused_groups - before.fused_groups);
+    metrics.sched_fused_queries.Inc(stats_.fused_queries -
+                                    before.fused_queries);
+    metrics.sched_group_similarity.Inc(stats_.group_similarity -
+                                       before.group_similarity);
+    metrics.sched_group_fifo.Inc(stats_.group_fifo - before.group_fifo);
+    metrics.sched_group_forced.Inc(stats_.group_forced - before.group_forced);
+  }
+  return completed;
+}
+
+size_t AdaptiveScheduler::Dispatch(
+    std::deque<size_t>* pending,
+    const std::function<const Trajectory&(size_t)>& query_at,
+    const std::function<void(size_t, KnnResult&&)>& emit) {
   if (pending->empty()) return 0;
 
   // Fusable searcher with a backlog: answer up to MaxFusion() queries with
@@ -453,8 +338,8 @@ size_t AdaptiveScheduler::Step(
     std::vector<KnnResult> results =
         searcher_.search_fused(members, k_, per_call);
     for (size_t j = 0; j < group; ++j) {
-      PublishScheduledFlight(searcher_.name, results[j], budget, group,
-                             cache_, decision.shared_fraction, plan_cache_);
+      PublishFlight(searcher_.name, results[j], budget, group,
+                    decision.shared_fraction);
       emit(decision.ids[j], std::move(results[j]));
     }
     // One grant covers the whole group: the members share a single call's
@@ -470,11 +355,8 @@ size_t AdaptiveScheduler::Step(
       case GroupDecision::Kind::kFifo: ++stats_.group_fifo; break;
       case GroupDecision::Kind::kForced: ++stats_.group_forced; break;
     }
-    RecordSchedStep(/*waves=*/0, /*wave_queries=*/0, /*widened=*/0, budget);
-    RecordSchedFused(/*groups=*/1, group);
-    RecordSchedGroup(decision.kind == GroupDecision::Kind::kSimilarity,
-                     decision.kind == GroupDecision::Kind::kForced,
-                     decision.shared_fraction);
+    LibraryMetrics::Get().sched_group_shared_bin_fraction.Set(
+        decision.shared_fraction);
     return group;
   }
 
@@ -502,15 +384,14 @@ size_t AdaptiveScheduler::Step(
         wave,
         [&](size_t j) {
           KnnResult result = Call(query_at(ids[j]), /*budget=*/1);
-          PublishScheduledFlight(searcher_.name, result, /*budget=*/1,
-                                 /*fusion_group=*/1, cache_);
+          PublishFlight(searcher_.name, result, /*sched_budget=*/1,
+                        /*fusion_group=*/1, /*group_shared_fraction=*/0.0);
           emit(ids[j], std::move(result));
         },
         Capacity());
     ++stats_.waves;
     stats_.wave_queries += wave;
     for (size_t j = 0; j < wave; ++j) RecordGrant(1);
-    RecordSchedStep(/*waves=*/1, wave, /*widened=*/0, /*budget_granted=*/wave);
     return wave;
   }
 
@@ -524,12 +405,11 @@ size_t AdaptiveScheduler::Step(
     fingerprints_.erase(id);
     skip_counts_.erase(id);
     KnnResult result = Call(query_at(id), budget);
-    PublishScheduledFlight(searcher_.name, result, budget,
-                           /*fusion_group=*/1, cache_);
+    PublishFlight(searcher_.name, result, budget, /*fusion_group=*/1,
+                  /*group_shared_fraction=*/0.0);
     emit(id, std::move(result));
   }
   RecordGrant(budget);
-  RecordSchedStep(/*waves=*/0, /*wave_queries=*/0, budget > 1 ? 1 : 0, budget);
   return 1;
 }
 
@@ -552,8 +432,12 @@ std::vector<KnnResult> RunScheduled(const NamedSearcher& searcher,
   }
   if (stats_out != nullptr) *stats_out = scheduler.stats();
   if (!queries.empty()) {
-    RecordScheduledBatchMetrics(
-        scheduler.stats(),
+    // Batch accounting: the whole-batch wall time is the outer timer that
+    // per-query elapsed_seconds cannot replace under concurrency.
+    const LibraryMetrics& metrics = LibraryMetrics::Get();
+    metrics.batch_count.Inc();
+    metrics.batch_queries.Inc(scheduler.stats().queries);
+    metrics.batch_seconds.Record(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count());

@@ -27,19 +27,16 @@ class ThreadPool;
 /// fan-out (KnnOptions::intra_query_workers) — by choosing per query from
 /// the live pool state: pending queries, pool capacity, and foreign
 /// occupancy (ThreadPool::BusyWorkers). A deep backlog runs queries
-/// one-per-worker in *waves*; once the backlog drains below
-/// `widen_pending`, the remaining queries run one at a time with the whole
-/// effective capacity as intra-query budget, so the tail of a batch never
-/// leaves workers idle.
+/// one-per-worker in *waves*; once the backlog drains to
+/// AdaptiveScheduler::WidenPending(), the remaining queries run one at a
+/// time with the whole effective capacity as intra-query budget, so the
+/// tail of a batch never leaves workers idle.
 struct SchedulerPolicy {
   /// Cap on any single query's intra-query budget (0 = pool capacity).
   unsigned max_intra_workers = 0;
   /// Cap on total parallelism, the KnnBatch `threads` knob (0 = pool
   /// capacity). 1 forces the fully sequential caller-thread path.
   unsigned max_threads = 0;
-  /// Backlog level at or below which queries widen instead of riding a
-  /// wave (0 = auto: half the capacity, at least 1).
-  size_t widen_pending = 0;
   /// Cap on the fusion-group size for searchers with a fused entry point
   /// (NamedSearcher::search_fused): up to this many backlog queries are
   /// answered by one fused database sweep, the group running on the
@@ -61,10 +58,6 @@ struct SchedulerPolicy {
   /// queries overlap. Grouping only changes WHICH queries share a sweep —
   /// results stay bit-identical to FIFO grouping and to unfused calls.
   bool similarity_grouping = true;
-  /// How many backlog queries the similarity grouper considers per group
-  /// (0 = auto: max(16, 4 * resolved max_fusion)). Larger windows find
-  /// better-matched groups at higher per-step cost.
-  size_t group_window = 0;
   /// Starvation guard: a pending query passed over by this many
   /// similarity-formed groups is force-scheduled in the next group FIFO
   /// from the backlog front, however poorly it matches (0 = auto: 8).
@@ -143,8 +136,8 @@ class AdaptiveScheduler {
   /// clamped to [1, min(capacity, policy.max_intra_workers)].
   unsigned GrantBudget(size_t pending) const;
 
-  /// Backlog level at or below which queries widen (resolves the
-  /// policy's auto setting).
+  /// Backlog level at or below which queries widen instead of riding a
+  /// wave: half the capacity, at least 1.
   size_t WidenPending() const;
 
   /// Largest fusion group one Step may form: policy.max_fusion resolved
@@ -161,7 +154,8 @@ class AdaptiveScheduler {
   /// are removed from `*pending`; waves and solo calls always take from
   /// the front, so arrival order is preserved outside fusion. Emits every
   /// completed result via `emit(id, result)` and returns how many queries
-  /// completed (>= 1 unless the backlog was empty).
+  /// completed (>= 1 unless the backlog was empty). On return, the step's
+  /// SchedulerStats delta goes to the registry's sched.* counters.
   size_t Step(std::deque<size_t>* pending,
               const std::function<const Trajectory&(size_t)>& query_at,
               const std::function<void(size_t, KnnResult&&)>& emit);
@@ -178,6 +172,10 @@ class AdaptiveScheduler {
     double shared_fraction = 0.0;
   };
 
+  /// Step's scheduling decision and execution, without the metrics.
+  size_t Dispatch(std::deque<size_t>* pending,
+                  const std::function<const Trajectory&(size_t)>& query_at,
+                  const std::function<void(size_t, KnnResult&&)>& emit);
   KnnResult Call(const Trajectory& query, unsigned budget);
   void RecordGrant(unsigned budget);
   /// Removes up to MaxFusion() members from `*pending` — similarity-
@@ -191,6 +189,8 @@ class AdaptiveScheduler {
   /// still be pending).
   uint64_t FingerprintOf(
       size_t id, const std::function<const Trajectory&(size_t)>& query_at);
+  /// How many backlog queries the similarity grouper considers per group:
+  /// max(16, 4 * MaxFusion()).
   size_t GroupWindow() const;
   size_t AgeWatermark() const;
 

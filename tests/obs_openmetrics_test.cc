@@ -21,8 +21,6 @@ TEST(ObsOpenMetricsTest, NameMappingSanitizesAndStripsTotal) {
   EXPECT_EQ(OpenMetricsName("query.dp_total"), "edr_query_dp");
   EXPECT_EQ(OpenMetricsName("sched.fused_groups"), "edr_sched_fused_groups");
   EXPECT_EQ(OpenMetricsName("weird name!"), "edr_weird_name_");
-  EXPECT_EQ(OpenMetricsName("x", /*prefix=*/""), "x");
-  EXPECT_EQ(OpenMetricsName("9x", /*prefix=*/""), "_9x");
 }
 
 TEST(ObsOpenMetricsTest, EscapeLabelHandlesSpecials) {

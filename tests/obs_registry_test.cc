@@ -2,17 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
-#include <limits>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/json.h"
 #include "obs/obs.h"
-#include "obs/periodic_dumper.h"
 #include "query/thread_pool.h"
 
 namespace edr {
@@ -148,85 +142,85 @@ TEST(ObsRegistryTest, SnapshotExportsJsonAndTable) {
   h.Reset();
 }
 
-TEST(ObsRegistryTest, CounterDrainReadsAndZeroes) {
-  ObsCounter& c =
-      MetricsRegistry::Global().Counter("test_registry.drain.count");
-  c.Reset();
-  c.Inc(6);
-  EXPECT_EQ(c.Drain(), kObsEnabled ? 6u : 0u);
-  EXPECT_EQ(c.Load(), 0u);
-  EXPECT_EQ(c.Drain(), 0u);  // Second drain sees nothing.
-}
-
-TEST(ObsRegistryTest, HistogramDrainMovesContentsOut) {
-  LatencyHistogram h;
-  h.Record(1e-3);
-  h.Record(2e-3);
-  const LatencyHistogram::Drained d = h.Drain();
-  if constexpr (!kObsEnabled) {
-    EXPECT_EQ(d.count, 0u);
-    return;
-  }
-  EXPECT_EQ(d.count, 2u);
-  EXPECT_NEAR(static_cast<double>(d.sum_ns) * 1e-9, 3e-3, 1e-6);
-  uint64_t bucket_sum = 0;
-  for (const uint64_t b : d.buckets) bucket_sum += b;
-  EXPECT_EQ(bucket_sum, 2u);
-  // Percentiles computed from the drained buckets match the live math.
-  const double p50 = LatencyHistogram::PercentileFromBuckets(d.buckets, 0.5);
-  EXPECT_GE(p50, 1e-3);
-  EXPECT_LE(p50, 2e-3);
-  // The histogram itself is empty after the drain.
-  EXPECT_EQ(h.TotalCount(), 0u);
-  EXPECT_EQ(h.TotalSeconds(), 0.0);
-  EXPECT_EQ(h.Drain().count, 0u);
-}
-
-TEST(ObsRegistryTest, SnapshotAndResetYieldsDeltas) {
-  ObsCounter& c =
-      MetricsRegistry::Global().Counter("test_registry.delta.count");
-  LatencyHistogram& h =
-      MetricsRegistry::Global().Histogram("test_registry.delta.seconds");
+TEST(ObsRegistryTest, SnapshotSinceYieldsDeltas) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  ObsCounter& c = registry.Counter("test_registry.since.count");
+  LatencyHistogram& h = registry.Histogram("test_registry.since.seconds");
+  ObsGauge& g = registry.Gauge("test_registry.since.level");
   c.Reset();
   h.Reset();
   c.Inc(5);
   h.Record(0.004);
+  g.Set(0.25);
+  const MetricsSnapshot first = registry.Snapshot();
 
-  const auto find_counter = [](const MetricsSnapshot& snap,
-                               const std::string& name) -> uint64_t {
+  c.Inc(2);
+  h.Record(1e-3);
+  h.Record(2e-3);
+  g.Set(0.75);
+  // Registered after the first snapshot: its delta counts from zero.
+  registry.Counter("test_registry.since.late").Inc(4);
+  const MetricsSnapshot second = registry.Snapshot();
+  const MetricsSnapshot delta = second.Since(first);
+
+  const auto counter = [](const MetricsSnapshot& snap,
+                          const std::string& name) -> uint64_t {
     for (const MetricsSnapshot::CounterRow& row : snap.counters) {
       if (row.name == name) return row.value;
     }
     ADD_FAILURE() << name << " missing from snapshot";
     return 0;
   };
-  const auto find_histogram_count = [](const MetricsSnapshot& snap,
-                                       const std::string& name) -> uint64_t {
+  const auto histogram = [](const MetricsSnapshot& snap,
+                            const std::string& name) {
     for (const MetricsSnapshot::HistogramRow& row : snap.histograms) {
-      if (row.name == name) return row.count;
+      if (row.name == name) return row;
     }
     ADD_FAILURE() << name << " missing from snapshot";
-    return 0;
+    return MetricsSnapshot::HistogramRow{};
   };
+  double level = -1.0;
+  for (const MetricsSnapshot::GaugeRow& row : delta.gauges) {
+    if (row.name == "test_registry.since.level") level = row.value;
+  }
+  EXPECT_EQ(level, kObsEnabled ? 0.75 : 0.0);  // Gauges keep the level.
 
-  // First scrape returns everything since the last reset...
-  const MetricsSnapshot first = MetricsRegistry::Global().SnapshotAndReset();
-  EXPECT_EQ(find_counter(first, "test_registry.delta.count"),
-            kObsEnabled ? 5u : 0u);
-  EXPECT_EQ(find_histogram_count(first, "test_registry.delta.seconds"),
-            kObsEnabled ? 1u : 0u);
+  const MetricsSnapshot::HistogramRow before =
+      histogram(first, "test_registry.since.seconds");
+  const MetricsSnapshot::HistogramRow total =
+      histogram(second, "test_registry.since.seconds");
+  const MetricsSnapshot::HistogramRow d =
+      histogram(delta, "test_registry.since.seconds");
+  if constexpr (!kObsEnabled) {
+    EXPECT_EQ(counter(delta, "test_registry.since.count"), 0u);
+    EXPECT_EQ(counter(delta, "test_registry.since.late"), 0u);
+    EXPECT_EQ(d.count, 0u);
+    return;
+  }
+  EXPECT_EQ(counter(delta, "test_registry.since.count"), 2u);
+  EXPECT_EQ(counter(delta, "test_registry.since.late"), 4u);
+  EXPECT_EQ(d.count, 2u);
+  EXPECT_NEAR(d.total_seconds, 3e-3, 1e-6);
+  uint64_t bucket_sum = 0;
+  for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+    EXPECT_EQ(d.buckets[b], total.buckets[b] - before.buckets[b]);
+    bucket_sum += d.buckets[b];
+  }
+  EXPECT_EQ(bucket_sum, 2u);
+  // Percentiles come from the difference's buckets: the 4 ms sample before
+  // the first snapshot no longer sets the p99.
+  EXPECT_EQ(d.p50_seconds,
+            LatencyHistogram::PercentileFromBuckets(d.buckets, 0.50));
+  EXPECT_EQ(d.p99_seconds,
+            LatencyHistogram::PercentileFromBuckets(d.buckets, 0.99));
+  EXPECT_GE(d.p50_seconds, 1e-3);
+  EXPECT_LE(d.p99_seconds, 2.2e-3);
+  EXPECT_GE(total.p99_seconds, 4e-3);
 
-  // ...and the second scrape sees only activity after the first, not the
-  // cumulative total (the delta-scrape contract).
-  c.Inc(2);
-  const MetricsSnapshot second = MetricsRegistry::Global().SnapshotAndReset();
-  EXPECT_EQ(find_counter(second, "test_registry.delta.count"),
-            kObsEnabled ? 2u : 0u);
-  EXPECT_EQ(find_histogram_count(second, "test_registry.delta.seconds"), 0u);
-
-  // Entries stay registered after the reset.
-  EXPECT_EQ(&MetricsRegistry::Global().Counter("test_registry.delta.count"),
-            &c);
+  // The registry keeps its cumulative totals: nothing was reset.
+  EXPECT_EQ(c.Load(), 7u);
+  EXPECT_EQ(h.TotalCount(), 3u);
+  EXPECT_EQ(counter(registry.Snapshot(), "test_registry.since.count"), 7u);
 }
 
 TEST(ObsRegistryTest, EmptySnapshotJsonIsValid) {
@@ -350,88 +344,6 @@ TEST(ObsRegistryTest, SnapshotCarriesRawBucketCounts) {
     EXPECT_EQ(sum, kObsEnabled ? 3u : 0u);
   }
   h.Reset();
-}
-
-TEST(ObsPeriodicDumperTest, RejectsNonPositiveIntervals) {
-  std::string error;
-  EXPECT_FALSE(PeriodicMetricsDumper::ValidInterval(0.0, &error));
-  EXPECT_NE(error.find("positive"), std::string::npos) << error;
-  EXPECT_FALSE(PeriodicMetricsDumper::ValidInterval(-2.5, &error));
-  EXPECT_FALSE(PeriodicMetricsDumper::ValidInterval(
-      std::numeric_limits<double>::quiet_NaN(), &error));
-  EXPECT_FALSE(PeriodicMetricsDumper::ValidInterval(
-      std::numeric_limits<double>::infinity(), &error));
-  EXPECT_TRUE(PeriodicMetricsDumper::ValidInterval(0.001));
-
-  // A dumper built on an invalid interval refuses to start: no thread,
-  // no dumps — and says so instead of silently disabling itself.
-  PeriodicMetricsDumper::Options options;
-  options.interval_seconds = 0.0;
-  options.sink = [](const std::string&) { ADD_FAILURE() << "dumped"; };
-  PeriodicMetricsDumper dumper(options);
-  EXPECT_FALSE(dumper.Start());
-  EXPECT_FALSE(dumper.running());
-  dumper.Stop();
-  EXPECT_EQ(dumper.dumps(), 0u);
-}
-
-TEST(ObsPeriodicDumperTest, StopFlushesTheFinalPartialIntervalOnce) {
-  ObsCounter& c =
-      MetricsRegistry::Global().Counter("test_registry.dumper.count");
-  c.Reset();
-
-  std::mutex mu;
-  std::vector<std::string> lines;
-  PeriodicMetricsDumper::Options options;
-  // Far longer than the test: the only dump must be the final flush.
-  options.interval_seconds = 1000.0;
-  options.sink = [&mu, &lines](const std::string& line) {
-    std::lock_guard<std::mutex> lock(mu);
-    lines.push_back(line);
-  };
-  PeriodicMetricsDumper dumper(options);
-  ASSERT_TRUE(dumper.Start());
-  EXPECT_TRUE(dumper.running());
-  c.Inc(9);
-  dumper.Stop();
-  EXPECT_FALSE(dumper.running());
-
-  // Exactly one line — the final flush — and it is one valid JSON object
-  // carrying the activity from the partial interval.
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(dumper.dumps(), 1u);
-  EXPECT_TRUE(JsonIsValid(lines[0])) << lines[0];
-  EXPECT_NE(lines[0].find("\"t_ms\""), std::string::npos);
-  EXPECT_NE(lines[0].find("test_registry.dumper.count"), std::string::npos);
-
-  // Stop is idempotent: no second flush.
-  dumper.Stop();
-  EXPECT_EQ(lines.size(), 1u);
-
-  // The flush was a SnapshotAndReset delta: the counter is zeroed.
-  EXPECT_EQ(c.Load(), 0u);
-}
-
-TEST(ObsPeriodicDumperTest, PeriodicTicksDeliverDeltas) {
-  if constexpr (!kObsEnabled) return;
-  std::mutex mu;
-  std::vector<std::string> lines;
-  PeriodicMetricsDumper::Options options;
-  options.interval_seconds = 0.002;
-  options.sink = [&mu, &lines](const std::string& line) {
-    std::lock_guard<std::mutex> lock(mu);
-    lines.push_back(line);
-  };
-  PeriodicMetricsDumper dumper(options);
-  ASSERT_TRUE(dumper.Start());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  dumper.Stop();
-  // Several periodic ticks plus the final flush, each one valid JSON.
-  EXPECT_GE(lines.size(), 2u);
-  EXPECT_EQ(dumper.dumps(), lines.size());
-  for (const std::string& line : lines) {
-    EXPECT_TRUE(JsonIsValid(line)) << line;
-  }
 }
 
 }  // namespace

@@ -25,12 +25,12 @@
 // Observability flags (any command, position-independent):
 //   --trace-json=FILE       write the per-query phase trace of a `knn` query
 //   --metrics-json=FILE     write the process-wide metrics registry snapshot
-//   --metrics-reset         make --metrics-json a delta scrape: export, then
-//                           atomically zero the registry (reset-on-scrape)
-//   --metrics-interval=SEC  while a `batch` session drains, dump a
-//                           SnapshotAndReset delta every SEC seconds (one
-//                           JSON line each) to stderr, or to
-//                           --metrics-interval-log=FILE when given (appended)
+//                           (cumulative, like every export)
+//   --metrics-interval=SEC  while a `batch` runs, write one JSON line about
+//                           every SEC seconds and one at the end, each holding
+//                           the activity since the previous line, to stderr,
+//                           or to --metrics-interval-log=FILE when given
+//                           (appended)
 //   --trace-agg-json=FILE   after a `batch`, merge every query's phase trace
 //                           into one aggregate profile and write it as JSON
 //   --metrics-table         print the aligned metrics table (counters +
@@ -46,7 +46,9 @@
 //                           printed on startup)
 //   --listen-hold=SEC       keep the --listen endpoint up SEC seconds after
 //                           the batch drains (default 0)
-// The files hold "{}"-style JSON; in an EDR_DISABLE_OBS build the trace
+// Ports must be integers in [0, 65535]; durations and intervals finite
+// numbers of seconds up to 1e6 (intervals also > 0). Any other value is an
+// error. The files hold "{}"-style JSON; in an EDR_DISABLE_OBS build the trace
 // files are not written (a note goes to stderr), the metrics snapshots are
 // empty, and --listen refuses to start.
 //
@@ -58,8 +60,10 @@
 // and exits non-zero on violations.
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,7 +79,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/http_endpoint.h"
 #include "obs/openmetrics.h"
-#include "obs/periodic_dumper.h"
 #include "obs/registry.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -88,22 +91,61 @@ namespace {
 
 std::string g_trace_json_path;
 std::string g_metrics_json_path;
-bool g_metrics_reset = false;
-bool g_metrics_interval_given = false;
-double g_metrics_interval_seconds = 0.0;
+double g_metrics_interval_seconds = 0.0;  ///< 0 = no --metrics-interval
 std::string g_metrics_interval_log_path;
 std::string g_trace_agg_json_path;
 bool g_metrics_table = false;
 std::string g_flight_json_path;
 std::string g_timeline_json_path;
 bool g_listen = false;
-int g_listen_port = 0;
+uint16_t g_listen_port = 0;
 double g_listen_hold_seconds = 0.0;
 
-/// Removes the --trace-json=/--metrics-*/--trace-agg-json= flags from argv
-/// (recording their values) so the positional command parsing below stays
-/// untouched. Returns the new argc.
-int StripObsFlags(int argc, char** argv) {
+/// Parses all of `text` as a port number in [0, 65535].
+bool ParsePort(const char* text, uint16_t* port) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || value < 0 ||
+      value > 65535) {
+    return false;
+  }
+  *port = static_cast<uint16_t>(value);
+  return true;
+}
+
+/// Parses all of `text` as a number of seconds.
+bool ParseSeconds(const char* text, double* seconds) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') return false;
+  *seconds = value;
+  return true;
+}
+
+/// Parses all of `text` as a duration to wait: finite seconds in
+/// [0, TimelineSampler::kMaxIntervalSeconds], so that sleeping on it stays
+/// inside steady_clock's range.
+bool ParseDuration(const char* text, double* seconds) {
+  return ParseSeconds(text, seconds) && *seconds >= 0.0 &&
+         *seconds <= edr::TimelineSampler::kMaxIntervalSeconds;
+}
+
+std::string PortError(const std::string& flag) {
+  return flag + " must be an integer port in [0, 65535]";
+}
+
+std::string DurationError(const std::string& flag) {
+  char range[64];
+  std::snprintf(range, sizeof(range), " must be a number of seconds in [0, %g]",
+                edr::TimelineSampler::kMaxIntervalSeconds);
+  return flag + range;
+}
+
+/// Removes the observability flags from argv (recording their values) so
+/// the positional command parsing below stays untouched. Returns the new
+/// argc, or -1 with `*error` set when a flag's value cannot be honoured.
+int StripObsFlags(int argc, char** argv, std::string* error) {
   int out = 0;
   for (int i = 0; i < argc; ++i) {
     const char* arg = argv[i];
@@ -111,11 +153,14 @@ int StripObsFlags(int argc, char** argv) {
       g_trace_json_path = arg + 13;
     } else if (std::strncmp(arg, "--metrics-json=", 15) == 0) {
       g_metrics_json_path = arg + 15;
-    } else if (std::strcmp(arg, "--metrics-reset") == 0) {
-      g_metrics_reset = true;
     } else if (std::strncmp(arg, "--metrics-interval=", 19) == 0) {
-      g_metrics_interval_given = true;
-      g_metrics_interval_seconds = std::atof(arg + 19);
+      std::string why = "not a number";
+      if (!ParseSeconds(arg + 19, &g_metrics_interval_seconds) ||
+          !edr::TimelineSampler::ValidInterval(g_metrics_interval_seconds,
+                                               &why)) {
+        *error = "--metrics-interval: " + why;
+        return -1;
+      }
     } else if (std::strncmp(arg, "--metrics-interval-log=", 23) == 0) {
       g_metrics_interval_log_path = arg + 23;
     } else if (std::strncmp(arg, "--trace-agg-json=", 17) == 0) {
@@ -130,9 +175,15 @@ int StripObsFlags(int argc, char** argv) {
       g_listen = true;
     } else if (std::strncmp(arg, "--listen=", 9) == 0) {
       g_listen = true;
-      g_listen_port = std::atoi(arg + 9);
+      if (!ParsePort(arg + 9, &g_listen_port)) {
+        *error = PortError("--listen");
+        return -1;
+      }
     } else if (std::strncmp(arg, "--listen-hold=", 14) == 0) {
-      g_listen_hold_seconds = std::atof(arg + 14);
+      if (!ParseDuration(arg + 14, &g_listen_hold_seconds)) {
+        *error = DurationError("--listen-hold");
+        return -1;
+      }
     } else {
       argv[out++] = argv[i];
     }
@@ -140,23 +191,17 @@ int StripObsFlags(int argc, char** argv) {
   return out;
 }
 
-/// Builds the --metrics-interval dumper (obs/periodic_dumper.h) with the
-/// CLI's sink: one JSON line per delta to stderr, or appended to
-/// --metrics-interval-log when given.
-edr::PeriodicMetricsDumper::Options IntervalDumperOptions() {
-  edr::PeriodicMetricsDumper::Options options;
-  options.interval_seconds = g_metrics_interval_seconds;
-  options.sink = [](const std::string& line) {
-    std::FILE* out = stderr;
-    std::FILE* log = nullptr;
-    if (!g_metrics_interval_log_path.empty()) {
-      log = std::fopen(g_metrics_interval_log_path.c_str(), "a");
-      if (log != nullptr) out = log;
-    }
-    std::fprintf(out, "%s\n", line.c_str());
-    if (log != nullptr) std::fclose(log);
-  };
-  return options;
+/// The --metrics-interval sink: one JSON line per interval to stderr, or
+/// appended to --metrics-interval-log when given.
+void WriteMetricsLine(const std::string& line) {
+  std::FILE* out = stderr;
+  std::FILE* log = nullptr;
+  if (!g_metrics_interval_log_path.empty()) {
+    log = std::fopen(g_metrics_interval_log_path.c_str(), "a");
+    if (log != nullptr) out = log;
+  }
+  std::fprintf(out, "%s\n", line.c_str());
+  if (log != nullptr) std::fclose(log);
 }
 
 bool WriteTextFile(const std::string& path, const std::string& content) {
@@ -168,14 +213,10 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
   return ok;
 }
 
-/// Honors --metrics-json after a query command ran; with --metrics-reset
-/// the export is a delta scrape that zeroes the registry behind it.
+/// Honors --metrics-json after a query command ran.
 void MaybeExportMetrics() {
   if (g_metrics_json_path.empty()) return;
-  const std::string json =
-      g_metrics_reset
-          ? edr::MetricsRegistry::Global().SnapshotAndReset().ToJson()
-          : edr::MetricsRegistry::Global().Snapshot().ToJson();
+  const std::string json = edr::MetricsRegistry::Global().Snapshot().ToJson();
   if (!WriteTextFile(g_metrics_json_path, json)) {
     std::fprintf(stderr, "warning: could not write %s\n",
                  g_metrics_json_path.c_str());
@@ -201,23 +242,6 @@ void MaybeExportFlight() {
   } else {
     std::printf("flight recorder written to %s\n", g_flight_json_path.c_str());
   }
-}
-
-/// Sends one solo (unscheduled) CLI query to the flight recorder, so
-/// `knn --flight-json=...` shows the query it just ran. sched_budget and
-/// fusion_group stay 0: the query never went through the scheduler.
-void PublishCliQuery(const std::string& searcher_name,
-                     const edr::KnnResult& result) {
-  edr::FlightRecord record;
-  record.searcher = searcher_name;
-  record.latency_seconds = result.stats.elapsed_seconds;
-  record.filter_seconds = result.stats.filter_seconds;
-  record.refine_seconds = result.stats.refine_seconds;
-  record.db_size = result.stats.db_size;
-  record.edr_computed = result.stats.edr_computed;
-  record.stages = result.stats.stages;
-  record.trace = result.trace;
-  edr::FlightRecorder::Global().Publish(std::move(record));
 }
 
 /// Honors --trace-json for the query that produced `result`.
@@ -275,12 +299,12 @@ int Usage() {
       "  edr_cli check-openmetrics <file>\n"
       "flags (any command):\n"
       "  --trace-json=FILE       per-query phase trace (knn only)\n"
-      "  --metrics-json=FILE     process-wide metrics snapshot\n"
-      "  --metrics-reset         snapshot is a delta scrape (reset after "
-      "export)\n"
-      "  --metrics-interval=SEC  periodic delta dumps while a batch drains "
-      "(SEC > 0)\n"
-      "  --metrics-interval-log=FILE  append interval dumps here instead of "
+      "  --metrics-json=FILE     process-wide metrics snapshot (cumulative)\n"
+      "  --metrics-interval=SEC  one JSON line per SEC while a batch runs, "
+      "each the\n"
+      "                          activity since the previous line "
+      "(0 < SEC <= 1e6)\n"
+      "  --metrics-interval-log=FILE  append interval lines here instead of "
       "stderr\n"
       "  --trace-agg-json=FILE   aggregate phase profile of a batch\n"
       "  --metrics-table         print the aligned metrics table\n"
@@ -440,7 +464,8 @@ int Knn(int argc, char** argv) {
               result.stats.edr_computed, result.stats.db_size,
               result.stats.PruningPower(),
               result.stats.elapsed_seconds * 1e3);
-  PublishCliQuery(searcher.name, result);
+  edr::PublishFlight(searcher.name, result, /*sched_budget=*/0,
+                     /*fusion_group=*/0, /*group_shared_fraction=*/0.0);
   MaybeExportTrace(result);
   MaybeExportMetrics();
   MaybeExportMetricsTable();
@@ -474,11 +499,9 @@ int Batch(int argc, char** argv) {
 
   std::printf("streaming %zu queries x%zu through %s (eps=%.3f, k=%zu)\n",
               num_queries, repeats, searcher.name.c_str(), epsilon, k);
-  edr::PeriodicMetricsDumper dumper(IntervalDumperOptions());
-  if (g_metrics_interval_given) dumper.Start();
 
-  // The sessions below are per-pass; the timeline sampler outlives them
-  // and probes the live one through this mutex-guarded pointer.
+  // The sessions below are per-pass; the sampler outlives them and probes
+  // the live one through this mutex-guarded pointer.
   std::mutex session_mu;
   edr::QuerySession* live_session = nullptr;
 
@@ -490,11 +513,18 @@ int Batch(int argc, char** argv) {
   timeline_options.cache_entries = [&cache]() {
     return cache.stats().entries;
   };
+  if (g_metrics_interval_seconds > 0.0) {
+    timeline_options.metrics_sink = WriteMetricsLine;
+    timeline_options.metrics_interval_seconds = g_metrics_interval_seconds;
+  }
   edr::TimelineSampler timeline(timeline_options);
-  if (!g_timeline_json_path.empty() || g_listen) timeline.Start();
+  if (timeline_options.metrics_sink || !g_timeline_json_path.empty() ||
+      g_listen) {
+    timeline.Start();
+  }
 
   edr::MetricsHttpEndpoint::Options endpoint_options;
-  endpoint_options.port = static_cast<uint16_t>(g_listen_port);
+  endpoint_options.port = g_listen_port;
   endpoint_options.timeline = &timeline;
   edr::MetricsHttpEndpoint endpoint(endpoint_options);
   if (g_listen) {
@@ -543,7 +573,6 @@ int Batch(int argc, char** argv) {
                 seconds * 1e3 / static_cast<double>(num_queries),
                 pass == 0 ? " (cold cache)" : " (warm cache)");
   }
-  dumper.Stop();
   std::printf("scheduler: %zu queries, %zu fused groups (%zu queries), "
               "%zu waves (%zu queries), %zu widened, max budget %u\n",
               last_stats.queries, last_stats.fused_groups,
@@ -578,6 +607,7 @@ int Batch(int argc, char** argv) {
         std::chrono::duration<double>(g_listen_hold_seconds));
   }
   endpoint.Stop();
+  // After the hold, so the final metrics line covers the whole run.
   timeline.Stop();
   if (!g_timeline_json_path.empty()) {
     if (!WriteTextFile(g_timeline_json_path, timeline.ToJson())) {
@@ -597,16 +627,20 @@ int Batch(int argc, char** argv) {
 /// run a warm scheduled batch so metrics / flight records / the timeline
 /// are populated, then serve the observability routes for a fixed window.
 int ServeMetrics(int argc, char** argv) {
-  int port = 0;
+  uint16_t port = 0;
   double duration = 5.0;
   size_t warm = 32;
   size_t count = 256;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--port=", 7) == 0) {
-      port = std::atoi(arg + 7);
+      if (!ParsePort(arg + 7, &port)) {
+        return Fail(PortError("serve-metrics: --port"));
+      }
     } else if (std::strncmp(arg, "--duration=", 11) == 0) {
-      duration = std::atof(arg + 11);
+      if (!ParseDuration(arg + 11, &duration)) {
+        return Fail(DurationError("serve-metrics: --duration"));
+      }
     } else if (std::strncmp(arg, "--warm=", 7) == 0) {
       warm = static_cast<size_t>(std::atoll(arg + 7));
     } else if (std::strncmp(arg, "--count=", 8) == 0) {
@@ -645,7 +679,7 @@ int ServeMetrics(int argc, char** argv) {
   }
 
   edr::MetricsHttpEndpoint::Options endpoint_options;
-  endpoint_options.port = static_cast<uint16_t>(port);
+  endpoint_options.port = port;
   endpoint_options.timeline = &timeline;
   edr::MetricsHttpEndpoint endpoint(endpoint_options);
   std::string error;
@@ -708,7 +742,8 @@ int RangeQuery(int argc, char** argv) {
   for (const edr::Neighbor& n : result.neighbors) {
     std::printf("  id=%-6u EDR=%.0f\n", n.id, n.distance);
   }
-  PublishCliQuery("range", result);
+  edr::PublishFlight("range", result, /*sched_budget=*/0,
+                     /*fusion_group=*/0, /*group_shared_fraction=*/0.0);
   MaybeExportTrace(result);
   MaybeExportMetrics();
   MaybeExportMetricsTable();
@@ -719,14 +754,9 @@ int RangeQuery(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  argc = StripObsFlags(argc, argv);
-  if (g_metrics_interval_given) {
-    std::string error;
-    if (!edr::PeriodicMetricsDumper::ValidInterval(g_metrics_interval_seconds,
-                                                   &error)) {
-      return Fail("--metrics-interval: " + error);
-    }
-  }
+  std::string error;
+  argc = StripObsFlags(argc, argv, &error);
+  if (argc < 0) return Fail(error);
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   if (command == "generate") return Generate(argc, argv);
