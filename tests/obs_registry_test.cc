@@ -142,6 +142,112 @@ TEST(ObsRegistryTest, SnapshotExportsJsonAndTable) {
   h.Reset();
 }
 
+// Row lookups for the snapshot-difference tests below.
+uint64_t CounterIn(const MetricsSnapshot& snap, const std::string& name) {
+  for (const MetricsSnapshot::CounterRow& row : snap.counters) {
+    if (row.name == name) return row.value;
+  }
+  ADD_FAILURE() << name << " missing from snapshot";
+  return 0;
+}
+
+MetricsSnapshot::HistogramRow HistogramIn(const MetricsSnapshot& snap,
+                                          const std::string& name) {
+  for (const MetricsSnapshot::HistogramRow& row : snap.histograms) {
+    if (row.name == name) return row;
+  }
+  ADD_FAILURE() << name << " missing from snapshot";
+  return MetricsSnapshot::HistogramRow{};
+}
+
+// The delta-scrape contract, with each scrape the difference of two
+// snapshots: the first sees everything since the start, the second only
+// the activity after the first. Scraping resets nothing.
+TEST(ObsRegistryTest, SnapshotAndResetYieldsDeltas) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  ObsCounter& c = registry.Counter("test_registry.delta.count");
+  LatencyHistogram& h = registry.Histogram("test_registry.delta.seconds");
+  c.Reset();
+  h.Reset();
+  const MetricsSnapshot start = registry.Snapshot();
+  c.Inc(5);
+  h.Record(0.004);
+
+  const MetricsSnapshot first = registry.Snapshot();
+  const MetricsSnapshot first_delta = first.Since(start);
+  EXPECT_EQ(CounterIn(first_delta, "test_registry.delta.count"),
+            kObsEnabled ? 5u : 0u);
+  EXPECT_EQ(HistogramIn(first_delta, "test_registry.delta.seconds").count,
+            kObsEnabled ? 1u : 0u);
+
+  c.Inc(2);
+  const MetricsSnapshot second = registry.Snapshot();
+  const MetricsSnapshot second_delta = second.Since(first);
+  EXPECT_EQ(CounterIn(second_delta, "test_registry.delta.count"),
+            kObsEnabled ? 2u : 0u);
+  EXPECT_EQ(HistogramIn(second_delta, "test_registry.delta.seconds").count,
+            0u);
+
+  // The registry still holds the cumulative totals, under the same entries.
+  EXPECT_EQ(c.Load(), kObsEnabled ? 7u : 0u);
+  EXPECT_EQ(CounterIn(second, "test_registry.delta.count"),
+            kObsEnabled ? 7u : 0u);
+  EXPECT_EQ(&registry.Counter("test_registry.delta.count"), &c);
+}
+
+// A counter's snapshot difference reads what was added in between and is
+// zero once nothing more is added; the counter keeps its total.
+TEST(ObsRegistryTest, CounterDrainReadsAndZeroes) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  ObsCounter& c = registry.Counter("test_registry.drain.count");
+  c.Reset();
+  const MetricsSnapshot before = registry.Snapshot();
+  c.Inc(6);
+  const MetricsSnapshot after = registry.Snapshot();
+  EXPECT_EQ(CounterIn(after.Since(before), "test_registry.drain.count"),
+            kObsEnabled ? 6u : 0u);
+  EXPECT_EQ(CounterIn(registry.Snapshot().Since(after),
+                      "test_registry.drain.count"),
+            0u);  // Nothing added since.
+  EXPECT_EQ(c.Load(), kObsEnabled ? 6u : 0u);
+}
+
+// A histogram's snapshot difference carries the samples recorded in
+// between (count, sum, buckets and the percentiles they give), and the
+// next difference is empty; the histogram keeps its contents.
+TEST(ObsRegistryTest, HistogramDrainMovesContentsOut) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  LatencyHistogram& h = registry.Histogram("test_registry.drain.seconds");
+  h.Reset();
+  const MetricsSnapshot before = registry.Snapshot();
+  h.Record(1e-3);
+  h.Record(2e-3);
+  const MetricsSnapshot after = registry.Snapshot();
+  const MetricsSnapshot::HistogramRow d =
+      HistogramIn(after.Since(before), "test_registry.drain.seconds");
+  if constexpr (!kObsEnabled) {
+    EXPECT_EQ(d.count, 0u);
+    return;
+  }
+  EXPECT_EQ(d.count, 2u);
+  EXPECT_NEAR(d.total_seconds, 3e-3, 1e-6);
+  uint64_t bucket_sum = 0;
+  for (const uint64_t b : d.buckets) bucket_sum += b;
+  EXPECT_EQ(bucket_sum, 2u);
+  const double p50 = LatencyHistogram::PercentileFromBuckets(d.buckets, 0.5);
+  EXPECT_GE(p50, 1e-3);
+  EXPECT_LE(p50, 2e-3);
+  EXPECT_EQ(d.p50_seconds, p50);
+
+  const MetricsSnapshot::HistogramRow next =
+      HistogramIn(registry.Snapshot().Since(after),
+                  "test_registry.drain.seconds");
+  EXPECT_EQ(next.count, 0u);
+  EXPECT_EQ(next.total_seconds, 0.0);
+  EXPECT_EQ(h.TotalCount(), 2u);
+  EXPECT_NEAR(h.TotalSeconds(), 3e-3, 1e-6);
+}
+
 TEST(ObsRegistryTest, SnapshotSinceYieldsDeltas) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   ObsCounter& c = registry.Counter("test_registry.since.count");
@@ -163,22 +269,6 @@ TEST(ObsRegistryTest, SnapshotSinceYieldsDeltas) {
   const MetricsSnapshot second = registry.Snapshot();
   const MetricsSnapshot delta = second.Since(first);
 
-  const auto counter = [](const MetricsSnapshot& snap,
-                          const std::string& name) -> uint64_t {
-    for (const MetricsSnapshot::CounterRow& row : snap.counters) {
-      if (row.name == name) return row.value;
-    }
-    ADD_FAILURE() << name << " missing from snapshot";
-    return 0;
-  };
-  const auto histogram = [](const MetricsSnapshot& snap,
-                            const std::string& name) {
-    for (const MetricsSnapshot::HistogramRow& row : snap.histograms) {
-      if (row.name == name) return row;
-    }
-    ADD_FAILURE() << name << " missing from snapshot";
-    return MetricsSnapshot::HistogramRow{};
-  };
   double level = -1.0;
   for (const MetricsSnapshot::GaugeRow& row : delta.gauges) {
     if (row.name == "test_registry.since.level") level = row.value;
@@ -186,19 +276,19 @@ TEST(ObsRegistryTest, SnapshotSinceYieldsDeltas) {
   EXPECT_EQ(level, kObsEnabled ? 0.75 : 0.0);  // Gauges keep the level.
 
   const MetricsSnapshot::HistogramRow before =
-      histogram(first, "test_registry.since.seconds");
+      HistogramIn(first, "test_registry.since.seconds");
   const MetricsSnapshot::HistogramRow total =
-      histogram(second, "test_registry.since.seconds");
+      HistogramIn(second, "test_registry.since.seconds");
   const MetricsSnapshot::HistogramRow d =
-      histogram(delta, "test_registry.since.seconds");
+      HistogramIn(delta, "test_registry.since.seconds");
   if constexpr (!kObsEnabled) {
-    EXPECT_EQ(counter(delta, "test_registry.since.count"), 0u);
-    EXPECT_EQ(counter(delta, "test_registry.since.late"), 0u);
+    EXPECT_EQ(CounterIn(delta, "test_registry.since.count"), 0u);
+    EXPECT_EQ(CounterIn(delta, "test_registry.since.late"), 0u);
     EXPECT_EQ(d.count, 0u);
     return;
   }
-  EXPECT_EQ(counter(delta, "test_registry.since.count"), 2u);
-  EXPECT_EQ(counter(delta, "test_registry.since.late"), 4u);
+  EXPECT_EQ(CounterIn(delta, "test_registry.since.count"), 2u);
+  EXPECT_EQ(CounterIn(delta, "test_registry.since.late"), 4u);
   EXPECT_EQ(d.count, 2u);
   EXPECT_NEAR(d.total_seconds, 3e-3, 1e-6);
   uint64_t bucket_sum = 0;
@@ -220,7 +310,7 @@ TEST(ObsRegistryTest, SnapshotSinceYieldsDeltas) {
   // The registry keeps its cumulative totals: nothing was reset.
   EXPECT_EQ(c.Load(), 7u);
   EXPECT_EQ(h.TotalCount(), 3u);
-  EXPECT_EQ(counter(registry.Snapshot(), "test_registry.since.count"), 7u);
+  EXPECT_EQ(CounterIn(registry.Snapshot(), "test_registry.since.count"), 7u);
 }
 
 TEST(ObsRegistryTest, EmptySnapshotJsonIsValid) {
