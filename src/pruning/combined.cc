@@ -140,7 +140,7 @@ std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
     }
     histograms_.FastLowerBoundSweep(qhs, outs, options);
   };
-  const auto refine = [&](size_t f, RefineRequest req) {
+  const auto refine = [&](size_t f, RefineRequest<> req) {
     return Search(*queries[f], bounds[f], *means[f],
                   [&](const auto& order, const auto& prune,
                       const auto& distance) {

@@ -39,9 +39,9 @@ KnnResult CseSearcher::Knn(const Trajectory& query, size_t k,
   const auto prune = [&](StageCounters& st, uint32_t id, double threshold) {
     return TrianglePrunes(st, matrix_, refs, id, shift_, threshold);
   };
-  return FilterAndRefine({db_, query, options, KnnTrace(options)}, k,
-                         InDbOrder{}, prune,
-                         BoundedEdr(db_, query, epsilon_, &refs));
+  return FilterAndRefine(
+      RefineRequest{db_, query, options, KnnTrace(options)}, k, InDbOrder{},
+      prune, BoundedEdr(db_, query, epsilon_, &refs));
 }
 
 }  // namespace edr

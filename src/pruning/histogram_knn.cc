@@ -60,7 +60,7 @@ std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
     }
     table_.FastLowerBoundSweep(qhs, outs, options);
   };
-  const auto refine = [&](size_t f, RefineRequest req) {
+  const auto refine = [&](size_t f, RefineRequest<> req) {
     const BoundedEdr edr(db_, *queries[f], epsilon_);
     const std::vector<int>& b = bounds[f];
     // HSE: database order. HSR: ascending bound order, stopping outright

@@ -90,7 +90,7 @@ std::vector<KnnResult> LcssKnnSearcher::KnnFused(
       }
     }
   };
-  const auto refine = [&](size_t f, RefineRequest req) {
+  const auto refine = [&](size_t f, RefineRequest<> req) {
     const Trajectory& query = *queries[f];
     const auto prune = [&](StageCounters& st, uint32_t id,
                            double threshold) {

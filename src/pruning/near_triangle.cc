@@ -114,9 +114,10 @@ KnnResult NearTriangleSearcher::Knn(const Trajectory& query, size_t k,
   // prunes a little less than with the exact reference distance). All
   // worker slots share the array.
   SharedRefDistances refs(matrix_.num_refs());
-  return FilterAndRefine({db_, query, options, KnnTrace(options)}, k,
-                         InDbOrder{}, TriangleFilter(db_, matrix_, refs),
-                         BoundedEdr(db_, query, epsilon_, &refs));
+  return FilterAndRefine(
+      RefineRequest{db_, query, options, KnnTrace(options)}, k, InDbOrder{},
+      TriangleFilter(db_, matrix_, refs),
+      BoundedEdr(db_, query, epsilon_, &refs));
 }
 
 KnnResult NearTriangleSearcher::Range(const Trajectory& query,

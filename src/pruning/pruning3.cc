@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
-#include <numeric>
+#include <memory>
+#include <vector>
 
 #include "distance/distance3.h"
 #include "distance/edr_kernel.h"
 #include "obs/trace.h"
-#include "query/topk.h"
+#include "query/intra_query.h"
 
 namespace edr {
 
@@ -81,7 +81,12 @@ Knn3Searcher::Knn3Searcher(const std::vector<Trajectory3>& db,
   sorted_elements_.reserve(db_.size());
   for (const Trajectory3& t : db_) {
     histograms_.push_back(BuildHistogram(t));
+    // An element with a NaN coordinate matches nothing, and would break
+    // the sort's ordering, so MatchCount never sees it.
     std::vector<Point3> elements = t.points();
+    std::erase_if(elements, [](const Point3& p) {
+      return std::isnan(p.x) || std::isnan(p.y) || std::isnan(p.z);
+    });
     std::sort(elements.begin(), elements.end(),
               [](const Point3& a, const Point3& b) {
                 if (a.x != b.x) return a.x < b.x;
@@ -93,10 +98,16 @@ Knn3Searcher::Knn3Searcher(const std::vector<Trajectory3>& db,
 }
 
 int64_t Knn3Searcher::CellKey(const Point3& p) const {
+  // Clamped in double before the cast, so that a NaN, infinite or far-off
+  // coordinate cannot overflow int64_t; NaN goes to cell 1. The bound stays
+  // lossless: the clamp is monotone, so elements within epsilon of each
+  // other stay in adjacent cells, and a NaN coordinate matches nothing.
   const auto quantize = [this](double v, double origin) {
-    const int64_t q =
-        static_cast<int64_t>(std::floor((v - origin) / epsilon_)) + kBias;
-    return std::clamp<int64_t>(q, 1, kCoordMax);
+    const double q =
+        std::floor((v - origin) / epsilon_) + static_cast<double>(kBias);
+    if (std::isnan(q)) return int64_t{1};
+    return static_cast<int64_t>(
+        std::clamp(q, 1.0, static_cast<double>(kCoordMax)));
   };
   return PackCell(quantize(p.x, grid_min_.x), quantize(p.y, grid_min_.y),
                   quantize(p.z, grid_min_.z));
@@ -168,77 +179,32 @@ KnnResult Knn3Searcher::Knn(const Trajectory3& query, size_t k) const {
   std::shared_ptr<QueryTrace> trace = MakeQueryTrace();
   TraceSpan sweep_span(trace.get(), "bound_sweep");
   const SparseHistogram qh = BuildHistogram(query);
-
-  // HSR strategy: every histogram bound up front, ascending order, hard
-  // stop at the first bound above the k-th distance. The hard stop
-  // usually fires within the first few hundred candidates, so stream the
-  // ascending order incrementally instead of fully sorting all n bounds.
   std::vector<int> bounds(db_.size());
-  std::vector<StreamingOrder<int>::Entry> entries(db_.size());
   for (uint32_t i = 0; i < db_.size(); ++i) {
     bounds[i] = TransportBound(qh, histograms_[i]);
-    entries[i] = {bounds[i], i};
   }
-  StreamingOrder<int> order(std::move(entries));
   sweep_span.End();
-  const auto filter_done = std::chrono::steady_clock::now();
 
-  const EdrKernel kernel = DefaultEdrKernel();
-  EdrScratch& scratch = ThreadLocalEdrScratch();
-  TraceSpan refine_span(trace.get(), "refine");
-  KnnResultList result(k);
-  size_t computed = 0;
-  StageCounters stages;
-  StreamingOrder<int>::Entry entry;
-  while (order.Next(&entry)) {
-    const uint32_t id = entry.id;
-    const double best = result.KthDistance();
-    // Hard stop before the candidate is charged: it and everything after
-    // it count as not_visited.
-    if (static_cast<double>(bounds[id]) > best) break;
-    stages.Bump(&StageCounters::considered);
-
-    // Element-match count bound (Theorem 1 with q = 1, three dimensions):
-    // EDR <= bestSoFar requires at least max(m, n) - bestSoFar matches.
-    if (!std::isinf(best)) {
-      const long threshold =
-          static_cast<long>(std::max(query.size(), db_[id].size())) -
-          static_cast<long>(best);
-      if (threshold > 0 &&
-          static_cast<long>(MatchCount(query, id)) < threshold) {
-        stages.Bump(&StageCounters::qgram_pruned);
-        continue;
-      }
+  // Element-match count bound (Theorem 1 with q = 1, three dimensions):
+  // EDR <= threshold requires at least max(m, n) - threshold matches.
+  const auto prune = [&](StageCounters& st, uint32_t id, double threshold) {
+    if (std::isinf(threshold)) return false;
+    const long need =
+        static_cast<long>(std::max(query.size(), db_[id].size())) -
+        static_cast<long>(threshold);
+    if (need <= 0 || static_cast<long>(MatchCount(query, id)) >= need) {
+      return false;
     }
-
-    const int dp_bound = EdrBoundFromKthDistance(best);
-    const double dist = static_cast<double>(EdrDistanceBoundedWith(
-        kernel, scratch, query, db_[id], epsilon_, dp_bound));
-    ++computed;
-    stages.CountDp(query.size(), db_[id].size());
-    if (dist > static_cast<double>(dp_bound)) {
-      stages.Bump(&StageCounters::dp_early_abandoned);
-    }
-    result.Offer(id, dist);
-  }
-  refine_span.End();
-
-  const auto stop = std::chrono::steady_clock::now();
-  KnnResult out;
-  out.neighbors = std::move(result).TakeNeighbors();
-  out.stats.db_size = db_.size();
-  out.stats.edr_computed = computed;
-  stages.FinalizeNotVisited(db_.size());
-  out.stats.stages = stages;
-  out.stats.elapsed_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  out.stats.filter_seconds =
-      std::chrono::duration<double>(filter_done - start).count();
-  out.stats.refine_seconds =
-      std::chrono::duration<double>(stop - filter_done).count();
-  out.trace = std::move(trace);
-  RecordQueryMetrics(out.stats);
-  return out;
+    st.Bump(&StageCounters::qgram_pruned);
+    return true;
+  };
+  // HSR strategy: ascending bound order, stopping outright at the first
+  // bound above the k-th distance.
+  return FilterAndRefine(
+      RefineRequest{db_, query, KnnOptions{}, std::move(trace),
+                    internal::SecondsSince(start)},
+      k, InBoundOrder([&bounds](uint32_t id) { return bounds[id]; }), prune,
+      BoundedEdr(db_, query, epsilon_));
 }
 
 }  // namespace edr

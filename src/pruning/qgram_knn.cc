@@ -230,7 +230,7 @@ std::vector<KnnResult> QgramKnnSearcher::KnnFused(
     const KnnOptions& options) const {
   std::vector<std::vector<size_t>> counts;
   const auto count = [&] { counts = MatchCounts(queries, options); };
-  const auto refine = [&](size_t f, RefineRequest req) {
+  const auto refine = [&](size_t f, RefineRequest<> req) {
     const Trajectory& query = *queries[f];
     const std::vector<size_t>& c = counts[f];
     // Canonical visit order: descending count, ties by ascending id.

@@ -6,12 +6,13 @@
 // filters against the running k-th distance, and refine the survivors with
 // the true distance. A searcher supplies only
 //   - its candidate order: InDbOrder, or InKeyOrder / InBoundOrder
-//     (ascending (key, id) order with a monotone stop test);
+//     (ascending (key, id) order, built up front as an "order" span, with a
+//     monotone stop test);
 //   - its filter chain, prune(StageCounters&, id, threshold) -> pruned,
 //     which bumps the bucket of the filter that fired;
 //   - its distance, distance(id, threshold) -> Refined: BoundedEdr (which
-//     can also record the near-triangle reference distances), or exact
-//     LCSS for the LCSS searcher.
+//     can also record the near-triangle reference distances, and also
+//     serves the 3-D searcher), or exact LCSS for the LCSS searcher.
 // FilterAndRefine answers a k-NN query (threshold = the running k-th
 // distance, refinement sharded over the worker slots), ScanRange a range
 // query (threshold = the radius, one slot), and RunFusionGroup runs a fusion
@@ -28,7 +29,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -188,56 +188,6 @@ void IntraQueryParallelFor(size_t n, const KnnOptions& options, Fn&& fn) {
 
 namespace internal {
 
-/// Hands out ids 0..n-1 in database order via an atomic cursor. The rank
-/// of a candidate is its id — database order *is* the canonical order.
-class DbOrderStream {
- public:
-  explicit DbOrderStream(size_t n) : n_(n) {}
-
-  bool Next(uint32_t* id, size_t* rank) {
-    const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n_) return false;
-    *id = static_cast<uint32_t>(i);
-    *rank = i;
-    return true;
-  }
-
- private:
-  size_t n_;
-  std::atomic<size_t> next_{0};
-};
-
-/// Hands out candidates in ascending canonical (key, id) order from a
-/// StreamingOrder, serialized by a mutex (the selection work per candidate
-/// is tiny next to one DP refinement, so contention is negligible). Once
-/// stopped, no further candidates are issued — the streaming analogue of
-/// the sequential sorted-scan `break`.
-template <typename Key>
-class KeyOrderStream {
- public:
-  explicit KeyOrderStream(StreamingOrder<Key> order)
-      : order_(std::move(order)) {}
-
-  bool Next(typename StreamingOrder<Key>::Entry* entry, size_t* rank) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return false;
-    if (!order_.Next(entry)) return false;
-    *rank = rank_++;
-    return true;
-  }
-
-  void Stop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-  }
-
- private:
-  std::mutex mu_;
-  StreamingOrder<Key> order_;
-  size_t rank_ = 0;
-  bool stopped_ = false;
-};
-
 /// Runs `loop(slot)` on `slots` participants of the options' pool (or
 /// inline when one slot suffices). Each slot's run is recorded as a
 /// "refine_worker" span under `tc` so the per-query trace shows the worker
@@ -256,6 +206,46 @@ void RunSlots(unsigned slots, const KnnOptions& options, LoopFn&& loop,
   }
 }
 
+/// A scan over n candidates in an order fixed up front: the candidate of
+/// rank r is id_at(r), and the scan halts at the first candidate for which
+/// halt(id, threshold) holds, without visiting it.
+template <typename IdFn, typename HaltFn>
+struct OrderedScan {
+  size_t n;
+  IdFn id_at;
+  HaltFn halt;
+
+  /// Offers to `sink` every candidate that process(slot, id, threshold,
+  /// &dist) refines exactly, with `slots` workers drawing ranks from one
+  /// atomic counter; `threshold` is sink.Threshold() read per candidate.
+  /// The order is fixed before the scan starts, so no lock is needed; once
+  /// a worker halts the scan, the others stop when they next check the
+  /// flag.
+  template <typename Sink, typename ProcessFn>
+  void Visit(unsigned slots, const KnnOptions& options, Sink& sink,
+             ProcessFn& process, const TraceContext& tc) const {
+    std::atomic<size_t> next{0};
+    std::atomic<bool> halted{false};
+    auto loop = [&](size_t slot) {
+      while (!halted.load(std::memory_order_relaxed)) {
+        const size_t rank = next.fetch_add(1, std::memory_order_relaxed);
+        if (rank >= n) break;
+        const uint32_t id = id_at(rank);
+        const double threshold = sink.Threshold();
+        if (halt(id, threshold)) {
+          halted.store(true, std::memory_order_relaxed);
+          break;
+        }
+        double dist = 0.0;
+        if (process(static_cast<unsigned>(slot), id, threshold, &dist)) {
+          sink.Offer(id, dist, rank);
+        }
+      }
+    };
+    RunSlots(slots, options, loop, tc);
+  }
+};
+
 }  // namespace internal
 
 /// Candidate order: database order, ids 0..n-1 (HSE, NTR, CSE, the
@@ -263,70 +253,39 @@ void RunSlots(unsigned slots, const KnnOptions& options, LoopFn&& loop,
 /// queries). No ordering work and no early stop; a candidate's rank is its
 /// id.
 struct InDbOrder {
-  /// Offers to `sink` every candidate that process(slot, id, threshold,
-  /// &dist) refines exactly, with `slots` workers drawing ids from one
-  /// cursor; `threshold` is sink.Threshold() read per candidate.
-  template <typename Sink, typename ProcessFn>
-  void Visit(size_t n, unsigned slots, const KnnOptions& options, Sink& sink,
-             ProcessFn& process, const TraceContext& tc) const {
-    internal::DbOrderStream stream(n);
-    auto loop = [&](size_t slot) {
-      uint32_t id = 0;
-      size_t rank = 0;
-      while (stream.Next(&id, &rank)) {
-        double dist = 0.0;
-        if (process(static_cast<unsigned>(slot), id, sink.Threshold(),
-                    &dist)) {
-          sink.Offer(id, dist, rank);
-        }
-      }
-    };
-    internal::RunSlots(slots, options, loop, tc);
+  /// The scan of n candidates in this order.
+  auto Build(size_t n, QueryTrace* /*trace*/) const {
+    return internal::OrderedScan{
+        n, [](size_t rank) { return static_cast<uint32_t>(rank); },
+        [](uint32_t, double) { return false; }};
   }
 };
 
-/// Candidate order: ascending canonical (key(id), id), drained lazily from
-/// a StreamingOrder so only the visited prefix is ordered (HSR, the Q-gram
-/// searchers, LCSS with its histogram filter and the combined searcher's
-/// sorted scan). When stop(key, threshold) holds for the canonically next
-/// candidate, every remaining candidate is prunable too and the whole scan
-/// halts; that candidate is never visited. `stop` must be monotone in the
-/// threshold (a larger threshold never stops earlier), so a stale —
-/// necessarily larger — threshold read is conservative.
+/// Candidate order: ascending canonical (key(id), id), built up front by
+/// CanonicalOrder (HSR, the Q-gram searchers, LCSS with its histogram
+/// filter, the combined searcher's sorted scan and Knn3Searcher). When
+/// stop(key, threshold) holds for the canonically next candidate, every
+/// remaining candidate is prunable too and the whole scan halts; that
+/// candidate is never visited. `stop` must be monotone in the threshold (a
+/// larger threshold never stops earlier), so a stale — necessarily larger —
+/// threshold read is conservative.
 template <typename KeyFn, typename StopFn>
 struct InKeyOrder {
   KeyFn key;
   StopFn stop;
 
-  /// As InDbOrder::Visit, in (key, id) order with the early stop.
-  template <typename Sink, typename ProcessFn>
-  void Visit(size_t n, unsigned slots, const KnnOptions& options, Sink& sink,
-             ProcessFn& process, const TraceContext& tc) const {
-    using Key = std::decay_t<std::invoke_result_t<const KeyFn&, uint32_t>>;
-    std::vector<typename StreamingOrder<Key>::Entry> entries(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t id = static_cast<uint32_t>(i);
-      entries[i] = {key(id), id};
-    }
-    internal::KeyOrderStream<Key> stream(
-        StreamingOrder<Key>(std::move(entries)));
-    auto loop = [&](size_t slot) {
-      typename StreamingOrder<Key>::Entry entry;
-      size_t rank = 0;
-      while (stream.Next(&entry, &rank)) {
-        const double threshold = sink.Threshold();
-        if (stop(entry.key, threshold)) {
-          stream.Stop();
-          break;
-        }
-        double dist = 0.0;
-        if (process(static_cast<unsigned>(slot), entry.id, threshold,
-                    &dist)) {
-          sink.Offer(entry.id, dist, rank);
-        }
-      }
-    };
-    internal::RunSlots(slots, options, loop, tc);
+  /// The scan of n candidates in this order; building the order is
+  /// recorded as an `order` span. The scan reads this order's `key` and
+  /// `stop`, so it must not outlive it.
+  auto Build(size_t n, QueryTrace* trace) const {
+    TraceSpan span(trace, "order");
+    std::vector<uint32_t> ids = CanonicalOrder(n, key);
+    span.End();
+    return internal::OrderedScan{
+        n, [ids = std::move(ids)](size_t rank) { return ids[rank]; },
+        [this](uint32_t id, double threshold) {
+          return stop(key(id), threshold);
+        }};
   }
 };
 
@@ -350,11 +309,14 @@ struct Refined {
 /// bound, exact whenever the candidate could enter the answer and
 /// otherwise some lower bound above the threshold, which the answer
 /// rejects just the same. With `refs`, every reference's DP value is also
-/// recorded there (the near-triangle procArray of Figure 4).
+/// recorded there (the near-triangle procArray of Figure 4). Db is a
+/// TrajectoryDataset with Trajectory queries, or a vector of Trajectory3
+/// with Trajectory3 queries (Knn3Searcher).
+template <typename Db, typename Query>
 class BoundedEdr {
  public:
-  BoundedEdr(const TrajectoryDataset& db, const Trajectory& query,
-             double epsilon, SharedRefDistances* refs = nullptr)
+  BoundedEdr(const Db& db, const Query& query, double epsilon,
+             SharedRefDistances* refs = nullptr)
       : db_(db),
         query_(query),
         epsilon_(epsilon),
@@ -370,8 +332,8 @@ class BoundedEdr {
   }
 
  private:
-  const TrajectoryDataset& db_;
-  const Trajectory& query_;
+  const Db& db_;
+  const Query& query_;
   double epsilon_;
   EdrKernel kernel_;
   SharedRefDistances* refs_;
@@ -381,10 +343,11 @@ class BoundedEdr {
 /// chain and distance: the data, the execution options (worker count and
 /// pool), the query's trace (null under EDR_DISABLE_OBS), and the time its
 /// up-front filter pass took (shared by a fusion group; 0 for searchers
-/// without one).
+/// without one). Db and Query are as for BoundedEdr.
+template <typename Db = TrajectoryDataset, typename Query = Trajectory>
 struct RefineRequest {
-  const TrajectoryDataset& db;
-  const Trajectory& query;
+  const Db& db;
+  const Query& query;
   KnnOptions options;
   std::shared_ptr<QueryTrace> trace;
   double filter_seconds = 0.0;
@@ -443,14 +406,19 @@ struct alignas(64) RefineSlot {
 /// in, the distance calls are timed per slot, refine_seconds is their sum
 /// (clamped to the elapsed time) and filter_seconds the rest; the trace
 /// gets the sum as a "dp" aggregate under "refine". Under EDR_DISABLE_OBS
-/// no clock is read per candidate: filter is the up-front pass and refine
-/// the rest.
-template <typename Order, typename Sink, typename PruneFn,
-          typename DistanceFn, typename TakeFn>
-KnnResult Drive(RefineRequest& req, unsigned slots, const Order& order,
-                Sink& sink, PruneFn&& prune, DistanceFn&& distance,
-                TakeFn&& take) {
+/// no clock is read per candidate: filter is the up-front pass plus the
+/// order's build and refine the rest.
+template <typename Db, typename Query, typename Order, typename Sink,
+          typename PruneFn, typename DistanceFn, typename TakeFn>
+KnnResult Drive(RefineRequest<Db, Query>& req, unsigned slots,
+                const Order& order, Sink& sink, PruneFn&& prune,
+                DistanceFn&& distance, TakeFn&& take) {
   const Clock::time_point start = Clock::now();
+  const auto scan = order.Build(req.db.size(), req.trace.get());
+  const Clock::time_point refine_start = Clock::now();
+  const double filter_seconds =
+      req.filter_seconds +
+      std::chrono::duration<double>(refine_start - start).count();
   std::vector<RefineSlot> state(slots);
   const size_t query_len = req.query.size();
   auto process = [&](unsigned slot, uint32_t id, double threshold,
@@ -478,11 +446,10 @@ KnnResult Drive(RefineRequest& req, unsigned slots, const Order& order,
 
   KnnResult out;
   TraceSpan span(req.trace.get(), "refine");
-  order.Visit(req.db.size(), slots, req.options, sink, process,
-              {req.trace.get(), span.id()});
+  scan.Visit(slots, req.options, sink, process, {req.trace.get(), span.id()});
   out.neighbors = take();
   span.End();
-  const double refine_wall = SecondsSince(start);
+  const double refine_wall = SecondsSince(refine_start);
 
   SearchStats& stats = out.stats;
   stats.db_size = req.db.size();
@@ -493,7 +460,7 @@ KnnResult Drive(RefineRequest& req, unsigned slots, const Order& order,
     dp_seconds += s.dp_seconds;
   }
   stats.stages.FinalizeNotVisited(stats.db_size);
-  stats.elapsed_seconds = req.filter_seconds + refine_wall;
+  stats.elapsed_seconds = filter_seconds + refine_wall;
   if constexpr (kObsEnabled) {
     if (req.trace != nullptr) {
       req.trace->AddAggregate("dp", dp_seconds, stats.stages.dp_invoked,
@@ -502,7 +469,7 @@ KnnResult Drive(RefineRequest& req, unsigned slots, const Order& order,
     stats.refine_seconds = std::min(dp_seconds, stats.elapsed_seconds);
     stats.filter_seconds = stats.elapsed_seconds - stats.refine_seconds;
   } else {
-    stats.filter_seconds = req.filter_seconds;
+    stats.filter_seconds = filter_seconds;
     stats.refine_seconds = refine_wall;
   }
   out.trace = std::move(req.trace);
@@ -523,9 +490,11 @@ KnnResult Drive(RefineRequest& req, unsigned slots, const Order& order,
 /// true neighbour survives filtering in every schedule, is refined exactly
 /// and is offered; the top-k keeps the k lexicographically smallest
 /// (distance, rank) pairs, a schedule-independent set.
-template <typename Order, typename PruneFn, typename DistanceFn>
-KnnResult FilterAndRefine(RefineRequest req, size_t k, const Order& order,
-                          PruneFn&& prune, DistanceFn&& distance) {
+template <typename Db, typename Query, typename Order, typename PruneFn,
+          typename DistanceFn>
+KnnResult FilterAndRefine(RefineRequest<Db, Query> req, size_t k,
+                          const Order& order, PruneFn&& prune,
+                          DistanceFn&& distance) {
   if (k == 0) return internal::EmptyAnswer(req.db.size());
   const unsigned slots = ResolveIntraQueryWorkers(req.options);
   SharedTopK top(k, slots);

@@ -5,98 +5,59 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "query/knn.h"
 
 namespace edr {
 
-/// Lazily drains candidate entries in ascending (key, id) order without
-/// ever sorting the whole array — the streaming replacement for the
-/// full `std::sort` of the n-element bound/count/order arrays on the
-/// searchers' filter paths.
+/// The ids 0..n-1 in ascending canonical (key(id), id) order: the visit
+/// order of every sorted scan. The id breaks key ties, so the order is
+/// total and deterministic across platforms and worker counts, which is
+/// what makes the intra-query parallel refinement bit-identical to the
+/// sequential scan.
 ///
-/// Implementation: incremental quickselect. A stack of segment boundaries
-/// partitions the tail of the array into runs known to be pairwise ordered
-/// (everything in a run <= everything in later runs). Serving the next
-/// element splits the front run with `std::nth_element` until it shrinks
-/// to a leaf, sorts the leaf once, and streams it out. Draining the first
-/// m elements costs O(n + m log n); a full drain degrades gracefully to
-/// O(n log n), the cost of the sort it replaces.
-///
-/// The id participates in the comparison, so the drain order is a total
-/// order — deterministic across platforms and worker counts even when
-/// keys tie. This canonical (key, id) tie-break is what makes the
-/// intra-query parallel refinement bit-identical to the sequential scan.
-template <typename Key>
-class StreamingOrder {
- public:
-  struct Entry {
-    Key key;
-    uint32_t id;
-  };
-
-  explicit StreamingOrder(std::vector<Entry> entries)
-      : entries_(std::move(entries)) {
-    stack_.push_back(entries_.size());
-  }
-
-  /// Builds the identity entries (key = value at index id) from a dense
-  /// per-id key array.
-  static StreamingOrder FromKeys(const std::vector<Key>& keys) {
-    std::vector<Entry> entries(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      entries[i] = {keys[i], static_cast<uint32_t>(i)};
+/// Integer keys take one stable counting sort: count the keys, take prefix
+/// sums, then scatter the ids in id order, so equal keys keep ascending ids.
+/// It costs O(n + r) time and r counters for keys spanning r values; every
+/// sorted scan's keys span no more than the data they bound (a histogram
+/// bound lies in [0, max length], a Q-gram key is minus a count of the
+/// query's grams). Other keys (the LCSS searcher's double bounds) take
+/// std::sort on (key, id).
+template <typename KeyFn>
+std::vector<uint32_t> CanonicalOrder(size_t n, const KeyFn& key) {
+  using Key = std::decay_t<std::invoke_result_t<const KeyFn&, uint32_t>>;
+  std::vector<uint32_t> ids(n);
+  if (n == 0) return ids;
+  if constexpr (std::is_integral_v<Key>) {
+    Key lo = key(0);
+    Key hi = lo;
+    for (uint32_t id = 1; id < n; ++id) {
+      lo = std::min(lo, key(id));
+      hi = std::max(hi, key(id));
     }
-    return StreamingOrder(std::move(entries));
+    // Offset of a key from the smallest one, in unsigned arithmetic so that
+    // negative keys and wide spans cannot overflow.
+    const auto offset = [lo](Key v) {
+      return static_cast<size_t>(static_cast<uint64_t>(v) -
+                                 static_cast<uint64_t>(lo));
+    };
+    // next[o] = where the next id with key offset o goes.
+    std::vector<uint32_t> next(offset(hi) + 2, 0);
+    for (uint32_t id = 0; id < n; ++id) ++next[offset(key(id)) + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (uint32_t id = 0; id < n; ++id) ids[next[offset(key(id))]++] = id;
+  } else {
+    std::vector<std::pair<Key, uint32_t>> entries(n);
+    for (uint32_t id = 0; id < n; ++id) entries[id] = {key(id), id};
+    std::sort(entries.begin(), entries.end());
+    for (size_t i = 0; i < n; ++i) ids[i] = entries[i].second;
   }
-
-  size_t size() const { return entries_.size(); }
-
-  /// Yields the next entry in ascending (key, id) order; false when the
-  /// array is drained.
-  bool Next(Entry* out) {
-    if (pos_ >= entries_.size()) return false;
-    if (pos_ == sorted_end_) Advance();
-    *out = entries_[pos_++];
-    return true;
-  }
-
- private:
-  static bool Less(const Entry& a, const Entry& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.id < b.id;
-  }
-
-  /// Establishes the next sorted run starting at pos_: splits the front
-  /// segment down to a leaf, then sorts the leaf.
-  void Advance() {
-    // Leaf size: one cache line's worth of entries is plenty — small
-    // enough that early-stopping scans never over-sort, large enough to
-    // amortize the nth_element passes.
-    constexpr size_t kLeaf = 64;
-    while (stack_.back() == pos_) stack_.pop_back();
-    size_t end = stack_.back();
-    while (end - pos_ > kLeaf) {
-      const size_t mid = pos_ + (end - pos_) / 2;
-      std::nth_element(entries_.begin() + static_cast<ptrdiff_t>(pos_),
-                       entries_.begin() + static_cast<ptrdiff_t>(mid),
-                       entries_.begin() + static_cast<ptrdiff_t>(end), Less);
-      // [pos_, mid) <= entries_[mid] <= (mid, end): the right part becomes
-      // a deferred segment, the left part is refined further.
-      stack_.push_back(mid);
-      end = mid;
-    }
-    std::sort(entries_.begin() + static_cast<ptrdiff_t>(pos_),
-              entries_.begin() + static_cast<ptrdiff_t>(end), Less);
-    sorted_end_ = end;
-  }
-
-  std::vector<Entry> entries_;
-  std::vector<size_t> stack_;  ///< deferred segment ends, ascending bottom-up
-  size_t pos_ = 0;             ///< next entry to serve
-  size_t sorted_end_ = 0;      ///< entries in [pos_, sorted_end_) are sorted
-};
+  return ids;
+}
 
 /// A bounded selection structure keeping the k lexicographically smallest
 /// (distance, order) pairs offered, as a max-heap — the streaming

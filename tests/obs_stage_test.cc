@@ -348,7 +348,9 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
   // Every searcher runs through one filter-and-refine driver, so every
   // trace has the same refinement phase: one "refine" span whose children
   // are the per-slot "refine_worker" spans, and one "dp" aggregate counting
-  // the DPs. The phase split covers the elapsed time in every build.
+  // the DPs. A sorted scan also records building its candidate order as
+  // one "order" span beside "refine"; a database-order scan records none.
+  // The phase split covers the elapsed time in every build.
   const HistogramKnnSearcher hse(Db(), kEps, HistogramTable::Kind::k2D, 1,
                                  HistogramScan::kSequential);
   const HistogramKnnSearcher hsr(Db(), kEps, HistogramTable::Kind::k2D, 1,
@@ -366,14 +368,19 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
       return searcher.Knn(q, k, o);
     };
   };
-  const std::vector<std::pair<std::string, KnnFn>> searchers = {
-      {"HSE", knn_of(hse)},        {"HSR", knn_of(hsr)},
-      {"PS2", knn_of(ps2)},        {"PR", knn_of(pr)},
-      {"NTR", knn_of(ntr)},        {"CSE", knn_of(cse)},
-      {"2HPN", knn_of(combined)},  {"LCSS-HP", knn_of(lcss)},
+  struct Case {
+    std::string label;
+    KnnFn knn;
+    size_t orders;  ///< "order" spans: 1 for a sorted scan, else 0
+  };
+  const std::vector<Case> searchers = {
+      {"HSE", knn_of(hse), 0},        {"HSR", knn_of(hsr), 1},
+      {"PS2", knn_of(ps2), 1},        {"PR", knn_of(pr), 1},
+      {"NTR", knn_of(ntr), 0},        {"CSE", knn_of(cse), 0},
+      {"2HPN", knn_of(combined), 1},  {"LCSS-HP", knn_of(lcss), 1},
   };
   const auto queries = testutil::MakeQueries(Db(), 528, 1);
-  for (const auto& [label, knn] : searchers) {
+  for (const auto& [label, knn, orders] : searchers) {
     for (const unsigned workers : {1u, 4u}) {
       const std::string where = label + " workers=" + std::to_string(workers);
       KnnOptions options;
@@ -395,8 +402,11 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
           }
         }
         ASSERT_EQ(refines.size(), 1u) << where;
+        EXPECT_EQ(nodes[static_cast<size_t>(refines[0])].parent, -1)
+            << where;
         size_t refine_workers = 0;
         size_t dps = 0;
+        size_t order_spans = 0;
         for (const QueryTrace::Node& node : nodes) {
           const std::string name = node.name;
           if (name == "refine_worker") {
@@ -405,10 +415,14 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
           } else if (name == "dp") {
             EXPECT_EQ(node.count, r.stats.stages.dp_invoked) << where;
             ++dps;
+          } else if (name == "order") {
+            EXPECT_EQ(node.parent, -1) << where;
+            ++order_spans;
           }
         }
         EXPECT_EQ(refine_workers, workers) << where;
         EXPECT_EQ(dps, 1u) << where;
+        EXPECT_EQ(order_spans, orders) << where;
       } else {
         EXPECT_EQ(r.trace, nullptr) << where;
       }

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/rng.h"
 #include "distance/distance3.h"
+#include "obs/obs.h"
 
 namespace edr {
 namespace {
@@ -86,6 +88,9 @@ class Knn3LosslessTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(Knn3LosslessTest, MatchesSequentialScan) {
   std::vector<Trajectory3> db = SmallDb3(GetParam(), 70, 5, 50);
+  // Duplicate members tie on every bound and every distance, so the scan
+  // visits them in id order.
+  for (size_t i = 0; i < 70; i += 9) db.push_back(db[i]);
   const Knn3Searcher searcher(db, kEps);
   Rng rng(GetParam() ^ 0xAB);
   for (int trial = 0; trial < 3; ++trial) {
@@ -94,9 +99,15 @@ TEST_P(Knn3LosslessTest, MatchesSequentialScan) {
         rng.UniformInt(0, static_cast<int64_t>(query.size()) - 1));
     query[at] = {query[at].x + rng.Gaussian(0.0, 2.0), query[at].y,
                  query[at].z};
-    const KnnResult expected = SequentialScanKnn3(db, query, 8, kEps);
-    const KnnResult actual = searcher.Knn(query, 8);
-    EXPECT_TRUE(SameKnnDistances(expected, actual));
+    for (const size_t k : {size_t{8}, size_t{0}, db.size() + 3}) {
+      const KnnResult expected = SequentialScanKnn3(db, query, k, kEps);
+      const KnnResult actual = searcher.Knn(query, k);
+      EXPECT_EQ(actual.neighbors.size(), std::min(k, db.size()));
+      EXPECT_TRUE(SameKnnDistances(expected, actual)) << "k=" << k;
+      if constexpr (kObsEnabled) {
+        EXPECT_TRUE(actual.stats.stages.Conserves(db.size())) << "k=" << k;
+      }
+    }
   }
 }
 
@@ -118,6 +129,42 @@ TEST(Knn3Test, PrunesOnClusteredData) {
   EXPECT_TRUE(SameKnnDistances(SequentialScanKnn3(db, base, 3, kEps),
                                result));
   EXPECT_GT(result.stats.PruningPower(), 0.5);
+}
+
+TEST(Knn3Test, NonFiniteAndFarCoordinatesStayLossless) {
+  // NaN and +-1e300 coordinates in the database and the query: the grid
+  // cell of each is clamped in double before the integer cast, NaN goes
+  // to a fixed cell, and every answer still equals the scan's.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Trajectory3> db = SmallDb3(5400, 40, 5, 30);
+  db[3][0].x = kNan;
+  db[5][1].y = 1e300;
+  db[8][2].z = -1e300;
+  db[13][0] = {kNan, kNan, kNan};
+  db[21][1] = {1e300, -1e300, 1e300};
+  db.push_back(db[21]);
+  const Knn3Searcher searcher(db, kEps);
+  std::vector<Trajectory3> queries = {db[3], db[21], db[30]};
+  queries[2][0].x = kNan;
+  queries[2][1] = {-1e300, 1e300, -1e300};
+  queries[2][2].z = 1e300;
+  for (size_t f = 0; f < queries.size(); ++f) {
+    for (uint32_t id = 0; id < db.size(); ++id) {
+      const int edr = EdrDistance(queries[f], db[id], kEps);
+      EXPECT_LE(searcher.HistogramLowerBound(queries[f], id), edr)
+          << "query " << f << " id " << id;
+      EXPECT_GE(static_cast<long>(searcher.MatchCount(queries[f], id)),
+                static_cast<long>(std::max(queries[f].size(), db[id].size())) -
+                    edr)
+          << "query " << f << " id " << id;
+    }
+    for (const size_t k : {1, 5, 20}) {
+      EXPECT_TRUE(SameKnnDistances(
+          SequentialScanKnn3(db, queries[f], k, kEps),
+          searcher.Knn(queries[f], k)))
+          << "query " << f << " k=" << k;
+    }
+  }
 }
 
 TEST(Knn3Test, ThirdDimensionParticipatesInBounds) {

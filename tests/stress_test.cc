@@ -52,8 +52,42 @@ TrajectoryDataset RandomDataset(Rng& rng) {
     db = CorruptDataset(db, NoiseOptions{}, TimeShiftOptions{},
                         rng.NextU64());
   }
+  // Half the time, add exact duplicates and members of length 0 and 1:
+  // they tie on every bound and every distance, so they pin the (key, id)
+  // visit order the answers' tie-breaks depend on.
+  if (rng.NextDouble() < 0.5) {
+    TrajectoryDataset tied;
+    for (const Trajectory& t : db) {
+      tied.Add(t);
+      if (rng.NextDouble() < 0.2) tied.Add(t);
+      if (rng.NextDouble() < 0.05) tied.Add(Trajectory());
+      if (rng.NextDouble() < 0.05) {
+        Trajectory single;
+        single.Append(rng.Gaussian(), rng.Gaussian());
+        tied.Add(single);
+      }
+    }
+    db = std::move(tied);
+  }
   db.NormalizeAll();
   return db;
+}
+
+/// A matching threshold in the usual range, except that every third seed
+/// takes the extremes 0, 1e-12 and 1e6 in turn (at the first two only
+/// equal points match, at the last every pair does).
+double RandomEpsilon(Rng& rng, uint64_t seed) {
+  const double uniform = rng.Uniform(0.05, 1.5);
+  const double extremes[] = {0.0, 1e-12, 1e6};
+  return seed % 3 == 0 ? extremes[(seed / 3) % 3] : uniform;
+}
+
+/// A k in [1, 25], except that every fourth seed takes 0, n and n + 7 in
+/// turn for a database of n trajectories.
+size_t RandomK(Rng& rng, uint64_t seed, size_t n) {
+  const size_t uniform = static_cast<size_t>(rng.UniformInt(1, 25));
+  const size_t extremes[] = {0, n, n + 7};
+  return seed % 4 == 0 ? extremes[(seed / 4) % 3] : uniform;
 }
 
 class StressTest : public ::testing::TestWithParam<uint64_t> {};
@@ -73,8 +107,8 @@ void ExpectConserves(const KnnResult& result, size_t db_size,
 TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
   Rng rng(GetParam());
   const TrajectoryDataset db = RandomDataset(rng);
-  const double epsilon = rng.Uniform(0.05, 1.5);
-  const size_t k = static_cast<size_t>(rng.UniformInt(1, 25));
+  const double epsilon = RandomEpsilon(rng, GetParam());
+  const size_t k = RandomK(rng, GetParam(), db.size());
 
   QueryEngine engine(db, epsilon);
   const int ps2_q = static_cast<int>(rng.UniformInt(1, 4));
@@ -105,39 +139,53 @@ TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
   searchers.push_back(engine.MakeCombined(combo));
 
   // Every searcher answers each query sequentially, at 4 workers, and as a
-  // member of one fusion group of all three queries.
+  // member of one fusion group of all three queries: with the reference's
+  // distances, and with the same ids in the same order every time.
   KnnOptions parallel;
   parallel.intra_query_workers = 4;
   parallel.pool = &Pool();
   const std::vector<Trajectory> queries =
       testutil::MakeQueries(db, rng.NextU64(), 3);
-  std::vector<KnnResult> expected;
-  for (const Trajectory& query : queries) {
-    expected.push_back(engine.SeqScan(query, k));
-  }
   const std::vector<const Trajectory*> group = {&queries[0], &queries[1],
                                                 &queries[2]};
-  for (const NamedSearcher& s : searchers) {
+  const auto check = [&](const NamedSearcher& s,
+                         const std::vector<KnnResult>& expected) {
     const std::string where = s.name + " eps=" + std::to_string(epsilon) +
                               " k=" + std::to_string(k) +
                               " db=" + std::to_string(db.size());
+    std::vector<KnnResult> sequential;
     for (size_t i = 0; i < queries.size(); ++i) {
       const KnnResult actual = s.search(queries[i], k);
       ASSERT_TRUE(SameKnnDistances(expected[i], actual)) << where;
       ExpectConserves(actual, db.size(), where);
       const KnnResult sharded = s.search_with(queries[i], k, parallel);
-      ASSERT_TRUE(SameKnnDistances(expected[i], sharded))
-          << where << " workers=4";
+      ASSERT_EQ(actual.neighbors, sharded.neighbors) << where << " workers=4";
       ExpectConserves(sharded, db.size(), where + " workers=4");
+      sequential.push_back(actual);
     }
-    if (!s.search_fused) continue;
+    if (!s.search_fused) return;
     const std::vector<KnnResult> fused = s.search_fused(group, k, parallel);
     ASSERT_EQ(fused.size(), group.size()) << where;
     for (size_t i = 0; i < group.size(); ++i) {
-      ASSERT_TRUE(SameKnnDistances(expected[i], fused[i]))
+      ASSERT_EQ(sequential[i].neighbors, fused[i].neighbors)
           << where << " fused member " << i;
       ExpectConserves(fused[i], db.size(), where + " fused");
     }
+  };
+  std::vector<KnnResult> expected;
+  for (const Trajectory& query : queries) {
+    expected.push_back(engine.SeqScan(query, k));
+  }
+  for (const NamedSearcher& s : searchers) check(s, expected);
+
+  // The LCSS searchers against the LCSS scan.
+  std::vector<KnnResult> lcss_expected;
+  for (const Trajectory& query : queries) {
+    lcss_expected.push_back(engine.Lcss(LcssFilter::kNone).Knn(query, k));
+  }
+  for (const LcssFilter filter :
+       {LcssFilter::kHistogram, LcssFilter::kQgram, LcssFilter::kBoth}) {
+    check(engine.MakeLcss(filter), lcss_expected);
   }
 
   // Range queries too, at a radius drawn near the k-th distance so the

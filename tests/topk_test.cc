@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -13,68 +14,71 @@
 namespace edr {
 namespace {
 
-std::vector<StreamingOrder<int>::Entry> RandomEntries(uint64_t seed,
-                                                      size_t n,
-                                                      int key_range) {
-  // A small key range forces many ties, exercising the (key, id)
-  // tie-break that the parallel refinement's determinism relies on.
-  Rng rng(seed);
-  std::vector<StreamingOrder<int>::Entry> entries(n);
-  for (size_t i = 0; i < n; ++i) {
-    entries[i] = {static_cast<int>(rng.UniformInt(0, key_range)),
-                  static_cast<uint32_t>(i)};
+/// The ids 0..n-1 ascending by (keys[id], id), by a comparison sort: the
+/// order CanonicalOrder must reproduce.
+template <typename Key>
+std::vector<uint32_t> SortedByKeyThenId(const std::vector<Key>& keys) {
+  std::vector<std::pair<Key, uint32_t>> entries;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    entries.push_back({keys[i], static_cast<uint32_t>(i)});
   }
-  return entries;
-}
-
-std::vector<StreamingOrder<int>::Entry> FullySorted(
-    std::vector<StreamingOrder<int>::Entry> entries) {
   std::sort(entries.begin(), entries.end(),
-            [](const StreamingOrder<int>::Entry& a,
-               const StreamingOrder<int>::Entry& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.id < b.id;
+            [](const std::pair<Key, uint32_t>& a,
+               const std::pair<Key, uint32_t>& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return a.second < b.second;
             });
-  return entries;
-}
-
-TEST(StreamingOrderTest, FullDrainMatchesFullSortIncludingTies) {
-  for (const size_t n : {0u, 1u, 5u, 63u, 64u, 65u, 700u, 2048u}) {
-    auto entries = RandomEntries(/*seed=*/n + 7, n, /*key_range=*/9);
-    const auto expected = FullySorted(entries);
-    StreamingOrder<int> order(std::move(entries));
-    StreamingOrder<int>::Entry e;
-    size_t i = 0;
-    while (order.Next(&e)) {
-      ASSERT_LT(i, expected.size());
-      EXPECT_EQ(e.key, expected[i].key) << "n=" << n << " i=" << i;
-      EXPECT_EQ(e.id, expected[i].id) << "n=" << n << " i=" << i;
-      ++i;
-    }
-    EXPECT_EQ(i, expected.size());
-  }
-}
-
-TEST(StreamingOrderTest, PartialDrainMatchesSortedPrefix) {
-  const size_t n = 5000;
-  auto entries = RandomEntries(/*seed=*/11, n, /*key_range=*/100);
-  const auto expected = FullySorted(entries);
-  StreamingOrder<int> order(std::move(entries));
-  StreamingOrder<int>::Entry e;
-  for (size_t i = 0; i < 137; ++i) {
-    ASSERT_TRUE(order.Next(&e));
-    EXPECT_EQ(e.key, expected[i].key);
-    EXPECT_EQ(e.id, expected[i].id);
-  }
-}
-
-TEST(StreamingOrderTest, FromKeysUsesIndexAsId) {
-  const std::vector<double> keys = {3.0, 1.0, 2.0, 1.0};
-  StreamingOrder<double> order = StreamingOrder<double>::FromKeys(keys);
-  StreamingOrder<double>::Entry e;
   std::vector<uint32_t> ids;
-  while (order.Next(&e)) ids.push_back(e.id);
-  EXPECT_EQ(ids, (std::vector<uint32_t>{1, 3, 2, 0}));
+  for (const auto& entry : entries) ids.push_back(entry.second);
+  return ids;
+}
+
+template <typename Key>
+std::vector<uint32_t> OrderOf(const std::vector<Key>& keys) {
+  return CanonicalOrder(keys.size(),
+                        [&keys](uint32_t id) { return keys[id]; });
+}
+
+constexpr size_t kSizes[] = {0, 1, 5, 63, 64, 65, 700, 2048};
+
+TEST(CanonicalOrderTest, IntegerKeysWithHeavyTiesMatchSort) {
+  // A key range of 9 forces many ties, exercising the (key, id) tie-break
+  // that the parallel refinement's determinism relies on.
+  for (const size_t n : kSizes) {
+    Rng rng(n + 7);
+    std::vector<int> keys(n);
+    for (int& key : keys) key = static_cast<int>(rng.UniformInt(0, 9));
+    EXPECT_EQ(OrderOf(keys), SortedByKeyThenId(keys)) << "n=" << n;
+  }
+}
+
+TEST(CanonicalOrderTest, NegativeKeysMatchSort) {
+  // The Q-gram scans key a candidate by minus its match count.
+  for (const size_t n : kSizes) {
+    Rng rng(n + 11);
+    std::vector<long> keys(n);
+    for (long& key : keys) key = -static_cast<long>(rng.UniformInt(0, 40));
+    EXPECT_EQ(OrderOf(keys), SortedByKeyThenId(keys)) << "n=" << n;
+  }
+  // Keys spanning zero, with the extremes of a small range.
+  const std::vector<long> mixed = {3, -2, 0, -2, 3, 1, -5, 0};
+  EXPECT_EQ(OrderOf(mixed), SortedByKeyThenId(mixed));
+  EXPECT_EQ(OrderOf(mixed),
+            (std::vector<uint32_t>{6, 1, 3, 2, 7, 5, 0, 4}));
+}
+
+TEST(CanonicalOrderTest, DoubleKeysWithTiesMatchSort) {
+  // The LCSS searcher's keys are double bounds.
+  for (const size_t n : kSizes) {
+    Rng rng(n + 13);
+    std::vector<double> keys(n);
+    for (double& key : keys) {
+      key = 0.25 * static_cast<double>(rng.UniformInt(0, 9));
+    }
+    EXPECT_EQ(OrderOf(keys), SortedByKeyThenId(keys)) << "n=" << n;
+  }
+  EXPECT_EQ(OrderOf(std::vector<double>{3.0, 1.0, 2.0, 1.0}),
+            (std::vector<uint32_t>{1, 3, 2, 0}));
 }
 
 TEST(BoundedTopKTest, MatchesKnnResultListWithTies) {

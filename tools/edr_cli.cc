@@ -48,9 +48,13 @@
 //                           the batch drains (default 0)
 // Ports must be integers in [0, 65535]; durations and intervals finite
 // numbers of seconds up to 1e6 (intervals also > 0). Any other value is an
-// error. The files hold "{}"-style JSON; in an EDR_DISABLE_OBS build the trace
-// files are not written (a note goes to stderr), the metrics snapshots are
-// empty, and --listen refuses to start.
+// error. So is a positional argument that is not what it names: indexes,
+// counts, k, radii, repeats and seeds are whole non-negative integers,
+// epsilon and the tolerance finite non-negative numbers, and a method one
+// of the names above; these are checked before a dataset loads. The files
+// hold "{}"-style JSON; in an EDR_DISABLE_OBS build the trace files are not
+// written (a note goes to stderr), the metrics snapshots are empty, and
+// --listen refuses to start.
 //
 // `serve-metrics` is the self-contained scrape target the CI uses: it
 // generates an in-memory dataset, runs a warm batch so every metric and the
@@ -62,6 +66,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -70,6 +76,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/generators.h"
@@ -101,34 +108,61 @@ bool g_listen = false;
 uint16_t g_listen_port = 0;
 double g_listen_hold_seconds = 0.0;
 
-/// Parses all of `text` as a port number in [0, 65535].
-bool ParsePort(const char* text, uint16_t* port) {
+/// Parses all of `text` as an integer in [0, max].
+template <typename T>
+bool ParseInteger(const char* text, T max, T* out) {
   char* end = nullptr;
   errno = 0;
-  const long value = std::strtol(text, &end, 10);
+  const long long value = std::strtoll(text, &end, 10);
   if (end == text || *end != '\0' || errno != 0 || value < 0 ||
-      value > 65535) {
+      static_cast<unsigned long long>(value) >
+          static_cast<unsigned long long>(max)) {
     return false;
   }
-  *port = static_cast<uint16_t>(value);
+  *out = static_cast<T>(value);
   return true;
 }
 
-/// Parses all of `text` as a number of seconds.
-bool ParseSeconds(const char* text, double* seconds) {
+/// Parses all of `text` as a port number in [0, 65535].
+bool ParsePort(const char* text, uint16_t* port) {
+  return ParseInteger<uint16_t>(text, 65535, port);
+}
+
+/// Parses all of `text` as a count, index or seed: an integer in
+/// [0, LLONG_MAX].
+bool ParseCount(const char* text, size_t* count) {
+  return ParseInteger<size_t>(text, LLONG_MAX, count);
+}
+
+/// Parses all of `text` as a number.
+bool ParseNumber(const char* text, double* value) {
   char* end = nullptr;
-  const double value = std::strtod(text, &end);
+  const double parsed = std::strtod(text, &end);
   if (end == text || *end != '\0') return false;
-  *seconds = value;
+  *value = parsed;
   return true;
+}
+
+/// Parses all of `text` as a finite non-negative number (a matching
+/// threshold or a simplification tolerance).
+bool ParseNonNegative(const char* text, double* value) {
+  return ParseNumber(text, value) && std::isfinite(*value) && *value >= 0.0;
 }
 
 /// Parses all of `text` as a duration to wait: finite seconds in
 /// [0, TimelineSampler::kMaxIntervalSeconds], so that sleeping on it stays
 /// inside steady_clock's range.
 bool ParseDuration(const char* text, double* seconds) {
-  return ParseSeconds(text, seconds) && *seconds >= 0.0 &&
+  return ParseNumber(text, seconds) && *seconds >= 0.0 &&
          *seconds <= edr::TimelineSampler::kMaxIntervalSeconds;
+}
+
+std::string IntegerError(const std::string& what) {
+  return what + " must be a non-negative integer";
+}
+
+std::string NumberError(const std::string& what) {
+  return what + " must be a finite non-negative number";
 }
 
 std::string PortError(const std::string& flag) {
@@ -155,7 +189,7 @@ int StripObsFlags(int argc, char** argv, std::string* error) {
       g_metrics_json_path = arg + 15;
     } else if (std::strncmp(arg, "--metrics-interval=", 19) == 0) {
       std::string why = "not a number";
-      if (!ParseSeconds(arg + 19, &g_metrics_interval_seconds) ||
+      if (!ParseNumber(arg + 19, &g_metrics_interval_seconds) ||
           !edr::TimelineSampler::ValidInterval(g_metrics_interval_seconds,
                                                &why)) {
         *error = "--metrics-interval: " + why;
@@ -321,9 +355,14 @@ int Generate(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::string family = argv[2];
   const std::string out = argv[3];
-  const size_t count = argc > 4 ? static_cast<size_t>(std::atoll(argv[4])) : 0;
-  const uint64_t seed = argc > 5 ? static_cast<uint64_t>(std::atoll(argv[5]))
-                                 : 7;
+  size_t count = 0;  // 0 = the family's default count
+  if (argc > 4 && !ParseCount(argv[4], &count)) {
+    return Fail(IntegerError("count"));
+  }
+  size_t seed = 7;
+  if (argc > 5 && !ParseCount(argv[5], &seed)) {
+    return Fail(IntegerError("seed"));
+  }
 
   edr::TrajectoryDataset db;
   if (family == "asl") {
@@ -381,9 +420,12 @@ int Convert(int argc, char** argv) {
 
 int Simplify(int argc, char** argv) {
   if (argc < 5) return Usage();
+  double tolerance = 0.0;
+  if (!ParseNonNegative(argv[4], &tolerance)) {
+    return Fail(NumberError("tolerance"));
+  }
   const edr::Result<edr::TrajectoryDataset> db = LoadAny(argv[2]);
   if (!db.ok()) return Fail(db.status().ToString());
-  const double tolerance = std::atof(argv[4]);
   const edr::TrajectoryDataset simplified = SimplifyAll(*db, tolerance);
   size_t before = 0;
   size_t after = 0;
@@ -413,45 +455,96 @@ int ProbeEpsilon(int argc, char** argv) {
   return 0;
 }
 
-edr::NamedSearcher PickMethod(edr::QueryEngine& engine,
-                              const std::string& method) {
-  if (method == "scan") return engine.MakeSeqScan();
-  if (method == "ea") return engine.MakeSeqScan(true);
-  if (method == "ps2") return engine.MakeQgram(edr::QgramVariant::kMerge2D, 1);
-  if (method == "ps1") return engine.MakeQgram(edr::QgramVariant::kMerge1D, 1);
-  if (method == "pr") return engine.MakeQgram(edr::QgramVariant::kRtree2D, 1);
-  if (method == "pb") return engine.MakeQgram(edr::QgramVariant::kBtree1D, 1);
-  if (method == "ntr") return engine.MakeNearTriangle(200);
-  if (method == "hsr2") {
-    return engine.MakeHistogram(edr::HistogramTable::Kind::k2D, 1,
-                                edr::HistogramScan::kSorted);
-  }
-  if (method == "hsr1") {
-    return engine.MakeHistogram(edr::HistogramTable::Kind::k1D, 1,
-                                edr::HistogramScan::kSorted);
-  }
+/// Builds the searcher of one `method` name on a query engine.
+using MethodFactory = edr::NamedSearcher (*)(edr::QueryEngine&);
+
+/// The combined searcher with the reference budget every method gets.
+edr::NamedSearcher Combined(edr::QueryEngine& engine,
+                            edr::HistogramTable::Kind kind) {
   edr::CombinedOptions combo;
   combo.max_triangle = 200;
-  if (method == "1hpn") combo.histogram_kind = edr::HistogramTable::Kind::k1D;
-  return engine.MakeCombined(combo);  // "2hpn" and the default.
+  combo.histogram_kind = kind;
+  return engine.MakeCombined(combo);
+}
+
+/// The methods `knn` and `batch` accept.
+const std::pair<const char*, MethodFactory> kMethods[] = {
+    {"scan", [](edr::QueryEngine& e) { return e.MakeSeqScan(); }},
+    {"ea", [](edr::QueryEngine& e) { return e.MakeSeqScan(true); }},
+    {"ps2",
+     [](edr::QueryEngine& e) {
+       return e.MakeQgram(edr::QgramVariant::kMerge2D, 1);
+     }},
+    {"ps1",
+     [](edr::QueryEngine& e) {
+       return e.MakeQgram(edr::QgramVariant::kMerge1D, 1);
+     }},
+    {"pr",
+     [](edr::QueryEngine& e) {
+       return e.MakeQgram(edr::QgramVariant::kRtree2D, 1);
+     }},
+    {"pb",
+     [](edr::QueryEngine& e) {
+       return e.MakeQgram(edr::QgramVariant::kBtree1D, 1);
+     }},
+    {"ntr", [](edr::QueryEngine& e) { return e.MakeNearTriangle(200); }},
+    {"hsr2",
+     [](edr::QueryEngine& e) {
+       return e.MakeHistogram(edr::HistogramTable::Kind::k2D, 1,
+                              edr::HistogramScan::kSorted);
+     }},
+    {"hsr1",
+     [](edr::QueryEngine& e) {
+       return e.MakeHistogram(edr::HistogramTable::Kind::k1D, 1,
+                              edr::HistogramScan::kSorted);
+     }},
+    {"2hpn",
+     [](edr::QueryEngine& e) {
+       return Combined(e, edr::HistogramTable::Kind::k2D);
+     }},
+    {"1hpn",
+     [](edr::QueryEngine& e) {
+       return Combined(e, edr::HistogramTable::Kind::k1D);
+     }},
+};
+
+/// The factory of a method name; null, with `*error` set, for any other
+/// name.
+MethodFactory FindMethod(const std::string& name, std::string* error) {
+  std::string names;
+  for (const auto& [method, make] : kMethods) {
+    if (name == method) return make;
+    names += names.empty() ? method : std::string(", ") + method;
+  }
+  *error = "unknown method " + name + " (one of " + names + ")";
+  return nullptr;
 }
 
 int Knn(int argc, char** argv) {
   if (argc < 5) return Usage();
+  size_t query_index = 0;
+  size_t k = 0;
+  if (!ParseCount(argv[3], &query_index)) {
+    return Fail(IntegerError("query-index"));
+  }
+  if (!ParseCount(argv[4], &k)) return Fail(IntegerError("k"));
+  std::string error;
+  const MethodFactory make = FindMethod(argc > 5 ? argv[5] : "2hpn", &error);
+  if (make == nullptr) return Fail(error);
+  double epsilon = 0.0;
+  if (argc > 6 && !ParseNonNegative(argv[6], &epsilon)) {
+    return Fail(NumberError("epsilon"));
+  }
+
   edr::Result<edr::TrajectoryDataset> loaded = LoadAny(argv[2]);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   edr::TrajectoryDataset db = std::move(loaded).value();
   db.NormalizeAll();
-
-  const size_t query_index = static_cast<size_t>(std::atoll(argv[3]));
-  const size_t k = static_cast<size_t>(std::atoll(argv[4]));
   if (query_index >= db.size()) return Fail("query index out of range");
-  const std::string method = argc > 5 ? argv[5] : "2hpn";
-  const double epsilon =
-      argc > 6 ? std::atof(argv[6]) : db.SuggestedEpsilon();
+  if (argc <= 6) epsilon = db.SuggestedEpsilon();
 
   edr::QueryEngine engine(db, epsilon);
-  const edr::NamedSearcher searcher = PickMethod(engine, method);
+  const edr::NamedSearcher searcher = make(engine);
   const edr::KnnResult result = searcher.search(db[query_index], k);
   std::printf("%zu-NN of trajectory %zu under EDR (eps=%.3f, method %s):\n",
               k, query_index, epsilon, searcher.name.c_str());
@@ -475,25 +568,36 @@ int Knn(int argc, char** argv) {
 
 int Batch(int argc, char** argv) {
   if (argc < 5) return Usage();
+  size_t num_queries = 0;
+  size_t k = 0;
+  if (!ParseCount(argv[3], &num_queries)) {
+    return Fail(IntegerError("num-queries"));
+  }
+  if (!ParseCount(argv[4], &k)) return Fail(IntegerError("k"));
+  std::string error;
+  const MethodFactory make = FindMethod(argc > 5 ? argv[5] : "2hpn", &error);
+  if (make == nullptr) return Fail(error);
+  size_t repeats = 2;
+  if (argc > 6 && !ParseCount(argv[6], &repeats)) {
+    return Fail(IntegerError("repeats"));
+  }
+  repeats = std::max<size_t>(1, repeats);
+  double epsilon = 0.0;
+  if (argc > 7 && !ParseNonNegative(argv[7], &epsilon)) {
+    return Fail(NumberError("epsilon"));
+  }
+
   edr::Result<edr::TrajectoryDataset> loaded = LoadAny(argv[2]);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   edr::TrajectoryDataset db = std::move(loaded).value();
   db.NormalizeAll();
-
-  const size_t num_queries = static_cast<size_t>(std::atoll(argv[3]));
-  const size_t k = static_cast<size_t>(std::atoll(argv[4]));
   if (num_queries == 0 || num_queries > db.size()) {
     return Fail("num-queries must be in [1, dataset size]");
   }
-  const std::string method = argc > 5 ? argv[5] : "2hpn";
-  const size_t repeats =
-      argc > 6 ? std::max<size_t>(1, static_cast<size_t>(std::atoll(argv[6])))
-               : 2;
-  const double epsilon =
-      argc > 7 ? std::atof(argv[7]) : db.SuggestedEpsilon();
+  if (argc <= 7) epsilon = db.SuggestedEpsilon();
 
   edr::QueryEngine engine(db, epsilon);
-  const edr::NamedSearcher searcher = PickMethod(engine, method);
+  const edr::NamedSearcher searcher = make(engine);
   edr::FeatureCache cache(/*capacity=*/2 * num_queries);
   edr::RegisterStandardMetrics();
 
@@ -642,9 +746,13 @@ int ServeMetrics(int argc, char** argv) {
         return Fail(DurationError("serve-metrics: --duration"));
       }
     } else if (std::strncmp(arg, "--warm=", 7) == 0) {
-      warm = static_cast<size_t>(std::atoll(arg + 7));
+      if (!ParseCount(arg + 7, &warm)) {
+        return Fail(IntegerError("serve-metrics: --warm"));
+      }
     } else if (std::strncmp(arg, "--count=", 8) == 0) {
-      count = static_cast<size_t>(std::atoll(arg + 8));
+      if (!ParseCount(arg + 8, &count)) {
+        return Fail(IntegerError("serve-metrics: --count"));
+      }
     } else {
       return Fail(std::string("serve-metrics: unknown flag ") + arg);
     }
@@ -657,7 +765,8 @@ int ServeMetrics(int argc, char** argv) {
   db.NormalizeAll();
   const double epsilon = db.SuggestedEpsilon();
   edr::QueryEngine engine(db, epsilon);
-  const edr::NamedSearcher searcher = PickMethod(engine, "2hpn");
+  const edr::NamedSearcher searcher =
+      Combined(engine, edr::HistogramTable::Kind::k2D);
   edr::FeatureCache cache(/*capacity=*/2 * warm);
 
   edr::TimelineSampler::Options timeline_options;
@@ -720,16 +829,25 @@ int CheckOpenMetrics(int argc, char** argv) {
 
 int RangeQuery(int argc, char** argv) {
   if (argc < 5) return Usage();
+  size_t query_index = 0;
+  int radius = 0;
+  if (!ParseCount(argv[3], &query_index)) {
+    return Fail(IntegerError("query-index"));
+  }
+  if (!ParseInteger<int>(argv[4], INT_MAX, &radius)) {
+    return Fail(IntegerError("radius"));
+  }
+  double epsilon = 0.0;
+  if (argc > 5 && !ParseNonNegative(argv[5], &epsilon)) {
+    return Fail(NumberError("epsilon"));
+  }
+
   edr::Result<edr::TrajectoryDataset> loaded = LoadAny(argv[2]);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   edr::TrajectoryDataset db = std::move(loaded).value();
   db.NormalizeAll();
-
-  const size_t query_index = static_cast<size_t>(std::atoll(argv[3]));
-  const int radius = std::atoi(argv[4]);
   if (query_index >= db.size()) return Fail("query index out of range");
-  const double epsilon =
-      argc > 5 ? std::atof(argv[5]) : db.SuggestedEpsilon();
+  if (argc <= 5) epsilon = db.SuggestedEpsilon();
 
   edr::QueryEngine engine(db, epsilon);
   edr::CombinedOptions combo;
