@@ -48,5 +48,5 @@ int main(int argc, char** argv) {
   edr::RunDataset("Kungfu",
                   edr::GenKungfuLike(495, config.full ? 640 : 160, 13),
                   config);
-  return 0;
+  return edr::bench::ExitStatus();
 }

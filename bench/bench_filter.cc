@@ -96,7 +96,7 @@ struct LevelRow {
   bool identical = true;  ///< every output equals the scalar level's
 };
 
-/// The sweep on the ledger's NHL-like 2HPN table (2-D, delta = 1, the
+/// The sweep on the ledger's NHL-like 2HP table (2-D, delta = 1, the
 /// dataset's suggested epsilon), with the sizes of both column stores.
 struct LedgerRow {
   size_t db_size = 0;

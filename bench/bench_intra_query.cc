@@ -196,7 +196,6 @@ int main(int argc, char** argv) {
                                  HistogramScan::kSorted);
   const QgramKnnSearcher ps2(db, kEps, /*q=*/1, QgramVariant::kMerge2D);
   CombinedOptions combined_options;
-  combined_options.max_triangle = 100;
   const CombinedKnnSearcher combined(db, kEps, combined_options);
 
   struct Method {
@@ -212,7 +211,7 @@ int main(int argc, char** argv) {
        [&](const Trajectory& q, const KnnOptions& o) {
          return ps2.Knn(q, kK, o);
        }},
-      {"2HPN",
+      {"2HP",
        [&](const Trajectory& q, const KnnOptions& o) {
          return combined.Knn(q, kK, o);
        }},

@@ -220,7 +220,6 @@ int main(int argc, char** argv) {
   constexpr size_t kK = 20;
 
   CombinedOptions combined_options;
-  combined_options.max_triangle = 100;
 
   struct EndToEnd {
     double seq_s = 0.0;

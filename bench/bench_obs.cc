@@ -309,7 +309,6 @@ int main(int argc, char** argv) {
   KnnOptions bound;
   bound.pool = &pool;
   CombinedOptions combined_options;
-  combined_options.max_triangle = 100;
   const std::vector<NamedSearcher> searchers = {
       engine.MakeHistogram(HistogramTable::Kind::k2D, 1,
                            HistogramScan::kSorted, bound),

@@ -58,5 +58,5 @@ int main(int argc, char** argv) {
   rand_options.seed = 102;
   edr::RunDataset("RandU", edr::GenRandomWalk(rand_options), config, refs,
                   2.0);
-  return 0;
+  return edr::bench::ExitStatus();
 }

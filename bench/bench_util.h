@@ -75,9 +75,18 @@ struct BenchConfig {
   }
 };
 
+/// A paper bench's exit status, which its main returns: RunSuite sets it
+/// to 1 when a row is not lossless, so that a lost answer fails the run,
+/// not only its printed certificate.
+inline int& ExitStatus() {
+  static int status = 0;
+  return status;
+}
+
 /// Runs one dataset through a list of searchers, printing paper-style
 /// rows: pruning power, mean per-query latency, speedup vs sequential
-/// scan, and a losslessness certificate. Returns the results.
+/// scan, and a losslessness certificate. Returns the results; a row that
+/// is not lossless also prints an error line and sets ExitStatus() to 1.
 inline std::vector<WorkloadResult> RunSuite(
     const std::string& title, QueryEngine& engine,
     const std::vector<NamedSearcher>& searchers, const BenchConfig& config) {
@@ -112,6 +121,11 @@ inline std::vector<WorkloadResult> RunSuite(
     const WorkloadResult r = RunWorkload(s, queries, config.k, &gt, base);
     std::printf("%s\n", FormatWorkloadRow(r).c_str());
     std::fflush(stdout);
+    if (!r.lossless) {
+      std::fprintf(stderr, "error: %s on %s is not lossless\n",
+                   r.method.c_str(), title.c_str());
+      ExitStatus() = 1;
+    }
     results.push_back(r);
   }
 

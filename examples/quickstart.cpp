@@ -45,8 +45,7 @@ int main() {
   const edr::Trajectory& query = db[123];
 
   const edr::KnnResult exact = engine.SeqScan(query, 10);
-  edr::CombinedOptions combo;  // histograms -> Q-grams -> near-triangle
-  combo.max_triangle = 100;
+  edr::CombinedOptions combo;  // histograms -> Q-grams
   const edr::KnnResult fast = engine.Combined(combo).Knn(query, 10);
 
   std::printf("\n10-NN of trajectory %u under EDR:\n", query.id());

@@ -33,10 +33,9 @@ int main() {
   std::printf("query: shift %u corrupted with %zu outlier samples\n",
               db[777].id(), query.size() - db[777].size());
 
-  // Interactive retrieval: histograms -> Q-grams -> near-triangle.
+  // Interactive retrieval: histograms -> Q-grams.
   edr::CombinedOptions combo;
-  combo.histogram_kind = edr::HistogramTable::Kind::k1D;  // "1HPN"
-  combo.max_triangle = 200;
+  combo.histogram_kind = edr::HistogramTable::Kind::k1D;  // "1HP"
   const edr::NamedSearcher searcher = engine.MakeCombined(combo);
 
   const edr::KnnResult result = searcher.search(query, 5);

@@ -99,7 +99,6 @@ int main() {
   }
 
   edr::CombinedOptions combo;
-  combo.max_triangle = 100;
   const edr::KnnResult result =
       engine.Combined(combo).Knn(db[reference], 10);
 

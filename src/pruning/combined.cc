@@ -9,18 +9,16 @@
 
 namespace edr {
 
-std::vector<std::array<PruneStep, 3>> AllPruneOrders() {
+std::vector<std::array<PruneStep, 2>> AllPruneOrders() {
   const PruneStep h = PruneStep::kHistogram;
   const PruneStep p = PruneStep::kQgram;
-  const PruneStep n = PruneStep::kNearTriangle;
-  return {{h, p, n}, {h, n, p}, {p, h, n}, {p, n, h}, {n, h, p}, {n, p, h}};
+  return {{h, p}, {p, h}};
 }
 
 char PruneStepCode(PruneStep step) {
   switch (step) {
     case PruneStep::kHistogram: return 'H';
     case PruneStep::kQgram: return 'P';
-    case PruneStep::kNearTriangle: return 'N';
   }
   return '?';
 }
@@ -28,21 +26,12 @@ char PruneStepCode(PruneStep step) {
 CombinedKnnSearcher::CombinedKnnSearcher(const TrajectoryDataset& db,
                                          double epsilon,
                                          const CombinedOptions& options)
-    : CombinedKnnSearcher(
-          db, epsilon, options,
-          PairwiseEdrMatrix::Build(db, epsilon, options.max_triangle)) {}
-
-CombinedKnnSearcher::CombinedKnnSearcher(const TrajectoryDataset& db,
-                                         double epsilon,
-                                         const CombinedOptions& options,
-                                         PairwiseEdrMatrix matrix)
     : db_(db),
       epsilon_(epsilon),
       options_(options),
       histograms_(db, epsilon, options.histogram_kind,
                   options.histogram_delta),
-      qgram_means_(db, options.q, /*dims=*/2),
-      matrix_(std::move(matrix)) {}
+      qgram_means_(db, options.q, /*dims=*/2) {}
 
 KnnResult CombinedKnnSearcher::Knn(const Trajectory& query, size_t k,
                                    const KnnOptions& options) const {
@@ -54,8 +43,6 @@ KnnResult CombinedKnnSearcher::Search(const Trajectory& query,
                                       const std::vector<int>& bounds,
                                       const std::vector<Point2>& query_means,
                                       ScanFn&& scan) const {
-  // Reference distances for the near-triangle step, shared by all slots.
-  SharedRefDistances refs(matrix_.num_refs());
   const auto prune = [&](StageCounters& st, uint32_t id, double threshold) {
     for (const PruneStep step : options_.order) {
       switch (step) {
@@ -82,20 +69,11 @@ KnnResult CombinedKnnSearcher::Search(const Trajectory& query,
           }
           break;
         }
-        case PruneStep::kNearTriangle:
-          if (TrianglePrunes(st, matrix_, refs, id,
-                             static_cast<double>(db_[id].size()),
-                             threshold)) {
-            return true;
-          }
-          break;
       }
     }
     return false;
   };
-  // Lower-bound reference distances only weaken the near-triangle prune
-  // bound, never unsound it.
-  const BoundedEdr edr(db_, query, epsilon_, &refs);
+  const BoundedEdr edr(db_, query, epsilon_);
   // When the histogram filter runs first (and sorted scanning is enabled),
   // candidates are visited in ascending-bound order with a hard stop at
   // the first bound above the threshold (the HSR strategy); otherwise in
@@ -117,8 +95,8 @@ std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
   // Every prune order contains the histogram step, so all fast lower
   // bounds are produced up front by one sweep for the whole group (sharded
   // over the pool): far cheaper than per-row calls, even for ids a
-  // preceding filter would have pruned. The lazy Q-gram and near-triangle
-  // filters run inside each member's refinement.
+  // preceding filter would have pruned. The lazy Q-gram filter runs inside
+  // each member's refinement.
   const auto sweep = [&] {
     std::vector<std::shared_ptr<const HistogramTable::QueryHistogram>>
         features(group);

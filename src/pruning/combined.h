@@ -8,45 +8,48 @@
 
 #include "core/dataset.h"
 #include "pruning/histogram.h"
-#include "pruning/near_triangle.h"
 #include "pruning/qgram.h"
 #include "query/knn.h"
 
 namespace edr {
 
-/// The three orthogonal pruning techniques of Section 4, combinable in any
-/// order (Section 4.4).
+/// The pruning steps of the combined searcher (Section 4.4), applied in
+/// either order. The paper's third step, the near triangle inequality
+/// ("N", Theorem 5), is not one of them: its bound EDR(Q,R) - EDR(S,R) - |S|
+/// never exceeds max(0, |Q| - |S|), and the histogram bound never falls
+/// below that, so N cannot prune a candidate H keeps (docs/ALGORITHMS.md §3).
 enum class PruneStep {
-  kHistogram,     ///< histogram lower bound ("H")
-  kQgram,         ///< mean-value Q-gram count filter, merge-join form ("P")
-  kNearTriangle,  ///< near triangle inequality ("N")
+  kHistogram,  ///< histogram lower bound ("H")
+  kQgram,      ///< mean-value Q-gram count filter, merge-join form ("P")
 };
 
 /// Configuration of a combined searcher.
 struct CombinedOptions {
-  /// Application order; the paper's best (Figure 11) is H, then P, then N:
-  /// cheap high-power filters first leave fewer candidates for the rest.
-  std::array<PruneStep, 3> order = {PruneStep::kHistogram, PruneStep::kQgram,
-                                    PruneStep::kNearTriangle};
-  /// 2-D trajectory histograms ("2HPN") or per-dimension 1-D histograms
-  /// ("1HPN", the overall winner in Figures 12-13).
+  /// Application order; the paper's best (Figure 11) starts with H: the
+  /// cheap high-power filter first leaves fewer candidates for the Q-gram
+  /// merge.
+  std::array<PruneStep, 2> order = {PruneStep::kHistogram, PruneStep::kQgram};
+  /// 2-D trajectory histograms ("2HP", the paper's 2HPN) or per-dimension
+  /// 1-D histograms ("1HP", the paper's 1HPN, its overall winner in
+  /// Figures 12-13).
   HistogramTable::Kind histogram_kind = HistogramTable::Kind::k2D;
   int histogram_delta = 1;
   /// Q-gram size; the experiments pick the merge-join PS2 filter with
   /// q = 1 (Section 5.4), the best stand-alone Q-gram configuration.
   int q = 1;
-  /// Reference-trajectory budget for near-triangle pruning.
+  /// Ignored: no step reads reference trajectories. ledger/ledger.cc still
+  /// assigns it; delete the field once it no longer does.
   size_t max_triangle = 400;
   /// When the histogram filter runs first, visit candidates in ascending
   /// histogram-bound order (the HSR strategy adopted by Section 5.4's
   /// combined method). Disable to scan in database order regardless, which
-  /// makes the pruning power identical across all six filter orders (the
+  /// makes the pruning power identical across both filter orders (the
   /// Figure 11 setting).
   bool sorted_histogram_scan = true;
 };
 
-/// k-NN searcher combining histogram, Q-gram, and near-triangle pruning
-/// (the Figure 6 skeleton, generalized to all six application orders).
+/// k-NN searcher combining histogram and Q-gram pruning (the Figure 6
+/// skeleton, in either application order).
 ///
 /// When histogram pruning is the first step, candidates are visited in
 /// ascending histogram-distance order (the HSR strategy chosen for the
@@ -54,19 +57,14 @@ struct CombinedOptions {
 /// exceeding the k-th distance; otherwise candidates are visited in
 /// database order and every filter is evaluated lazily.
 ///
-/// All three filters are lossless, so any order returns exactly the
+/// Both filters are lossless, so either order returns exactly the
 /// sequential-scan answer; order only changes the running time.
 class CombinedKnnSearcher {
  public:
-  /// Builds all filter structures, including the reference columns of the
-  /// pairwise EDR matrix (offline preprocessing, as in the paper).
+  /// Builds the histogram table and the Q-gram means (offline
+  /// preprocessing, as in the paper).
   CombinedKnnSearcher(const TrajectoryDataset& db, double epsilon,
                       const CombinedOptions& options);
-
-  /// Variant sharing a pre-built pairwise matrix across searchers.
-  CombinedKnnSearcher(const TrajectoryDataset& db, double epsilon,
-                      const CombinedOptions& options,
-                      PairwiseEdrMatrix matrix);
 
   /// KnnFused for a group of one.
   KnnResult Knn(const Trajectory& query, size_t k,
@@ -74,11 +72,10 @@ class CombinedKnnSearcher {
 
   /// The query path: answers a fusion group of queries with one
   /// cache-blocked pass over the histogram table (the only whole-database
-  /// filter sweep the combined searcher runs up front; Q-gram counts and
-  /// near-triangle bounds are evaluated lazily per candidate and stay
-  /// per member). A member's answer is the same for every group size and
-  /// worker count. `options` shards the bound sweep and refinement over
-  /// the thread pool.
+  /// filter sweep the combined searcher runs up front; Q-gram counts are
+  /// evaluated lazily per candidate and stay per member). A member's
+  /// answer is the same for every group size and worker count. `options`
+  /// shards the bound sweep and refinement over the thread pool.
   std::vector<KnnResult> KnnFused(
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
@@ -90,7 +87,7 @@ class CombinedKnnSearcher {
     return histograms_.QueryBinSignature(query);
   }
 
-  /// Range query combining all three filters against the fixed `radius`
+  /// Range query combining both filters against the fixed `radius`
   /// bound; with sorted histogram scanning the scan stops at the first
   /// bound above the radius. Lossless. A nonzero `max_results` keeps only
   /// that many nearest matches via partial selection instead of a full
@@ -98,7 +95,7 @@ class CombinedKnnSearcher {
   KnnResult Range(const Trajectory& query, int radius,
                   size_t max_results = 0) const;
 
-  /// e.g. "2HPN", "1HPN", "2PNH" — histogram kind prefix plus the order.
+  /// e.g. "2HP", "1HP", "2PH" — histogram kind prefix plus the order.
   std::string name() const;
 
   const CombinedOptions& options() const { return options_; }
@@ -106,9 +103,8 @@ class CombinedKnnSearcher {
  private:
   /// Answers one query from its precomputed histogram bounds and sorted
   /// Q-gram means: returns scan(order, prune, distance) with the configured
-  /// candidate order, the filter chain in options_.order and bounded EDR
-  /// (recording the reference distances) — scan is FilterAndRefine for Knn
-  /// and ScanRange for Range.
+  /// candidate order, the filter chain in options_.order and bounded EDR —
+  /// scan is FilterAndRefine for Knn and ScanRange for Range.
   template <typename ScanFn>
   KnnResult Search(const Trajectory& query, const std::vector<int>& bounds,
                    const std::vector<Point2>& query_means,
@@ -122,13 +118,12 @@ class CombinedKnnSearcher {
   CombinedOptions options_;
   HistogramTable histograms_;
   QgramMeansTable qgram_means_;  // flat sorted per-trajectory Q-gram means
-  PairwiseEdrMatrix matrix_;
 };
 
-/// All six orderings of {H, P, N}, for the Figure 11 sweep.
-std::vector<std::array<PruneStep, 3>> AllPruneOrders();
+/// Both orderings of {H, P}, for the Figure 11 sweep.
+std::vector<std::array<PruneStep, 2>> AllPruneOrders();
 
-/// One-letter code of a step ("H", "P", "N").
+/// One-letter code of a step ("H", "P").
 char PruneStepCode(PruneStep step);
 
 }  // namespace edr

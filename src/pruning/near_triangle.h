@@ -60,8 +60,8 @@ class PairwiseEdrMatrix {
 /// The near-triangle filter step (Figure 4, lines 2-4) for S = db[id]:
 /// prunes S, bumping triangle_pruned, when some reference R in `refs`
 /// gives EDR(Q, R) - EDR(S, R) - slack > threshold, a lower bound on
-/// EDR(Q, S) above the threshold. NTR and the combined searcher use slack
-/// |S| (Theorem 5); CSE uses its shift constant.
+/// EDR(Q, S) above the threshold. NTR uses slack |S| (Theorem 5); CSE
+/// uses its shift constant.
 inline bool TrianglePrunes(StageCounters& st, const PairwiseEdrMatrix& matrix,
                            const SharedRefDistances& refs, uint32_t id,
                            double slack, double threshold) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -59,23 +60,27 @@ KnnResult SequentialScanKnn3(const std::vector<Trajectory3>& db,
 Knn3Searcher::Knn3Searcher(const std::vector<Trajectory3>& db,
                            double epsilon)
     : db_(db), epsilon_(std::max(epsilon, 1e-12)) {
-  // Grid origin: one cell of slack below the data minimum in every
-  // dimension (elements within epsilon of the range stay in-grid).
-  Point3 lo{0.0, 0.0, 0.0};
-  bool first = true;
+  // Grid origin: one cell of slack below the minimum finite coordinate in
+  // every dimension (elements within epsilon of the range stay in-grid),
+  // or 0 for a dimension with no finite coordinate. A NaN or infinity
+  // would drag every cell of its axis into one clamped cell; such an
+  // element matches nothing, so any cell is sound for it.
+  const double inf = std::numeric_limits<double>::infinity();
+  Point3 lo{inf, inf, inf};
+  const auto lower = [](double& bound, double v) {
+    if (std::isfinite(v)) bound = std::min(bound, v);
+  };
   for (const Trajectory3& t : db_) {
     for (const Point3& p : t) {
-      if (first) {
-        lo = p;
-        first = false;
-      } else {
-        lo.x = std::min(lo.x, p.x);
-        lo.y = std::min(lo.y, p.y);
-        lo.z = std::min(lo.z, p.z);
-      }
+      lower(lo.x, p.x);
+      lower(lo.y, p.y);
+      lower(lo.z, p.z);
     }
   }
-  grid_min_ = {lo.x - epsilon_, lo.y - epsilon_, lo.z - epsilon_};
+  const auto origin = [this](double v) {
+    return std::isfinite(v) ? v - epsilon_ : 0.0;
+  };
+  grid_min_ = {origin(lo.x), origin(lo.y), origin(lo.z)};
 
   histograms_.reserve(db_.size());
   sorted_elements_.reserve(db_.size());

@@ -113,14 +113,12 @@ const CombinedKnnSearcher& QueryEngine::Combined(
   for (const PruneStep step : options.order) key += PruneStepCode(step);
   key += "/d" + std::to_string(options.histogram_delta);
   key += "/q" + std::to_string(options.q);
-  key += "/t" + std::to_string(options.max_triangle);
   key += options.sorted_histogram_scan ? "/sorted" : "/seq";
   auto it = combined_.find(key);
   if (it == combined_.end()) {
     it = combined_
              .emplace(key, std::make_unique<CombinedKnnSearcher>(
-                               db_, epsilon_, options,
-                               Matrix(options.max_triangle)))
+                               db_, epsilon_, options))
              .first;
   }
   return *it->second;

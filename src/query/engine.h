@@ -143,7 +143,7 @@ class QueryEngine {
   NamedSearcher MakeLcss(LcssFilter filter, const KnnOptions& options = {});
 
  private:
-  /// Reference-column matrix shared by NTR / CSE / combined searchers.
+  /// Reference-column matrix shared by the NTR and CSE searchers.
   const PairwiseEdrMatrix& Matrix(size_t max_triangle);
 
   const TrajectoryDataset& db_;

@@ -110,12 +110,12 @@ class SharedTopK {
 };
 
 /// The reference distances one query has refined so far, shared by all
-/// of its refinement slots, so the near-triangle prunes (NTR, CSE and the
-/// combined searcher) read every reference any slot computed, not only
-/// their own. The references are the ids below the capacity (the columns
-/// of the PairwiseEdrMatrix). A stored value may be a bounded-refinement
-/// lower bound of EDR(Q, ref); substituting it only shrinks a prune bound,
-/// so reading any subset of the entries keeps pruning lossless.
+/// of its refinement slots, so the near-triangle prunes (NTR and CSE) read
+/// every reference any slot computed, not only their own. The references
+/// are the ids below the capacity (the columns of the PairwiseEdrMatrix).
+/// A stored value may be a bounded-refinement lower bound of EDR(Q, ref);
+/// substituting it only shrinks a prune bound, so reading any subset of
+/// the entries keeps pruning lossless.
 ///
 /// Append-only up to a fixed capacity: a writer fills the next entry under
 /// the lock and publishes it by storing the count with release order, so

@@ -16,41 +16,38 @@ namespace {
 
 constexpr double kEps = 0.25;
 
-TEST(CombinedTest, AllPruneOrdersEnumeratesSixPermutations) {
+TEST(CombinedTest, AllPruneOrdersEnumeratesBothPermutations) {
   const auto orders = AllPruneOrders();
-  EXPECT_EQ(orders.size(), 6u);
+  EXPECT_EQ(orders.size(), 2u);
   std::set<std::string> codes;
   for (const auto& order : orders) {
     std::string code;
     for (const PruneStep s : order) code += PruneStepCode(s);
     codes.insert(code);
   }
-  EXPECT_EQ(codes.size(), 6u);
-  EXPECT_TRUE(codes.count("HPN"));
-  EXPECT_TRUE(codes.count("NPH"));
+  EXPECT_EQ(codes, (std::set<std::string>{"HP", "PH"}));
+  // The default order is the first one, the paper's best.
+  EXPECT_EQ(orders[0], CombinedOptions{}.order);
 }
 
 TEST(CombinedTest, NameEncodesKindAndOrder) {
   const TrajectoryDataset db = testutil::SmallDataset(51, 15);
   CombinedOptions options;
-  options.max_triangle = 5;
   const CombinedKnnSearcher a(db, kEps, options);
-  EXPECT_EQ(a.name(), "2HPN");
+  EXPECT_EQ(a.name(), "2HP");
   options.histogram_kind = HistogramTable::Kind::k1D;
-  options.order = {PruneStep::kNearTriangle, PruneStep::kQgram,
-                   PruneStep::kHistogram};
+  options.order = {PruneStep::kQgram, PruneStep::kHistogram};
   const CombinedKnnSearcher b(db, kEps, options);
-  EXPECT_EQ(b.name(), "1NPH");
+  EXPECT_EQ(b.name(), "1PH");
 }
 
 class CombinedOrderTest
-    : public ::testing::TestWithParam<std::array<PruneStep, 3>> {};
+    : public ::testing::TestWithParam<std::array<PruneStep, 2>> {};
 
 TEST_P(CombinedOrderTest, EveryOrderIsLossless) {
   const TrajectoryDataset db = testutil::SmallDataset(52, 90, 6, 70);
   CombinedOptions options;
   options.order = GetParam();
-  options.max_triangle = 25;
   const CombinedKnnSearcher searcher(db, kEps, options);
   for (const Trajectory& query : testutil::MakeQueries(db, 53, 4)) {
     const KnnResult expected = SequentialScanKnn(db, query, 10, kEps);
@@ -65,8 +62,7 @@ INSTANTIATE_TEST_SUITE_P(AllOrders, CombinedOrderTest,
 TEST(CombinedTest, OneDimensionalHistogramVariantIsLossless) {
   const TrajectoryDataset db = testutil::SmallDataset(54, 80, 6, 60);
   CombinedOptions options;
-  options.histogram_kind = HistogramTable::Kind::k1D;  // "1HPN"
-  options.max_triangle = 20;
+  options.histogram_kind = HistogramTable::Kind::k1D;  // "1HP"
   const CombinedKnnSearcher searcher(db, kEps, options);
   for (const Trajectory& query : testutil::MakeQueries(db, 55, 4)) {
     const KnnResult expected = SequentialScanKnn(db, query, 10, kEps);
@@ -75,11 +71,10 @@ TEST(CombinedTest, OneDimensionalHistogramVariantIsLossless) {
 }
 
 TEST(CombinedTest, CombinationPrunesAtLeastAsMuchAsEachComponentAlone) {
-  // Section 5.4: the three filters are orthogonal; applying all of them
-  // removes at least as many candidates as any single one.
+  // Section 5.4: applying both filters removes at least as many
+  // candidates as either one alone.
   const TrajectoryDataset db = testutil::SmallDataset(56, 120, 6, 80);
   CombinedOptions options;
-  options.max_triangle = 30;
   const CombinedKnnSearcher combined(db, kEps, options);
   const HistogramKnnSearcher histogram(db, kEps, HistogramTable::Kind::k2D,
                                        1, HistogramScan::kSorted);
@@ -97,21 +92,9 @@ TEST(CombinedTest, CombinationPrunesAtLeastAsMuchAsEachComponentAlone) {
   EXPECT_LE(combined_total, qgram_total);
 }
 
-TEST(CombinedTest, SharedMatrixConstructorBehavesTheSame) {
-  const TrajectoryDataset db = testutil::SmallDataset(58, 40, 6, 50);
-  CombinedOptions options;
-  options.max_triangle = 10;
-  const CombinedKnnSearcher a(db, kEps, options);
-  const CombinedKnnSearcher b(db, kEps, options,
-                              PairwiseEdrMatrix::Build(db, kEps, 10));
-  const Trajectory query = db[9];
-  EXPECT_TRUE(SameKnnDistances(a.Knn(query, 6), b.Knn(query, 6)));
-}
-
 TEST(CombinedTest, StatsAreConsistent) {
   const TrajectoryDataset db = testutil::SmallDataset(59, 50, 6, 50);
   CombinedOptions options;
-  options.max_triangle = 10;
   const CombinedKnnSearcher searcher(db, kEps, options);
   const KnnResult result = searcher.Knn(db[0], 5);
   EXPECT_EQ(result.stats.db_size, db.size());

@@ -49,7 +49,6 @@ TEST(EdgeCaseTest, KZeroReturnsNothing) {
   QueryEngine engine(db, kEps);
   EXPECT_TRUE(engine.SeqScan(db[0], 0).neighbors.empty());
   CombinedOptions combo;
-  combo.max_triangle = 3;
   EXPECT_TRUE(engine.Combined(combo).Knn(db[0], 0).neighbors.empty());
 }
 
@@ -61,7 +60,6 @@ TEST(EdgeCaseTest, SingleElementTrajectories) {
   QueryEngine engine(db, kEps);
   const KnnResult expected = engine.SeqScan(db[4], 3);
   CombinedOptions combo;
-  combo.max_triangle = 4;
   EXPECT_TRUE(
       SameKnnDistances(expected, engine.Combined(combo).Knn(db[4], 3)));
   EXPECT_TRUE(SameKnnDistances(
@@ -90,7 +88,6 @@ TEST(EdgeCaseTest, QueryLongerThanEverythingInDatabase) {
   const Trajectory query = testutil::RandomWalk(rng, 200);
   const KnnResult expected = engine.SeqScan(query, 4);
   CombinedOptions combo;
-  combo.max_triangle = 5;
   EXPECT_TRUE(
       SameKnnDistances(expected, engine.Combined(combo).Knn(query, 4)));
 }
@@ -118,7 +115,6 @@ TEST(EdgeCaseTest, ZeroEpsilonStillLossless) {
   QueryEngine engine(db, 0.0);
   const KnnResult expected = engine.SeqScan(db[3], 5);
   CombinedOptions combo;
-  combo.max_triangle = 5;
   EXPECT_TRUE(
       SameKnnDistances(expected, engine.Combined(combo).Knn(db[3], 5)));
 }

@@ -371,7 +371,6 @@ TEST(EdrKernelTest, CombinedSearcherLosslessUnderBothKernels) {
   const std::vector<Trajectory> queries = testutil::MakeQueries(db, 78, 4);
   constexpr double kEps = 0.25;
   CombinedOptions options;
-  options.max_triangle = 20;
 
   SetDefaultEdrKernel(EdrKernel::kScalar);
   std::vector<KnnResult> truth;

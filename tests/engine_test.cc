@@ -52,7 +52,6 @@ TEST(QueryEngineTest, EveryNamedSearcherIsLossless) {
   searchers.push_back(engine.MakeHistogram(HistogramTable::Kind::k1D, 1,
                                            HistogramScan::kSequential));
   CombinedOptions combo;
-  combo.max_triangle = 15;
   searchers.push_back(engine.MakeCombined(combo));
   combo.histogram_kind = HistogramTable::Kind::k1D;
   searchers.push_back(engine.MakeCombined(combo));
@@ -70,7 +69,6 @@ TEST(QueryEngineTest, CombinedCacheKeyedOnConfiguration) {
   const TrajectoryDataset db = testutil::SmallDataset(75, 20);
   QueryEngine engine(db, kEps);
   CombinedOptions a;
-  a.max_triangle = 5;
   CombinedOptions b = a;
   b.q = 2;
   const CombinedKnnSearcher& sa = engine.Combined(a);

@@ -124,7 +124,6 @@ TEST(FeatureCacheTest, ColdVersusWarmEquivalenceAcrossSearchers) {
   FeatureCache cache(64);
 
   CombinedOptions combo;
-  combo.max_triangle = 20;
   const std::vector<NamedSearcher> searchers = {
       engine.MakeQgram(QgramVariant::kMerge2D, 1),
       engine.MakeQgram(QgramVariant::kMerge1D, 1),
@@ -175,7 +174,6 @@ TEST(FeatureCacheTest, SemanticKeysShareEntriesAcrossSearchers) {
   // ...and the combined searcher (same q) hits the q-gram entry; its
   // histogram entry (different feature) still misses.
   CombinedOptions combo;
-  combo.max_triangle = 20;
   engine.MakeCombined(combo).search_with(query, 3, cached);
   const FeatureCache::Stats stats = cache.stats();
   EXPECT_GE(stats.hits, 1u);

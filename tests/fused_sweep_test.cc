@@ -232,7 +232,6 @@ TEST(FusedSweepTest, SearchersBitIdenticalAtOneAndFourWorkers) {
   const QgramKnnSearcher ps2(Db(), kEps, 1, QgramVariant::kMerge2D);
   const QgramKnnSearcher ps1(Db(), kEps, 1, QgramVariant::kMerge1D);
   CombinedOptions copt;
-  copt.max_triangle = 30;
   const CombinedKnnSearcher combined(Db(), kEps, copt);
   const LcssKnnSearcher lcss(Db(), kEps, LcssFilter::kBoth);
 
@@ -245,7 +244,7 @@ TEST(FusedSweepTest, SearchersBitIdenticalAtOneAndFourWorkers) {
     ExpectKnnFusedMatches(hsr, "HSR" + suffix, 6, options);
     ExpectKnnFusedMatches(ps2, "PS2" + suffix, 6, options);
     ExpectKnnFusedMatches(ps1, "PS1" + suffix, 6, options);
-    ExpectKnnFusedMatches(combined, "2HPN" + suffix, 6, options);
+    ExpectKnnFusedMatches(combined, "2HP" + suffix, 6, options);
     ExpectKnnFusedMatches(lcss, "LCSS" + suffix, 6, options);
   }
 }
@@ -384,7 +383,6 @@ TEST(FusedSweepTest, GroupingBitIdenticalAcrossAllSearchers) {
   KnnOptions bound;
   bound.pool = &pool;
   CombinedOptions copt;
-  copt.max_triangle = 30;
   const std::vector<NamedSearcher> searchers = {
       engine.MakeHistogram(HistogramTable::Kind::k2D, 1,
                            HistogramScan::kSequential, bound),

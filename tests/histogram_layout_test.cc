@@ -140,8 +140,7 @@ TEST(HistogramLayoutTest, SearchersIdenticalAcrossLayouts) {
   const HistogramKnnSearcher hsr(db, kEps, HistogramTable::Kind::k2D, 1,
                                  HistogramScan::kSorted);
   CombinedOptions options;
-  options.max_triangle = kMaxTriangle;
-  const CombinedKnnSearcher combined(db, kEps, options, matrix);
+  const CombinedKnnSearcher combined(db, kEps, options);
   const LcssKnnSearcher lcss(db, kEps, LcssFilter::kBoth);
   const LcssKnnSearcher lcss_scan(db, kEps, LcssFilter::kNone);
   const QgramKnnSearcher ps2(db, kEps, /*q=*/1, QgramVariant::kMerge2D);

@@ -49,7 +49,6 @@ TEST(IntegrationTest, FullRetrievalPipelineAllMethodsLossless) {
   for (const auto& order : AllPruneOrders()) {
     CombinedOptions combo;
     combo.order = order;
-    combo.max_triangle = 40;
     searchers.push_back(engine.MakeCombined(combo));
   }
 
@@ -108,7 +107,6 @@ TEST(IntegrationTest, EnginesOnRealishDatasets) {
     const std::vector<KnnResult> gt = RunGroundTruth(engine, queries, 5);
     CombinedOptions combo;
     combo.histogram_kind = HistogramTable::Kind::k1D;
-    combo.max_triangle = 10;
     const WorkloadResult r =
         RunWorkload(engine.MakeCombined(combo), queries, 5, &gt, 0.0);
     EXPECT_TRUE(r.lossless) << db.name();

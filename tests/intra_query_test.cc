@@ -130,12 +130,9 @@ TEST(IntraQueryTest, WorkersComputeNearlySequentialDpCounts) {
   const NearTriangleSearcher ntr(WorkDb(), eps, WorkMatrix());
   const CseSearcher cse(WorkDb(), eps, WorkMatrix());
   CombinedOptions combined_options;
-  combined_options.max_triangle = kWorkRefs;
-  const CombinedKnnSearcher combined(WorkDb(), eps, combined_options,
-                                     WorkMatrix());
+  const CombinedKnnSearcher combined(WorkDb(), eps, combined_options);
   combined_options.sorted_histogram_scan = false;
-  const CombinedKnnSearcher seq_scan(WorkDb(), eps, combined_options,
-                                     WorkMatrix());
+  const CombinedKnnSearcher seq_scan(WorkDb(), eps, combined_options);
   const LcssKnnSearcher lcss(WorkDb(), eps, LcssFilter::kBoth);
   const auto wrap = [](const auto& searcher) -> KnnFn {
     return [&searcher](const Trajectory& q, size_t k, const KnnOptions& o) {
@@ -148,8 +145,8 @@ TEST(IntraQueryTest, WorkersComputeNearlySequentialDpCounts) {
   ExpectWorkNearSequential("HSR", wrap(hsr));
   ExpectWorkNearSequential("NTR", wrap(ntr));
   ExpectWorkNearSequential("CSE", wrap(cse));
-  ExpectWorkNearSequential("2HPN", wrap(combined));
-  ExpectWorkNearSequential("2HPN/seq", wrap(seq_scan));
+  ExpectWorkNearSequential("2HP", wrap(combined));
+  ExpectWorkNearSequential("2HP/seq", wrap(seq_scan));
   ExpectWorkNearSequential("LCSS-HP", wrap(lcss));
 }
 
@@ -202,18 +199,17 @@ TEST(IntraQueryTest, CseBitIdentical) {
 
 TEST(IntraQueryTest, CombinedBitIdentical) {
   CombinedOptions combined_options;
-  combined_options.max_triangle = kMaxTriangle;
-  const CombinedKnnSearcher combined(Db(), kEps, combined_options, Matrix());
+  const CombinedKnnSearcher combined(Db(), kEps, combined_options);
   ExpectBitIdenticalAcrossWorkers(
-      "2HPN", [&](const Trajectory& q, size_t k, const KnnOptions& o) {
+      "2HP", [&](const Trajectory& q, size_t k, const KnnOptions& o) {
         return combined.Knn(q, k, o);
       });
   // Database-order variant (no sorted histogram scan): exercises the
   // db-order refinement driver through the combined filter chain.
   combined_options.sorted_histogram_scan = false;
-  const CombinedKnnSearcher seq_scan(Db(), kEps, combined_options, Matrix());
+  const CombinedKnnSearcher seq_scan(Db(), kEps, combined_options);
   ExpectBitIdenticalAcrossWorkers(
-      "2HPN/seq", [&](const Trajectory& q, size_t k, const KnnOptions& o) {
+      "2HP/seq", [&](const Trajectory& q, size_t k, const KnnOptions& o) {
         return seq_scan.Knn(q, k, o);
       });
 }

@@ -50,7 +50,6 @@ TEST(KnnBatchTest, RepeatedRunsAreDeterministic) {
   const TrajectoryDataset db = testutil::SmallDataset(813, 60, 10, 50);
   QueryEngine engine(db, kEps);
   CombinedOptions combo;
-  combo.max_triangle = 20;
   const NamedSearcher searcher = engine.MakeCombined(combo);
   const std::vector<Trajectory> queries = testutil::MakeQueries(db, 814, 8);
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "distance/edr.h"
+#include "pruning/histogram.h"
 #include "test_util.h"
 
 namespace edr {
@@ -94,6 +99,78 @@ TEST(NearTriangleTest, CanPruneOnVariableLengthData) {
   EXPECT_TRUE(SameKnnDistances(expected, actual));
   EXPECT_LT(actual.stats.edr_computed, db.size() / 2);
   EXPECT_GT(actual.stats.PruningPower(), 0.4);
+}
+
+TEST(NearTriangleTest, BoundNeverExceedsHistogramBound) {
+  // Theorem 5's bound EDR(Q,R) - EDR(S,R) - |S| is at most
+  // max(0, |Q| - |S|), since EDR(Q,R) <= max(|Q|, |R|) and
+  // EDR(S,R) >= ||S| - |R||, and the fast histogram bound, max(|Q|, |S|)
+  // minus a transport of at most min(|Q|, |S|), is at least that. So a
+  // histogram step prunes every candidate a near-triangle step could, on
+  // any data, threshold, table kind and bin size; the combined searcher
+  // therefore runs no near-triangle step.
+  constexpr size_t kRefs = 20;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const uint64_t seed : {31, 32, 33}) {
+    Rng rng(seed);
+    TrajectoryDataset db;
+    for (int i = 0; i < 36; ++i) {
+      Trajectory t =
+          testutil::RandomWalk(rng, static_cast<size_t>(rng.UniformInt(0, 60)));
+      if (!t.empty() && rng.NextDouble() < 0.3) {
+        const double bad[] = {nan, 1e300, -1e300};
+        const size_t at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(t.size()) - 1));
+        t[at].x = bad[rng.UniformInt(0, 2)];
+      }
+      db.Add(t);
+      if (rng.NextDouble() < 0.2) db.Add(t);  // a duplicate member
+    }
+    std::vector<Trajectory> queries(db.begin(), db.end());
+    for (Trajectory& q : testutil::MakeQueries(db, seed ^ 0x5A, 4)) {
+      queries.push_back(std::move(q));
+    }
+    for (const double eps : {0.0, 1e-12, 0.25, 1e6}) {
+      const PairwiseEdrMatrix matrix = PairwiseEdrMatrix::Build(db, eps, kRefs);
+      ASSERT_EQ(matrix.num_refs(), kRefs);
+      // gaps[f][id] = max(0, |Q| - |S|) for Q = queries[f], S = db[id].
+      std::vector<std::vector<long>> gaps(queries.size());
+      for (size_t f = 0; f < queries.size(); ++f) {
+        const Trajectory& q = queries[f];
+        for (uint32_t id = 0; id < db.size(); ++id) {
+          const long s_len = static_cast<long>(db[id].size());
+          gaps[f].push_back(
+              std::max(0L, static_cast<long>(q.size()) - s_len));
+        }
+        for (size_t r = 0; r < kRefs; ++r) {
+          const long q_r = EdrDistance(q, db[r], eps);
+          for (uint32_t id = 0; id < db.size(); ++id) {
+            const long triangle = q_r - matrix.at(r, id) -
+                                  static_cast<long>(db[id].size());
+            ASSERT_LE(triangle, gaps[f][id])
+                << "seed " << seed << " eps " << eps << " query " << f
+                << " ref " << r << " id " << id;
+          }
+        }
+      }
+      for (const HistogramTable::Kind kind :
+           {HistogramTable::Kind::k2D, HistogramTable::Kind::k1D}) {
+        for (const int delta : {1, 2, 3}) {
+          const HistogramTable table(db, eps, kind, delta);
+          for (size_t f = 0; f < queries.size(); ++f) {
+            const HistogramTable::QueryHistogram qh =
+                table.MakeQueryHistogram(queries[f]);
+            for (uint32_t id = 0; id < db.size(); ++id) {
+              ASSERT_LE(gaps[f][id], table.FastLowerBound(qh, id))
+                  << "seed " << seed << " eps " << eps << " kind "
+                  << static_cast<int>(kind) << " delta " << delta
+                  << " query " << f << " id " << id;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(NearTriangleTest, SharedMatrixConstructorBehavesTheSame) {

@@ -193,10 +193,9 @@ TEST(ObsStageTest, CseConservesAndSplitsPhases) {
 
 TEST(ObsStageTest, CombinedConserves) {
   CombinedOptions combined_options;
-  combined_options.max_triangle = kMaxTriangle;
-  const CombinedKnnSearcher combined(Db(), kEps, combined_options, Matrix());
+  const CombinedKnnSearcher combined(Db(), kEps, combined_options);
   ExpectConservationAcrossWorkers(
-      "2HPN", [&](const Trajectory& q, size_t k, const KnnOptions& o) {
+      "2HP", [&](const Trajectory& q, size_t k, const KnnOptions& o) {
         return combined.Knn(q, k, o);
       });
 }
@@ -320,8 +319,7 @@ TEST(ObsStageTest, StageCountersAddAndFinalize) {
 
 TEST(ObsStageTest, CombinedSplitsPhasesAtTheDp) {
   CombinedOptions combined_options;
-  combined_options.max_triangle = kMaxTriangle;
-  const CombinedKnnSearcher combined(Db(), kEps, combined_options, Matrix());
+  const CombinedKnnSearcher combined(Db(), kEps, combined_options);
   const auto queries = testutil::MakeQueries(Db(), 527, 1);
   for (const unsigned workers : {1u, 4u}) {
     KnnOptions options;
@@ -360,8 +358,7 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
   const NearTriangleSearcher ntr(Db(), kEps, Matrix());
   const CseSearcher cse(Db(), kEps, Matrix());
   CombinedOptions combined_options;
-  combined_options.max_triangle = kMaxTriangle;
-  const CombinedKnnSearcher combined(Db(), kEps, combined_options, Matrix());
+  const CombinedKnnSearcher combined(Db(), kEps, combined_options);
   const LcssKnnSearcher lcss(Db(), kEps, LcssFilter::kBoth);
   const auto knn_of = [](const auto& searcher) -> KnnFn {
     return [&searcher](const Trajectory& q, size_t k, const KnnOptions& o) {
@@ -377,7 +374,7 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
       {"HSE", knn_of(hse), 0},        {"HSR", knn_of(hsr), 1},
       {"PS2", knn_of(ps2), 1},        {"PR", knn_of(pr), 1},
       {"NTR", knn_of(ntr), 0},        {"CSE", knn_of(cse), 0},
-      {"2HPN", knn_of(combined), 1},  {"LCSS-HP", knn_of(lcss), 1},
+      {"2HP", knn_of(combined), 1},  {"LCSS-HP", knn_of(lcss), 1},
   };
   const auto queries = testutil::MakeQueries(Db(), 528, 1);
   for (const auto& [label, knn, orders] : searchers) {

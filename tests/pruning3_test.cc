@@ -167,6 +167,40 @@ TEST(Knn3Test, NonFiniteAndFarCoordinatesStayLossless) {
   }
 }
 
+TEST(Knn3Test, NonFiniteFirstPointKeepsTheGrid) {
+  // Two walks 10 apart in x. The grid origin comes from finite coordinates
+  // only, so a NaN or infinite first point of db[0] leaves every finite
+  // element in its own cell and the bound between the walks intact.
+  Rng rng(5500);
+  const Trajectory3 a = RandomWalk3(rng, 20, 0.2);
+  Trajectory3 b = a;
+  for (Point3& p : b.mutable_points()) p.x += 10.0;
+  const std::vector<Trajectory3> finite_db = {a, b};
+  const Knn3Searcher finite(finite_db, kEps);
+  ASSERT_EQ(finite.HistogramLowerBound(a, 1), 20);
+  ASSERT_EQ(finite.HistogramLowerBound(b, 0), 20);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    std::vector<Trajectory3> db = {a, b};
+    db[0][0] = {bad, bad, bad};
+    const Knn3Searcher searcher(db, kEps);
+    EXPECT_EQ(searcher.HistogramLowerBound(a, 1),
+              finite.HistogramLowerBound(a, 1))
+        << bad;
+    EXPECT_EQ(searcher.HistogramLowerBound(b, 0),
+              finite.HistogramLowerBound(b, 0))
+        << bad;
+    for (const Trajectory3& query : {a, b}) {
+      for (const size_t k : {1, 2}) {
+        EXPECT_TRUE(SameKnnDistances(SequentialScanKnn3(db, query, k, kEps),
+                                     searcher.Knn(query, k)))
+            << bad << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(Knn3Test, ThirdDimensionParticipatesInBounds) {
   // Two trajectories identical in x-y, far apart in z: the 3-D histogram
   // bound must see them as distant (a 2-D bound would not).

@@ -62,7 +62,6 @@ TEST_P(RangeLosslessTest, AllSearchersMatchSequentialScan) {
                                     HistogramScan::kSequential);
   const NearTriangleSearcher ntr(db, kEps, 20);
   CombinedOptions combo;
-  combo.max_triangle = 20;
   const CombinedKnnSearcher combined(db, kEps, combo);
   combo.sorted_histogram_scan = false;
   const CombinedKnnSearcher combined_seq(db, kEps, combo);
@@ -80,9 +79,9 @@ TEST_P(RangeLosslessTest, AllSearchersMatchSequentialScan) {
     EXPECT_TRUE(SameRangeResult(expected, ntr.Range(query, radius)))
         << "NTR radius=" << radius;
     EXPECT_TRUE(SameRangeResult(expected, combined.Range(query, radius)))
-        << "2HPN radius=" << radius;
+        << "2HP radius=" << radius;
     EXPECT_TRUE(SameRangeResult(expected, combined_seq.Range(query, radius)))
-        << "2HPN-seq radius=" << radius;
+        << "2HP-seq radius=" << radius;
   }
 }
 
@@ -92,7 +91,6 @@ INSTANTIATE_TEST_SUITE_P(Radii, RangeLosslessTest,
 TEST(RangeTest, PruningHappensForSmallRadii) {
   const TrajectoryDataset db = testutil::SmallDataset(205, 100, 8, 60);
   CombinedOptions combo;
-  combo.max_triangle = 20;
   const CombinedKnnSearcher combined(db, kEps, combo);
   const KnnResult tight = combined.Range(db[5], 2);
   EXPECT_LT(tight.stats.edr_computed, db.size());

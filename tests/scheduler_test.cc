@@ -36,7 +36,6 @@ std::vector<NamedSearcher> AllSearchers(QueryEngine& engine,
   KnnOptions options;
   options.pool = pool;
   CombinedOptions combo;
-  combo.max_triangle = 20;
   return {
       engine.MakeQgram(QgramVariant::kMerge2D, 1, options),
       engine.MakeQgram(QgramVariant::kMerge1D, 1, options),

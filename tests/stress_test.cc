@@ -1,14 +1,17 @@
 // Randomized end-to-end stress: random dataset family, matching
 // threshold, k, and retrieval method — every answer certified against the
-// sequential scan. This is the widest net for cross-module interaction
-// bugs (binning vs normalization vs thresholds vs filters).
+// sequential scan at every kernel level the host supports. This is the
+// widest net for cross-module interaction bugs (binning vs normalization
+// vs thresholds vs filters vs SIMD kernels).
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/cpu.h"
 #include "data/generators.h"
 #include "data/noise.h"
 #include "eval/metrics.h"
@@ -122,12 +125,11 @@ TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
                                       ? HistogramScan::kSorted
                                       : HistogramScan::kSequential;
   CombinedOptions combo;
-  combo.order = AllPruneOrders()[static_cast<size_t>(rng.UniformInt(0, 5))];
+  combo.order = AllPruneOrders()[static_cast<size_t>(rng.UniformInt(0, 1))];
   combo.histogram_kind = rng.NextDouble() < 0.5 ? HistogramTable::Kind::k2D
                                                 : HistogramTable::Kind::k1D;
   combo.histogram_delta = static_cast<int>(rng.UniformInt(1, 3));
   combo.q = static_cast<int>(rng.UniformInt(1, 3));
-  combo.max_triangle = static_cast<size_t>(rng.UniformInt(1, 40));
   combo.sorted_histogram_scan = rng.NextDouble() < 0.5;
 
   std::vector<NamedSearcher> searchers;
@@ -148,16 +150,39 @@ TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
       testutil::MakeQueries(db, rng.NextU64(), 3);
   const std::vector<const Trajectory*> group = {&queries[0], &queries[1],
                                                 &queries[2]};
+  std::vector<KnnResult> expected;
+  std::vector<KnnResult> lcss_expected;
+  for (const Trajectory& query : queries) {
+    expected.push_back(engine.SeqScan(query, k));
+    lcss_expected.push_back(engine.Lcss(LcssFilter::kNone).Knn(query, k));
+  }
+
+  // Each searcher's sequential answers at the first kernel level checked;
+  // every later level must repeat them, DP count and stage counters too.
+  std::map<std::string, std::vector<KnnResult>> first_level;
+  std::string level_name;
   const auto check = [&](const NamedSearcher& s,
                          const std::vector<KnnResult>& expected) {
-    const std::string where = s.name + " eps=" + std::to_string(epsilon) +
+    const std::string where = s.name + " level=" + level_name +
+                              " eps=" + std::to_string(epsilon) +
                               " k=" + std::to_string(k) +
                               " db=" + std::to_string(db.size());
+    std::vector<KnnResult>& reference = first_level[s.name];
     std::vector<KnnResult> sequential;
     for (size_t i = 0; i < queries.size(); ++i) {
       const KnnResult actual = s.search(queries[i], k);
       ASSERT_TRUE(SameKnnDistances(expected[i], actual)) << where;
       ExpectConserves(actual, db.size(), where);
+      if (i < reference.size()) {
+        ASSERT_EQ(reference[i].neighbors, actual.neighbors) << where;
+        EXPECT_EQ(reference[i].stats.edr_computed, actual.stats.edr_computed)
+            << where;
+        EXPECT_EQ(reference[i].stats.stages.ToJson(),
+                  actual.stats.stages.ToJson())
+            << where;
+      } else {
+        reference.push_back(actual);
+      }
       const KnnResult sharded = s.search_with(queries[i], k, parallel);
       ASSERT_EQ(actual.neighbors, sharded.neighbors) << where << " workers=4";
       ExpectConserves(sharded, db.size(), where + " workers=4");
@@ -172,51 +197,54 @@ TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
       ExpectConserves(fused[i], db.size(), where + " fused");
     }
   };
-  std::vector<KnnResult> expected;
-  for (const Trajectory& query : queries) {
-    expected.push_back(engine.SeqScan(query, k));
-  }
-  for (const NamedSearcher& s : searchers) check(s, expected);
 
-  // The LCSS searchers against the LCSS scan.
-  std::vector<KnnResult> lcss_expected;
-  for (const Trajectory& query : queries) {
-    lcss_expected.push_back(engine.Lcss(LcssFilter::kNone).Knn(query, k));
-  }
-  for (const LcssFilter filter :
-       {LcssFilter::kHistogram, LcssFilter::kQgram, LcssFilter::kBoth}) {
-    check(engine.MakeLcss(filter), lcss_expected);
-  }
+  // Every kernel level this host runs answers the whole configuration; the
+  // level the environment resolves is restored afterwards.
+  struct Unpin {
+    ~Unpin() { ResetActiveKernelLevel(); }
+  } unpin;
+  for (const KernelLevel level : {KernelLevel::kScalar, KernelLevel::kSse2,
+                                  KernelLevel::kAvx2, KernelLevel::kAvx512}) {
+    if (!KernelLevelSupported(level)) continue;
+    ASSERT_TRUE(SetActiveKernelLevel(level));
+    level_name = KernelLevelName(level);
+    for (const NamedSearcher& s : searchers) check(s, expected);
 
-  // Range queries too, at a radius drawn near the k-th distance so the
-  // result set is non-trivial. Every range answer is the same ascending
-  // (distance, id) list as the sequential scan's.
-  CombinedOptions sorted_combo;
-  sorted_combo.max_triangle = 10;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (expected[i].neighbors.empty()) continue;
-    const Trajectory& query = queries[i];
-    const int radius =
-        static_cast<int>(expected[i].neighbors.back().distance) + 1;
-    const KnnResult range_expected =
-        SequentialScanRange(db, query, radius, epsilon);
-    const std::vector<std::pair<std::string, KnnResult>> ranges = {
-        {"2HPN", engine.Combined(sorted_combo).Range(query, radius)},
-        {"combined", engine.Combined(combo).Range(query, radius)},
-        {"PS2", engine.Qgram(QgramVariant::kMerge2D, ps2_q).Range(query,
-                                                                 radius)},
-        {"PR", engine.Qgram(QgramVariant::kRtree2D, pr_q).Range(query,
-                                                               radius)},
-        {"NTR", engine.NearTriangle(ntr_refs).Range(query, radius)},
-        {"histogram", engine.Histogram(hist_kind, hist_delta, hist_scan)
-                          .Range(query, radius)},
-    };
-    for (const auto& [name, actual] : ranges) {
-      const std::string where = name + ".Range radius=" +
-                                std::to_string(radius) +
-                                " eps=" + std::to_string(epsilon);
-      ASSERT_EQ(range_expected.neighbors, actual.neighbors) << where;
-      ExpectConserves(actual, db.size(), where);
+    // The LCSS searchers against the LCSS scan.
+    for (const LcssFilter filter :
+         {LcssFilter::kHistogram, LcssFilter::kQgram, LcssFilter::kBoth}) {
+      check(engine.MakeLcss(filter), lcss_expected);
+    }
+
+    // Range queries too, at a radius drawn near the k-th distance so the
+    // result set is non-trivial. Every range answer is the same ascending
+    // (distance, id) list as the sequential scan's.
+    const CombinedOptions sorted_combo;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (expected[i].neighbors.empty()) continue;
+      const Trajectory& query = queries[i];
+      const int radius =
+          static_cast<int>(expected[i].neighbors.back().distance) + 1;
+      const KnnResult range_expected =
+          SequentialScanRange(db, query, radius, epsilon);
+      const std::vector<std::pair<std::string, KnnResult>> ranges = {
+          {"2HP", engine.Combined(sorted_combo).Range(query, radius)},
+          {"combined", engine.Combined(combo).Range(query, radius)},
+          {"PS2", engine.Qgram(QgramVariant::kMerge2D, ps2_q)
+                      .Range(query, radius)},
+          {"PR", engine.Qgram(QgramVariant::kRtree2D, pr_q)
+                     .Range(query, radius)},
+          {"NTR", engine.NearTriangle(ntr_refs).Range(query, radius)},
+          {"histogram", engine.Histogram(hist_kind, hist_delta, hist_scan)
+                            .Range(query, radius)},
+      };
+      for (const auto& [name, actual] : ranges) {
+        const std::string where = name + ".Range level=" + level_name +
+                                  " radius=" + std::to_string(radius) +
+                                  " eps=" + std::to_string(epsilon);
+        ASSERT_EQ(range_expected.neighbors, actual.neighbors) << where;
+        ExpectConserves(actual, db.size(), where);
+      }
     }
   }
 }

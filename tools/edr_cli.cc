@@ -12,9 +12,10 @@
 //   edr_cli check-openmetrics <file>
 //
 // Files ending in .csv use the text format; anything else the binary
-// format. Methods: scan, ea, ps2, ps1, pr, pb, ntr, hsr2, hsr1, 2hpn,
-// 1hpn (default 2hpn). Datasets are normalized before querying; pass an
-// explicit epsilon to override the quarter-of-max-std-dev default.
+// format. Methods: scan, ea, ps2, ps1, pr, pb, ntr, hsr2, hsr1, 2hp, 1hp
+// (default 2hp: histograms, then Q-grams). Datasets are normalized before
+// querying; pass an explicit epsilon to override the quarter-of-max-std-dev
+// default.
 //
 // `batch` streams the first <num-queries> trajectories through a
 // QuerySession (the adaptive scheduler) with a shared feature cache,
@@ -458,11 +459,10 @@ int ProbeEpsilon(int argc, char** argv) {
 /// Builds the searcher of one `method` name on a query engine.
 using MethodFactory = edr::NamedSearcher (*)(edr::QueryEngine&);
 
-/// The combined searcher with the reference budget every method gets.
+/// The combined searcher (histograms, then Q-grams) on `kind` histograms.
 edr::NamedSearcher Combined(edr::QueryEngine& engine,
                             edr::HistogramTable::Kind kind) {
   edr::CombinedOptions combo;
-  combo.max_triangle = 200;
   combo.histogram_kind = kind;
   return engine.MakeCombined(combo);
 }
@@ -498,11 +498,11 @@ const std::pair<const char*, MethodFactory> kMethods[] = {
        return e.MakeHistogram(edr::HistogramTable::Kind::k1D, 1,
                               edr::HistogramScan::kSorted);
      }},
-    {"2hpn",
+    {"2hp",
      [](edr::QueryEngine& e) {
        return Combined(e, edr::HistogramTable::Kind::k2D);
      }},
-    {"1hpn",
+    {"1hp",
      [](edr::QueryEngine& e) {
        return Combined(e, edr::HistogramTable::Kind::k1D);
      }},
@@ -529,7 +529,7 @@ int Knn(int argc, char** argv) {
   }
   if (!ParseCount(argv[4], &k)) return Fail(IntegerError("k"));
   std::string error;
-  const MethodFactory make = FindMethod(argc > 5 ? argv[5] : "2hpn", &error);
+  const MethodFactory make = FindMethod(argc > 5 ? argv[5] : "2hp", &error);
   if (make == nullptr) return Fail(error);
   double epsilon = 0.0;
   if (argc > 6 && !ParseNonNegative(argv[6], &epsilon)) {
@@ -575,7 +575,7 @@ int Batch(int argc, char** argv) {
   }
   if (!ParseCount(argv[4], &k)) return Fail(IntegerError("k"));
   std::string error;
-  const MethodFactory make = FindMethod(argc > 5 ? argv[5] : "2hpn", &error);
+  const MethodFactory make = FindMethod(argc > 5 ? argv[5] : "2hp", &error);
   if (make == nullptr) return Fail(error);
   size_t repeats = 2;
   if (argc > 6 && !ParseCount(argv[6], &repeats)) {
@@ -851,7 +851,6 @@ int RangeQuery(int argc, char** argv) {
 
   edr::QueryEngine engine(db, epsilon);
   edr::CombinedOptions combo;
-  combo.max_triangle = 200;
   const edr::KnnResult result =
       engine.Combined(combo).Range(db[query_index], radius);
   std::printf("trajectories within EDR %d of trajectory %zu (eps=%.3f): "
