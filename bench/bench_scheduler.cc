@@ -3,9 +3,8 @@
 // latency for repeated queries, fused-versus-unfused filter
 // throughput (one multi-query sweep over the database against the
 // per-query sweeps it replaces, plus the scheduled batch with fusion
-// forced off), and workload-aware grouping (similarity-aware group
-// formation versus FIFO packing on a clustered backlog, plus the
-// fused-plan cache cold versus warm), on a random-walk database.
+// forced off), and the fused-plan cache cold versus warm on a clustered
+// backlog, on a random-walk database.
 //
 // Emits JSON (stdout, or the file named by the first non-flag argument):
 //
@@ -360,83 +359,6 @@ FusedBatchRow MeasureFusedBatch(const NamedSearcher& searcher,
   return row;
 }
 
-struct GroupingRow {
-  std::string method;
-  double fifo_seconds = 0.0;        ///< similarity_grouping = false, best pass
-  double similarity_seconds = 0.0;  ///< default policy, best pass
-  double fifo_shared_fraction = 0.0;
-  double similarity_shared_fraction = 0.0;
-  SchedulerStats similarity_stats;  ///< stats of the best similarity run
-  bool identical = true;
-};
-
-/// Shared-bin fraction averaged over the fused groups a run dispatched.
-double AvgSharedFraction(const SchedulerStats& stats) {
-  return stats.fused_groups > 0
-             ? stats.shared_fraction_sum /
-                   static_cast<double>(stats.fused_groups)
-             : 0.0;
-}
-
-/// Similarity-aware group formation versus FIFO packing on a clustered
-/// backlog (several jitter families interleaved round-robin, so FIFO
-/// groups straddle clusters while the similarity grouper can recover
-/// them). Both runs are certified bit-identical to the sequential loop;
-/// the interesting deltas are the average shared-bin fraction and the
-/// fused batch time.
-GroupingRow MeasureGrouping(const NamedSearcher& searcher,
-                            const std::vector<Trajectory>& queries, size_t k,
-                            ThreadPool& pool, size_t passes) {
-  GroupingRow row;
-  row.method = searcher.name;
-
-  std::vector<KnnResult> reference;
-  reference.reserve(queries.size());
-  for (const Trajectory& q : queries) {
-    reference.push_back(searcher.search(q, k));
-  }
-
-  SchedulerPolicy fifo_policy;
-  fifo_policy.similarity_grouping = false;
-  SchedulerPolicy similarity_policy;
-  for (size_t pass = 0; pass < passes; ++pass) {
-    SchedulerStats fifo_stats;
-    auto start = std::chrono::steady_clock::now();
-    const std::vector<KnnResult> fifo = RunScheduled(
-        searcher, queries, k, fifo_policy, &pool, nullptr, &fifo_stats);
-    const double fifo_elapsed = SecondsSince(start);
-    if (pass == 0 || fifo_elapsed < row.fifo_seconds) {
-      row.fifo_seconds = fifo_elapsed;
-      row.fifo_shared_fraction = AvgSharedFraction(fifo_stats);
-    }
-
-    SchedulerStats similarity_stats;
-    start = std::chrono::steady_clock::now();
-    const std::vector<KnnResult> similarity =
-        RunScheduled(searcher, queries, k, similarity_policy, &pool, nullptr,
-                     &similarity_stats);
-    const double similarity_elapsed = SecondsSince(start);
-    if (pass == 0 || similarity_elapsed < row.similarity_seconds) {
-      row.similarity_seconds = similarity_elapsed;
-      row.similarity_shared_fraction = AvgSharedFraction(similarity_stats);
-      row.similarity_stats = similarity_stats;
-    }
-    for (size_t i = 0; i < queries.size(); ++i) {
-      row.identical = row.identical && SameNeighbors(reference[i], fifo[i]) &&
-                      SameNeighbors(reference[i], similarity[i]);
-    }
-  }
-  std::fprintf(stderr,
-               "%-22s fifo=%.3fms similarity=%.3fms shared=%.3f->%.3f "
-               "groups=%zu identical=%s\n",
-               row.method.c_str(), row.fifo_seconds * 1e3,
-               row.similarity_seconds * 1e3, row.fifo_shared_fraction,
-               row.similarity_shared_fraction,
-               row.similarity_stats.group_similarity,
-               row.identical ? "yes" : "NO");
-  return row;
-}
-
 struct PlanCacheRow {
   std::string method;
   double cold_seconds = 0.0;  ///< empty cache: every group builds its plan
@@ -659,46 +581,22 @@ int main(int argc, char** argv) {
     fused_body += buf;
   }
 
-  // Workload-aware grouping: several jitter families interleaved
-  // round-robin, so consecutive (FIFO) groups straddle clusters while the
-  // similarity grouper can reassemble them — followed by the fused-plan
-  // cache replaying that same clustered workload cold and warm.
-  const size_t grouping_clusters = 4;
+  // The fused-plan cache replaying one workload cold and warm: four jitter
+  // families interleaved round-robin.
+  const size_t plan_clusters = 4;
   std::vector<Trajectory> clustered;
   {
     std::vector<std::vector<Trajectory>> families;
-    for (size_t c = 0; c < grouping_clusters; ++c) {
-      families.push_back(JitterGroup(db[(c * db.size()) / grouping_clusters],
+    for (size_t c = 0; c < plan_clusters; ++c) {
+      families.push_back(JitterGroup(db[(c * db.size()) / plan_clusters],
                                      kMaxFusionGroup));
     }
     for (size_t j = 0; j < kMaxFusionGroup; ++j) {
-      for (size_t c = 0; c < grouping_clusters; ++c) {
+      for (size_t c = 0; c < plan_clusters; ++c) {
         clustered.push_back(families[c][j]);
       }
     }
   }
-
-  std::string grouping_body;
-  const GroupingRow g =
-      MeasureGrouping(searchers[0], clustered, k, pool, fused_passes);
-  all_identical = all_identical && g.identical;
-  const bool shared_fraction_raised =
-      g.similarity_shared_fraction > g.fifo_shared_fraction;
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"kernel\": \"similarity_grouping\", \"method\": \"%s\", "
-      "\"batch\": %zu, \"clusters\": %zu, \"fifo_ms\": %.3f, "
-      "\"similarity_ms\": %.3f, \"fifo_shared_fraction\": %.4f, "
-      "\"similarity_shared_fraction\": %.4f, "
-      "\"shared_fraction_raised\": %s, \"similarity_groups\": %zu, "
-      "\"forced_groups\": %zu, \"identical\": %s},\n",
-      g.method.c_str(), clustered.size(), grouping_clusters,
-      g.fifo_seconds * 1e3, g.similarity_seconds * 1e3,
-      g.fifo_shared_fraction, g.similarity_shared_fraction,
-      shared_fraction_raised ? "true" : "false",
-      g.similarity_stats.group_similarity, g.similarity_stats.group_forced,
-      g.identical ? "true" : "false");
-  grouping_body += buf;
 
   const PlanCacheRow p =
       MeasurePlanCache(searchers[0], clustered, k, pool, fused_passes);
@@ -722,12 +620,7 @@ int main(int argc, char** argv) {
       plan_warm_hit ? "true" : "false",
       static_cast<unsigned long long>(p.warm_stats.collisions),
       p.identical ? "true" : "false");
-  grouping_body += buf;
-
-  // The grouping contract is deterministic on this workload (the clusters
-  // are constructed, not sampled), so its violation fails the bench just
-  // like a bit-identity violation would.
-  const bool grouping_ok = shared_fraction_raised && plan_warm_hit;
+  const std::string plan_body = buf;
 
   std::fprintf(out,
                "{\n  \"bench\": \"scheduler\",\n  \"smoke\": %s,\n"
@@ -739,10 +632,12 @@ int main(int argc, char** argv) {
                "  \"scheduler\": [\n%s  ],\n"
                "  \"cache\": [\n%s  ],\n"
                "  \"fused\": [\n%s  ],\n"
-               "  \"grouping\": [\n%s  ],\n"
+               "  \"plan_cache\": [\n%s  ],\n"
                "  \"identical\": %s\n}\n",
                sched_body.c_str(), cache_body.c_str(), fused_body.c_str(),
-               grouping_body.c_str(), all_identical ? "true" : "false");
+               plan_body.c_str(), all_identical ? "true" : "false");
   if (out != stdout) std::fclose(out);
-  return all_identical && grouping_ok ? 0 : 1;
+  // The warm pass replays the cold pass's groups, so it must hit; a miss
+  // fails the bench just like a bit-identity violation would.
+  return all_identical && plan_warm_hit ? 0 : 1;
 }

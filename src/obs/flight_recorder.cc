@@ -39,10 +39,10 @@ void AppendRecordJson(std::string* out, const FlightRecord& r,
                 "\", \"ms\": %.6f, \"filter_ms\": %.6f, \"refine_ms\": %.6f, "
                 "\"db_size\": %zu, \"edr_computed\": %zu, "
                 "\"sched_budget\": %u, \"fusion_group\": %zu, "
-                "\"group_shared_fraction\": %.6f, \"stages\": ",
+                "\"stages\": ",
                 r.latency_seconds * 1e3, r.filter_seconds * 1e3,
                 r.refine_seconds * 1e3, r.db_size, r.edr_computed,
-                r.sched_budget, r.fusion_group, r.group_shared_fraction);
+                r.sched_budget, r.fusion_group);
   *out += buf;
   *out += r.stages.ToJson();
   if (include_trace) {

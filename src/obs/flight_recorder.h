@@ -18,7 +18,7 @@ class QueryTrace;
 
 /// Everything the flight recorder keeps about one completed query: the
 /// timing split, the stage-by-stage pruning decomposition, the schedule
-/// context (budget granted, fusion group size and sharing), and the
+/// context (budget granted, fusion group size), and the
 /// per-query phase trace. Records are built after the query's own clock
 /// has stopped, so nothing here sits on the filter or refine path.
 struct FlightRecord {
@@ -40,11 +40,6 @@ struct FlightRecord {
   /// Members in the fused group this query was answered in (1 = solo
   /// scheduled call, 0 = unscheduled).
   size_t fusion_group = 0;
-  /// Achieved shared-bin fraction of the fused group this query ran in:
-  /// 1 - popcount(union of member signatures) / sum of member popcounts,
-  /// estimated from the grouper's query fingerprints (0 when the query
-  /// ran solo or the searcher has no fingerprint hook).
-  double group_shared_fraction = 0.0;
   /// The per-query phase tree; shared with the KnnResult, so retaining a
   /// record costs a refcount, not a copy. Null in EDR_DISABLE_OBS builds.
   std::shared_ptr<const QueryTrace> trace;

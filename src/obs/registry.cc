@@ -147,11 +147,6 @@ const LibraryMetrics& LibraryMetrics::Get() {
         .sched_budget_granted = r.Counter("sched.budget_granted"),
         .sched_fused_groups = r.Counter("sched.fused_groups"),
         .sched_fused_queries = r.Counter("sched.fused_queries"),
-        .sched_group_similarity = r.Counter("sched.group_similarity"),
-        .sched_group_fifo = r.Counter("sched.group_fifo"),
-        .sched_group_forced = r.Counter("sched.group_forced"),
-        .sched_group_shared_bin_fraction =
-            r.Gauge("sched.group_shared_bin_fraction"),
         .feature_cache_hits = r.Counter("feature_cache.hits"),
         .feature_cache_misses = r.Counter("feature_cache.misses"),
         .feature_cache_evictions = r.Counter("feature_cache.evictions"),

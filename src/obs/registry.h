@@ -37,8 +37,7 @@ struct alignas(64) ObsCounter {
 static_assert(sizeof(ObsCounter) == 64 && alignof(ObsCounter) == 64,
               "counters must own their cache line");
 
-/// A process-wide gauge: a level that is *set*, not accumulated — e.g.
-/// the shared-bin fraction of the most recent fusion group. Same cache
+/// A process-wide gauge: a level that is *set*, not accumulated. Same cache
 /// line padding and relaxed-atomic discipline as ObsCounter. Gauges are
 /// levels, so a snapshot difference (MetricsSnapshot::Since) reports the
 /// later level instead of subtracting.
@@ -204,18 +203,13 @@ struct LibraryMetrics {
   ObsCounter& batch_count;
   ObsCounter& batch_queries;
   LatencyHistogram& batch_seconds;
-  // sched.*: each AdaptiveScheduler::Step's SchedulerStats delta, plus
-  // the most recent fusion group's shared-bin fraction (a level).
+  // sched.*: each AdaptiveScheduler::Step's SchedulerStats delta.
   ObsCounter& sched_waves;
   ObsCounter& sched_wave_queries;
   ObsCounter& sched_widened_queries;
   ObsCounter& sched_budget_granted;
   ObsCounter& sched_fused_groups;
   ObsCounter& sched_fused_queries;
-  ObsCounter& sched_group_similarity;
-  ObsCounter& sched_group_fifo;
-  ObsCounter& sched_group_forced;
-  ObsGauge& sched_group_shared_bin_fraction;
   // feature_cache.* and plan_cache.*: mirrors of every cache's own stats.
   ObsCounter& feature_cache_hits;
   ObsCounter& feature_cache_misses;

@@ -80,13 +80,6 @@ class CombinedKnnSearcher {
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
 
-  /// Occupied-bin signature for the similarity-aware fusion grouper,
-  /// delegated to the histogram table (the structure the fused sweep
-  /// shares). Purely advisory.
-  uint64_t FusionFingerprint(const Trajectory& query) const {
-    return histograms_.QueryBinSignature(query);
-  }
-
   /// Range query combining both filters against the fixed `radius`
   /// bound; with sorted histogram scanning the scan stops at the first
   /// bound above the radius. Lossless. A nonzero `max_results` keeps only

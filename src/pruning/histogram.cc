@@ -1103,30 +1103,4 @@ void HistogramTable::SweepGroup(
       static_cast<unsigned>(ranges));
 }
 
-uint64_t HistogramTable::QueryBinSignature(const Trajectory& query) const {
-  // splitmix64-style finalizer; the top six bits pick the mask bit, so
-  // adjacent bin indices land on uncorrelated bits.
-  const auto mix_bit = [](uint64_t v) -> uint64_t {
-    v *= 0x9e3779b97f4a7c15ull;
-    v ^= v >> 29;
-    v *= 0xbf58476d1ce4e5b9ull;
-    return 1ull << (v >> 58);
-  };
-  uint64_t sig = 0;
-  for (const Point2& p : query) {
-    if (kind_ == Kind::k2D) {
-      const uint64_t bin =
-          static_cast<uint64_t>(grid_.BinY(p.y)) *
-              static_cast<uint64_t>(grid_.nx) +
-          static_cast<uint64_t>(grid_.BinX(p.x));
-      sig |= mix_bit(bin);
-    } else {
-      // Disjoint hash namespaces for the x and y subrange bins.
-      sig |= mix_bit(static_cast<uint64_t>(grid_.BinX(p.x)) * 2u);
-      sig |= mix_bit(static_cast<uint64_t>(grid_.BinY(p.y)) * 2u + 1u);
-    }
-  }
-  return sig;
-}
-
 }  // namespace edr

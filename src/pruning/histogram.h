@@ -174,16 +174,6 @@ class HistogramTable {
   };
   QueryHistogram MakeQueryHistogram(const Trajectory& query) const;
 
-  /// 64-bit occupancy signature of the query's histogram bins: each point
-  /// maps to its grid bin (both the x and y subrange bins for Kind::k1D,
-  /// in disjoint hash namespaces) and sets one mixed bit of the mask.
-  /// Queries whose trajectories occupy overlapping bins get overlapping
-  /// signatures, so popcount arithmetic on signatures estimates the
-  /// shared-bin fraction `s` of a prospective fusion group — the quantity
-  /// the similarity-aware grouper maximizes. Purely advisory: signatures
-  /// influence which queries share a sweep, never any bound or answer.
-  uint64_t QueryBinSignature(const Trajectory& query) const;
-
   /// HistogramDistance2DFast (HistogramDistance1DFast per dimension for
   /// Kind::k1D, max of the two) between the query and db[id], read off the
   /// column stores: a valid EDR lower bound, used as a first-stage filter

@@ -47,12 +47,6 @@ class HistogramKnnSearcher {
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
 
-  /// Occupied-bin signature for the similarity-aware fusion grouper (see
-  /// HistogramTable::QueryBinSignature). Purely advisory.
-  uint64_t FusionFingerprint(const Trajectory& query) const {
-    return table_.QueryBinSignature(query);
-  }
-
   /// Range query: prunes every candidate whose histogram lower bound
   /// exceeds `radius`, computes EDR for the rest. Lossless.
   KnnResult Range(const Trajectory& query, int radius) const;

@@ -55,13 +55,6 @@ class LcssKnnSearcher {
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
 
-  /// Occupied-bin signature for the similarity-aware fusion grouper,
-  /// delegated to the histogram table (the structure the fused sweep
-  /// shares). Purely advisory.
-  uint64_t FusionFingerprint(const Trajectory& query) const {
-    return histograms_.QueryBinSignature(query);
-  }
-
   std::string name() const;
 
  private:

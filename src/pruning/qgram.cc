@@ -17,22 +17,21 @@ namespace edr {
 std::vector<Point2> MeanValueQgrams(const Trajectory& t, int q) {
   std::vector<Point2> means;
   if (q <= 0 || t.size() < static_cast<size_t>(q)) return means;
-  means.reserve(t.size() - static_cast<size_t>(q) + 1);
-
-  // Sliding-window sum; q is small (1..4 in the paper) so numerical drift
-  // is negligible, but we recompute exactly to keep results deterministic.
-  double sum_x = 0.0;
-  double sum_y = 0.0;
-  for (int i = 0; i < q; ++i) {
-    sum_x += t[static_cast<size_t>(i)].x;
-    sum_y += t[static_cast<size_t>(i)].y;
-  }
+  const size_t grams = t.size() - static_cast<size_t>(q) + 1;
+  means.reserve(grams);
+  // Each window is summed afresh (q is 1..4 in the paper). A running sum
+  // would carry the rounding error of a large element, or its NaN, into
+  // every later window after the element has left it.
   const double inv_q = 1.0 / static_cast<double>(q);
-  means.push_back({sum_x * inv_q, sum_y * inv_q});
-  for (size_t i = static_cast<size_t>(q); i < t.size(); ++i) {
-    sum_x += t[i].x - t[i - static_cast<size_t>(q)].x;
-    sum_y += t[i].y - t[i - static_cast<size_t>(q)].y;
-    means.push_back({sum_x * inv_q, sum_y * inv_q});
+  for (size_t i = 0; i < grams; ++i) {
+    double sum_x = 0.0;
+    double sum_y = 0.0;
+    for (size_t j = i; j < i + static_cast<size_t>(q); ++j) {
+      sum_x += t[j].x;
+      sum_y += t[j].y;
+    }
+    const Point2 mean{sum_x * inv_q, sum_y * inv_q};
+    if (!std::isnan(mean.x) && !std::isnan(mean.y)) means.push_back(mean);
   }
   return means;
 }
@@ -40,19 +39,16 @@ std::vector<Point2> MeanValueQgrams(const Trajectory& t, int q) {
 std::vector<double> MeanValueQgrams1D(const Trajectory& t, int q, bool use_x) {
   std::vector<double> means;
   if (q <= 0 || t.size() < static_cast<size_t>(q)) return means;
-  means.reserve(t.size() - static_cast<size_t>(q) + 1);
-  double sum = 0.0;
-  for (int i = 0; i < q; ++i) {
-    const Point2& p = t[static_cast<size_t>(i)];
-    sum += use_x ? p.x : p.y;
-  }
+  const size_t grams = t.size() - static_cast<size_t>(q) + 1;
+  means.reserve(grams);
   const double inv_q = 1.0 / static_cast<double>(q);
-  means.push_back(sum * inv_q);
-  for (size_t i = static_cast<size_t>(q); i < t.size(); ++i) {
-    const Point2& in = t[i];
-    const Point2& out = t[i - static_cast<size_t>(q)];
-    sum += (use_x ? in.x : in.y) - (use_x ? out.x : out.y);
-    means.push_back(sum * inv_q);
+  for (size_t i = 0; i < grams; ++i) {
+    double sum = 0.0;
+    for (size_t j = i; j < i + static_cast<size_t>(q); ++j) {
+      sum += use_x ? t[j].x : t[j].y;
+    }
+    const double mean = sum * inv_q;
+    if (!std::isnan(mean)) means.push_back(mean);
   }
   return means;
 }
@@ -139,21 +135,21 @@ __attribute__((aligned(64))) size_t GallopLowerBound(const double* xs,
 QgramMeansTable::QgramMeansTable(const TrajectoryDataset& db, int q,
                                  int dims)
     : dims_(dims) {
-  // The number of Q-grams of a trajectory is a pure function of its
-  // length, so the flat offsets can be prefix-summed before any mean is
-  // computed. Each trajectory then sorts and writes its means into its own
-  // disjoint slice, making the build embarrassingly parallel while
-  // producing the exact array a sequential append would.
+  // Each trajectory sorts and writes its means into its own disjoint
+  // slice, making the build embarrassingly parallel while producing the
+  // exact array a sequential append would. A slice holds every window
+  // whose mean is a number, so the slices are sized by a first pass that
+  // counts them.
   const size_t n = db.size();
+  const auto gram_count = [&](size_t id) {
+    return dims_ == 2 ? MeanValueQgrams(db[id], q).size()
+                      : MeanValueQgrams1D(db[id], q, /*use_x=*/true).size();
+  };
   offsets_.assign(n + 1, 0);
-  for (size_t id = 0; id < n; ++id) {
-    const size_t len = db[id].size();
-    const size_t grams =
-        (q > 0 && len >= static_cast<size_t>(q))
-            ? len - static_cast<size_t>(q) + 1
-            : 0;
-    offsets_[id + 1] = offsets_[id] + static_cast<uint32_t>(grams);
-  }
+  ThreadPool::Global().ParallelFor(n, [&](size_t id) {
+    offsets_[id + 1] = static_cast<uint32_t>(gram_count(id));
+  });
+  for (size_t id = 0; id < n; ++id) offsets_[id + 1] += offsets_[id];
   xs_.resize(offsets_[n]);
   if (dims_ == 2) ys_.resize(offsets_[n]);
 

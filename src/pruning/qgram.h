@@ -17,13 +17,16 @@ namespace edr {
 /// Theorem 2, if two Q-grams match element-wise (Definition 3) then their
 /// mean value pairs match within the same threshold — so storing only the
 /// means loses no pruning soundness while collapsing a 2q-dimensional
-/// object to two dimensions. Returns an empty vector when q exceeds the
+/// object to two dimensions. Each mean is computed from its own window. A
+/// mean with a NaN coordinate is left out: it matches no mean, as its
+/// gram matches no gram, and leaving it out keeps every sorted mean list
+/// and index strictly ordered. Returns an empty vector when q exceeds the
 /// trajectory length.
 std::vector<Point2> MeanValueQgrams(const Trajectory& t, int q);
 
 /// Mean values of all Q-grams of the projected one-dimensional sequence
-/// (x when `use_x`, else y). Theorem 4 transfers the count bound to
-/// projections, enabling a plain B+-tree index.
+/// (x when `use_x`, else y), NaN means left out. Theorem 4 transfers the
+/// count bound to projections, enabling a plain B+-tree index.
 std::vector<double> MeanValueQgrams1D(const Trajectory& t, int q, bool use_x);
 
 /// The Q-gram count filter (Theorem 1 adapted in Theorems 3/4): if

@@ -260,33 +260,6 @@ std::string QgramKnnSearcher::name() const {
          std::to_string(q_) + ")";
 }
 
-uint64_t QgramKnnSearcher::FusionFingerprint(const Trajectory& query) const {
-  // splitmix64-style finalizer; the top six bits pick the mask bit.
-  const auto mix_bit = [](uint64_t v) -> uint64_t {
-    v *= 0x9e3779b97f4a7c15ull;
-    v ^= v >> 29;
-    v *= 0xbf58476d1ce4e5b9ull;
-    return 1ull << (v >> 58);
-  };
-  const double cell = epsilon_ > 0.0 ? epsilon_ : 1.0;
-  const auto quantize = [cell](double v) -> uint64_t {
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(std::floor(v / cell)));
-  };
-  uint64_t sig = 0;
-  if (variant_ == QgramVariant::kRtree2D ||
-      variant_ == QgramVariant::kMerge2D) {
-    for (const Point2& m : MeanValueQgrams(query, q_)) {
-      sig |= mix_bit(quantize(m.x) * 0x100000001b3ull + quantize(m.y));
-    }
-  } else {
-    for (const double m : MeanValueQgrams1D(query, q_, /*use_x=*/true)) {
-      sig |= mix_bit(quantize(m));
-    }
-  }
-  return sig;
-}
-
 KnnResult QgramKnnSearcher::Range(const Trajectory& query, int radius,
                                   size_t max_results) const {
   const auto start = std::chrono::steady_clock::now();

@@ -63,14 +63,6 @@ class QgramKnnSearcher {
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
 
-  /// 64-bit gram-posting signature for the similarity-aware fusion
-  /// grouper: each Q-gram mean, quantized to its epsilon-sized cell, sets
-  /// one mixed bit. Queries whose grams probe overlapping tree/posting
-  /// regions get overlapping signatures. Purely advisory — signatures
-  /// influence which queries share a fused pass, never any count or
-  /// answer.
-  uint64_t FusionFingerprint(const Trajectory& query) const;
-
   /// Answers a range query (all S with EDR(query, S) <= radius, ascending
   /// distance order) using the Theorem 1 count filter in its original
   /// range form: S is pruned when its matching-gram count falls below

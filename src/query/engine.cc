@@ -1,6 +1,5 @@
 #include "query/engine.h"
 
-#include <concepts>
 #include <cstdint>
 #include <tuple>
 
@@ -186,13 +185,6 @@ NamedSearcher MakeNamed(const Searcher& searcher,
           return searcher.KnnFused(group, k,
                                    MergeScheduled(options, per_call));
         };
-  }
-  if constexpr (requires(const Trajectory& q) {
-                  { searcher.FusionFingerprint(q) } -> std::same_as<uint64_t>;
-                }) {
-    named.fingerprint = [&searcher](const Trajectory& q) {
-      return searcher.FusionFingerprint(q);
-    };
   }
   return named;
 }

@@ -1,7 +1,6 @@
 #ifndef EDR_QUERY_ENGINE_H_
 #define EDR_QUERY_ENGINE_H_
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -51,14 +50,6 @@ struct NamedSearcher {
   std::function<std::vector<KnnResult>(
       const std::vector<const Trajectory*>&, size_t, const KnnOptions&)>
       search_fused;
-  /// Cheap 64-bit query-feature signature (occupied-bin / gram-posting
-  /// bitmask) for the scheduler's similarity-aware fusion grouper. Queries
-  /// with overlapping signatures share filter-table regions, so grouping
-  /// them raises the fused sweep's shared-bin fraction. Optional and purely
-  /// advisory: the signature influences which queries share a sweep, never
-  /// any bound or answer. Null for searchers without a fingerprint hook,
-  /// which fall back to FIFO grouping.
-  std::function<uint64_t(const Trajectory&)> fingerprint;
 };
 
 /// Facade over every retrieval method in the library for one dataset and

@@ -43,8 +43,7 @@ void RecordQueryMetrics(const SearchStats& stats) {
 }
 
 void PublishFlight(const std::string& searcher, const KnnResult& result,
-                   unsigned sched_budget, size_t fusion_group,
-                   double group_shared_fraction) {
+                   unsigned sched_budget, size_t fusion_group) {
   if constexpr (kObsEnabled) {
     FlightRecorder& recorder = FlightRecorder::Global();
     if (!recorder.enabled()) return;
@@ -58,7 +57,6 @@ void PublishFlight(const std::string& searcher, const KnnResult& result,
     record.stages = result.stats.stages;
     record.sched_budget = sched_budget;
     record.fusion_group = fusion_group;
-    record.group_shared_fraction = group_shared_fraction;
     record.trace = result.trace;
     recorder.Publish(std::move(record));
   } else {
@@ -66,7 +64,6 @@ void PublishFlight(const std::string& searcher, const KnnResult& result,
     (void)result;
     (void)sched_budget;
     (void)fusion_group;
-    (void)group_shared_fraction;
   }
 }
 

@@ -113,15 +113,13 @@ struct KnnResult {
 void RecordQueryMetrics(const SearchStats& stats);
 
 /// Sends one completed query to FlightRecorder::Global() with its schedule
-/// context: the intra-query budget granted, the fusion group's size and
-/// its shared-bin fraction. A query that did not go through the scheduler
-/// passes 0 for all three. The disabled-recorder path is one relaxed load
+/// context: the intra-query budget granted and the fusion group's size. A
+/// query that did not go through the scheduler passes 0 for both. The disabled-recorder path is one relaxed load
 /// and builds no record; the call compiles to nothing under
 /// EDR_DISABLE_OBS. Safe from pool workers; `result` is only copied from,
 /// so publication cannot perturb answers.
 void PublishFlight(const std::string& searcher, const KnnResult& result,
-                   unsigned sched_budget, size_t fusion_group,
-                   double group_shared_fraction);
+                   unsigned sched_budget, size_t fusion_group);
 
 /// A bounded list of the k nearest neighbors seen so far, kept sorted in
 /// ascending distance. This is the paper's `result` array; `KthDistance()`

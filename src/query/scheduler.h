@@ -7,7 +7,6 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/trajectory.h"
@@ -38,30 +37,17 @@ struct SchedulerPolicy {
   /// capacity). 1 forces the fully sequential caller-thread path.
   unsigned max_threads = 0;
   /// Cap on the fusion-group size for searchers with a fused entry point
-  /// (NamedSearcher::search_fused): up to this many backlog queries are
-  /// answered by one fused database sweep, the group running on the
-  /// calling thread with the whole free capacity as intra-query budget.
-  /// The 0-vs-1 semantics are resolved in exactly one place,
-  /// AdaptiveScheduler::MaxFusion(): 0 = auto (kMaxFusionGroup, the
+  /// (NamedSearcher::search_fused): up to this many queries from the front
+  /// of the backlog are answered by one fused database sweep, the group
+  /// running on the calling thread with the whole free capacity as
+  /// intra-query budget. The 0-vs-1 semantics are resolved in exactly one
+  /// place, AdaptiveScheduler::MaxFusion(): 0 = auto (kMaxFusionGroup, the
   /// kernels' register-blocking width); 1 disables fusion; values above
   /// kMaxFusionGroup are honored (the sweeps chunk internally). Setting
   /// both a budget_override and max_fusion > 1 is contradictory —
   /// override schedules are strictly per-query — and is rejected by
   /// SchedulerPolicyError rather than silently clamped.
   size_t max_fusion = 0;
-  /// Pick fusion-group members by query-feature similarity instead of
-  /// arrival order: the scheduler fingerprints each backlog query through
-  /// NamedSearcher::fingerprint (a 64-bit occupied-bin / gram-posting
-  /// signature) and greedily packs the group that maximizes the estimated
-  /// shared-bin fraction over a bounded window of the backlog. Falls back
-  /// to FIFO when the searcher has no fingerprint hook or no two window
-  /// queries overlap. Grouping only changes WHICH queries share a sweep —
-  /// results stay bit-identical to FIFO grouping and to unfused calls.
-  bool similarity_grouping = true;
-  /// Starvation guard: a pending query passed over by this many
-  /// similarity-formed groups is force-scheduled in the next group FIFO
-  /// from the backlog front, however poorly it matches (0 = auto: 8).
-  size_t group_age_watermark = 0;
   /// Test hook: when set, every query runs solo (no waves) with budget
   /// `budget_override(pending, capacity)` clamped to [1, capacity] —
   /// this is how scheduler_test drives fixed, oscillating, and
@@ -85,12 +71,12 @@ struct SchedulerStats {
   size_t widened_queries = 0;  ///< solo queries granted a budget > 1
   size_t fused_groups = 0;     ///< fused multi-query sweep dispatches
   size_t fused_queries = 0;    ///< queries answered inside a fused group
-  size_t group_similarity = 0; ///< groups formed by the similarity grouper
-  size_t group_fifo = 0;       ///< groups formed FIFO (fallback or opt-out)
-  size_t group_forced = 0;     ///< groups forced FIFO by the age watermark
-  /// Summed estimated shared-bin fraction over fused groups (0 per group
-  /// when no fingerprints were available); divide by fused_groups for the
-  /// run's average.
+  /// Never written: every fusion group is the front of the backlog. These
+  /// four fields stay zero only because the benchmark harness
+  /// (ledger/ledger.cc) still reads them; they go with its next change.
+  size_t group_similarity = 0;
+  size_t group_fifo = 0;
+  size_t group_forced = 0;
   double shared_fraction_sum = 0.0;
   uint64_t budget_granted = 0; ///< summed per-call budgets
   unsigned max_budget = 0;     ///< largest budget any call received
@@ -145,54 +131,30 @@ class AdaptiveScheduler {
   /// point or a budget override is active.
   size_t MaxFusion() const;
 
-  /// Executes one scheduling decision over the backlog in `*pending` (a
-  /// deque of query ids in arrival order): one fused group (a single
-  /// multi-query sweep on the calling thread — members picked by the
-  /// similarity grouper or FIFO, not necessarily from the front), one
-  /// wave (budget-1 queries fanned inter-query across the pool), or one
-  /// solo query with a wider budget on the calling thread. Completed ids
-  /// are removed from `*pending`; waves and solo calls always take from
-  /// the front, so arrival order is preserved outside fusion. Emits every
-  /// completed result via `emit(id, result)` and returns how many queries
-  /// completed (>= 1 unless the backlog was empty). On return, the step's
-  /// SchedulerStats delta goes to the registry's sched.* counters.
-  size_t Step(std::deque<size_t>* pending,
+  /// Executes one scheduling decision over the backlog of `pending`
+  /// queries whose first is query `first` (ids first .. first + pending - 1
+  /// in arrival order): one fused group (a single multi-query sweep on the
+  /// calling thread), one wave (budget-1 queries fanned inter-query across
+  /// the pool), or one solo query with a wider budget on the calling
+  /// thread. Every step takes from the front of the backlog, so queries
+  /// complete in arrival order. Emits every completed result via
+  /// `emit(id, result)` and returns how many queries completed (>= 1 unless
+  /// the backlog was empty); they are ids first .. first + completed - 1.
+  /// On return, the step's SchedulerStats delta goes to the registry's
+  /// sched.* counters.
+  size_t Step(size_t first, size_t pending,
               const std::function<const Trajectory&(size_t)>& query_at,
               const std::function<void(size_t, KnnResult&&)>& emit);
 
   const SchedulerStats& stats() const { return stats_; }
 
  private:
-  /// One fusion group picked from `*pending` (members removed), plus how
-  /// it was formed and its estimated shared-bin fraction.
-  struct GroupDecision {
-    enum class Kind { kSimilarity, kFifo, kForced };
-    std::vector<size_t> ids;
-    Kind kind = Kind::kFifo;
-    double shared_fraction = 0.0;
-  };
-
   /// Step's scheduling decision and execution, without the metrics.
-  size_t Dispatch(std::deque<size_t>* pending,
+  size_t Dispatch(size_t first, size_t pending,
                   const std::function<const Trajectory&(size_t)>& query_at,
                   const std::function<void(size_t, KnnResult&&)>& emit);
   KnnResult Call(const Trajectory& query, unsigned budget);
   void RecordGrant(unsigned budget);
-  /// Removes up to MaxFusion() members from `*pending` — similarity-
-  /// packed over the group window when enabled and fingerprints exist,
-  /// FIFO otherwise, FIFO-forced when the backlog head has been passed
-  /// over group_age_watermark times.
-  GroupDecision FormGroup(
-      std::deque<size_t>* pending,
-      const std::function<const Trajectory&(size_t)>& query_at);
-  /// Memoized NamedSearcher::fingerprint for query id (the query must
-  /// still be pending).
-  uint64_t FingerprintOf(
-      size_t id, const std::function<const Trajectory&(size_t)>& query_at);
-  /// How many backlog queries the similarity grouper considers per group:
-  /// max(16, 4 * MaxFusion()).
-  size_t GroupWindow() const;
-  size_t AgeWatermark() const;
 
   const NamedSearcher& searcher_;
   size_t k_;
@@ -201,9 +163,6 @@ class AdaptiveScheduler {
   FeatureCache* cache_;
   FusedPlanCache* plan_cache_;
   SchedulerStats stats_;
-  /// Similarity-grouping bookkeeping, erased as ids complete.
-  std::unordered_map<size_t, uint64_t> fingerprints_;
-  std::unordered_map<size_t, size_t> skip_counts_;
 };
 
 /// Schedules a whole batch adaptively and returns results in query order —
@@ -221,9 +180,9 @@ std::vector<KnnResult> RunScheduled(const NamedSearcher& searcher,
 /// A streaming query session: queries are admitted as they arrive
 /// (Submit), not at a batch barrier, and the scheduler decides execution
 /// from the backlog at each step — a deep backlog triggers eager waves, a
-/// drained one widens the stragglers. Results are retrieved by ticket in
-/// any order; asking for a result drives the schedule forward until that
-/// ticket completes.
+/// drained one widens the stragglers. Queries complete in ticket order;
+/// results are retrieved by ticket in any order, and asking for a result
+/// drives the schedule forward until that ticket completes.
 ///
 /// Single-owner: Submit / Result / Drain must be called from one thread
 /// (the session fans out internally). Completed results stay owned by the
@@ -261,17 +220,15 @@ class QuerySession {
   /// watermark.
   Ticket Submit(Trajectory query);
 
-  /// The answer for `ticket`, running the schedule forward as needed.
-  /// Completion is no longer strictly in ticket order — the similarity
-  /// grouper may answer a well-matched later ticket before an earlier
-  /// one — so readiness is tracked per ticket.
+  /// The answer for `ticket`, running the schedule forward until it has
+  /// completed.
   const KnnResult& Result(Ticket ticket);
 
   /// Runs every admitted query to completion.
   void Drain();
 
   /// Queries admitted but not yet executed.
-  size_t pending() const { return pending_ids_.size(); }
+  size_t pending() const { return queries_.size() - completed_; }
 
   /// Relaxed-atomic mirror of pending(), safe to read from any thread —
   /// the probe the utilization timeline sampler polls while the owning
@@ -290,15 +247,12 @@ class QuerySession {
   AdaptiveScheduler scheduler_;
   size_t admit_watermark_;
   /// Deques for pointer stability: a wave's workers write distinct,
-  /// already-constructed elements of results_ (and the matching done_
-  /// bytes) concurrently, which is safe exactly because push_back never
-  /// relocates existing deque elements; the wave's join publishes the
-  /// writes to the owning thread.
+  /// already-constructed elements of results_ concurrently, which is safe
+  /// exactly because push_back never relocates existing deque elements;
+  /// the wave's join publishes the writes to the owning thread.
   std::deque<Trajectory> queries_;
   std::deque<KnnResult> results_;
-  std::deque<uint8_t> done_;  ///< per-ticket readiness (out-of-order safe)
-  std::deque<size_t> pending_ids_;  ///< unexecuted tickets, arrival order
-  size_t completed_count_ = 0;
+  size_t completed_ = 0;  ///< tickets below completed_ are done (in order)
   std::atomic<size_t> pending_relaxed_{0};  ///< see PendingRelaxed()
 };
 

@@ -352,8 +352,7 @@ TEST(FusedSweepTest, SchedulerFormsFusionGroups) {
 
 /// Clustered workload for the grouping tests: `clusters` near-duplicate
 /// families of `per_cluster` jittered copies each, interleaved round-robin
-/// so FIFO groups mix clusters while the similarity grouper can reunite
-/// them.
+/// so every fusion group mixes clusters.
 std::vector<Trajectory> ClusteredQueries(size_t clusters,
                                          size_t per_cluster) {
   const std::vector<Trajectory> bases =
@@ -373,10 +372,9 @@ std::vector<Trajectory> ClusteredQueries(size_t clusters,
   return out;
 }
 
-// The tentpole certification: similarity-grouped, FIFO-grouped, and
-// unfused schedules return bit-identical answers for every fused-capable
-// searcher (all six plus both tree variants) — grouping only changes
-// WHICH queries share a sweep, never any member's answer.
+// Fused groups taken from the backlog front and unfused schedules return
+// bit-identical answers to solo calls for every fused-capable searcher
+// (all six plus both tree variants).
 TEST(FusedSweepTest, GroupingBitIdenticalAcrossAllSearchers) {
   static ThreadPool pool(8);
   QueryEngine engine(Db(), kEps);
@@ -399,76 +397,24 @@ TEST(FusedSweepTest, GroupingBitIdenticalAcrossAllSearchers) {
 
   for (const NamedSearcher& searcher : searchers) {
     ASSERT_FALSE(searcher.fusion_key.empty()) << searcher.name;
-    ASSERT_TRUE(static_cast<bool>(searcher.fingerprint)) << searcher.name;
     std::vector<KnnResult> expected;
     for (const Trajectory& q : queries) expected.push_back(searcher.search(q, 5));
 
-    SchedulerPolicy similarity;  // default: similarity grouping on
-    SchedulerPolicy fifo;
-    fifo.similarity_grouping = false;
     SchedulerPolicy unfused;
     unfused.max_fusion = 1;
 
-    SchedulerStats sim_stats, fifo_stats;
-    const std::vector<KnnResult> sim = RunScheduled(
-        searcher, queries, 5, similarity, &pool, nullptr, &sim_stats);
+    SchedulerStats fifo_stats;
     const std::vector<KnnResult> fif = RunScheduled(
-        searcher, queries, 5, fifo, &pool, nullptr, &fifo_stats);
+        searcher, queries, 5, SchedulerPolicy{}, &pool, nullptr, &fifo_stats);
     const std::vector<KnnResult> unf =
         RunScheduled(searcher, queries, 5, unfused, &pool, nullptr, nullptr);
-    EXPECT_GT(sim_stats.group_similarity, 0u) << searcher.name;
-    EXPECT_EQ(fifo_stats.group_similarity, 0u) << searcher.name;
-    EXPECT_GT(fifo_stats.group_fifo, 0u) << searcher.name;
-    // On the clustered workload, reuniting the interleaved families must
-    // raise the estimated shared-bin fraction over arrival order.
-    EXPECT_GT(sim_stats.shared_fraction_sum, fifo_stats.shared_fraction_sum)
-        << searcher.name;
+    EXPECT_GT(fifo_stats.fused_groups, 0u) << searcher.name;
+    EXPECT_EQ(fifo_stats.fused_queries, queries.size()) << searcher.name;
     for (size_t i = 0; i < queries.size(); ++i) {
       const std::string at = searcher.name + " query " + std::to_string(i);
-      ExpectSameNeighbors(expected[i], sim[i], "similarity " + at);
       ExpectSameNeighbors(expected[i], fif[i], "fifo " + at);
       ExpectSameNeighbors(expected[i], unf[i], "unfused " + at);
     }
-  }
-}
-
-// The age watermark force-schedules a starved head: a front query whose
-// signature matches nothing still runs after at most `watermark` groups
-// pass it over, and the forced schedule stays bit-identical.
-TEST(FusedSweepTest, StarvationWatermarkSchedulesMismatchedHead) {
-  static ThreadPool pool(8);
-  QueryEngine engine(Db(), kEps);
-  KnnOptions bound;
-  bound.pool = &pool;
-  NamedSearcher searcher = engine.MakeHistogram(
-      HistogramTable::Kind::k2D, 1, HistogramScan::kSorted, bound);
-
-  // Head outlier far from every cluster, then three interleaved
-  // near-duplicate families — the grouper always prefers the families.
-  std::vector<Trajectory> queries;
-  {
-    Trajectory outlier;
-    for (int p = 0; p < 8; ++p) {
-      outlier.Append({50.0 + 0.1 * p, 50.0 - 0.1 * p});
-    }
-    queries.push_back(std::move(outlier));
-    for (const Trajectory& q : ClusteredQueries(3, 5)) queries.push_back(q);
-  }
-
-  std::vector<KnnResult> expected;
-  for (const Trajectory& q : queries) expected.push_back(searcher.search(q, 5));
-
-  SchedulerPolicy policy;
-  policy.max_fusion = 4;
-  policy.group_age_watermark = 1;
-  SchedulerStats stats;
-  const std::vector<KnnResult> got =
-      RunScheduled(searcher, queries, 5, policy, &pool, nullptr, &stats);
-  EXPECT_GT(stats.group_forced, 0u);
-  EXPECT_EQ(stats.queries, queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectSameNeighbors(expected[i], got[i],
-                        "watermark query " + std::to_string(i));
   }
 }
 

@@ -267,18 +267,11 @@ TEST(ObsOpenMetricsTest, EveryBuildRendersAValidExposition) {
   EXPECT_NE(text.find("edr_sched_fused_queries_total"), std::string::npos);
   EXPECT_NE(text.find("edr_feature_cache_hits_total"), std::string::npos);
   EXPECT_NE(text.find("edr_feature_cache_misses_total"), std::string::npos);
-  // ... including the fusion-grouping and fused-plan-cache families added
-  // with the similarity-aware grouper, and the shared-bin-fraction gauge.
-  EXPECT_NE(text.find("edr_sched_group_similarity_total"), std::string::npos);
-  EXPECT_NE(text.find("edr_sched_group_fifo_total"), std::string::npos);
-  EXPECT_NE(text.find("edr_sched_group_forced_total"), std::string::npos);
+  // ... and the fused-plan-cache family.
   EXPECT_NE(text.find("edr_plan_cache_hits_total"), std::string::npos);
   EXPECT_NE(text.find("edr_plan_cache_misses_total"), std::string::npos);
   EXPECT_NE(text.find("edr_plan_cache_evictions_total"), std::string::npos);
   EXPECT_NE(text.find("edr_plan_cache_collisions_total"), std::string::npos);
-  EXPECT_NE(
-      text.find("# TYPE edr_sched_group_shared_bin_fraction gauge"),
-      std::string::npos);
 }
 
 }  // namespace

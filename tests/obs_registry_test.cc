@@ -399,17 +399,11 @@ TEST(ObsRegistryTest, RegisterStandardMetricsPreRegistersAllFamilies) {
         "query.candidates_pruned", "query.candidates_total", "batch.count",
         "batch.queries", "sched.waves", "sched.wave_queries",
         "sched.widened_queries", "sched.budget_granted", "sched.fused_groups",
-        "sched.fused_queries", "sched.group_similarity", "sched.group_fifo",
-        "sched.group_forced", "feature_cache.hits", "feature_cache.misses",
+        "sched.fused_queries", "feature_cache.hits", "feature_cache.misses",
         "feature_cache.evictions", "plan_cache.hits", "plan_cache.misses",
         "plan_cache.evictions", "plan_cache.collisions"}) {
     EXPECT_TRUE(has_counter(name)) << name;
   }
-  bool has_gauge = false;
-  for (const MetricsSnapshot::GaugeRow& row : snap.gauges) {
-    has_gauge = has_gauge || row.name == "sched.group_shared_bin_fraction";
-  }
-  EXPECT_TRUE(has_gauge) << "sched.group_shared_bin_fraction";
   EXPECT_TRUE(has_histogram("query.seconds"));
   EXPECT_TRUE(has_histogram("batch.seconds"));
   // Idempotent: a second call registers nothing new.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/cpu.h"
 #include "core/rng.h"
@@ -220,13 +221,31 @@ TEST_P(QgramSoundnessTest, CountBoundNeverViolatedByTrueEdr) {
   // The heart of Theorem 1/3/4 soundness: for any pair, the number of
   // matching mean Q-grams is at least max(m,n)-q+1-EDR*q, in 2-D and in
   // each projected dimension.
+  //
+  // In odd trials one coordinate of an element of `a` other than the last
+  // turns hostile: huge, infinite or NaN. Every later mean still has to
+  // come out right, so each must be computed from its own window; a
+  // running sum keeps the element's rounding error, or its NaN, after the
+  // element has left the window. The hostile draws come from their own
+  // generator, so the walks are those of the finite trials.
   Rng rng(GetParam());
+  Rng hostile(GetParam() + 7919);
+  const double kHostile[] = {1e17, 1e300,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
   constexpr double kEps = 0.25;
   for (int trial = 0; trial < 10; ++trial) {
-    const Trajectory a =
+    Trajectory a =
         testutil::RandomWalk(rng, static_cast<size_t>(rng.UniformInt(5, 50)));
     const Trajectory b =
         testutil::RandomWalk(rng, static_cast<size_t>(rng.UniformInt(5, 50)));
+    if (trial % 2 == 1) {
+      Point2& p = a[static_cast<size_t>(
+          hostile.UniformInt(0, static_cast<int64_t>(a.size()) - 2))];
+      (hostile.NextDouble() < 0.5 ? p.x : p.y) =
+          kHostile[hostile.UniformInt(0, 4)];
+    }
     const long k = EdrDistance(a, b, kEps);
     for (int q = 1; q <= 4; ++q) {
       const long threshold = QgramCountThreshold(a.size(), b.size(), q, k);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "eval/metrics.h"
 #include "obs/obs.h"
 #include "query/engine.h"
+#include "query/scheduler.h"
 #include "query/thread_pool.h"
 #include "test_util.h"
 
@@ -140,16 +142,28 @@ TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
   searchers.push_back(engine.MakeHistogram(hist_kind, hist_delta, hist_scan));
   searchers.push_back(engine.MakeCombined(combo));
 
-  // Every searcher answers each query sequentially, at 4 workers, and as a
-  // member of one fusion group of all three queries: with the reference's
-  // distances, and with the same ids in the same order every time.
+  // Every searcher answers each query sequentially, at 4 workers, as a
+  // member of one fusion group of all five queries, and in one scheduled
+  // batch of them: with the reference's distances, and with the same ids
+  // in the same order every time. Two of the five are hostile copies of
+  // the first two, one with a coordinate of 1e300 and one with a NaN.
   KnnOptions parallel;
   parallel.intra_query_workers = 4;
   parallel.pool = &Pool();
-  const std::vector<Trajectory> queries =
+  SchedulerPolicy scheduled;
+  scheduled.max_threads = 4;
+  std::vector<Trajectory> queries =
       testutil::MakeQueries(db, rng.NextU64(), 3);
-  const std::vector<const Trajectory*> group = {&queries[0], &queries[1],
-                                                &queries[2]};
+  Trajectory far = queries[0];
+  Trajectory nan = queries[1];
+  if (!far.empty()) far[0].x = 1e300;
+  if (!nan.empty()) {
+    nan[nan.size() / 2].y = std::numeric_limits<double>::quiet_NaN();
+  }
+  queries.push_back(std::move(far));
+  queries.push_back(std::move(nan));
+  std::vector<const Trajectory*> group;
+  for (const Trajectory& query : queries) group.push_back(&query);
   std::vector<KnnResult> expected;
   std::vector<KnnResult> lcss_expected;
   for (const Trajectory& query : queries) {
@@ -187,6 +201,14 @@ TEST_P(StressTest, EveryMethodLosslessOnRandomConfigurations) {
       ASSERT_EQ(actual.neighbors, sharded.neighbors) << where << " workers=4";
       ExpectConserves(sharded, db.size(), where + " workers=4");
       sequential.push_back(actual);
+    }
+    const std::vector<KnnResult> batch =
+        RunScheduled(s, queries, k, scheduled, &Pool());
+    ASSERT_EQ(batch.size(), queries.size()) << where;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(sequential[i].neighbors, batch[i].neighbors)
+          << where << " scheduled query " << i;
+      ExpectConserves(batch[i], db.size(), where + " scheduled");
     }
     if (!s.search_fused) return;
     const std::vector<KnnResult> fused = s.search_fused(group, k, parallel);

@@ -558,7 +558,7 @@ int Knn(int argc, char** argv) {
               result.stats.PruningPower(),
               result.stats.elapsed_seconds * 1e3);
   edr::PublishFlight(searcher.name, result, /*sched_budget=*/0,
-                     /*fusion_group=*/0, /*group_shared_fraction=*/0.0);
+                     /*fusion_group=*/0);
   MaybeExportTrace(result);
   MaybeExportMetrics();
   MaybeExportMetricsTable();
@@ -860,7 +860,7 @@ int RangeQuery(int argc, char** argv) {
     std::printf("  id=%-6u EDR=%.0f\n", n.id, n.distance);
   }
   edr::PublishFlight("range", result, /*sched_budget=*/0,
-                     /*fusion_group=*/0, /*group_shared_fraction=*/0.0);
+                     /*fusion_group=*/0);
   MaybeExportTrace(result);
   MaybeExportMetrics();
   MaybeExportMetricsTable();
