@@ -5,8 +5,10 @@
 // fine (delta = 1-class) grid; the sweep on the benchmark ledger's
 // NHL-like table, certified against the bound's definition, and pinned to
 // each kernel dispatch level next to the Q-gram check on the same data;
-// and the flat Q-gram posting-array counting pass next to the
-// early-decided check the combined searcher runs instead.
+// the blocks the 2HP sorted scan sweeps there (its length window) and
+// their time, certified against a full-sweep scan; and the flat Q-gram
+// posting-array counting pass next to the early-decided check the
+// combined searcher runs instead.
 //
 // Emits JSON (stdout, or the file named by argv[1]):
 //
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -33,8 +36,11 @@
 #include "data/generators.h"
 #include "data/noise.h"
 #include "distance/edr_kernel.h"
+#include "obs/trace.h"
+#include "pruning/combined.h"
 #include "pruning/histogram.h"
 #include "pruning/qgram.h"
+#include "query/topk.h"
 
 namespace edr {
 namespace {
@@ -105,6 +111,10 @@ struct LedgerRow {
   size_t bins = 0;
   double build_s = 0.0;
   double sweep_s = 0.0;  ///< per query
+  /// The 2HP sorted scan at k = 20 (traced): blocks it swept and their
+  /// time, per query; zero in EDR_DISABLE_OBS builds, which keep no trace.
+  double windowed_blocks = 0.0;
+  double windowed_sweep_s = 0.0;
   HistogramStorageStats stats;
   /// Every bound equals the definition, and every level's outputs equal
   /// the scalar level's.
@@ -224,6 +234,73 @@ std::vector<LevelRow> MeasureLevels(
   return rows;
 }
 
+/// The 2HP sorted scan at k = 20 against the scan it replaced: every bound
+/// from the full sweep (`bounds`), the order from CanonicalOrder, and the
+/// histogram then Q-gram filters on one slot. Records the blocks the
+/// searcher swept and their time per query (from its trace, over a few
+/// passes), and clears row->identical unless the answers and DP counts
+/// agree.
+void MeasureWindow(const TrajectoryDataset& db,
+                   const std::vector<Trajectory>& queries,
+                   const std::vector<std::vector<int>>& bounds,
+                   double epsilon, LedgerRow* row) {
+  constexpr size_t kK = 20;
+  const CombinedKnnSearcher combined(db, epsilon, CombinedOptions{});
+  const QgramMeansTable means(db, /*q=*/1, /*dims=*/2);
+  EdrScratch scratch;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const Trajectory& query = queries[q];
+    const std::vector<int>& b = bounds[q];
+    const std::vector<uint32_t> order =
+        CanonicalOrder(db.size(), [&b](uint32_t id) { return b[id]; });
+    std::vector<Point2> query_means = MeanValueQgrams(query, 1);
+    SortMeans(query_means);
+    BoundedTopK top(kK);
+    size_t computed = 0;
+    for (size_t rank = 0; rank < order.size(); ++rank) {
+      const uint32_t id = order[rank];
+      const double threshold = top.Threshold();
+      if (static_cast<double>(b[id]) > threshold) break;
+      if (!std::isinf(threshold)) {
+        const long count = QgramCountThreshold(
+            query.size(), db[id].size(), 1, static_cast<long>(threshold));
+        if (count > 0 && !means.AtLeastMatches2D(query_means, epsilon, id,
+                                                 static_cast<size_t>(count))) {
+          continue;
+        }
+      }
+      const int d = EdrDistanceBitParallel(query, db[id], epsilon, scratch);
+      ++computed;
+      if (d <= EdrBoundFromKthDistance(threshold)) {
+        top.Offer(id, static_cast<double>(d), rank);
+      }
+    }
+    const KnnResult r = combined.Knn(query, kK);
+    if (r.neighbors != std::move(top).TakeSortedNeighbors() ||
+        r.stats.edr_computed != computed) {
+      row->identical = false;
+    }
+  }
+  const int passes = g_min_seconds < 0.1 ? 1 : 5;
+  uint64_t blocks = 0;
+  double seconds = 0.0;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (const Trajectory& query : queries) {
+      const KnnResult r = combined.Knn(query, kK);
+      if (r.trace == nullptr) continue;
+      for (const QueryTrace::Node& node : r.trace->nodes()) {
+        if (std::strcmp(node.name, "bound_sweep") == 0 && node.parent >= 0) {
+          blocks += node.count;
+          seconds += node.seconds;
+        }
+      }
+    }
+  }
+  const double runs = static_cast<double>(passes * queries.size());
+  row->windowed_blocks = static_cast<double>(blocks) / runs;
+  row->windowed_sweep_s = seconds / runs;
+}
+
 /// Builds the table on GenNhlLike(count, 30, max_length, 19), normalized
 /// as the ledger normalizes it, and sweeps locally time-shifted members.
 LedgerRow MeasureLedgerNhl(size_t count, size_t max_length,
@@ -272,6 +349,7 @@ LedgerRow MeasureLedgerNhl(size_t count, size_t max_length,
       }
     }
   }
+  MeasureWindow(db, queries, bounds, row.epsilon, &row);
   row.levels = MeasureLevels(db, queries, table, row.epsilon);
   for (const LevelRow& level : row.levels) {
     row.identical = row.identical && level.identical;
@@ -432,10 +510,13 @@ int main(int argc, char** argv) {
   all_identical = all_identical && ledger.identical;
   std::fprintf(stderr,
                "ledger nhl: n=%zu bins=%zu build=%.3fs sweep=%.3fms/query "
+               "2HP window %.2f blocks %.3fms/query "
                "raw=%.1fMB (d/s %zu/%zu) ns=%.1fMB (d/s %zu/%zu) "
                "identical=%s\n",
                ledger.db_size, ledger.bins, ledger.build_s,
-               ledger.sweep_s * 1e3, ledger.stats.raw.bytes / 1048576.0,
+               ledger.sweep_s * 1e3, ledger.windowed_blocks,
+               ledger.windowed_sweep_s * 1e3,
+               ledger.stats.raw.bytes / 1048576.0,
                ledger.stats.raw.dense_columns, ledger.stats.raw.sparse_columns,
                ledger.stats.ns.bytes / 1048576.0,
                ledger.stats.ns.dense_columns, ledger.stats.ns.sparse_columns,
@@ -560,13 +641,16 @@ int main(int argc, char** argv) {
       "  ],\n  \"ledger_nhl\": {\"db_size\": %zu, \"queries\": %zu, "
       "\"epsilon\": %.6f, \"bins\": %zu,\n"
       "    \"build_s\": %.3f, \"sweep_ms_per_query\": %.3f,\n"
+      "    \"windowed_blocks_per_query\": %.3f, "
+      "\"windowed_sweep_ms_per_query\": %.3f,\n"
       "    \"raw_bytes\": %zu, \"raw_dense_columns\": %zu, "
       "\"raw_sparse_columns\": %zu,\n"
       "    \"ns_bytes\": %zu, \"ns_dense_columns\": %zu, "
       "\"ns_sparse_columns\": %zu,\n"
       "    \"levels\": [\n",
       ledger.db_size, ledger.queries, ledger.epsilon, ledger.bins,
-      ledger.build_s, ledger.sweep_s * 1e3, ledger.stats.raw.bytes,
+      ledger.build_s, ledger.sweep_s * 1e3, ledger.windowed_blocks,
+      ledger.windowed_sweep_s * 1e3, ledger.stats.raw.bytes,
       ledger.stats.raw.dense_columns, ledger.stats.raw.sparse_columns,
       ledger.stats.ns.bytes, ledger.stats.ns.dense_columns,
       ledger.stats.ns.sparse_columns);

@@ -36,6 +36,10 @@ class TrajectoryDataset {
   explicit TrajectoryDataset(std::string name) : name_(std::move(name)) {}
 
   /// Appends a trajectory, assigning its id. Returns the assigned id.
+  /// Accepts any points, non-finite ones included (NaN, +-inf, +-1e300):
+  /// every searcher stays lossless on them, which StressTest and
+  /// WindowedScanTest certify by planting such members through Add. Input
+  /// that must be finite is checked where it enters, by its reader.
   uint32_t Add(Trajectory t);
 
   size_t size() const { return trajectories_.size(); }

@@ -75,13 +75,6 @@ std::string RenderOpenMetrics(const MetricsSnapshot& snapshot,
     out += buf;
   }
 
-  for (const MetricsSnapshot::GaugeRow& g : snapshot.gauges) {
-    const std::string name = OpenMetricsName(g.name);
-    out += "# TYPE " + name + " gauge\n";
-    std::snprintf(buf, sizeof(buf), "%s %.9g\n", name.c_str(), g.value);
-    out += buf;
-  }
-
   for (const MetricsSnapshot::HistogramRow& h : snapshot.histograms) {
     const std::string name = OpenMetricsName(h.name);
     out += "# TYPE " + name + " histogram\n";

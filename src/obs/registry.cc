@@ -88,13 +88,6 @@ ObsCounter& MetricsRegistry::Counter(const std::string& name) {
   return *slot;
 }
 
-ObsGauge& MetricsRegistry::Gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<ObsGauge>& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<ObsGauge>();
-  return *slot;
-}
-
 LatencyHistogram& MetricsRegistry::Histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<LatencyHistogram>& slot = histograms_[name];
@@ -108,10 +101,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   snapshot.counters.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
     snapshot.counters.push_back({name, counter->Load()});
-  }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.push_back({name, gauge->Load()});
   }
   snapshot.histograms.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
@@ -164,7 +153,6 @@ void RegisterStandardMetrics() { LibraryMetrics::Get(); }
 void MetricsRegistry::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
@@ -186,7 +174,7 @@ uint64_t CountSince(uint64_t later, uint64_t earlier) {
 }  // namespace
 
 MetricsSnapshot MetricsSnapshot::Since(const MetricsSnapshot& earlier) const {
-  MetricsSnapshot delta = *this;  // gauges keep this snapshot's level
+  MetricsSnapshot delta = *this;
   for (CounterRow& row : delta.counters) {
     if (const CounterRow* e = FindRow(earlier.counters, row.name)) {
       row.value = CountSince(row.value, e->value);
@@ -217,12 +205,6 @@ std::string MetricsSnapshot::ToJson() const {
                   static_cast<unsigned long long>(counters[i].value));
     out += buf;
   }
-  out += "}, \"gauges\": {";
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %.9g", i > 0 ? ", " : "",
-                  JsonEscape(gauges[i].name).c_str(), gauges[i].value);
-    out += buf;
-  }
   out += "}, \"histograms\": [";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramRow& h = histograms[i];
@@ -249,15 +231,6 @@ std::string MetricsSnapshot::ToTable() const {
     for (const CounterRow& c : counters) {
       std::snprintf(buf, sizeof(buf), "%-32s %14llu\n", c.name.c_str(),
                     static_cast<unsigned long long>(c.value));
-      out += buf;
-    }
-  }
-  if (!gauges.empty()) {
-    std::snprintf(buf, sizeof(buf), "%-32s %14s\n", "gauge", "value");
-    out += buf;
-    for (const GaugeRow& g : gauges) {
-      std::snprintf(buf, sizeof(buf), "%-32s %14.6f\n", g.name.c_str(),
-                    g.value);
       out += buf;
     }
   }

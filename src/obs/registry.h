@@ -37,27 +37,6 @@ struct alignas(64) ObsCounter {
 static_assert(sizeof(ObsCounter) == 64 && alignof(ObsCounter) == 64,
               "counters must own their cache line");
 
-/// A process-wide gauge: a level that is *set*, not accumulated. Same cache
-/// line padding and relaxed-atomic discipline as ObsCounter. Gauges are
-/// levels, so a snapshot difference (MetricsSnapshot::Since) reports the
-/// later level instead of subtracting.
-struct alignas(64) ObsGauge {
-  std::atomic<double> value{0.0};
-
-  void Set(double v) {
-    if constexpr (kObsEnabled) {
-      value.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
-  double Load() const { return value.load(std::memory_order_relaxed); }
-  void Reset() { value.store(0.0, std::memory_order_relaxed); }
-};
-
-static_assert(sizeof(ObsGauge) == 64 && alignof(ObsGauge) == 64,
-              "gauges must own their cache line");
-
 /// A log-bucketed latency histogram: bucket b counts samples in
 /// [2^(b-1), 2^b) nanoseconds (bucket 0 is [0, 1ns)), covering ~1ns to
 /// ~78 minutes in 52 buckets. Recording is one relaxed fetch_add — cheap
@@ -113,10 +92,6 @@ struct MetricsSnapshot {
     std::string name;
     uint64_t value = 0;
   };
-  struct GaugeRow {
-    std::string name;
-    double value = 0.0;
-  };
   struct HistogramRow {
     std::string name;
     uint64_t count = 0;
@@ -131,10 +106,9 @@ struct MetricsSnapshot {
   };
 
   std::vector<CounterRow> counters;
-  std::vector<GaugeRow> gauges;
   std::vector<HistogramRow> histograms;
 
-  /// {"counters": {...}, "gauges": {...}, "histograms": [{...}]} —
+  /// {"counters": {...}, "histograms": [{...}]} —
   /// machine-readable export.
   std::string ToJson() const;
 
@@ -148,7 +122,6 @@ struct MetricsSnapshot {
   /// the percentiles are recomputed from the bucket differences. An entry
   /// missing from `earlier` (registered in between) counts from zero, and
   /// so does an entry whose count went backwards (a test's Reset).
-  /// Gauges are levels and keep this snapshot's value.
   MetricsSnapshot Since(const MetricsSnapshot& earlier) const;
 };
 
@@ -170,7 +143,6 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   ObsCounter& Counter(const std::string& name);
-  ObsGauge& Gauge(const std::string& name);
   LatencyHistogram& Histogram(const std::string& name);
 
   /// The cumulative totals. Nothing ever resets the registry outside
@@ -184,7 +156,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<ObsCounter>> counters_;
-  std::map<std::string, std::unique_ptr<ObsGauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "pruning/qgram.h"
 #include "query/feature_cache.h"
@@ -38,11 +39,23 @@ KnnResult CombinedKnnSearcher::Knn(const Trajectory& query, size_t k,
   return std::move(KnnFused({&query}, k, options)[0]);
 }
 
+bool CombinedKnnSearcher::SortedScan() const {
+  return options_.order[0] == PruneStep::kHistogram &&
+         options_.sorted_histogram_scan;
+}
+
 template <typename ScanFn>
-KnnResult CombinedKnnSearcher::Search(const Trajectory& query,
-                                      const std::vector<int>& bounds,
-                                      const std::vector<Point2>& query_means,
-                                      ScanFn&& scan) const {
+KnnResult CombinedKnnSearcher::Search(
+    const Trajectory& query, const HistogramTable::QueryHistogram& qh,
+    const std::vector<int>* swept, const std::vector<Point2>& query_means,
+    ScanFn&& scan) const {
+  // When the histogram filter runs first (and sorted scanning is enabled),
+  // candidates are visited in ascending-bound order with a hard stop at
+  // the first bound above the threshold (the HSR strategy); otherwise in
+  // database order with every filter evaluated lazily.
+  std::optional<HistogramTable::BoundOrder> order;
+  if (SortedScan()) order.emplace(histograms_, qh, swept);
+  const int* bounds = order ? order->bounds() : swept->data();
   const auto prune = [&](StageCounters& st, uint32_t id, double threshold) {
     for (const PruneStep step : options_.order) {
       switch (step) {
@@ -74,15 +87,7 @@ KnnResult CombinedKnnSearcher::Search(const Trajectory& query,
     return false;
   };
   const BoundedEdr edr(db_, query, epsilon_);
-  // When the histogram filter runs first (and sorted scanning is enabled),
-  // candidates are visited in ascending-bound order with a hard stop at
-  // the first bound above the threshold (the HSR strategy); otherwise in
-  // database order with every filter evaluated lazily.
-  if (options_.order[0] == PruneStep::kHistogram &&
-      options_.sorted_histogram_scan) {
-    return scan(InBoundOrder([&bounds](uint32_t id) { return bounds[id]; }),
-                prune, edr);
-  }
+  if (order) return scan(InLazyOrder{*order}, prune, edr);
   return scan(InDbOrder{}, prune, edr);
 }
 
@@ -90,16 +95,21 @@ std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
     const std::vector<const Trajectory*>& queries, size_t k,
     const KnnOptions& options) const {
   const size_t group = queries.size();
+  // A query of its own on one worker in the sorted scan sweeps only the
+  // blocks its scan reaches (HistogramTable::BoundOrder); several workers
+  // shard the whole sweep between them instead, since the windowed sweeps
+  // run one at a time under the order's lock. Otherwise every prune order
+  // contains the histogram step, so all fast lower bounds are produced up
+  // front by one sweep for the whole group (sharded over the pool): far
+  // cheaper than per-row calls, even for ids a preceding filter would have
+  // pruned. The lazy Q-gram filter runs inside each member's refinement.
+  const bool windowed =
+      SortedScan() && group == 1 && ResolveIntraQueryWorkers(options) == 1;
   std::vector<std::vector<int>> bounds(group);
+  std::vector<std::shared_ptr<const HistogramTable::QueryHistogram>> features(
+      group);
   std::vector<std::shared_ptr<const std::vector<Point2>>> means(group);
-  // Every prune order contains the histogram step, so all fast lower
-  // bounds are produced up front by one sweep for the whole group (sharded
-  // over the pool): far cheaper than per-row calls, even for ids a
-  // preceding filter would have pruned. The lazy Q-gram filter runs inside
-  // each member's refinement.
   const auto sweep = [&] {
-    std::vector<std::shared_ptr<const HistogramTable::QueryHistogram>>
-        features(group);
     std::vector<const HistogramTable::QueryHistogram*> qhs(group);
     std::vector<std::vector<int>*> outs(group);
     for (size_t f = 0; f < group; ++f) {
@@ -116,10 +126,11 @@ std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
       qhs[f] = features[f].get();
       outs[f] = &bounds[f];
     }
-    histograms_.FastLowerBoundSweep(qhs, outs, options);
+    if (!windowed) histograms_.FastLowerBoundSweep(qhs, outs, options);
   };
   const auto refine = [&](size_t f, RefineRequest<> req) {
-    return Search(*queries[f], bounds[f], *means[f],
+    return Search(*queries[f], *features[f], windowed ? nullptr : &bounds[f],
+                  *means[f],
                   [&](const auto& order, const auto& prune,
                       const auto& distance) {
                     return FilterAndRefine(std::move(req), k, order, prune,
@@ -136,9 +147,9 @@ KnnResult CombinedKnnSearcher::Range(const Trajectory& query, int radius,
   const HistogramTable::QueryHistogram qh =
       histograms_.MakeQueryHistogram(query);
   std::vector<int> bounds;
-  histograms_.FastLowerBoundSweep({&qh}, {&bounds});
+  if (!SortedScan()) histograms_.FastLowerBoundSweep({&qh}, {&bounds});
   const std::vector<Point2> query_means = SortedMeans(query);
-  return Search(query, bounds, query_means,
+  return Search(query, qh, SortedScan() ? nullptr : &bounds, query_means,
                 [&](const auto& order, const auto& prune,
                     const auto& distance) {
                   return ScanRange(db_, query, start, radius, max_results,

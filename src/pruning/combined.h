@@ -73,9 +73,11 @@ class CombinedKnnSearcher {
   /// The query path: answers a fusion group of queries with one
   /// cache-blocked pass over the histogram table (the only whole-database
   /// filter sweep the combined searcher runs up front; Q-gram counts are
-  /// evaluated lazily per candidate and stay per member). A member's
-  /// answer is the same for every group size and worker count. `options`
-  /// shards the bound sweep and refinement over the thread pool.
+  /// evaluated lazily per candidate and stay per member). The sorted scan
+  /// answers a group of one on one worker without that pass: its order
+  /// sweeps only the blocks it reaches. A member's answer is the same for every group size
+  /// and worker count. `options` shards the bound sweep and refinement
+  /// over the thread pool.
   std::vector<KnnResult> KnnFused(
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
@@ -94,14 +96,21 @@ class CombinedKnnSearcher {
   const CombinedOptions& options() const { return options_; }
 
  private:
-  /// Answers one query from its precomputed histogram bounds and sorted
-  /// Q-gram means: returns scan(order, prune, distance) with the configured
-  /// candidate order, the filter chain in options_.order and bounded EDR —
-  /// scan is FilterAndRefine for Knn and ScanRange for Range.
+  /// Answers one query from its histogram and sorted Q-gram means:
+  /// returns scan(order, prune, distance) with the configured candidate
+  /// order, the filter chain in options_.order and bounded EDR — scan is
+  /// FilterAndRefine for Knn and ScanRange for Range. `swept` holds the
+  /// query's bound on every id, or is null for the sorted scan to sweep
+  /// only the blocks it reaches.
   template <typename ScanFn>
-  KnnResult Search(const Trajectory& query, const std::vector<int>& bounds,
+  KnnResult Search(const Trajectory& query,
+                   const HistogramTable::QueryHistogram& qh,
+                   const std::vector<int>* swept,
                    const std::vector<Point2>& query_means,
                    ScanFn&& scan) const;
+
+  /// Whether candidates are visited in ascending histogram-bound order.
+  bool SortedScan() const;
 
   /// The query's Q-gram means, sorted for the merge-join count.
   std::vector<Point2> SortedMeans(const Trajectory& query) const;

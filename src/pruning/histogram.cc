@@ -1,6 +1,7 @@
 #include "pruning/histogram.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -289,11 +290,8 @@ void NeighborhoodSums(const std::vector<OccupiedBin>& occupied, int nx,
 // count, or the neighbourhood sum of a bin next to an occupied one.
 // ---------------------------------------------------------------------------
 
-/// Ids per cache block: the int32 accumulators of a block stay
-/// L1/L2-resident while every query column streams over it. Must fit
-/// uint16 local posting ids.
-constexpr size_t kSweepBlock = 1024;
-static_assert(kSweepBlock <= 65536, "blocked-sparse local ids are uint16");
+constexpr size_t kSweepBlock = HistogramTable::kSweepBlock;
+static_assert(kSweepBlock <= 65536, "blocked-sparse local rows are uint16");
 
 /// The one dense min-cap loop body. At -O3 (the Release build) GCC
 /// vectorizes it for every target it is built at: to compare-and-blend
@@ -539,10 +537,10 @@ void FillOccupied(const Trajectory& t, const HistogramGrid& grid, int mode,
   }
 }
 
-/// Builds one ColumnStore from two passes over the same (id, bin, value)
-/// entries in ascending id order: Count sizes every column, Allocate
+/// Builds one ColumnStore from two passes over the same (row, bin, value)
+/// entries in ascending row order: Count sizes every column, Allocate
 /// classifies the columns and allocates each layout's arrays at their
-/// exact sizes, and Put writes the values. Ascending ids keep each sparse
+/// exact sizes, and Put writes the values. Ascending rows keep each sparse
 /// column's postings sorted, so its block index is written on the fly.
 class ColumnStoreBuilder {
  public:
@@ -579,21 +577,21 @@ class ColumnStoreBuilder {
     next_block_.assign(cursor_.size(), 0);
   }
 
-  void Put(uint32_t id, const OccupiedBin& b) {
+  void Put(uint32_t row, const OccupiedBin& b) {
     const size_t bin = static_cast<size_t>(b.bin);
     const size_t slot = store_->slot[bin];
     switch (store_->layout[bin]) {
       case kColDense:
-        store_->dense[slot * n_ + id] = b.count;
+        store_->dense[slot * n_ + row] = b.count;
         break;
       case kColSparse: {
         const uint32_t p = cursor_[slot]++;
-        const uint32_t block = static_cast<uint32_t>(id / kSweepBlock);
+        const uint32_t block = static_cast<uint32_t>(row / kSweepBlock);
         uint32_t* bo =
             store_->sp_block_offsets.data() + slot * (num_blocks_ + 1);
         while (next_block_[slot] <= block) bo[next_block_[slot]++] = p;
         store_->sp_local_ids[p] =
-            static_cast<uint16_t>(id - block * kSweepBlock);
+            static_cast<uint16_t>(row - block * kSweepBlock);
         store_->sp_counts[p] = b.count;
         break;
       }
@@ -601,7 +599,7 @@ class ColumnStoreBuilder {
     }
   }
 
-  /// Closes every sparse column's block index once all ids are put.
+  /// Closes every sparse column's block index once all rows are put.
   void Finish() {
     for (size_t slot = 0; slot < cursor_.size(); ++slot) {
       uint32_t* bo =
@@ -613,7 +611,7 @@ class ColumnStoreBuilder {
   }
 
  private:
-  std::vector<uint32_t> occ_;  ///< per bin: ids with a non-zero value
+  std::vector<uint32_t> occ_;  ///< per bin: rows with a non-zero value
   HistogramTable::ColumnStore* store_ = nullptr;
   size_t n_ = 0;
   size_t num_blocks_ = 0;
@@ -635,9 +633,19 @@ HistogramTable::HistogramTable(const TrajectoryDataset& db, double epsilon,
                   grid_.min_x, grid_.min_y, grid_.bin_size);
     feature_key_ = buf;
   }
-  totals_.reserve(db.size());
-  for (const Trajectory& t : db) {
-    totals_.push_back(static_cast<int32_t>(t.size()));
+  // Rows in ascending (length, id) order: one stable sort of the ids.
+  const size_t n = db.size();
+  id_of_row_.resize(n);
+  std::iota(id_of_row_.begin(), id_of_row_.end(), uint32_t{0});
+  std::stable_sort(id_of_row_.begin(), id_of_row_.end(),
+                   [&db](uint32_t a, uint32_t b) {
+                     return db[a].size() < db[b].size();
+                   });
+  row_of_id_.resize(n);
+  totals_.resize(n);
+  for (size_t row = 0; row < n; ++row) {
+    row_of_id_[id_of_row_[row]] = static_cast<uint32_t>(row);
+    totals_[row] = static_cast<int32_t>(db[id_of_row_[row]].size());
   }
   if (kind_ == Kind::k2D) {
     dims_.resize(1);
@@ -662,42 +670,43 @@ void HistogramTable::BuildTable(const TrajectoryDataset& db,
   flat->n = n;
   flat->num_blocks = (n + kSweepBlock - 1) / kSweepBlock;
 
-  // A count pass, then a fill pass, over the ids in order. Both passes
+  // A count pass, then a fill pass, over the rows in order. Both passes
   // rebuild each trajectory's occupied list and its dilation (the NS
-  // entries), a chunk of ids at a time in parallel, rather than hold them
+  // entries), a chunk of rows at a time in parallel, rather than hold them
   // for the whole table: the only transients are one chunk of lists and
   // the per-column counters.
   constexpr size_t kChunk = 256;
   std::vector<std::vector<OccupiedBin>> occupied(std::min(n, kChunk));
   std::vector<std::vector<OccupiedBin>> dilated(occupied.size());
-  const auto for_each_id = [&](const auto& visit) {
+  const auto for_each_row = [&](const auto& visit) {
     for (size_t begin = 0; begin < n; begin += kChunk) {
       const size_t end = std::min(n, begin + kChunk);
       ThreadPool::Global().ParallelFor(end - begin, [&](size_t i) {
         thread_local std::vector<int> point_bins;
         thread_local std::vector<OccupiedBin> scratch;
-        FillOccupied(db[begin + i], grid_, mode, &point_bins, &occupied[i]);
+        FillOccupied(db[id_of_row_[begin + i]], grid_, mode, &point_bins,
+                     &occupied[i]);
         NeighborhoodSums(occupied[i], nx, ny, &scratch, &dilated[i]);
       });
-      for (size_t id = begin; id < end; ++id) {
-        visit(static_cast<uint32_t>(id), occupied[id - begin],
-              dilated[id - begin]);
+      for (size_t row = begin; row < end; ++row) {
+        visit(static_cast<uint32_t>(row), occupied[row - begin],
+              dilated[row - begin]);
       }
     }
   };
   ColumnStoreBuilder raw(num_bins);
   ColumnStoreBuilder ns(num_bins);
-  for_each_id([&](uint32_t, const std::vector<OccupiedBin>& occ,
-                  const std::vector<OccupiedBin>& dil) {
+  for_each_row([&](uint32_t, const std::vector<OccupiedBin>& occ,
+                   const std::vector<OccupiedBin>& dil) {
     for (const OccupiedBin& b : occ) raw.Count(b);
     for (const OccupiedBin& b : dil) ns.Count(b);
   });
   raw.Allocate(n, &flat->raw);
   ns.Allocate(n, &flat->ns);
-  for_each_id([&](uint32_t id, const std::vector<OccupiedBin>& occ,
-                  const std::vector<OccupiedBin>& dil) {
-    for (const OccupiedBin& b : occ) raw.Put(id, b);
-    for (const OccupiedBin& b : dil) ns.Put(id, b);
+  for_each_row([&](uint32_t row, const std::vector<OccupiedBin>& occ,
+                   const std::vector<OccupiedBin>& dil) {
+    for (const OccupiedBin& b : occ) raw.Put(row, b);
+    for (const OccupiedBin& b : dil) ns.Put(row, b);
   });
   raw.Finish();
   ns.Finish();
@@ -757,20 +766,21 @@ HistogramTable::QueryHistogram HistogramTable::MakeQueryHistogram(
 
 namespace {
 
-/// One trajectory's value in one column of a store. The per-row bound path
-/// only; the sweep enters columns block-wise.
+/// One row's value in one column of a store. The per-row bound path only;
+/// the sweep enters columns block-wise.
 int ColumnValueAt(const HistogramTable::FlatHistograms& f,
                   const HistogramTable::ColumnStore& s, int bin,
-                  uint32_t id) {
+                  uint32_t row) {
   const size_t slot = s.slot[static_cast<size_t>(bin)];
   switch (s.layout[static_cast<size_t>(bin)]) {
     case kColDense:
-      return s.dense[slot * f.n + id];
+      return s.dense[slot * f.n + row];
     case kColSparse: {
-      const size_t block = id / kSweepBlock;
+      const size_t block = row / kSweepBlock;
       const uint32_t* bo =
           s.sp_block_offsets.data() + slot * (f.num_blocks + 1);
-      const uint16_t local = static_cast<uint16_t>(id - block * kSweepBlock);
+      const uint16_t local =
+          static_cast<uint16_t>(row - block * kSweepBlock);
       const uint16_t* lo = s.sp_local_ids.data() + bo[block];
       const uint16_t* hi = s.sp_local_ids.data() + bo[block + 1];
       const uint16_t* it = std::lower_bound(lo, hi, local);
@@ -784,18 +794,18 @@ int ColumnValueAt(const HistogramTable::FlatHistograms& f,
   }
 }
 
-/// One trajectory's linear transport upper bound min(side A, side B)
-/// against the query in one dimension, read off both stores. The sweep
-/// computes the same integers block-wise.
+/// One row's linear transport upper bound min(side A, side B) against the
+/// query in one dimension, read off both stores. The sweep computes the
+/// same integers block-wise.
 int TransportAt(const HistogramTable::FlatHistograms& f,
-                const HistogramTable::QueryHistogram::Dim& q, uint32_t id) {
+                const HistogramTable::QueryHistogram::Dim& q, uint32_t row) {
   int side_a = 0;
   for (const auto& [bin, cap] : q.bins) {
-    side_a += std::min(cap, ColumnValueAt(f, f.ns, bin, id));
+    side_a += std::min(cap, ColumnValueAt(f, f.ns, bin, row));
   }
   int side_b = 0;
   for (const auto& [bin, cap] : q.dilated) {
-    side_b += std::min(cap, ColumnValueAt(f, f.raw, bin, id));
+    side_b += std::min(cap, ColumnValueAt(f, f.raw, bin, row));
   }
   return std::min(side_a, side_b);
 }
@@ -806,11 +816,12 @@ int HistogramTable::FastLowerBound(const QueryHistogram& query,
                                    uint32_t id) const {
   // For Kind::k1D each per-dimension bound is a valid EDR lower bound, and
   // longer - min(tx, ty) is the larger of the two.
+  const uint32_t row = row_of_id_[id];
   int transport = std::numeric_limits<int>::max();
   for (size_t d = 0; d < dims_.size(); ++d) {
-    transport = std::min(transport, TransportAt(dims_[d], query.dims[d], id));
+    transport = std::min(transport, TransportAt(dims_[d], query.dims[d], row));
   }
-  return std::max(query.total, static_cast<int>(totals_[id])) - transport;
+  return std::max(query.total, static_cast<int>(totals_[row])) - transport;
 }
 
 namespace {
@@ -920,7 +931,7 @@ ColumnBlock BlockOf(const HistogramTable::FlatHistograms& f,
   return c;
 }
 
-/// side[j] += min(cap, the column's value at the block's j-th id), for
+/// side[j] += min(cap, the column's value at the block's j-th row), for
 /// j < len, dispatching on the column's layout; cap >= 1. Dense columns
 /// run the level's kernel; sparse ones add min(cap, value) per posting of
 /// the block with the same scalar loop at every level.
@@ -955,7 +966,7 @@ __attribute__((aligned(64))) void ClampColumns(
   }
 }
 
-/// out[f][j] = member f's min(side A, side B) for the block's j-th id:
+/// out[f][j] = member f's min(side A, side B) for the block's j-th row:
 /// side A clamps the NS columns of the query bins, side B the raw columns
 /// of the dilated bins.
 __attribute__((aligned(64))) void TransportBlock(
@@ -980,6 +991,39 @@ __attribute__((aligned(64))) void TransportBlock(
 
 }  // namespace
 
+/// A group's plan for every histogram dimension, with each member's length.
+struct HistogramTable::SweepPlan {
+  size_t group = 0;
+  std::vector<std::shared_ptr<const FusedPlanData>> dims;
+  int totals[kMaxFusionGroup] = {};
+};
+
+void HistogramTable::BoundBlock(const SweepPlan& plan, KernelLevel level,
+                                size_t block,
+                                int32_t (*bounds)[kSweepBlock]) const {
+  const MinCapAccumFn min_cap_accum = MinCapAccumFor(level);
+  const size_t i0 = block * kSweepBlock;
+  const size_t len = std::min(kSweepBlock, totals_.size() - i0);
+  TransportBlock(dims_[0], *plan.dims[0], min_cap_accum, block, len, bounds);
+  // Kind::k1D: longer - min(tx, ty) is the max of the per-dimension bounds.
+  for (size_t d = 1; d < dims_.size(); ++d) {
+    alignas(64) int32_t td[kMaxFusionGroup][kSweepBlock];
+    TransportBlock(dims_[d], *plan.dims[d], min_cap_accum, block, len, td);
+    for (size_t fq = 0; fq < plan.group; ++fq) {
+      for (size_t j = 0; j < len; ++j) {
+        bounds[fq][j] = std::min(bounds[fq][j], td[fq][j]);
+      }
+    }
+  }
+  for (size_t fq = 0; fq < plan.group; ++fq) {
+    const int total = plan.totals[fq];
+    for (size_t j = 0; j < len; ++j) {
+      bounds[fq][j] =
+          std::max(total, static_cast<int>(totals_[i0 + j])) - bounds[fq][j];
+    }
+  }
+}
+
 void HistogramTable::FastLowerBoundSweep(
     const std::vector<const QueryHistogram*>& queries,
     const std::vector<std::vector<int>*>& outs,
@@ -998,7 +1042,6 @@ void HistogramTable::SweepGroup(
     std::span<const QueryHistogram* const> queries,
     std::span<std::vector<int>* const> outs, KernelLevel level,
     const KnnOptions& options) const {
-  const MinCapAccumFn min_cap_accum = MinCapAccumFor(level);
   const size_t group = queries.size();
   const size_t n = totals_.size();
   const size_t num_blocks = (n + kSweepBlock - 1) / kSweepBlock;
@@ -1040,7 +1083,10 @@ void HistogramTable::SweepGroup(
   // occupied lists (in canonical order) and the table configuration named
   // by feature_key_ + the plan-kind suffix, which is exactly the plan
   // cache's contract; a cache hit therefore yields a bit-identical plan.
-  std::vector<std::shared_ptr<const FusedPlanData>> plans(dims_.size());
+  SweepPlan plan;
+  plan.group = group;
+  for (size_t fq = 0; fq < group; ++fq) plan.totals[fq] = qs[fq]->total;
+  plan.dims.resize(dims_.size());
   for (size_t d = 0; d < dims_.size(); ++d) {
     std::vector<const QueryHistogram::Dim*> members(group);
     std::vector<const FusedPlanCache::SparseList*> keys(group);
@@ -1051,37 +1097,23 @@ void HistogramTable::SweepGroup(
     const auto build = [&members] { return BuildFusedPlanData(members); };
     if (plan_cache != nullptr) {
       static const char* const kSuffix[] = {"#f2d", "#fx", "#fy"};
-      plans[d] = plan_cache->GetOrBuild<FusedPlanData>(
+      plan.dims[d] = plan_cache->GetOrBuild<FusedPlanData>(
           feature_key_ + kSuffix[dims_[d].mode], keys, build);
     } else {
-      plans[d] = std::make_shared<const FusedPlanData>(build());
+      plan.dims[d] = std::make_shared<const FusedPlanData>(build());
     }
   }
 
+  // Every block's bounds go out by id.
   const auto sweep_range = [&](size_t block_begin, size_t block_end) {
     alignas(64) int32_t t[kMaxFusionGroup][kSweepBlock];
-    alignas(64) int32_t td[kMaxFusionGroup][kSweepBlock];
     for (size_t block = block_begin; block < block_end; ++block) {
+      BoundBlock(plan, level, block, t);
       const size_t i0 = block * kSweepBlock;
       const size_t len = std::min(kSweepBlock, n - i0);
-      TransportBlock(dims_[0], *plans[0], min_cap_accum, block, len, t);
-      // Kind::k1D: longer - min(tx, ty) is the max of the per-dimension
-      // bounds.
-      for (size_t d = 1; d < dims_.size(); ++d) {
-        TransportBlock(dims_[d], *plans[d], min_cap_accum, block, len, td);
-        for (size_t fq = 0; fq < group; ++fq) {
-          for (size_t j = 0; j < len; ++j) {
-            t[fq][j] = std::min(t[fq][j], td[fq][j]);
-          }
-        }
-      }
       for (size_t fq = 0; fq < group; ++fq) {
-        std::vector<int>& out = *os[fq];
-        const int total = qs[fq]->total;
-        for (size_t j = 0; j < len; ++j) {
-          out[i0 + j] =
-              std::max(total, static_cast<int>(totals_[i0 + j])) - t[fq][j];
-        }
+        int* out = os[fq]->data();
+        for (size_t j = 0; j < len; ++j) out[id_of_row_[i0 + j]] = t[fq][j];
       }
     }
   };
@@ -1092,8 +1124,8 @@ void HistogramTable::SweepGroup(
     return;
   }
   // Contiguous block ranges, one per participant; every block writes only
-  // its own kSweepBlock-aligned output slices, so the sharded sweep is
-  // bit-identical to the sequential one for any worker count.
+  // the outputs of its own rows, so the sharded sweep is bit-identical to
+  // the sequential one for any worker count.
   const size_t ranges = std::min<size_t>(workers, num_blocks);
   IntraQueryPool(options).ParallelFor(
       ranges,
@@ -1101,6 +1133,125 @@ void HistogramTable::SweepGroup(
         sweep_range(r * num_blocks / ranges, (r + 1) * num_blocks / ranges);
       },
       static_cast<unsigned>(ranges));
+}
+
+namespace {
+
+constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+
+}  // namespace
+
+HistogramTable::BoundOrder::BoundOrder(const HistogramTable& table,
+                                       const QueryHistogram& query,
+                                       const std::vector<int>* swept)
+    : table_(table),
+      query_total_(static_cast<size_t>(query.total)),
+      level_(ActiveKernelLevel()),
+      ids_(std::make_unique_for_overwrite<uint32_t[]>(table.size())),
+      next_(std::make_unique_for_overwrite<uint32_t[]>(table.size())) {
+  if (swept != nullptr) {
+    bounds_ = swept->data();
+  } else {
+    // The query's plan, built once; its bounds land here block by block.
+    plan_ = std::make_unique<SweepPlan>();
+    plan_->group = 1;
+    plan_->totals[0] = query.total;
+    for (const QueryHistogram::Dim& dim : query.dims) {
+      plan_->dims.push_back(
+          std::make_shared<const FusedPlanData>(BuildFusedPlanData({&dim})));
+    }
+    own_bounds_ = std::make_unique_for_overwrite<int[]>(table.size());
+    bounds_ = own_bounds_.get();
+  }
+  // A bound never exceeds max(|Q|, |S|), so keys run up to the query's
+  // length or the longest row's.
+  const std::vector<int32_t>& totals = table.totals_;
+  const size_t longest =
+      totals.empty() ? 0 : static_cast<size_t>(totals.back());
+  head_.assign(std::max(query_total_, longest) + 1, kNoRow);
+  // Start at the first block whose longest row is at least as long as the
+  // query: the gaps of the blocks from there on grow with the index, and
+  // those of the blocks before it with the distance back.
+  const size_t num_blocks = (totals.size() + kSweepBlock - 1) / kSweepBlock;
+  size_t lo = 0;
+  size_t hi = num_blocks;
+  while (lo < hi) {
+    const size_t mid = (lo + hi) / 2;
+    const size_t last = std::min(totals.size(), (mid + 1) * kSweepBlock) - 1;
+    if (static_cast<size_t>(totals[last]) < query_total_) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  left_ = right_ = lo;
+}
+
+HistogramTable::BoundOrder::~BoundOrder() = default;
+
+size_t HistogramTable::BoundOrder::Gap(size_t block) const {
+  const std::vector<int32_t>& totals = table_.totals_;
+  const size_t shortest = static_cast<size_t>(totals[block * kSweepBlock]);
+  const size_t longest = static_cast<size_t>(
+      totals[std::min(totals.size(), (block + 1) * kSweepBlock) - 1]);
+  if (query_total_ < shortest) return shortest - query_total_;
+  if (query_total_ > longest) return query_total_ - longest;
+  return 0;
+}
+
+void HistogramTable::BoundOrder::Take(size_t block) {
+  const size_t i0 = block * kSweepBlock;
+  const size_t len = std::min(kSweepBlock, table_.size() - i0);
+  const uint32_t* id_of_row = table_.id_of_row_.data() + i0;
+  if (plan_ != nullptr) {
+    const auto start = std::chrono::steady_clock::now();
+    alignas(64) int32_t swept[1][kSweepBlock];
+    table_.BoundBlock(*plan_, level_, block, swept);
+    for (size_t j = 0; j < len; ++j) own_bounds_[id_of_row[j]] = swept[0][j];
+    sweep_seconds_ += std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    ++blocks_swept_;
+  }
+  for (size_t j = 0; j < len; ++j) {
+    const size_t key = static_cast<size_t>(bounds_[id_of_row[j]]);
+    next_[i0 + j] = head_[key];
+    head_[key] = static_cast<uint32_t>(i0 + j);
+  }
+}
+
+size_t HistogramTable::BoundOrder::Extend(double threshold) {
+  const size_t num_blocks = (table_.size() + kSweepBlock - 1) / kSweepBlock;
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  // Hands out keys up to about kBatch ids per call, so that the workers of
+  // a scan take its lock less often, but sweeps no block for the batch:
+  // once some key is out, it stops where the next key needs a sweep.
+  constexpr size_t kBatch = 256;
+  const size_t start = count_;
+  // Invariant: every block not yet taken has a gap of at least key_, so it
+  // holds no row of a key below key_.
+  while (key_ < head_.size() && static_cast<double>(key_) <= threshold &&
+         count_ < start + kBatch) {
+    const size_t left_gap = left_ > 0 ? Gap(left_ - 1) : kNone;
+    const size_t right_gap = right_ < num_blocks ? Gap(right_) : kNone;
+    if (std::min(left_gap, right_gap) <= key_) {
+      if (plan_ != nullptr && count_ > start) break;
+      Take(left_gap <= right_gap ? --left_ : right_++);
+      continue;
+    }
+    // Every row of key_ is taken: hand its ids out in ascending order.
+    const size_t first = count_;
+    for (uint32_t row = head_[key_]; row != kNoRow; row = next_[row]) {
+      ids_[count_++] = table_.id_of_row_[row];
+    }
+    std::sort(ids_.get() + first, ids_.get() + count_);
+    ++key_;
+  }
+  return count_;
+}
+
+OrderWork HistogramTable::BoundOrder::work() const {
+  return {"bound_sweep", sweep_seconds_, blocks_swept_};
 }
 
 }  // namespace edr

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -14,6 +15,8 @@
 #include "query/knn.h"
 
 namespace edr {
+
+struct OrderWork;  // query/intra_query.h
 
 /// The shared binning of the embedding space (Section 4.3): the data range
 /// [min, max] of each dimension is divided into equal subranges of width
@@ -143,6 +146,13 @@ struct HistogramStorageStats {
 ///  - *blocked-sparse* columns keep (local id, value) postings grouped by
 ///    sweep block, entered O(1) via a per-column block index;
 ///  - *empty* columns store nothing.
+///
+/// The stores hold the trajectories as *rows* in ascending (length, id)
+/// order, so each 1024-row sweep block spans a narrow range of lengths;
+/// every bound is still reported by original id. The fast bound is never
+/// below the length gap ||Q| - |S||, so a sorted scan that halts at its
+/// threshold can only reach the blocks whose lengths lie near the query's
+/// (BoundOrder).
 class HistogramTable {
  public:
   enum class Kind {
@@ -156,6 +166,11 @@ class HistogramTable {
   /// EDR by Corollary 1, so their max does too).
   HistogramTable(const TrajectoryDataset& db, double epsilon, Kind kind,
                  int delta = 1);
+
+  /// Rows per sweep block: the int32 accumulators of a block stay
+  /// L1/L2-resident while every query column streams over it. Must fit
+  /// uint16 local posting rows.
+  static constexpr size_t kSweepBlock = 1024;
 
   /// Precomputes the query side of the fast bound once; returns an opaque
   /// handle. A function of the query and the grid only (never of the
@@ -200,6 +215,8 @@ class HistogramTable {
                            const std::vector<std::vector<int>*>& outs,
                            const KnnOptions& options = {}) const;
 
+  class BoundOrder;
+
   Kind kind() const { return kind_; }
   int delta() const { return delta_; }
   const HistogramGrid& grid() const { return grid_; }
@@ -214,15 +231,15 @@ class HistogramTable {
   /// geometry.
   const std::string& feature_key() const { return feature_key_; }
 
-  /// One store of bin columns (see the class comment). Public only so the
-  /// sweep's file-local dispatch helpers can take it; not part of the
-  /// stable API.
+  /// One store of bin columns (see the class comment), indexed by row.
+  /// Public only so the sweep's file-local dispatch helpers can take it;
+  /// not part of the stable API.
   struct ColumnStore {
     std::vector<uint8_t> layout;  ///< per bin: the ColLayout code
     std::vector<uint32_t> slot;   ///< per bin: index in its layout's store
-    std::vector<int32_t> dense;   ///< dense cols: dense[slot * n + id]
-    /// Blocked-sparse cols: postings (local id within block, value) in
-    /// ascending id order, entered per block via the block index
+    std::vector<int32_t> dense;   ///< dense cols: dense[slot * n + row]
+    /// Blocked-sparse cols: postings (local row within block, value) in
+    /// ascending row order, entered per block via the block index
     /// sp_block_offsets[slot * (num_blocks + 1) + block].
     std::vector<uint32_t> sp_block_offsets;
     std::vector<uint16_t> sp_local_ids;
@@ -238,12 +255,17 @@ class HistogramTable {
     int ny = 1;
     size_t n = 0;
     size_t num_blocks = 0;  ///< ceil(n / kSweepBlock) sweep blocks
-    ColumnStore raw;        ///< raw_b[id] = H_id[b]
-    ColumnStore ns;         ///< ns_b[id] = H_id[N(b)]
+    ColumnStore raw;        ///< raw_b[row] = H_row[b]
+    ColumnStore ns;         ///< ns_b[row] = H_row[N(b)]
   };
 
+  /// The sweep plan of a group of at most kMaxFusionGroup queries, one per
+  /// histogram dimension (defined in histogram.cc). Public only so the
+  /// sweep's file-local helpers can take it; not part of the stable API.
+  struct SweepPlan;
+
  private:
-  /// Builds one dimension's two stores: a count pass and a fill pass in id
+  /// Builds one dimension's two stores: a count pass and a fill pass in row
   /// order, each rebuilding the trajectories' occupied and dilated lists
   /// chunk by chunk in parallel — deterministic for any worker count.
   void BuildTable(const TrajectoryDataset& db, FlatHistograms* flat) const;
@@ -253,12 +275,89 @@ class HistogramTable {
                   std::span<std::vector<int>* const> outs, KernelLevel level,
                   const KnnOptions& options) const;
 
+  /// Every member's bound on the rows of sweep block `block`:
+  /// bounds[f][j] for row block * kSweepBlock + j. The one block kernel of
+  /// every sweep, whole-table or windowed.
+  void BoundBlock(const SweepPlan& plan, KernelLevel level, size_t block,
+                  int32_t (*bounds)[kSweepBlock]) const;
+
   Kind kind_;
   int delta_;
   HistogramGrid grid_;
   std::string feature_key_;
   std::vector<FlatHistograms> dims_;  ///< the 2-D grid, or x then y
-  std::vector<int32_t> totals_;
+  std::vector<int32_t> totals_;       ///< per row: its length, ascending
+  std::vector<uint32_t> id_of_row_;   ///< rows in (length, id) order
+  std::vector<uint32_t> row_of_id_;
+};
+
+/// The ascending (FastLowerBound, id) order of one query over a table, the
+/// visit order of a sorted histogram scan, built as the scan reaches it.
+///
+/// The window argument (docs/ALGORITHMS.md §4): the bound is never below
+/// the length gap ||Q| - |S||, and the table stores its rows in (length,
+/// id) order, so every row of bound beta lies in a sweep block whose
+/// length gap to the query is at most beta. Extend sweeps blocks outward
+/// from the query's length, and before it hands out any id of key beta it
+/// has swept every block of gap <= beta. So it hands out exactly the
+/// canonical (bound, id) sequence, and once the next key exceeds the
+/// threshold it stops without sweeping further: a scan that halts at its
+/// k-th distance T reads only the blocks within T of the query's length.
+///
+/// Swept rows wait in per-key lists threaded through one per-row array;
+/// every buffer is allocated once, at construction. Not thread-safe: the
+/// scan extends it under its own lock (InLazyOrder).
+class HistogramTable::BoundOrder {
+ public:
+  /// With `swept` null, sweeps the query's blocks as the order reaches
+  /// them, at ActiveKernelLevel() (read once). Otherwise `swept` holds the
+  /// query's bound on every id, swept beforehand (a fusion group's pass),
+  /// and the order hands out the same ids from it without sweeping.
+  BoundOrder(const HistogramTable& table, const QueryHistogram& query,
+             const std::vector<int>* swept);
+  ~BoundOrder();
+
+  BoundOrder(const BoundOrder&) = delete;
+  BoundOrder& operator=(const BoundOrder&) = delete;
+
+  /// The bound of every id handed out so far, by id.
+  const int* bounds() const { return bounds_; }
+  int key(uint32_t id) const { return bounds_[id]; }
+
+  /// The id of rank `rank`, below the length Extend last returned.
+  uint32_t id_at(size_t rank) const { return ids_[rank]; }
+
+  /// Appends the ids of the next keys, each key's in ascending id order,
+  /// and returns the order's new length; returns the length unchanged,
+  /// sweeping nothing, once every id not yet handed out has a bound above
+  /// `threshold`, or none is left.
+  size_t Extend(double threshold);
+
+  /// The blocks swept so far and their time, as a "bound_sweep" aggregate.
+  OrderWork work() const;
+
+ private:
+  /// Length gap between the query and the nearest row of `block`.
+  size_t Gap(size_t block) const;
+  /// Sweeps (or, over bounds swept beforehand, just reads) one block and
+  /// files its rows under their keys.
+  void Take(size_t block);
+
+  const HistogramTable& table_;
+  size_t query_total_;
+  std::unique_ptr<SweepPlan> plan_;  ///< null over bounds swept beforehand
+  KernelLevel level_;
+  std::unique_ptr<int[]> own_bounds_;  ///< by id, when this order sweeps
+  const int* bounds_ = nullptr;
+  std::unique_ptr<uint32_t[]> ids_;   ///< the order handed out so far
+  std::unique_ptr<uint32_t[]> next_;  ///< per row: next row of its key
+  std::vector<uint32_t> head_;        ///< per key: first row waiting
+  size_t count_ = 0;                  ///< ids handed out
+  size_t key_ = 0;    ///< every key below it handed out
+  size_t left_ = 0;   ///< blocks [left_, right_) taken
+  size_t right_ = 0;
+  size_t blocks_swept_ = 0;
+  double sweep_seconds_ = 0.0;
 };
 
 }  // namespace edr

@@ -24,8 +24,8 @@ namespace {
 /// max-flow bound prunes almost nothing beyond it at ~25x the cost, so the
 /// searchers do not consult it; see bench_ablation for the measured
 /// tightness gap.)
-auto BoundFilter(const std::vector<int>& bounds) {
-  return [&bounds](StageCounters& st, uint32_t id, double threshold) {
+auto BoundFilter(const int* bounds) {
+  return [bounds](StageCounters& st, uint32_t id, double threshold) {
     if (static_cast<double>(bounds[id]) <= threshold) return false;
     st.Bump(&StageCounters::histogram_pruned);
     return true;
@@ -43,12 +43,18 @@ std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
     const std::vector<const Trajectory*>& queries, size_t k,
     const KnnOptions& options) const {
   const size_t group = queries.size();
+  // HSR answers a query of its own on one worker from an order that sweeps
+  // only the blocks its scan reaches. HSE reads every bound, a fusion group
+  // streams the table once for all its members, and several workers shard
+  // the whole sweep between them (the windowed sweeps run one at a time,
+  // under the order's lock), so these sweep the whole table up front in
+  // one vectorized pass.
+  const bool windowed = scan_ == HistogramScan::kSorted && group == 1 &&
+                        ResolveIntraQueryWorkers(options) == 1;
+  std::vector<std::shared_ptr<const HistogramTable::QueryHistogram>> features(
+      group);
   std::vector<std::vector<int>> bounds(group);
-  // Both scans consume the whole bound array anyway, so it is produced by
-  // one vectorized sweep over the column stores for the whole group.
   const auto sweep = [&] {
-    std::vector<std::shared_ptr<const HistogramTable::QueryHistogram>>
-        features(group);
     std::vector<const HistogramTable::QueryHistogram*> qhs(group);
     std::vector<std::vector<int>*> outs(group);
     for (size_t f = 0; f < group; ++f) {
@@ -58,20 +64,20 @@ std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
       qhs[f] = features[f].get();
       outs[f] = &bounds[f];
     }
-    table_.FastLowerBoundSweep(qhs, outs, options);
+    if (!windowed) table_.FastLowerBoundSweep(qhs, outs, options);
   };
   const auto refine = [&](size_t f, RefineRequest<> req) {
     const BoundedEdr edr(db_, *queries[f], epsilon_);
-    const std::vector<int>& b = bounds[f];
     // HSE: database order. HSR: ascending bound order, stopping outright
     // once the bound exceeds the k-th distance.
     if (scan_ == HistogramScan::kSequential) {
-      return FilterAndRefine(std::move(req), k, InDbOrder{}, BoundFilter(b),
-                             edr);
+      return FilterAndRefine(std::move(req), k, InDbOrder{},
+                             BoundFilter(bounds[f].data()), edr);
     }
-    return FilterAndRefine(std::move(req), k,
-                           InBoundOrder([&b](uint32_t id) { return b[id]; }),
-                           BoundFilter(b), edr);
+    HistogramTable::BoundOrder order(table_, *features[f],
+                                     windowed ? nullptr : &bounds[f]);
+    return FilterAndRefine(std::move(req), k, InLazyOrder{order},
+                           BoundFilter(order.bounds()), edr);
   };
   return RunFusionGroup(db_, queries, k, options, "bound_sweep", sweep,
                         refine);
@@ -91,10 +97,16 @@ KnnResult HistogramKnnSearcher::Range(const Trajectory& query,
                                       int radius) const {
   const auto start = std::chrono::steady_clock::now();
   const HistogramTable::QueryHistogram qh = table_.MakeQueryHistogram(query);
+  const BoundedEdr edr(db_, query, epsilon_);
+  if (scan_ == HistogramScan::kSorted) {
+    HistogramTable::BoundOrder order(table_, qh, nullptr);
+    return ScanRange(db_, query, start, radius, /*max_results=*/0,
+                     InLazyOrder{order}, BoundFilter(order.bounds()), edr);
+  }
   std::vector<int> bounds;
   table_.FastLowerBoundSweep({&qh}, {&bounds});
   return ScanRange(db_, query, start, radius, /*max_results=*/0, InDbOrder{},
-                   BoundFilter(bounds), BoundedEdr(db_, query, epsilon_));
+                   BoundFilter(bounds.data()), edr);
 }
 
 }  // namespace edr

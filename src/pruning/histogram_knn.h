@@ -20,10 +20,12 @@ enum class HistogramScan {
 ///
 /// HSE visits candidates in database order and computes the true EDR only
 /// when the histogram distance does not exceed the current k-th distance.
-/// HSR first computes all histogram distances, sorts them ascending, and
-/// stops the entire scan at the first candidate whose lower bound exceeds
-/// the (monotonically non-increasing) k-th distance — every later
-/// candidate has an even larger lower bound.
+/// HSR visits them in ascending histogram-distance order and stops the
+/// entire scan at the first candidate whose lower bound exceeds the
+/// (monotonically non-increasing) k-th distance — every later candidate
+/// has an even larger lower bound. A query of its own builds that order
+/// as the scan reaches it (HistogramTable::BoundOrder), sweeping only the
+/// table's rows whose length lies within reach of the query's.
 class HistogramKnnSearcher {
  public:
   /// `kind`/`delta` select the embedding: {k2D, delta} covers the paper's
@@ -39,16 +41,19 @@ class HistogramKnnSearcher {
   /// The query path: answers a fusion group of queries with one
   /// cache-blocked pass over the histogram table, which streams every
   /// column block once and evaluates all members' transport bounds against
-  /// it; then each member runs its own refinement. A member's answer is
-  /// the same for every group size and worker count — fusing changes only
-  /// how often the table is streamed, never any member's bound sequence.
-  /// `options` shards the bound sweep and refinement over the thread pool.
+  /// it; then each member runs its own refinement. HSR answers a group of
+  /// one on one worker without that pass: its order sweeps only the blocks
+  /// its scan reaches. A member's answer is the same for every group size and
+  /// worker count — fusing changes only how often the table is streamed,
+  /// never any member's bound sequence. `options` shards the bound sweep
+  /// and refinement over the thread pool.
   std::vector<KnnResult> KnnFused(
       const std::vector<const Trajectory*>& queries, size_t k,
       const KnnOptions& options = {}) const;
 
   /// Range query: prunes every candidate whose histogram lower bound
-  /// exceeds `radius`, computes EDR for the rest. Lossless.
+  /// exceeds `radius`, computes EDR for the rest, in the searcher's scan
+  /// order (HSR stops at the first bound above the radius). Lossless.
   KnnResult Range(const Trajectory& query, int radius) const;
 
   const HistogramTable& table() const { return table_; }

@@ -68,16 +68,6 @@ PairwiseEdrMatrix PairwiseEdrMatrix::BuildParallel(const TrajectoryDataset& db,
   return m;
 }
 
-PairwiseEdrMatrix PairwiseEdrMatrix::FromParts(size_t num_refs,
-                                               size_t db_size,
-                                               std::vector<int> distances) {
-  PairwiseEdrMatrix m;
-  m.num_refs_ = num_refs;
-  m.db_size_ = db_size;
-  m.distances_ = std::move(distances);
-  return m;
-}
-
 NearTriangleSearcher::NearTriangleSearcher(const TrajectoryDataset& db,
                                            double epsilon,
                                            size_t max_triangle)

@@ -35,12 +35,7 @@ class PairwiseEdrMatrix {
                                          double epsilon, size_t num_refs,
                                          unsigned threads = 0);
 
-  /// Reconstructs a matrix from raw parts (the persistence path); sizes
-  /// must satisfy distances.size() == num_refs * db_size.
-  static PairwiseEdrMatrix FromParts(size_t num_refs, size_t db_size,
-                                     std::vector<int> distances);
-
-  /// Row-major distance payload (num_refs x db_size), for persistence.
+  /// Row-major distance payload (num_refs x db_size).
   const std::vector<int>& data() const { return distances_; }
 
   size_t num_refs() const { return num_refs_; }

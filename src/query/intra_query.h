@@ -5,9 +5,10 @@
 // k-NN searcher: visit the candidates in some order, run the searcher's
 // filters against the running k-th distance, and refine the survivors with
 // the true distance. A searcher supplies only
-//   - its candidate order: InDbOrder, or InKeyOrder / InBoundOrder
-//     (ascending (key, id) order, built up front as an "order" span, with a
-//     monotone stop test);
+//   - its candidate order: InDbOrder; InKeyOrder / InBoundOrder (ascending
+//     (key, id) order, built up front as an "order" span, with a monotone
+//     stop test); or InLazyOrder (ascending (bound, id) order, extended as
+//     the scan reaches it, halting at the first bound above the threshold);
 //   - its filter chain, prune(StageCounters&, id, threshold) -> pruned,
 //     which bumps the bucket of the filter that fired;
 //   - its distance, distance(id, threshold) -> Refined: BoundedEdr (which
@@ -24,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -206,41 +208,93 @@ void RunSlots(unsigned slots, const KnnOptions& options, LoopFn&& loop,
   }
 }
 
-/// A scan over n candidates in an order fixed up front: the candidate of
-/// rank r is id_at(r), and the scan halts at the first candidate for which
-/// halt(id, threshold) holds, without visiting it.
-template <typename IdFn, typename HaltFn>
+/// The extension of an order built in full before its scan starts: every
+/// rank is ready, so the scan never calls it.
+struct FixedOrder {
+  size_t operator()(double /*threshold*/) const { return 0; }
+};
+
+/// A scan over n candidates: the candidate of rank r is id_at(r), and the
+/// scan halts at the first candidate for which halt(id, threshold) holds,
+/// without visiting it. Ranks [0, ready) are fixed before the scan starts;
+/// an order built while the scan runs publishes the rest:
+/// extend(threshold) appends at least one rank and returns the order's
+/// new length, or returns it unchanged once every remaining candidate
+/// would halt at `threshold`, which halts the scan.
+template <typename IdFn, typename HaltFn, typename ExtendFn>
 struct OrderedScan {
   size_t n;
   IdFn id_at;
   HaltFn halt;
+  size_t ready;
+  ExtendFn extend;
 
   /// Offers to `sink` every candidate that process(slot, id, threshold,
   /// &dist) refines exactly, with `slots` workers drawing ranks from one
   /// atomic counter; `threshold` is sink.Threshold() read per candidate.
-  /// The order is fixed before the scan starts, so no lock is needed; once
-  /// a worker halts the scan, the others stop when they next check the
-  /// flag.
+  /// A worker that draws a rank past the published prefix extends the
+  /// order under a lock and publishes the new length with release order,
+  /// so lock-free readers of the prefix see whole ids; a fixed order is
+  /// published whole and takes no lock. Once a worker halts the scan, the
+  /// others stop when they next check the flag.
+  ///
+  /// With several slots, slot 0 refines alone until the sink's threshold
+  /// is finite (a k-NN top-k holds k exact distances) or the scan halts;
+  /// only then do the other slots join, each with a finite threshold. So
+  /// no slot refines without a bound, and the prefix is the one-slot
+  /// scan's.
   template <typename Sink, typename ProcessFn>
   void Visit(unsigned slots, const KnnOptions& options, Sink& sink,
              ProcessFn& process, const TraceContext& tc) const {
     std::atomic<size_t> next{0};
+    std::atomic<size_t> published{ready};
     std::atomic<bool> halted{false};
-    auto loop = [&](size_t slot) {
-      while (!halted.load(std::memory_order_relaxed)) {
-        const size_t rank = next.fetch_add(1, std::memory_order_relaxed);
-        if (rank >= n) break;
-        const uint32_t id = id_at(rank);
-        const double threshold = sink.Threshold();
-        if (halt(id, threshold)) {
-          halted.store(true, std::memory_order_relaxed);
-          break;
-        }
-        double dist = 0.0;
-        if (process(static_cast<unsigned>(slot), id, threshold, &dist)) {
-          sink.Offer(id, dist, rank);
-        }
+    std::atomic<bool> seeded{slots <= 1};
+    std::mutex mu;  // serializes the extensions
+    // Publishes the order up to `rank`; false once it halts short of it.
+    const auto reach = [&](size_t rank) {
+      if (rank < published.load(std::memory_order_acquire)) return true;
+      std::lock_guard<std::mutex> lock(mu);
+      size_t count = published.load(std::memory_order_relaxed);
+      while (count <= rank) {
+        const size_t grown = extend(sink.Threshold());
+        if (grown == count) return false;
+        count = grown;
+        published.store(count, std::memory_order_release);
       }
+      return true;
+    };
+    // Visits the next rank; false once the scan is over.
+    const auto step = [&](unsigned slot) {
+      const size_t rank = next.fetch_add(1, std::memory_order_relaxed);
+      if (rank >= n || !reach(rank)) return false;
+      const uint32_t id = id_at(rank);
+      const double threshold = sink.Threshold();
+      if (halt(id, threshold)) return false;
+      double dist = 0.0;
+      if (process(slot, id, threshold, &dist)) sink.Offer(id, dist, rank);
+      return true;
+    };
+    const auto run = [&](unsigned slot) {
+      while (!halted.load(std::memory_order_relaxed)) {
+        if (!step(slot)) halted.store(true, std::memory_order_relaxed);
+      }
+    };
+    auto loop = [&](size_t s) {
+      const unsigned slot = static_cast<unsigned>(s);
+      if (slot == 0 && !seeded.load(std::memory_order_relaxed)) {
+        while (!halted.load(std::memory_order_relaxed) &&
+               std::isinf(sink.Threshold())) {
+          if (!step(0)) halted.store(true, std::memory_order_relaxed);
+        }
+        seeded.store(true, std::memory_order_release);
+        seeded.notify_all();
+      } else if (slot != 0) {
+        // Slot 0 is the calling thread's first item (ThreadPool::
+        // ParallelFor), so it always runs while the others wait.
+        seeded.wait(false, std::memory_order_acquire);
+      }
+      run(slot);
     };
     RunSlots(slots, options, loop, tc);
   }
@@ -248,8 +302,18 @@ struct OrderedScan {
 
 }  // namespace internal
 
+/// What building an order cost while its scan ran: `count` units of work
+/// (the blocks a lazy bound order swept) in `seconds`. The driver records
+/// a nonzero count as a `name` aggregate under "refine" and counts the
+/// time as filter time.
+struct OrderWork {
+  const char* name = "";
+  double seconds = 0.0;
+  uint64_t count = 0;
+};
+
 /// Candidate order: database order, ids 0..n-1 (HSE, NTR, CSE, the
-/// combined searcher without a sorted histogram scan, and the range
+/// combined searcher without a sorted histogram scan, and their range
 /// queries). No ordering work and no early stop; a candidate's rank is its
 /// id.
 struct InDbOrder {
@@ -257,13 +321,14 @@ struct InDbOrder {
   auto Build(size_t n, QueryTrace* /*trace*/) const {
     return internal::OrderedScan{
         n, [](size_t rank) { return static_cast<uint32_t>(rank); },
-        [](uint32_t, double) { return false; }};
+        [](uint32_t, double) { return false; }, n, internal::FixedOrder{}};
   }
+  OrderWork work() const { return {}; }
 };
 
 /// Candidate order: ascending canonical (key(id), id), built up front by
-/// CanonicalOrder (HSR, the Q-gram searchers, LCSS with its histogram
-/// filter, the combined searcher's sorted scan and Knn3Searcher). When
+/// CanonicalOrder (the Q-gram searchers, LCSS with its histogram filter
+/// and Knn3Searcher). When
 /// stop(key, threshold) holds for the canonically next candidate, every
 /// remaining candidate is prunable too and the whole scan halts; that
 /// candidate is never visited. `stop` must be monotone in the threshold (a
@@ -285,8 +350,10 @@ struct InKeyOrder {
         n, [ids = std::move(ids)](size_t rank) { return ids[rank]; },
         [this](uint32_t id, double threshold) {
           return stop(key(id), threshold);
-        }};
+        },
+        n, internal::FixedOrder{}};
   }
+  OrderWork work() const { return {}; }
 };
 
 /// InKeyOrder over per-candidate lower bounds: in ascending bound order,
@@ -297,6 +364,28 @@ auto InBoundOrder(KeyFn bound) {
                       return static_cast<double>(key) > threshold;
                     }};
 }
+
+/// Candidate order: ascending (bound, id), as InBoundOrder, but built by
+/// `order` while the scan runs (HistogramTable::BoundOrder). Nothing is
+/// built up front: order.Extend(threshold) appends the next ids and
+/// returns the order's length, or returns it unchanged once every
+/// remaining candidate's bound exceeds the threshold; order.key(id) is the
+/// bound of every id handed out, and order.work() what the extensions
+/// cost.
+template <typename Lazy>
+struct InLazyOrder {
+  Lazy& order;
+
+  auto Build(size_t n, QueryTrace* /*trace*/) const {
+    return internal::OrderedScan{
+        n, [this](size_t rank) { return order.id_at(rank); },
+        [this](uint32_t id, double threshold) {
+          return static_cast<double>(order.key(id)) > threshold;
+        },
+        0, [this](double threshold) { return order.Extend(threshold); }};
+  }
+  OrderWork work() const { return order.work(); }
+};
 
 /// One refinement's outcome: the candidate's exact distance, or — when the
 /// computation abandoned past the threshold — a lower bound above it.
@@ -405,9 +494,10 @@ struct alignas(64) RefineSlot {
 /// Phase split, one rule for every searcher: with observability compiled
 /// in, the distance calls are timed per slot, refine_seconds is their sum
 /// (clamped to the elapsed time) and filter_seconds the rest; the trace
-/// gets the sum as a "dp" aggregate under "refine". Under EDR_DISABLE_OBS
-/// no clock is read per candidate: filter is the up-front pass plus the
-/// order's build and refine the rest.
+/// gets the sum as a "dp" aggregate under "refine", beside the order's
+/// work (a lazy order's sweeps). Under EDR_DISABLE_OBS no clock is read
+/// per candidate: filter is the up-front pass plus the order's build and
+/// work, and refine the rest.
 template <typename Db, typename Query, typename Order, typename Sink,
           typename PruneFn, typename DistanceFn, typename TakeFn>
 KnnResult Drive(RefineRequest<Db, Query>& req, unsigned slots,
@@ -461,16 +551,21 @@ KnnResult Drive(RefineRequest<Db, Query>& req, unsigned slots,
   }
   stats.stages.FinalizeNotVisited(stats.db_size);
   stats.elapsed_seconds = filter_seconds + refine_wall;
+  const OrderWork work = order.work();
   if constexpr (kObsEnabled) {
     if (req.trace != nullptr) {
       req.trace->AddAggregate("dp", dp_seconds, stats.stages.dp_invoked,
                               span.id());
+      if (work.count > 0) {
+        req.trace->AddAggregate(work.name, work.seconds, work.count,
+                                span.id());
+      }
     }
     stats.refine_seconds = std::min(dp_seconds, stats.elapsed_seconds);
     stats.filter_seconds = stats.elapsed_seconds - stats.refine_seconds;
   } else {
-    stats.filter_seconds = filter_seconds;
-    stats.refine_seconds = refine_wall;
+    stats.filter_seconds = filter_seconds + work.seconds;
+    stats.refine_seconds = refine_wall - work.seconds;
   }
   out.trace = std::move(req.trace);
   RecordQueryMetrics(stats);

@@ -252,28 +252,19 @@ TEST(ObsRegistryTest, SnapshotSinceYieldsDeltas) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   ObsCounter& c = registry.Counter("test_registry.since.count");
   LatencyHistogram& h = registry.Histogram("test_registry.since.seconds");
-  ObsGauge& g = registry.Gauge("test_registry.since.level");
   c.Reset();
   h.Reset();
   c.Inc(5);
   h.Record(0.004);
-  g.Set(0.25);
   const MetricsSnapshot first = registry.Snapshot();
 
   c.Inc(2);
   h.Record(1e-3);
   h.Record(2e-3);
-  g.Set(0.75);
   // Registered after the first snapshot: its delta counts from zero.
   registry.Counter("test_registry.since.late").Inc(4);
   const MetricsSnapshot second = registry.Snapshot();
   const MetricsSnapshot delta = second.Since(first);
-
-  double level = -1.0;
-  for (const MetricsSnapshot::GaugeRow& row : delta.gauges) {
-    if (row.name == "test_registry.since.level") level = row.value;
-  }
-  EXPECT_EQ(level, kObsEnabled ? 0.75 : 0.0);  // Gauges keep the level.
 
   const MetricsSnapshot::HistogramRow before =
       HistogramIn(first, "test_registry.since.seconds");

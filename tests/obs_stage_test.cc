@@ -346,9 +346,13 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
   // Every searcher runs through one filter-and-refine driver, so every
   // trace has the same refinement phase: one "refine" span whose children
   // are the per-slot "refine_worker" spans, and one "dp" aggregate counting
-  // the DPs. A sorted scan also records building its candidate order as
-  // one "order" span beside "refine"; a database-order scan records none.
-  // The phase split covers the elapsed time in every build.
+  // the DPs. A sorted scan built up front also records building its
+  // candidate order as one "order" span beside "refine"; a database-order
+  // scan records none. The histogram-sorted scans (HSR, 2HP) build their
+  // order while refining; on one worker they also sweep the blocks they
+  // reach then, and record them as one "bound_sweep" aggregate under
+  // "refine" (several workers shard the whole sweep up front). The phase
+  // split covers the elapsed time in every build.
   const HistogramKnnSearcher hse(Db(), kEps, HistogramTable::Kind::k2D, 1,
                                  HistogramScan::kSequential);
   const HistogramKnnSearcher hsr(Db(), kEps, HistogramTable::Kind::k2D, 1,
@@ -369,15 +373,16 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
     std::string label;
     KnnFn knn;
     size_t orders;  ///< "order" spans: 1 for a sorted scan, else 0
+    size_t sweeps;  ///< "bound_sweep" aggregates under "refine", 1 worker
   };
   const std::vector<Case> searchers = {
-      {"HSE", knn_of(hse), 0},        {"HSR", knn_of(hsr), 1},
-      {"PS2", knn_of(ps2), 1},        {"PR", knn_of(pr), 1},
-      {"NTR", knn_of(ntr), 0},        {"CSE", knn_of(cse), 0},
-      {"2HP", knn_of(combined), 1},  {"LCSS-HP", knn_of(lcss), 1},
+      {"HSE", knn_of(hse), 0, 0},        {"HSR", knn_of(hsr), 0, 1},
+      {"PS2", knn_of(ps2), 1, 0},        {"PR", knn_of(pr), 1, 0},
+      {"NTR", knn_of(ntr), 0, 0},        {"CSE", knn_of(cse), 0, 0},
+      {"2HP", knn_of(combined), 0, 1},  {"LCSS-HP", knn_of(lcss), 1, 0},
   };
   const auto queries = testutil::MakeQueries(Db(), 528, 1);
-  for (const auto& [label, knn, orders] : searchers) {
+  for (const auto& [label, knn, orders, sweeps] : searchers) {
     for (const unsigned workers : {1u, 4u}) {
       const std::string where = label + " workers=" + std::to_string(workers);
       KnnOptions options;
@@ -404,6 +409,7 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
         size_t refine_workers = 0;
         size_t dps = 0;
         size_t order_spans = 0;
+        size_t lazy_sweeps = 0;
         for (const QueryTrace::Node& node : nodes) {
           const std::string name = node.name;
           if (name == "refine_worker") {
@@ -415,11 +421,16 @@ TEST(ObsStageTest, EverySearcherReportsOneRefinePhase) {
           } else if (name == "order") {
             EXPECT_EQ(node.parent, -1) << where;
             ++order_spans;
+          } else if (name == "bound_sweep" && node.parent == refines[0]) {
+            // One count per 1024-row block swept; the table has one.
+            EXPECT_EQ(node.count, 1u) << where;
+            ++lazy_sweeps;
           }
         }
         EXPECT_EQ(refine_workers, workers) << where;
         EXPECT_EQ(dps, 1u) << where;
         EXPECT_EQ(order_spans, orders) << where;
+        EXPECT_EQ(lazy_sweeps, workers == 1 ? sweeps : 0) << where;
       } else {
         EXPECT_EQ(r.trace, nullptr) << where;
       }
