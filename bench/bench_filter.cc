@@ -65,12 +65,6 @@ double SecondsPerCall(const std::function<void()>& fn, int min_iters = 3) {
   }
 }
 
-/// FastLowerBoundSweep for one query: a group of one.
-void Sweep(const HistogramTable& table,
-           const HistogramTable::QueryHistogram& qh, std::vector<int>* out) {
-  table.FastLowerBoundSweep({&qh}, {out});
-}
-
 struct SweepRow {
   const char* kind = "";
   double per_row_s = 0.0;
@@ -183,8 +177,8 @@ std::vector<LevelRow> MeasureLevels(
     o.sweep_1d.resize(queries.size());
     o.decided.resize(queries.size());
     for (size_t f = 0; f < queries.size(); ++f) {
-      Sweep(table_2d, qh_2d[f], &o.sweep_2d[f]);
-      Sweep(table_1d, qh_1d[f], &o.sweep_1d[f]);
+      table_2d.FastLowerBoundSweep(qh_2d[f], &o.sweep_2d[f]);
+      table_1d.FastLowerBoundSweep(qh_1d[f], &o.sweep_1d[f]);
       decide(f, &o.decided[f]);
     }
     if (level == KernelLevel::kScalar) scalar = o;
@@ -203,10 +197,10 @@ std::vector<LevelRow> MeasureLevels(
       if (!rows[i].supported) continue;
       SetActiveKernelLevel(rows[i].level);
       sweep_2d[i].push_back(SecondsPerCall([&] {
-        for (const auto& qh : qh_2d) Sweep(table_2d, qh, &bounds);
+        for (const auto& qh : qh_2d) table_2d.FastLowerBoundSweep(qh, &bounds);
       }));
       sweep_1d[i].push_back(SecondsPerCall([&] {
-        for (const auto& qh : qh_1d) Sweep(table_1d, qh, &bounds);
+        for (const auto& qh : qh_1d) table_1d.FastLowerBoundSweep(qh, &bounds);
       }));
       decide_s[i].push_back(SecondsPerCall([&] {
         for (size_t f = 0; f < queries.size(); ++f) decide(f, &decided);
@@ -330,14 +324,16 @@ LedgerRow MeasureLedgerNhl(size_t count, size_t max_length,
   }
   std::vector<int> sweep;
   const double per_call = SecondsPerCall([&] {
-    for (const auto& qh : qhs) Sweep(table, qh, &sweep);
+    for (const auto& qh : qhs) table.FastLowerBoundSweep(qh, &sweep);
   });
   row.sweep_s = per_call / static_cast<double>(num_queries);
 
   // Certify against the definition: dense histograms of the query and of
   // every row, through HistogramDistance2DFast.
   std::vector<std::vector<int>> bounds(qhs.size());
-  for (size_t q = 0; q < qhs.size(); ++q) Sweep(table, qhs[q], &bounds[q]);
+  for (size_t q = 0; q < qhs.size(); ++q) {
+    table.FastLowerBoundSweep(qhs[q], &bounds[q]);
+  }
   const HistogramGrid& grid = table.grid();
   std::vector<std::vector<int>> hq;
   for (const Trajectory& q : queries) hq.push_back(BuildHistogram2D(q, grid));
@@ -421,24 +417,24 @@ int main(int argc, char** argv) {
     });
     std::vector<int> sweep;
     row.sweep_simd_s = SecondsPerCall([&] {
-      for (const auto& qh : qhs) Sweep(table, qh, &sweep);
+      for (const auto& qh : qhs) table.FastLowerBoundSweep(qh, &sweep);
     });
     // The scalar level, pinned as EDR_FORCE_KERNEL=scalar would pin it.
     std::vector<int> scalar;
     SetActiveKernelLevel(KernelLevel::kScalar);
     row.sweep_scalar_s = SecondsPerCall([&] {
-      for (const auto& qh : qhs) Sweep(table, qh, &scalar);
+      for (const auto& qh : qhs) table.FastLowerBoundSweep(qh, &scalar);
     });
     std::vector<std::vector<int>> scalar_bounds;
     for (const auto& qh : qhs) {
-      Sweep(table, qh, &scalar);
+      table.FastLowerBoundSweep(qh, &scalar);
       scalar_bounds.push_back(scalar);
     }
     ResetActiveKernelLevel();
 
     // Certify equivalence on every query: sweep == scalar sweep == per-row.
     for (size_t q = 0; q < qhs.size(); ++q) {
-      Sweep(table, qhs[q], &sweep);
+      table.FastLowerBoundSweep(qhs[q], &sweep);
       for (uint32_t id = 0; id < db.size(); ++id) {
         if (sweep[id] != table.FastLowerBound(qhs[q], id) ||
             scalar_bounds[q][id] != sweep[id]) {
@@ -476,11 +472,11 @@ int main(int argc, char** argv) {
     }
     std::vector<int> a_bounds;
     row.sweep_adaptive_s = SecondsPerCall([&] {
-      for (const auto& qh : qhs) Sweep(adaptive, qh, &a_bounds);
+      for (const auto& qh : qhs) adaptive.FastLowerBoundSweep(qh, &a_bounds);
     });
     // Certify the sweep against the per-row bound of the same table.
     for (const auto& qh : qhs) {
-      Sweep(adaptive, qh, &a_bounds);
+      adaptive.FastLowerBoundSweep(qh, &a_bounds);
       for (uint32_t id = 0; id < db.size(); ++id) {
         if (a_bounds[id] != adaptive.FastLowerBound(qh, id)) {
           row.identical = false;

@@ -11,7 +11,6 @@
 #include "distance/edr_kernel.h"
 #include "distance/erp.h"
 #include "distance/euclidean.h"
-#include "distance/frechet.h"
 #include "distance/lcss.h"
 
 namespace edr {
@@ -145,26 +144,6 @@ void BM_SlidingEuclidean(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlidingEuclidean)->RangeMultiplier(2)->Range(32, 1024);
-
-void BM_DiscreteFrechet(benchmark::State& state) {
-  const size_t len = static_cast<size_t>(state.range(0));
-  const Trajectory a = MakeWalk(11, len);
-  const Trajectory b = MakeWalk(12, len);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(DiscreteFrechetDistance(a, b));
-  }
-}
-BENCHMARK(BM_DiscreteFrechet)->RangeMultiplier(2)->Range(32, 1024);
-
-void BM_Hausdorff(benchmark::State& state) {
-  const size_t len = static_cast<size_t>(state.range(0));
-  const Trajectory a = MakeWalk(13, len);
-  const Trajectory b = MakeWalk(14, len);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HausdorffDistance(a, b));
-  }
-}
-BENCHMARK(BM_Hausdorff)->RangeMultiplier(2)->Range(32, 1024);
 
 }  // namespace
 }  // namespace edr

@@ -71,30 +71,6 @@ void BM_RStarTreeBulkLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_RStarTreeBulkLoad)->Range(1024, 65536);
 
-void BM_RStarTreeDelete(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(13);
-  std::vector<std::pair<Point2, uint32_t>> items;
-  for (int i = 0; i < n; ++i) {
-    items.push_back(
-        {{rng.Uniform(-10, 10), rng.Uniform(-10, 10)},
-         static_cast<uint32_t>(i)});
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<std::pair<Point2, uint32_t>> copy = items;
-    RStarTree tree = RStarTree::BulkLoad(std::move(copy));
-    state.ResumeTiming();
-    for (int i = 0; i < n; i += 2) {
-      tree.Delete(items[static_cast<size_t>(i)].first,
-                  items[static_cast<size_t>(i)].second);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * (n / 2));
-}
-BENCHMARK(BM_RStarTreeDelete)->Range(1024, 16384);
-
 void BM_BPlusTreeInsert(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(3);

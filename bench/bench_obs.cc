@@ -145,7 +145,6 @@ PublishRow MeasurePublishCost(size_t passes) {
   proto.db_size = 10000;
   proto.edr_computed = 42;
   proto.sched_budget = 4;
-  proto.fusion_group = 2;
 
   const size_t batch = 20000;
   // Fill pass: the ring laps, the reservoir fills, and the slowest-list

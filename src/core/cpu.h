@@ -1,16 +1,7 @@
 #ifndef EDR_CORE_CPU_H_
 #define EDR_CORE_CPU_H_
 
-#include <cstddef>
-
 namespace edr {
-
-/// Maximum queries one histogram sweep serves per database pass, and the
-/// scheduler's default fusion-group width. It sizes the per-member int32
-/// accumulators every sweep block keeps on the stack and the per-bin cap
-/// arrays of a group's sweep plan. Larger groups are chunked inside the
-/// sweep, so this is a memory-shape constant, not a correctness limit.
-inline constexpr size_t kMaxFusionGroup = 8;
 
 /// Lane widths the integer sweep / merge-count / match-vector kernels are
 /// compiled for. Every level computes bit-identical results — the level is

@@ -89,121 +89,6 @@ void BPlusTree::Insert(double key, uint32_t value) {
   ++size_;
 }
 
-bool BPlusTree::DeleteRec(Node* node, double key, uint32_t value) {
-  if (node->leaf) {
-    const auto begin =
-        std::lower_bound(node->keys.begin(), node->keys.end(), key);
-    for (size_t i = static_cast<size_t>(begin - node->keys.begin());
-         i < node->keys.size() && node->keys[i] == key; ++i) {
-      if (node->values[i] == value) {
-        node->keys.erase(node->keys.begin() + static_cast<long>(i));
-        node->values.erase(node->values.begin() + static_cast<long>(i));
-        return true;
-      }
-    }
-    return false;
-  }
-  // Duplicates of `key` may sit on either side of an equal separator, so
-  // every child whose [lo, hi] range covers the key is a candidate.
-  const size_t lb = static_cast<size_t>(
-      std::lower_bound(node->keys.begin(), node->keys.end(), key) -
-      node->keys.begin());
-  const size_t ub = static_cast<size_t>(
-      std::upper_bound(node->keys.begin(), node->keys.end(), key) -
-      node->keys.begin());
-  for (size_t i = lb; i <= ub && i < node->children.size(); ++i) {
-    if (!DeleteRec(node->children[i].get(), key, value)) continue;
-    const size_t min_keys =
-        std::max<size_t>(1, static_cast<size_t>(order_) / 3);
-    if (node->children[i]->keys.size() < min_keys) {
-      RebalanceChild(node, i);
-    }
-    return true;
-  }
-  return false;
-}
-
-void BPlusTree::RebalanceChild(Node* parent, size_t index) {
-  if (parent->children.size() < 2) return;  // Root collapse handles this.
-  Node* child = parent->children[index].get();
-  const size_t min_keys =
-      std::max<size_t>(1, static_cast<size_t>(order_) / 3);
-
-  // Try borrowing from the left sibling.
-  if (index > 0) {
-    Node* left = parent->children[index - 1].get();
-    if (left->keys.size() > min_keys) {
-      if (child->leaf) {
-        child->keys.insert(child->keys.begin(), left->keys.back());
-        child->values.insert(child->values.begin(), left->values.back());
-        left->keys.pop_back();
-        left->values.pop_back();
-        parent->keys[index - 1] = child->keys.front();
-      } else {
-        child->keys.insert(child->keys.begin(), parent->keys[index - 1]);
-        child->children.insert(child->children.begin(),
-                               std::move(left->children.back()));
-        left->children.pop_back();
-        parent->keys[index - 1] = left->keys.back();
-        left->keys.pop_back();
-      }
-      return;
-    }
-  }
-  // Try borrowing from the right sibling.
-  if (index + 1 < parent->children.size()) {
-    Node* right = parent->children[index + 1].get();
-    if (right->keys.size() > min_keys) {
-      if (child->leaf) {
-        child->keys.push_back(right->keys.front());
-        child->values.push_back(right->values.front());
-        right->keys.erase(right->keys.begin());
-        right->values.erase(right->values.begin());
-        parent->keys[index] = right->keys.front();
-      } else {
-        child->keys.push_back(parent->keys[index]);
-        child->children.push_back(std::move(right->children.front()));
-        right->children.erase(right->children.begin());
-        parent->keys[index] = right->keys.front();
-        right->keys.erase(right->keys.begin());
-      }
-      return;
-    }
-  }
-  // Merge with a sibling (into the left one of the pair).
-  const size_t left_index = index > 0 ? index - 1 : index;
-  Node* left = parent->children[left_index].get();
-  Node* right = parent->children[left_index + 1].get();
-  if (left->leaf) {
-    left->keys.insert(left->keys.end(), right->keys.begin(),
-                      right->keys.end());
-    left->values.insert(left->values.end(), right->values.begin(),
-                        right->values.end());
-    left->next = right->next;
-  } else {
-    // Pull the separator down between the merged key runs.
-    left->keys.push_back(parent->keys[left_index]);
-    left->keys.insert(left->keys.end(), right->keys.begin(),
-                      right->keys.end());
-    for (auto& grandchild : right->children) {
-      left->children.push_back(std::move(grandchild));
-    }
-  }
-  parent->keys.erase(parent->keys.begin() + static_cast<long>(left_index));
-  parent->children.erase(parent->children.begin() +
-                         static_cast<long>(left_index) + 1);
-}
-
-bool BPlusTree::Delete(double key, uint32_t value) {
-  if (!DeleteRec(root_.get(), key, value)) return false;
-  --size_;
-  while (!root_->leaf && root_->children.size() == 1) {
-    std::unique_ptr<Node> child = std::move(root_->children[0]);
-    root_ = std::move(child);
-  }
-  return true;
-}
-
 void BPlusTree::SearchRange(
     double lo, double hi,
     const std::function<void(double, uint32_t)>& visit) const {

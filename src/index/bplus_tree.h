@@ -35,11 +35,6 @@ class BPlusTree {
   /// leaf in insertion order modulo splits).
   void Insert(double key, uint32_t value);
 
-  /// Removes one pair equal to (key, value); returns false when absent.
-  /// Underflowing nodes borrow from a sibling or merge with it, and the
-  /// root collapses when an internal root is left with one child.
-  bool Delete(double key, uint32_t value);
-
   /// Invokes `visit(key, value)` for every pair with lo <= key <= hi, in
   /// non-decreasing key order.
   void SearchRange(double lo, double hi,
@@ -62,8 +57,6 @@ class BPlusTree {
   struct Node;
 
   void SplitChild(Node* parent, int index);
-  bool DeleteRec(Node* node, double key, uint32_t value);
-  void RebalanceChild(Node* parent, size_t index);
 
   std::unique_ptr<Node> root_;
   size_t size_ = 0;

@@ -318,78 +318,6 @@ void RStarTree::RecomputeRects(std::vector<Node*>& path) {
   }
 }
 
-bool RStarTree::DeleteRec(Node* node, Point2 p, uint32_t value,
-                          std::vector<std::pair<Entry, int>>& orphans) {
-  if (node->leaf()) {
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      const Entry& e = node->entries[i];
-      if (e.value == value && e.rect.min_x == p.x && e.rect.min_y == p.y &&
-          e.rect.max_x == p.x && e.rect.max_y == p.y) {
-        node->entries.erase(node->entries.begin() + static_cast<long>(i));
-        return true;
-      }
-    }
-    return false;
-  }
-  for (size_t i = 0; i < node->entries.size(); ++i) {
-    Entry& e = node->entries[i];
-    if (!e.rect.Contains(p)) continue;
-    Node* child = e.child.get();
-    if (!DeleteRec(child, p, value, orphans)) continue;
-    // Condense underfull children — except a root's only child, which the
-    // root-collapse step will absorb instead (orphaning it would leave an
-    // empty internal root with nowhere to reinsert).
-    const bool keep_for_collapse =
-        node == root_.get() && node->entries.size() == 1;
-    if (child->entries.empty()) {
-      // A drained leaf (possible only under a thin root): drop it.
-      node->entries.erase(node->entries.begin() + static_cast<long>(i));
-    } else if (static_cast<int>(child->entries.size()) < min_entries_ &&
-               !keep_for_collapse) {
-      // Condense: orphan the underfull child's entries for reinsertion at
-      // their level and drop the child.
-      const int child_level = child->level;
-      for (Entry& orphan : child->entries) {
-        orphans.emplace_back(std::move(orphan), child_level);
-      }
-      node->entries.erase(node->entries.begin() + static_cast<long>(i));
-    } else {
-      e.rect = child->Mbr();
-    }
-    return true;
-  }
-  return false;
-}
-
-bool RStarTree::Delete(Point2 p, uint32_t value) {
-  std::vector<std::pair<Entry, int>> orphans;
-  if (!DeleteRec(root_.get(), p, value, orphans)) return false;
-  --size_;
-
-  // Reinsert orphaned entries at their original levels, higher levels
-  // first so their target level still exists.
-  std::stable_sort(orphans.begin(), orphans.end(),
-                   [](const std::pair<Entry, int>& a,
-                      const std::pair<Entry, int>& b) {
-                     return a.second > b.second;
-                   });
-  for (auto& [entry, level] : orphans) {
-    reinserted_on_level_.assign(root_->level + 1, true);
-    InsertAtLevel(std::move(entry), level, /*forbid_reinsert=*/true);
-  }
-
-  // Collapse a root with a single child (the tree shrinks); an internal
-  // root drained of every entry resets to an empty leaf.
-  while (!root_->leaf() && root_->entries.size() == 1) {
-    std::unique_ptr<Node> child = std::move(root_->entries[0].child);
-    root_ = std::move(child);
-  }
-  if (!root_->leaf() && root_->entries.empty()) {
-    root_ = std::make_unique<Node>();
-  }
-  return true;
-}
-
 RStarTree RStarTree::BulkLoad(std::vector<std::pair<Point2, uint32_t>> items,
                               int max_entries) {
   RStarTree tree(max_entries);

@@ -83,12 +83,6 @@ class RStarTree {
   /// Inserts a point with its payload. Duplicate points are allowed.
   void Insert(Point2 p, uint32_t value);
 
-  /// Removes one entry equal to (p, value). Returns false when no such
-  /// entry exists. Underfull nodes are condensed (their entries
-  /// reinserted), as in Guttman's CondenseTree, and the root collapses
-  /// when it is left with a single child.
-  bool Delete(Point2 p, uint32_t value);
-
   /// Builds a tree bottom-up with Sort-Tile-Recursive packing: items are
   /// sorted by x, cut into vertical slabs, sorted by y within each slab,
   /// and packed into full nodes; upper levels pack the node rectangles
@@ -122,8 +116,6 @@ class RStarTree {
 
   Node* ChooseSubtree(const Rect& rect, int target_level,
                       std::vector<Node*>& path) const;
-  bool DeleteRec(Node* node, Point2 p, uint32_t value,
-                 std::vector<std::pair<Entry, int>>& orphans);
   void InsertAtLevel(Entry entry, int target_level, bool forbid_reinsert);
   void OverflowTreatment(Node* node, std::vector<Node*>& path,
                          bool forbid_reinsert);

@@ -38,11 +38,10 @@ void AppendRecordJson(std::string* out, const FlightRecord& r,
   std::snprintf(buf, sizeof(buf),
                 "\", \"ms\": %.6f, \"filter_ms\": %.6f, \"refine_ms\": %.6f, "
                 "\"db_size\": %zu, \"edr_computed\": %zu, "
-                "\"sched_budget\": %u, \"fusion_group\": %zu, "
-                "\"stages\": ",
+                "\"sched_budget\": %u, \"stages\": ",
                 r.latency_seconds * 1e3, r.filter_seconds * 1e3,
                 r.refine_seconds * 1e3, r.db_size, r.edr_computed,
-                r.sched_budget, r.fusion_group);
+                r.sched_budget);
   *out += buf;
   *out += r.stages.ToJson();
   if (include_trace) {

@@ -18,9 +18,9 @@ class QueryTrace;
 
 /// Everything the flight recorder keeps about one completed query: the
 /// timing split, the stage-by-stage pruning decomposition, the schedule
-/// context (budget granted, fusion group size), and the
-/// per-query phase trace. Records are built after the query's own clock
-/// has stopped, so nothing here sits on the filter or refine path.
+/// context (the budget granted), and the per-query phase trace. Records
+/// are built after the query's own clock has stopped, so nothing here sits
+/// on the filter or refine path.
 struct FlightRecord {
   /// Recorder-assigned id, 1-based in publish order. This is the id the
   /// OpenMetrics exemplars reference and the /flight dump lists.
@@ -37,9 +37,6 @@ struct FlightRecord {
   /// Intra-query worker budget the scheduler granted (0 = the query did
   /// not go through the scheduler).
   unsigned sched_budget = 0;
-  /// Members in the fused group this query was answered in (1 = solo
-  /// scheduled call, 0 = unscheduled).
-  size_t fusion_group = 0;
   /// The per-query phase tree; shared with the KnnResult, so retaining a
   /// record costs a refcount, not a copy. Null in EDR_DISABLE_OBS builds.
   std::shared_ptr<const QueryTrace> trace;

@@ -134,15 +134,9 @@ const LibraryMetrics& LibraryMetrics::Get() {
         .sched_wave_queries = r.Counter("sched.wave_queries"),
         .sched_widened_queries = r.Counter("sched.widened_queries"),
         .sched_budget_granted = r.Counter("sched.budget_granted"),
-        .sched_fused_groups = r.Counter("sched.fused_groups"),
-        .sched_fused_queries = r.Counter("sched.fused_queries"),
         .feature_cache_hits = r.Counter("feature_cache.hits"),
         .feature_cache_misses = r.Counter("feature_cache.misses"),
         .feature_cache_evictions = r.Counter("feature_cache.evictions"),
-        .plan_cache_hits = r.Counter("plan_cache.hits"),
-        .plan_cache_misses = r.Counter("plan_cache.misses"),
-        .plan_cache_evictions = r.Counter("plan_cache.evictions"),
-        .plan_cache_collisions = r.Counter("plan_cache.collisions"),
     };
   }();
   return metrics;

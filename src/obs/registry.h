@@ -179,16 +179,10 @@ struct LibraryMetrics {
   ObsCounter& sched_wave_queries;
   ObsCounter& sched_widened_queries;
   ObsCounter& sched_budget_granted;
-  ObsCounter& sched_fused_groups;
-  ObsCounter& sched_fused_queries;
-  // feature_cache.* and plan_cache.*: mirrors of every cache's own stats.
+  // feature_cache.*: mirrors of every feature cache's own stats.
   ObsCounter& feature_cache_hits;
   ObsCounter& feature_cache_misses;
   ObsCounter& feature_cache_evictions;
-  ObsCounter& plan_cache_hits;
-  ObsCounter& plan_cache_misses;
-  ObsCounter& plan_cache_evictions;
-  ObsCounter& plan_cache_collisions;
 
   /// The process-wide table; the first call registers every entry.
   static const LibraryMetrics& Get();

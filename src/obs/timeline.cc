@@ -105,8 +105,6 @@ void TimelineSampler::Run() {
 double TimelineSampler::TakeSample() {
   ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
-  const LibraryMetrics& metrics = LibraryMetrics::Get();
-
   UtilizationSample sample;
   sample.t_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
@@ -117,8 +115,6 @@ double TimelineSampler::TakeSample() {
   sample.backlog = options_.backlog ? options_.backlog() : 0;
   sample.cache_entries =
       options_.cache_entries ? options_.cache_entries() : 0;
-  sample.fused_groups = metrics.sched_fused_groups.Load();
-  sample.fused_queries = metrics.sched_fused_queries.Load();
 
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.size() < options_.capacity) {
@@ -206,12 +202,9 @@ std::string TimelineSampler::ToJson() const {
     std::snprintf(
         buf, sizeof(buf),
         "%s{\"t_ms\": %.3f, \"busy\": %u, \"capacity\": %u, "
-        "\"queue_depth\": %zu, \"backlog\": %zu, \"cache_entries\": %zu, "
-        "\"fused_groups\": %llu, \"fused_queries\": %llu}",
+        "\"queue_depth\": %zu, \"backlog\": %zu, \"cache_entries\": %zu}",
         i > 0 ? ", " : "", s.t_seconds * 1e3, s.busy_workers, s.capacity,
-        s.queue_depth, s.backlog, s.cache_entries,
-        static_cast<unsigned long long>(s.fused_groups),
-        static_cast<unsigned long long>(s.fused_queries));
+        s.queue_depth, s.backlog, s.cache_entries);
     out += buf;
   }
   out += "]}";

@@ -27,8 +27,6 @@ struct UtilizationSample {
   size_t queue_depth = 0;      ///< ThreadPool::QueueDepth()
   size_t backlog = 0;          ///< scheduler/session pending queries
   size_t cache_entries = 0;    ///< feature-cache occupancy
-  uint64_t fused_groups = 0;   ///< cumulative sched.fused_groups
-  uint64_t fused_queries = 0;  ///< cumulative sched.fused_queries
 };
 
 /// Occupancy summary over a captured timeline: busy_workers / capacity

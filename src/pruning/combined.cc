@@ -34,11 +34,6 @@ CombinedKnnSearcher::CombinedKnnSearcher(const TrajectoryDataset& db,
                   options.histogram_delta),
       qgram_means_(db, options.q, /*dims=*/2) {}
 
-KnnResult CombinedKnnSearcher::Knn(const Trajectory& query, size_t k,
-                                   const KnnOptions& options) const {
-  return std::move(KnnFused({&query}, k, options)[0]);
-}
-
 bool CombinedKnnSearcher::SortedScan() const {
   return options_.order[0] == PruneStep::kHistogram &&
          options_.sorted_histogram_scan;
@@ -91,54 +86,42 @@ KnnResult CombinedKnnSearcher::Search(
   return scan(InDbOrder{}, prune, edr);
 }
 
-std::vector<KnnResult> CombinedKnnSearcher::KnnFused(
-    const std::vector<const Trajectory*>& queries, size_t k,
-    const KnnOptions& options) const {
-  const size_t group = queries.size();
-  // A query of its own on one worker in the sorted scan sweeps only the
-  // blocks its scan reaches (HistogramTable::BoundOrder); several workers
-  // shard the whole sweep between them instead, since the windowed sweeps
-  // run one at a time under the order's lock. Otherwise every prune order
-  // contains the histogram step, so all fast lower bounds are produced up
-  // front by one sweep for the whole group (sharded over the pool): far
-  // cheaper than per-row calls, even for ids a preceding filter would have
-  // pruned. The lazy Q-gram filter runs inside each member's refinement.
-  const bool windowed =
-      SortedScan() && group == 1 && ResolveIntraQueryWorkers(options) == 1;
-  std::vector<std::vector<int>> bounds(group);
-  std::vector<std::shared_ptr<const HistogramTable::QueryHistogram>> features(
-      group);
-  std::vector<std::shared_ptr<const std::vector<Point2>>> means(group);
+KnnResult CombinedKnnSearcher::Knn(const Trajectory& query, size_t k,
+                                   const KnnOptions& options) const {
+  // The sorted scan on one worker sweeps only the blocks it reaches
+  // (HistogramTable::BoundOrder); several workers shard the whole sweep
+  // between them instead, since the windowed sweeps run one at a time under
+  // the order's lock. Otherwise every prune order contains the histogram
+  // step, so all fast lower bounds are produced up front by one sweep
+  // (sharded over the pool): far cheaper than per-row calls, even for ids a
+  // preceding filter would have pruned. The lazy Q-gram filter runs inside
+  // the refinement.
+  const bool windowed = SortedScan() && ResolveIntraQueryWorkers(options) == 1;
+  std::vector<int> bounds;
+  std::shared_ptr<const HistogramTable::QueryHistogram> feature;
+  std::shared_ptr<const std::vector<Point2>> means;
   const auto sweep = [&] {
-    std::vector<const HistogramTable::QueryHistogram*> qhs(group);
-    std::vector<std::vector<int>*> outs(group);
-    for (size_t f = 0; f < group; ++f) {
-      // Both query features go through the cache under the same keys the
-      // standalone histogram and PS2 searchers use, so a mixed workload
-      // shares entries across methods.
-      features[f] = GetOrBuildFeature<HistogramTable::QueryHistogram>(
-          options.feature_cache, histograms_.feature_key(), *queries[f],
-          [&] { return histograms_.MakeQueryHistogram(*queries[f]); });
-      means[f] = GetOrBuildFeature<std::vector<Point2>>(
-          options.feature_cache,
-          "qgram.means2d.sorted/q=" + std::to_string(options_.q),
-          *queries[f], [&] { return SortedMeans(*queries[f]); });
-      qhs[f] = features[f].get();
-      outs[f] = &bounds[f];
-    }
-    if (!windowed) histograms_.FastLowerBoundSweep(qhs, outs, options);
+    // Both query features go through the cache under the same keys the
+    // standalone histogram and PS2 searchers use, so a mixed workload
+    // shares entries across methods.
+    feature = GetOrBuildFeature<HistogramTable::QueryHistogram>(
+        options.feature_cache, histograms_.feature_key(), query,
+        [&] { return histograms_.MakeQueryHistogram(query); });
+    means = GetOrBuildFeature<std::vector<Point2>>(
+        options.feature_cache,
+        "qgram.means2d.sorted/q=" + std::to_string(options_.q), query,
+        [&] { return SortedMeans(query); });
+    if (!windowed) histograms_.FastLowerBoundSweep(*feature, &bounds, options);
   };
-  const auto refine = [&](size_t f, RefineRequest<> req) {
-    return Search(*queries[f], *features[f], windowed ? nullptr : &bounds[f],
-                  *means[f],
+  const auto refine = [&](RefineRequest<> req) {
+    return Search(query, *feature, windowed ? nullptr : &bounds, *means,
                   [&](const auto& order, const auto& prune,
                       const auto& distance) {
                     return FilterAndRefine(std::move(req), k, order, prune,
                                            distance);
                   });
   };
-  return RunFusionGroup(db_, queries, k, options, "bound_sweep", sweep,
-                        refine);
+  return RunWithPass(db_, query, k, options, "bound_sweep", sweep, refine);
 }
 
 KnnResult CombinedKnnSearcher::Range(const Trajectory& query, int radius,
@@ -147,7 +130,7 @@ KnnResult CombinedKnnSearcher::Range(const Trajectory& query, int radius,
   const HistogramTable::QueryHistogram qh =
       histograms_.MakeQueryHistogram(query);
   std::vector<int> bounds;
-  if (!SortedScan()) histograms_.FastLowerBoundSweep({&qh}, {&bounds});
+  if (!SortedScan()) histograms_.FastLowerBoundSweep(qh, &bounds);
   const std::vector<Point2> query_means = SortedMeans(query);
   return Search(query, qh, SortedScan() ? nullptr : &bounds, query_means,
                 [&](const auto& order, const auto& prune,

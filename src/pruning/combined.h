@@ -66,21 +66,15 @@ class CombinedKnnSearcher {
   CombinedKnnSearcher(const TrajectoryDataset& db, double epsilon,
                       const CombinedOptions& options);
 
-  /// KnnFused for a group of one.
+  /// Answers one k-NN query. The histogram bounds are the only
+  /// whole-database filter the combined searcher computes up front (Q-gram
+  /// counts are evaluated lazily per candidate). The sorted scan on one
+  /// worker sweeps only the blocks it reaches; on several workers, or in
+  /// database order, one cache-blocked pass sweeps the whole table first.
+  /// The answer is the same for every worker count. `options` shards the
+  /// bound sweep and refinement over the thread pool.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
-
-  /// The query path: answers a fusion group of queries with one
-  /// cache-blocked pass over the histogram table (the only whole-database
-  /// filter sweep the combined searcher runs up front; Q-gram counts are
-  /// evaluated lazily per candidate and stay per member). The sorted scan
-  /// answers a group of one on one worker without that pass: its order
-  /// sweeps only the blocks it reaches. A member's answer is the same for every group size
-  /// and worker count. `options` shards the bound sweep and refinement
-  /// over the thread pool.
-  std::vector<KnnResult> KnnFused(
-      const std::vector<const Trajectory*>& queries, size_t k,
-      const KnnOptions& options = {}) const;
 
   /// Range query combining both filters against the fixed `radius`
   /// bound; with sorted histogram scanning the scan stops at the first

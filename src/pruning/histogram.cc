@@ -9,12 +9,10 @@
 #include <memory>
 #include <numeric>
 #include <queue>
-#include <span>
 #include <unordered_map>
 
 #include "core/cpu.h"
 #include "query/intra_query.h"
-#include "query/plan_cache.h"
 #include "query/thread_pool.h"
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(EDR_DISABLE_SIMD)
@@ -826,74 +824,7 @@ int HistogramTable::FastLowerBound(const QueryHistogram& query,
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Sweep plumbing. Every sweep is a group sweep: a single query is a group
-// of one. A group's (bin, cap) lists are merged into one ascending
-// list of *distinct* bins per side, so each column is resolved once per
-// block and clamped into every member that uses it. Per member, the clamps
-// are exactly its own (bin, cap) terms, and both sides are int32 sums, so
-// a fused pass is bit-identical to F single sweeps and to the per-row
-// FastLowerBound.
-// ---------------------------------------------------------------------------
-
-/// One distinct bin of a group with every member's cap on it; cap[f] == 0
-/// marks members that do not use the bin.
-struct FusedBinEntry {
-  int32_t bin = 0;
-  int32_t cap[kMaxFusionGroup] = {};
-};
-
-/// The cacheable sweep plan of one dimension: the group's distinct query
-/// bins (side A, member caps HQ_f[b]) and distinct dilated bins (side B,
-/// member caps HQ_f[N(b)]), each ascending. A pure function of the
-/// members' occupied lists (in order) and the grid, which is exactly the
-/// FusedPlanCache contract. Immutable once built.
-struct FusedPlanData {
-  size_t group = 0;
-  std::vector<FusedBinEntry> bins;
-  std::vector<FusedBinEntry> dilated;
-};
-
-std::vector<FusedBinEntry> MergeCaps(
-    const std::vector<const std::vector<std::pair<int, int>>*>& lists) {
-  struct Item {
-    int32_t bin;
-    uint32_t f;
-    int32_t cap;
-  };
-  std::vector<Item> items;
-  for (uint32_t f = 0; f < lists.size(); ++f) {
-    for (const auto& [bin, cap] : *lists[f]) items.push_back({bin, f, cap});
-  }
-  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    return a.bin != b.bin ? a.bin < b.bin : a.f < b.f;
-  });
-  std::vector<FusedBinEntry> out;
-  for (size_t i = 0; i < items.size();) {
-    FusedBinEntry e;
-    e.bin = items[i].bin;
-    for (; i < items.size() && items[i].bin == e.bin; ++i) {
-      e.cap[items[i].f] = items[i].cap;
-    }
-    out.push_back(e);
-  }
-  return out;
-}
-
-FusedPlanData BuildFusedPlanData(
-    const std::vector<const HistogramTable::QueryHistogram::Dim*>& members) {
-  FusedPlanData plan;
-  plan.group = members.size();
-  std::vector<const std::vector<std::pair<int, int>>*> lists(members.size());
-  for (size_t f = 0; f < members.size(); ++f) lists[f] = &members[f]->bins;
-  plan.bins = MergeCaps(lists);
-  for (size_t f = 0; f < members.size(); ++f) lists[f] = &members[f]->dilated;
-  plan.dilated = MergeCaps(lists);
-  return plan;
-}
-
-/// One column of a store over one sweep block, resolved once so every
-/// member of a group clamps the same slice.
+/// One column of a store over one sweep block.
 struct ColumnBlock {
   uint8_t layout = kColEmpty;
   const int32_t* dense = nullptr;       ///< kColDense: the block's values
@@ -948,173 +879,76 @@ inline void MinCapBlock(const ColumnBlock& c, int32_t cap, size_t len,
   }
 }
 
-/// Clamps the column of every plan entry into the side accumulator of
-/// every member with a cap on it, over one block.
+/// Clamps the column of every (bin, cap) entry of one of the query's
+/// ascending lists into the side accumulator, over one block. Every cap is
+/// at least 1: the lists hold only occupied bins.
 __attribute__((aligned(64))) void ClampColumns(
     const HistogramTable::FlatHistograms& f,
     const HistogramTable::ColumnStore& store,
-    const std::vector<FusedBinEntry>& entries, size_t group, size_t block,
-    size_t len, MinCapAccumFn min_cap_accum, int32_t (*side)[kSweepBlock]) {
-  for (const FusedBinEntry& e : entries) {
-    const ColumnBlock c = BlockOf(f, store, e.bin, block);
-    if (c.layout == kColEmpty) continue;
-    for (size_t fq = 0; fq < group; ++fq) {
-      if (e.cap[fq] > 0) {
-        MinCapBlock(c, e.cap[fq], len, side[fq], min_cap_accum);
-      }
-    }
+    const std::vector<std::pair<int, int>>& entries, size_t block,
+    size_t len, MinCapAccumFn min_cap_accum, int32_t* side) {
+  for (const auto& [bin, cap] : entries) {
+    MinCapBlock(BlockOf(f, store, bin, block), cap, len, side, min_cap_accum);
   }
 }
 
-/// out[f][j] = member f's min(side A, side B) for the block's j-th row:
-/// side A clamps the NS columns of the query bins, side B the raw columns
-/// of the dilated bins.
+/// out[j] = the query's min(side A, side B) for the block's j-th row: side
+/// A clamps the NS columns of the query bins, side B the raw columns of the
+/// dilated bins. Both sides are int32 sums of the query's own (bin, cap)
+/// terms, so every path computes the same integers as the per-row
+/// FastLowerBound.
 __attribute__((aligned(64))) void TransportBlock(
-    const HistogramTable::FlatHistograms& f, const FusedPlanData& plan,
-    MinCapAccumFn min_cap_accum, size_t block, size_t len,
-    int32_t (*out)[kSweepBlock]) {
-  alignas(64) int32_t side_b[kMaxFusionGroup][kSweepBlock];
-  for (size_t fq = 0; fq < plan.group; ++fq) {
-    std::fill_n(out[fq], len, 0);
-    std::fill_n(side_b[fq], len, 0);
-  }
-  ClampColumns(f, f.ns, plan.bins, plan.group, block, len, min_cap_accum,
-               out);
-  ClampColumns(f, f.raw, plan.dilated, plan.group, block, len, min_cap_accum,
-               side_b);
-  for (size_t fq = 0; fq < plan.group; ++fq) {
-    for (size_t j = 0; j < len; ++j) {
-      out[fq][j] = std::min(out[fq][j], side_b[fq][j]);
-    }
-  }
+    const HistogramTable::FlatHistograms& f,
+    const HistogramTable::QueryHistogram::Dim& query,
+    MinCapAccumFn min_cap_accum, size_t block, size_t len, int32_t* out) {
+  alignas(64) int32_t side_b[kSweepBlock];
+  std::fill_n(out, len, 0);
+  std::fill_n(side_b, len, 0);
+  ClampColumns(f, f.ns, query.bins, block, len, min_cap_accum, out);
+  ClampColumns(f, f.raw, query.dilated, block, len, min_cap_accum, side_b);
+  for (size_t j = 0; j < len; ++j) out[j] = std::min(out[j], side_b[j]);
 }
 
 }  // namespace
 
-/// A group's plan for every histogram dimension, with each member's length.
-struct HistogramTable::SweepPlan {
-  size_t group = 0;
-  std::vector<std::shared_ptr<const FusedPlanData>> dims;
-  int totals[kMaxFusionGroup] = {};
-};
-
-void HistogramTable::BoundBlock(const SweepPlan& plan, KernelLevel level,
-                                size_t block,
-                                int32_t (*bounds)[kSweepBlock]) const {
+void HistogramTable::BoundBlock(const QueryHistogram& query,
+                                KernelLevel level, size_t block,
+                                int32_t* bounds) const {
   const MinCapAccumFn min_cap_accum = MinCapAccumFor(level);
   const size_t i0 = block * kSweepBlock;
   const size_t len = std::min(kSweepBlock, totals_.size() - i0);
-  TransportBlock(dims_[0], *plan.dims[0], min_cap_accum, block, len, bounds);
+  TransportBlock(dims_[0], query.dims[0], min_cap_accum, block, len, bounds);
   // Kind::k1D: longer - min(tx, ty) is the max of the per-dimension bounds.
   for (size_t d = 1; d < dims_.size(); ++d) {
-    alignas(64) int32_t td[kMaxFusionGroup][kSweepBlock];
-    TransportBlock(dims_[d], *plan.dims[d], min_cap_accum, block, len, td);
-    for (size_t fq = 0; fq < plan.group; ++fq) {
-      for (size_t j = 0; j < len; ++j) {
-        bounds[fq][j] = std::min(bounds[fq][j], td[fq][j]);
-      }
-    }
+    alignas(64) int32_t td[kSweepBlock];
+    TransportBlock(dims_[d], query.dims[d], min_cap_accum, block, len, td);
+    for (size_t j = 0; j < len; ++j) bounds[j] = std::min(bounds[j], td[j]);
   }
-  for (size_t fq = 0; fq < plan.group; ++fq) {
-    const int total = plan.totals[fq];
-    for (size_t j = 0; j < len; ++j) {
-      bounds[fq][j] =
-          std::max(total, static_cast<int>(totals_[i0 + j])) - bounds[fq][j];
-    }
+  for (size_t j = 0; j < len; ++j) {
+    bounds[j] =
+        std::max(query.total, static_cast<int>(totals_[i0 + j])) - bounds[j];
   }
 }
 
-void HistogramTable::FastLowerBoundSweep(
-    const std::vector<const QueryHistogram*>& queries,
-    const std::vector<std::vector<int>*>& outs,
-    const KnnOptions& options) const {
-  // One level for every chunk and shard of the call, so an
-  // EDR_FORCE_KERNEL or test pin applies to the whole sweep.
+void HistogramTable::FastLowerBoundSweep(const QueryHistogram& query,
+                                         std::vector<int>* out,
+                                         const KnnOptions& options) const {
+  // One level for every shard of the call, so an EDR_FORCE_KERNEL or test
+  // pin applies to the whole sweep.
   const KernelLevel level = ActiveKernelLevel();
-  for (size_t begin = 0; begin < queries.size(); begin += kMaxFusionGroup) {
-    const size_t group = std::min(kMaxFusionGroup, queries.size() - begin);
-    SweepGroup(std::span(queries).subspan(begin, group),
-               std::span(outs).subspan(begin, group), level, options);
-  }
-}
-
-void HistogramTable::SweepGroup(
-    std::span<const QueryHistogram* const> queries,
-    std::span<std::vector<int>* const> outs, KernelLevel level,
-    const KnnOptions& options) const {
-  const size_t group = queries.size();
   const size_t n = totals_.size();
   const size_t num_blocks = (n + kSweepBlock - 1) / kSweepBlock;
-  for (std::vector<int>* out : outs) out->resize(n);
-
-  // Multi-member groups share plans through the plan cache when one is
-  // attached; a group of one always builds its (tiny) plan.
-  FusedPlanCache* plan_cache = group > 1 ? options.plan_cache : nullptr;
-
-  // Local member views, canonically ordered when a plan cache is attached:
-  // members are stably sorted by occupied-list fingerprint so every
-  // arrival permutation of the same group maps to one cache key. Each
-  // member's bounds are independent of its slot (side-A and side-B sums
-  // are per-member), so permuting is bit-identical — certified by
-  // fused_sweep_test and plan_cache_test.
-  std::vector<const QueryHistogram*> qs(queries.begin(), queries.end());
-  std::vector<std::vector<int>*> os(outs.begin(), outs.end());
-  if (plan_cache != nullptr) {
-    std::vector<uint64_t> fp(group, 0);
-    for (size_t fq = 0; fq < group; ++fq) {
-      // Combine the per-dimension fingerprints order-sensitively.
-      uint64_t mul = 1;
-      for (const QueryHistogram::Dim& dim : qs[fq]->dims) {
-        fp[fq] ^= SparseHistogramFingerprint(dim.bins) * mul;
-        mul *= 0x9e3779b97f4a7c15ull;
-      }
-    }
-    std::vector<size_t> order(group);
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&fp](size_t a, size_t b) { return fp[a] < fp[b]; });
-    for (size_t i = 0; i < group; ++i) {
-      qs[i] = queries[order[i]];
-      os[i] = outs[order[i]];
-    }
-  }
-
-  // One plan per dimension. The plan is a pure function of the members'
-  // occupied lists (in canonical order) and the table configuration named
-  // by feature_key_ + the plan-kind suffix, which is exactly the plan
-  // cache's contract; a cache hit therefore yields a bit-identical plan.
-  SweepPlan plan;
-  plan.group = group;
-  for (size_t fq = 0; fq < group; ++fq) plan.totals[fq] = qs[fq]->total;
-  plan.dims.resize(dims_.size());
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    std::vector<const QueryHistogram::Dim*> members(group);
-    std::vector<const FusedPlanCache::SparseList*> keys(group);
-    for (size_t fq = 0; fq < group; ++fq) {
-      members[fq] = &qs[fq]->dims[d];
-      keys[fq] = &members[fq]->bins;
-    }
-    const auto build = [&members] { return BuildFusedPlanData(members); };
-    if (plan_cache != nullptr) {
-      static const char* const kSuffix[] = {"#f2d", "#fx", "#fy"};
-      plan.dims[d] = plan_cache->GetOrBuild<FusedPlanData>(
-          feature_key_ + kSuffix[dims_[d].mode], keys, build);
-    } else {
-      plan.dims[d] = std::make_shared<const FusedPlanData>(build());
-    }
-  }
+  out->resize(n);
+  int* bounds = out->data();
 
   // Every block's bounds go out by id.
   const auto sweep_range = [&](size_t block_begin, size_t block_end) {
-    alignas(64) int32_t t[kMaxFusionGroup][kSweepBlock];
+    alignas(64) int32_t t[kSweepBlock];
     for (size_t block = block_begin; block < block_end; ++block) {
-      BoundBlock(plan, level, block, t);
+      BoundBlock(query, level, block, t);
       const size_t i0 = block * kSweepBlock;
       const size_t len = std::min(kSweepBlock, n - i0);
-      for (size_t fq = 0; fq < group; ++fq) {
-        int* out = os[fq]->data();
-        for (size_t j = 0; j < len; ++j) out[id_of_row_[i0 + j]] = t[fq][j];
-      }
+      for (size_t j = 0; j < len; ++j) bounds[id_of_row_[i0 + j]] = t[j];
     }
   };
 
@@ -1145,6 +979,7 @@ HistogramTable::BoundOrder::BoundOrder(const HistogramTable& table,
                                        const QueryHistogram& query,
                                        const std::vector<int>* swept)
     : table_(table),
+      query_(query),
       query_total_(static_cast<size_t>(query.total)),
       level_(ActiveKernelLevel()),
       ids_(std::make_unique_for_overwrite<uint32_t[]>(table.size())),
@@ -1152,14 +987,7 @@ HistogramTable::BoundOrder::BoundOrder(const HistogramTable& table,
   if (swept != nullptr) {
     bounds_ = swept->data();
   } else {
-    // The query's plan, built once; its bounds land here block by block.
-    plan_ = std::make_unique<SweepPlan>();
-    plan_->group = 1;
-    plan_->totals[0] = query.total;
-    for (const QueryHistogram::Dim& dim : query.dims) {
-      plan_->dims.push_back(
-          std::make_shared<const FusedPlanData>(BuildFusedPlanData({&dim})));
-    }
+    // The query's bounds land here block by block.
     own_bounds_ = std::make_unique_for_overwrite<int[]>(table.size());
     bounds_ = own_bounds_.get();
   }
@@ -1187,8 +1015,6 @@ HistogramTable::BoundOrder::BoundOrder(const HistogramTable& table,
   left_ = right_ = lo;
 }
 
-HistogramTable::BoundOrder::~BoundOrder() = default;
-
 size_t HistogramTable::BoundOrder::Gap(size_t block) const {
   const std::vector<int32_t>& totals = table_.totals_;
   const size_t shortest = static_cast<size_t>(totals[block * kSweepBlock]);
@@ -1203,11 +1029,11 @@ void HistogramTable::BoundOrder::Take(size_t block) {
   const size_t i0 = block * kSweepBlock;
   const size_t len = std::min(kSweepBlock, table_.size() - i0);
   const uint32_t* id_of_row = table_.id_of_row_.data() + i0;
-  if (plan_ != nullptr) {
+  if (own_bounds_ != nullptr) {
     const auto start = std::chrono::steady_clock::now();
-    alignas(64) int32_t swept[1][kSweepBlock];
-    table_.BoundBlock(*plan_, level_, block, swept);
-    for (size_t j = 0; j < len; ++j) own_bounds_[id_of_row[j]] = swept[0][j];
+    alignas(64) int32_t swept[kSweepBlock];
+    table_.BoundBlock(query_, level_, block, swept);
+    for (size_t j = 0; j < len; ++j) own_bounds_[id_of_row[j]] = swept[j];
     sweep_seconds_ += std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -1235,7 +1061,7 @@ size_t HistogramTable::BoundOrder::Extend(double threshold) {
     const size_t left_gap = left_ > 0 ? Gap(left_ - 1) : kNone;
     const size_t right_gap = right_ < num_blocks ? Gap(right_) : kNone;
     if (std::min(left_gap, right_gap) <= key_) {
-      if (plan_ != nullptr && count_ > start) break;
+      if (own_bounds_ != nullptr && count_ > start) break;
       Take(left_gap <= right_gap ? --left_ : right_++);
       continue;
     }

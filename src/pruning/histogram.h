@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,24 +194,17 @@ class HistogramTable {
   /// by the searchers.
   int FastLowerBound(const QueryHistogram& query, uint32_t id) const;
 
-  /// FastLowerBound for every member of a group of queries and the
-  /// *entire database*, in one cache-blocked pass: `(*outs[f])[id] ==
-  /// FastLowerBound(*queries[f], id)` for every id, bit for bit, whatever
-  /// the group size. A single query is a group of one. Each block clamps
-  /// the query columns into int32 accumulators, dispatching per column on
-  /// its storage layout: dense columns stream through the min-cap loop
-  /// built for ActiveKernelLevel() (read once per call), blocked-sparse
-  /// columns add their postings into the same accumulators. Each
-  /// *distinct* bin of the group resolves its column once and clamps it
-  /// into every member that uses it (int32 addition commutes, so the
-  /// per-member sums are exact). Groups larger than kMaxFusionGroup are
-  /// chunked. `options.intra_query_workers` shards the blocks over the
-  /// intra-query pool; every block writes its own output range by index,
-  /// so the result is the same for any worker count. Groups of two or more
-  /// share their sweep plans through `options.plan_cache` when one is
-  /// attached.
-  void FastLowerBoundSweep(const std::vector<const QueryHistogram*>& queries,
-                           const std::vector<std::vector<int>*>& outs,
+  /// FastLowerBound of the query against the *entire database*, in one
+  /// cache-blocked pass: `(*out)[id] == FastLowerBound(query, id)` for
+  /// every id, bit for bit. Each block clamps the query's columns into
+  /// int32 accumulators, dispatching per column on its storage layout:
+  /// dense columns stream through the min-cap loop built for
+  /// ActiveKernelLevel() (read once per call), blocked-sparse columns add
+  /// their postings into the same accumulators.
+  /// `options.intra_query_workers` shards the blocks over the intra-query
+  /// pool; every block writes its own output range by index, so the result
+  /// is the same for any worker count.
+  void FastLowerBoundSweep(const QueryHistogram& query, std::vector<int>* out,
                            const KnnOptions& options = {}) const;
 
   class BoundOrder;
@@ -259,27 +251,17 @@ class HistogramTable {
     ColumnStore ns;         ///< ns_b[row] = H_row[N(b)]
   };
 
-  /// The sweep plan of a group of at most kMaxFusionGroup queries, one per
-  /// histogram dimension (defined in histogram.cc). Public only so the
-  /// sweep's file-local helpers can take it; not part of the stable API.
-  struct SweepPlan;
-
  private:
   /// Builds one dimension's two stores: a count pass and a fill pass in row
   /// order, each rebuilding the trajectories' occupied and dilated lists
   /// chunk by chunk in parallel — deterministic for any worker count.
   void BuildTable(const TrajectoryDataset& db, FlatHistograms* flat) const;
 
-  /// Sweeps one chunk of at most kMaxFusionGroup queries at `level`.
-  void SweepGroup(std::span<const QueryHistogram* const> queries,
-                  std::span<std::vector<int>* const> outs, KernelLevel level,
-                  const KnnOptions& options) const;
-
-  /// Every member's bound on the rows of sweep block `block`:
-  /// bounds[f][j] for row block * kSweepBlock + j. The one block kernel of
-  /// every sweep, whole-table or windowed.
-  void BoundBlock(const SweepPlan& plan, KernelLevel level, size_t block,
-                  int32_t (*bounds)[kSweepBlock]) const;
+  /// The query's bound on the rows of sweep block `block`: bounds[j] for
+  /// row block * kSweepBlock + j. The one block kernel of every sweep,
+  /// whole-table or windowed.
+  void BoundBlock(const QueryHistogram& query, KernelLevel level,
+                  size_t block, int32_t* bounds) const;
 
   Kind kind_;
   int delta_;
@@ -311,11 +293,12 @@ class HistogramTable::BoundOrder {
  public:
   /// With `swept` null, sweeps the query's blocks as the order reaches
   /// them, at ActiveKernelLevel() (read once). Otherwise `swept` holds the
-  /// query's bound on every id, swept beforehand (a fusion group's pass),
-  /// and the order hands out the same ids from it without sweeping.
+  /// query's bound on every id, swept beforehand (the whole-table sweep of
+  /// a query with several workers), and the order hands out the same ids
+  /// from it without sweeping. The order reads `query` while it sweeps, so
+  /// it must not outlive it.
   BoundOrder(const HistogramTable& table, const QueryHistogram& query,
              const std::vector<int>* swept);
-  ~BoundOrder();
 
   BoundOrder(const BoundOrder&) = delete;
   BoundOrder& operator=(const BoundOrder&) = delete;
@@ -344,10 +327,11 @@ class HistogramTable::BoundOrder {
   void Take(size_t block);
 
   const HistogramTable& table_;
+  const QueryHistogram& query_;
   size_t query_total_;
-  std::unique_ptr<SweepPlan> plan_;  ///< null over bounds swept beforehand
   KernelLevel level_;
-  std::unique_ptr<int[]> own_bounds_;  ///< by id, when this order sweeps
+  /// By id, when this order sweeps; null over bounds swept beforehand.
+  std::unique_ptr<int[]> own_bounds_;
   const int* bounds_ = nullptr;
   std::unique_ptr<uint32_t[]> ids_;   ///< the order handed out so far
   std::unique_ptr<uint32_t[]> next_;  ///< per row: next row of its key

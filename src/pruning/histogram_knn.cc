@@ -36,51 +36,35 @@ auto BoundFilter(const int* bounds) {
 
 KnnResult HistogramKnnSearcher::Knn(const Trajectory& query, size_t k,
                                     const KnnOptions& options) const {
-  return std::move(KnnFused({&query}, k, options)[0]);
-}
-
-std::vector<KnnResult> HistogramKnnSearcher::KnnFused(
-    const std::vector<const Trajectory*>& queries, size_t k,
-    const KnnOptions& options) const {
-  const size_t group = queries.size();
-  // HSR answers a query of its own on one worker from an order that sweeps
-  // only the blocks its scan reaches. HSE reads every bound, a fusion group
-  // streams the table once for all its members, and several workers shard
-  // the whole sweep between them (the windowed sweeps run one at a time,
-  // under the order's lock), so these sweep the whole table up front in
-  // one vectorized pass.
-  const bool windowed = scan_ == HistogramScan::kSorted && group == 1 &&
+  // HSR on one worker builds its order from sweeps of only the blocks its
+  // scan reaches. HSE reads every bound, and several workers shard the
+  // whole sweep between them (the windowed sweeps run one at a time, under
+  // the order's lock), so these sweep the whole table up front in one
+  // vectorized pass.
+  const bool windowed = scan_ == HistogramScan::kSorted &&
                         ResolveIntraQueryWorkers(options) == 1;
-  std::vector<std::shared_ptr<const HistogramTable::QueryHistogram>> features(
-      group);
-  std::vector<std::vector<int>> bounds(group);
+  std::shared_ptr<const HistogramTable::QueryHistogram> feature;
+  std::vector<int> bounds;
   const auto sweep = [&] {
-    std::vector<const HistogramTable::QueryHistogram*> qhs(group);
-    std::vector<std::vector<int>*> outs(group);
-    for (size_t f = 0; f < group; ++f) {
-      features[f] = GetOrBuildFeature<HistogramTable::QueryHistogram>(
-          options.feature_cache, table_.feature_key(), *queries[f],
-          [&] { return table_.MakeQueryHistogram(*queries[f]); });
-      qhs[f] = features[f].get();
-      outs[f] = &bounds[f];
-    }
-    if (!windowed) table_.FastLowerBoundSweep(qhs, outs, options);
+    feature = GetOrBuildFeature<HistogramTable::QueryHistogram>(
+        options.feature_cache, table_.feature_key(), query,
+        [&] { return table_.MakeQueryHistogram(query); });
+    if (!windowed) table_.FastLowerBoundSweep(*feature, &bounds, options);
   };
-  const auto refine = [&](size_t f, RefineRequest<> req) {
-    const BoundedEdr edr(db_, *queries[f], epsilon_);
+  const auto refine = [&](RefineRequest<> req) {
+    const BoundedEdr edr(db_, query, epsilon_);
     // HSE: database order. HSR: ascending bound order, stopping outright
     // once the bound exceeds the k-th distance.
     if (scan_ == HistogramScan::kSequential) {
       return FilterAndRefine(std::move(req), k, InDbOrder{},
-                             BoundFilter(bounds[f].data()), edr);
+                             BoundFilter(bounds.data()), edr);
     }
-    HistogramTable::BoundOrder order(table_, *features[f],
-                                     windowed ? nullptr : &bounds[f]);
+    HistogramTable::BoundOrder order(table_, *feature,
+                                     windowed ? nullptr : &bounds);
     return FilterAndRefine(std::move(req), k, InLazyOrder{order},
                            BoundFilter(order.bounds()), edr);
   };
-  return RunFusionGroup(db_, queries, k, options, "bound_sweep", sweep,
-                        refine);
+  return RunWithPass(db_, query, k, options, "bound_sweep", sweep, refine);
 }
 
 std::string HistogramKnnSearcher::name() const {
@@ -104,7 +88,7 @@ KnnResult HistogramKnnSearcher::Range(const Trajectory& query,
                      InLazyOrder{order}, BoundFilter(order.bounds()), edr);
   }
   std::vector<int> bounds;
-  table_.FastLowerBoundSweep({&qh}, {&bounds});
+  table_.FastLowerBoundSweep(qh, &bounds);
   return ScanRange(db_, query, start, radius, /*max_results=*/0, InDbOrder{},
                    BoundFilter(bounds.data()), edr);
 }

@@ -34,22 +34,14 @@ class HistogramKnnSearcher {
                        HistogramTable::Kind kind, int delta,
                        HistogramScan scan);
 
-  /// KnnFused for a group of one.
+  /// Answers one k-NN query. HSR on one worker builds its order as the
+  /// scan reaches it, sweeping only the blocks within reach of the query's
+  /// length; HSE, and HSR on several workers, sweep the whole table up
+  /// front in one cache-blocked pass first. The answer is the same for
+  /// every worker count. `options` shards the bound sweep and refinement
+  /// over the thread pool.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
-
-  /// The query path: answers a fusion group of queries with one
-  /// cache-blocked pass over the histogram table, which streams every
-  /// column block once and evaluates all members' transport bounds against
-  /// it; then each member runs its own refinement. HSR answers a group of
-  /// one on one worker without that pass: its order sweeps only the blocks
-  /// its scan reaches. A member's answer is the same for every group size and
-  /// worker count — fusing changes only how often the table is streamed,
-  /// never any member's bound sequence. `options` shards the bound sweep
-  /// and refinement over the thread pool.
-  std::vector<KnnResult> KnnFused(
-      const std::vector<const Trajectory*>& queries, size_t k,
-      const KnnOptions& options = {}) const;
 
   /// Range query: prunes every candidate whose histogram lower bound
   /// exceeds `radius`, computes EDR for the rest, in the searcher's scan

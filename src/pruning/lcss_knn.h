@@ -41,19 +41,13 @@ class LcssKnnSearcher {
   LcssKnnSearcher(const TrajectoryDataset& db, double epsilon,
                   LcssFilter filter);
 
-  /// KnnFused for a group of one.
+  /// Answers one k-NN query: when the histogram filter is active, one
+  /// cache-blocked table pass computes the query's bounds; then the count
+  /// filter and exact-LCSS refinement run. The answer is the same for every
+  /// filter configuration and worker count. `options` shards the bound
+  /// sweep, count filter and refinement over the thread pool.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
-
-  /// The query path: when the histogram filter is active, one
-  /// cache-blocked table pass computes the whole group's bounds; then each
-  /// member runs the count filter and exact-LCSS refinement. A member's
-  /// answer is the same for every group size, filter configuration and
-  /// worker count. `options` shards the bound sweep, count filter and
-  /// refinement over the thread pool.
-  std::vector<KnnResult> KnnFused(
-      const std::vector<const Trajectory*>& queries, size_t k,
-      const KnnOptions& options = {}) const;
 
   std::string name() const;
 

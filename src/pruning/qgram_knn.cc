@@ -72,57 +72,42 @@ QgramKnnSearcher::QgramKnnSearcher(const TrajectoryDataset& db,
 
 namespace {
 
-/// Each member's Q-gram mean vector, through the feature cache under `key`.
+/// The query's Q-gram mean vector, through the feature cache under `key`.
 template <typename Build>
-auto MemberMeans(const std::vector<const Trajectory*>& queries,
-                 const KnnOptions& options, const std::string& key,
-                 const Build& build) {
+auto QueryMeans(const Trajectory& query, const KnnOptions& options,
+                const std::string& key, const Build& build) {
   using Means = std::invoke_result_t<const Build&, const Trajectory&>;
-  std::vector<std::shared_ptr<const Means>> means(queries.size());
-  for (size_t f = 0; f < queries.size(); ++f) {
-    means[f] = GetOrBuildFeature<Means>(options.feature_cache, key,
-                                        *queries[f],
-                                        [&] { return build(*queries[f]); });
-  }
-  return means;
+  return GetOrBuildFeature<Means>(options.feature_cache, key, query,
+                                  [&] { return build(query); });
 }
 
-/// The tree variants' count: the whole group's grams probe the shared
-/// read-only index in one pass, sorted by probe coordinate so neighbouring
-/// probes descend warm tree paths. `search(mean, visit)` visits the id of
-/// every indexed gram within epsilon of `mean`. A gram counts a trajectory
-/// at most once (a gram of Q either matches some gram of S or it does
-/// not), against its own member's last-gram array. Each (member, gram) is
+/// The tree variants' count: the query's grams probe the shared read-only
+/// index in ascending probe coordinate, so neighbouring probes descend
+/// warm tree paths. `search(mean, visit)` visits the id of every indexed
+/// gram within epsilon of `mean`. A gram counts a trajectory at most once
+/// (a gram of Q either matches some gram of S or it does not). Each gram is
 /// probed exactly once, so no count depends on the probe order.
 template <typename Mean, typename KeyFn, typename SearchFn>
-void CountByProbes(const std::vector<std::shared_ptr<const std::vector<Mean>>>&
-                       means,
-                   size_t n, const KeyFn& key, const SearchFn& search,
-                   std::vector<std::vector<size_t>>* counts) {
+void CountByProbes(const std::vector<Mean>& means, const KeyFn& key,
+                   const SearchFn& search, std::vector<size_t>* counts) {
   struct Probe {
     double key;
-    uint32_t f;
     uint32_t g;
   };
   std::vector<Probe> probes;
-  for (uint32_t f = 0; f < means.size(); ++f) {
-    for (uint32_t g = 0; g < means[f]->size(); ++g) {
-      probes.push_back({key((*means[f])[g]), f, g});
-    }
+  probes.reserve(means.size());
+  for (uint32_t g = 0; g < means.size(); ++g) {
+    probes.push_back({key(means[g]), g});
   }
   std::sort(probes.begin(), probes.end(), [](const Probe& a, const Probe& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.f != b.f ? a.f < b.f : a.g < b.g;
+    return a.key != b.key ? a.key < b.key : a.g < b.g;
   });
-  std::vector<std::vector<size_t>> last_gram(
-      means.size(), std::vector<size_t>(n, static_cast<size_t>(-1)));
+  std::vector<size_t> last_gram(counts->size(), static_cast<size_t>(-1));
   for (const Probe& p : probes) {
-    std::vector<size_t>& lg = last_gram[p.f];
-    std::vector<size_t>& cnt = (*counts)[p.f];
-    search((*means[p.f])[p.g], [&](uint32_t id) {
-      if (lg[id] != p.g) {
-        lg[id] = p.g;
-        ++cnt[id];
+    search(means[p.g], [&](uint32_t id) {
+      if (last_gram[id] != p.g) {
+        last_gram[id] = p.g;
+        ++(*counts)[id];
       }
     });
   }
@@ -130,12 +115,9 @@ void CountByProbes(const std::vector<std::shared_ptr<const std::vector<Mean>>>&
 
 }  // namespace
 
-std::vector<std::vector<size_t>> QgramKnnSearcher::MatchCounts(
-    const std::vector<const Trajectory*>& queries,
-    const KnnOptions& options) const {
-  const size_t group = queries.size();
-  std::vector<std::vector<size_t>> counts(
-      group, std::vector<size_t>(db_.size(), 0));
+std::vector<size_t> QgramKnnSearcher::MatchCounts(
+    const Trajectory& query, const KnnOptions& options) const {
+  std::vector<size_t> counts(db_.size(), 0);
   const auto raw_2d = [this](const Trajectory& t) {
     return MeanValueQgrams(t, q_);
   };
@@ -145,7 +127,7 @@ std::vector<std::vector<size_t>> QgramKnnSearcher::MatchCounts(
   switch (variant_) {
     case QgramVariant::kRtree2D:
       CountByProbes(
-          MemberMeans(queries, options, feature_key_, raw_2d), db_.size(),
+          *QueryMeans(query, options, feature_key_, raw_2d),
           [](const Point2& m) { return m.x; },
           [this](const Point2& m, const std::function<void(uint32_t)>& visit) {
             rtree_->SearchRange(Rect::Around(m, epsilon_), visit);
@@ -154,7 +136,7 @@ std::vector<std::vector<size_t>> QgramKnnSearcher::MatchCounts(
       break;
     case QgramVariant::kBtree1D:
       CountByProbes(
-          MemberMeans(queries, options, feature_key_, raw_1d), db_.size(),
+          *QueryMeans(query, options, feature_key_, raw_1d),
           [](double m) { return m; },
           [this](double m, const std::function<void(uint32_t)>& visit) {
             btree_->SearchRange(m - epsilon_, m + epsilon_,
@@ -164,35 +146,29 @@ std::vector<std::vector<size_t>> QgramKnnSearcher::MatchCounts(
       break;
     case QgramVariant::kMerge2D: {
       const auto means =
-          MemberMeans(queries, options, feature_key_, [&](const Trajectory& t) {
+          QueryMeans(query, options, feature_key_, [&](const Trajectory& t) {
             std::vector<Point2> m = raw_2d(t);
             SortMeans(m);
             return m;
           });
-      // Id-major: each trajectory's posting slice is merge-counted against
-      // every member while it is cache-hot. A count reads only its own
-      // slice and writes only its own element, so the ids shard over the
-      // pool.
+      // A count reads only its own posting slice and writes only its own
+      // element, so the ids shard over the pool.
       IntraQueryParallelFor(db_.size(), options, [&](size_t i) {
-        for (size_t f = 0; f < group; ++f) {
-          counts[f][i] = means_->CountMatches2D(*means[f], epsilon_,
-                                                static_cast<uint32_t>(i));
-        }
+        counts[i] = means_->CountMatches2D(*means, epsilon_,
+                                           static_cast<uint32_t>(i));
       });
       break;
     }
     case QgramVariant::kMerge1D: {
       const auto means =
-          MemberMeans(queries, options, feature_key_, [&](const Trajectory& t) {
+          QueryMeans(query, options, feature_key_, [&](const Trajectory& t) {
             std::vector<double> m = raw_1d(t);
             std::sort(m.begin(), m.end());
             return m;
           });
       IntraQueryParallelFor(db_.size(), options, [&](size_t i) {
-        for (size_t f = 0; f < group; ++f) {
-          counts[f][i] = means_->CountMatches1D(*means[f], epsilon_,
-                                                static_cast<uint32_t>(i));
-        }
+        counts[i] = means_->CountMatches1D(*means, epsilon_,
+                                           static_cast<uint32_t>(i));
       });
       break;
     }
@@ -222,19 +198,13 @@ auto CountFilter(const TrajectoryDataset& db, const Trajectory& query, int q,
 
 KnnResult QgramKnnSearcher::Knn(const Trajectory& query, size_t k,
                                 const KnnOptions& options) const {
-  return std::move(KnnFused({&query}, k, options)[0]);
-}
-
-std::vector<KnnResult> QgramKnnSearcher::KnnFused(
-    const std::vector<const Trajectory*>& queries, size_t k,
-    const KnnOptions& options) const {
-  std::vector<std::vector<size_t>> counts;
-  const auto count = [&] { counts = MatchCounts(queries, options); };
-  const auto refine = [&](size_t f, RefineRequest<> req) {
-    const Trajectory& query = *queries[f];
-    const std::vector<size_t>& c = counts[f];
+  std::vector<size_t> counts;
+  const auto count = [&] { counts = MatchCounts(query, options); };
+  const auto refine = [&](RefineRequest<> req) {
     // Canonical visit order: descending count, ties by ascending id.
-    const auto key = [&c](uint32_t id) { return -static_cast<long>(c[id]); };
+    const auto key = [&counts](uint32_t id) {
+      return -static_cast<long>(counts[id]);
+    };
     // Smallest Theorem-3 threshold any remaining trajectory can have:
     // lengths are at least |Q| inside max(|Q|, |S|). Counts only decrease
     // from here, so once the count falls below it, everything remaining is
@@ -248,11 +218,10 @@ std::vector<KnnResult> QgramKnnSearcher::KnnFused(
       return -key < universal_threshold;
     };
     return FilterAndRefine(std::move(req), k, InKeyOrder{key, stop},
-                           CountFilter(db_, query, q_, c),
+                           CountFilter(db_, query, q_, counts),
                            BoundedEdr(db_, query, epsilon_));
   };
-  return RunFusionGroup(db_, queries, k, options, "match_count", count,
-                        refine);
+  return RunWithPass(db_, query, k, options, "match_count", count, refine);
 }
 
 std::string QgramKnnSearcher::name() const {
@@ -263,7 +232,7 @@ std::string QgramKnnSearcher::name() const {
 KnnResult QgramKnnSearcher::Range(const Trajectory& query, int radius,
                                   size_t max_results) const {
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<size_t> counts = std::move(MatchCounts({&query})[0]);
+  const std::vector<size_t> counts = MatchCounts(query);
   return ScanRange(db_, query, start, radius, max_results, InDbOrder{},
                    CountFilter(db_, query, q_, counts),
                    BoundedEdr(db_, query, epsilon_));

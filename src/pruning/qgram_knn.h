@@ -48,20 +48,14 @@ class QgramKnnSearcher {
   QgramKnnSearcher(const TrajectoryDataset& db, double epsilon, int q,
                    QgramVariant variant);
 
-  /// KnnFused for a group of one. Thread-compatible: concurrent calls on
-  /// distinct searchers are safe; a single searcher is read-only at query
-  /// time.
+  /// Answers one k-NN query: one counting pass (MatchCounts), then a
+  /// count-ordered refinement. The answer is the same for every worker
+  /// count. `options` shards the counting (merge variants) and the
+  /// refinement over the thread pool. Thread-compatible: concurrent calls
+  /// on distinct searchers are safe; a single searcher is read-only at
+  /// query time.
   KnnResult Knn(const Trajectory& query, size_t k,
                 const KnnOptions& options = {}) const;
-
-  /// The query path: one counting pass for a whole fusion group
-  /// (MatchCounts), then each member runs its own count-ordered
-  /// refinement. A member's answer is the same for every group size and
-  /// worker count. `options` shards the counting (merge variants) and the
-  /// refinement over the thread pool.
-  std::vector<KnnResult> KnnFused(
-      const std::vector<const Trajectory*>& queries, size_t k,
-      const KnnOptions& options = {}) const;
 
   /// Answers a range query (all S with EDR(query, S) <= radius, ascending
   /// distance order) using the Theorem 1 count filter in its original
@@ -72,18 +66,14 @@ class QgramKnnSearcher {
   KnnResult Range(const Trajectory& query, int radius,
                   size_t max_results = 0) const;
 
-  /// Per-trajectory matching-gram counts for every member of a group:
-  /// `counts[f][id]` counts the grams of `*queries[f]` matching some gram
-  /// of db[id], whatever the group. The merge-join variants (PS2/PS1)
-  /// count id-major, so each trajectory's posting slice is merged against
-  /// every member while it is cache-hot, and `options` shards the ids over
-  /// the pool. The tree variants (PR/PB) probe the shared read-only index
-  /// once for the whole group, ordered by probe coordinate so neighbouring
-  /// probes share tree paths, with per-member dedup state; they stay
-  /// sequential. Exposed for tests.
-  std::vector<std::vector<size_t>> MatchCounts(
-      const std::vector<const Trajectory*>& queries,
-      const KnnOptions& options = {}) const;
+  /// Per-trajectory matching-gram counts: `counts[id]` counts the grams of
+  /// `query` matching some gram of db[id]. The merge-join variants
+  /// (PS2/PS1) merge each trajectory's posting slice against the query's
+  /// sorted means, and `options` shards the ids over the pool. The tree
+  /// variants (PR/PB) probe the shared read-only index once per query
+  /// gram; they stay sequential. Exposed for tests.
+  std::vector<size_t> MatchCounts(const Trajectory& query,
+                                  const KnnOptions& options = {}) const;
 
   QgramVariant variant() const { return variant_; }
   int q() const { return q_; }

@@ -1,6 +1,5 @@
 #include "query/engine.h"
 
-#include <cstdint>
 #include <tuple>
 
 #include "query/scheduler.h"
@@ -149,18 +148,11 @@ KnnOptions MergeScheduled(const KnnOptions& bound,
   if (per_call.feature_cache != nullptr) {
     merged.feature_cache = per_call.feature_cache;
   }
-  if (per_call.plan_cache != nullptr) {
-    merged.plan_cache = per_call.plan_cache;
-  }
   return merged;
 }
 
 /// Builds the NamedSearcher pair of entry points over any searcher with a
-/// Knn(query, k, options) method. Searchers that additionally expose
-/// KnnFused(queries, k, options) get the fused entry point and a fusion
-/// key — the display name (which encodes the full filter configuration)
-/// plus the searcher instance, so handles over the same cached searcher
-/// fuse together and handles over different datasets or configs never do.
+/// Knn(query, k, options) method.
 template <typename Searcher>
 NamedSearcher MakeNamed(const Searcher& searcher,
                         const KnnOptions& options) {
@@ -173,19 +165,6 @@ NamedSearcher MakeNamed(const Searcher& searcher,
                                            const KnnOptions& per_call) {
     return searcher.Knn(q, k, MergeScheduled(options, per_call));
   };
-  if constexpr (requires(const std::vector<const Trajectory*>& group) {
-                  searcher.KnnFused(group, size_t{1}, KnnOptions{});
-                }) {
-    named.fusion_key =
-        named.name + "#" +
-        std::to_string(reinterpret_cast<uintptr_t>(&searcher));
-    named.search_fused =
-        [&searcher, options](const std::vector<const Trajectory*>& group,
-                             size_t k, const KnnOptions& per_call) {
-          return searcher.KnnFused(group, k,
-                                   MergeScheduled(options, per_call));
-        };
-  }
   return named;
 }
 

@@ -35,21 +35,6 @@ struct NamedSearcher {
   /// the budget. Results are identical either way.
   std::function<KnnResult(const Trajectory&, size_t, const KnnOptions&)>
       search_with;
-  /// Semantic configuration key for fused multi-query sweeps. Non-empty iff
-  /// the searcher can answer a group of queries with one database pass
-  /// (`search_fused`); queries going through handles with equal keys see
-  /// the same filter structures and may be fused into one sweep. Empty only
-  /// for searchers with no whole-database filter pass at all (sequential
-  /// scan) — the tree-probing Q-gram variants fuse too, via per-member
-  /// probe state that keeps the shared tree's range probes re-entrant.
-  std::string fusion_key;
-  /// Fused batch entry point: answers all queries of one fusion group with
-  /// a single cache-blocked pass over the filter tables. `results[i]` is
-  /// bit-identical to `search_with(*queries[i], k, options)` — fusion is a
-  /// pure throughput knob. Set iff `fusion_key` is non-empty.
-  std::function<std::vector<KnnResult>(
-      const std::vector<const Trajectory*>&, size_t, const KnnOptions&)>
-      search_fused;
 };
 
 /// Facade over every retrieval method in the library for one dataset and

@@ -16,8 +16,8 @@
 //     serves the 3-D searcher), or exact LCSS for the LCSS searcher.
 // FilterAndRefine answers a k-NN query (threshold = the running k-th
 // distance, refinement sharded over the worker slots), ScanRange a range
-// query (threshold = the radius, one slot), and RunFusionGroup runs a fusion
-// group's one up-front filter pass before each member's FilterAndRefine.
+// query (threshold = the radius, one slot), and RunWithPass runs a query's
+// up-front filter pass before its FilterAndRefine.
 // The driver owns everything else: the per-slot stage counters, DP counts
 // and DP times, the "refine" span with one "refine_worker" per slot and the
 // "dp" aggregate, the phase split, the k = 0 answer and the query metrics.
@@ -431,8 +431,8 @@ class BoundedEdr {
 /// What the driver needs to know about one query besides its order, filter
 /// chain and distance: the data, the execution options (worker count and
 /// pool), the query's trace (null under EDR_DISABLE_OBS), and the time its
-/// up-front filter pass took (shared by a fusion group; 0 for searchers
-/// without one). Db and Query are as for BoundedEdr.
+/// up-front filter pass took (0 for searchers without one). Db and Query
+/// are as for BoundedEdr.
 template <typename Db = TrajectoryDataset, typename Query = Trajectory>
 struct RefineRequest {
   const Db& db;
@@ -616,41 +616,24 @@ KnnResult ScanRange(const TrajectoryDataset& db, const Trajectory& query,
   });
 }
 
-/// The query path of the fusion-capable searchers (histogram, Q-gram,
-/// combined, LCSS): answers a group of queries with one up-front filter
-/// pass, pass() (feature fetches included), recorded as a `pass_span` span
-/// on every member's trace, then returns member(f, request) for each member
-/// f, where the request carries the pass time as the member's filter phase.
-/// A group with k = 0 answers without a pass.
-template <typename PassFn, typename MemberFn>
-std::vector<KnnResult> RunFusionGroup(
-    const TrajectoryDataset& db, const std::vector<const Trajectory*>& queries,
-    size_t k, const KnnOptions& options, const char* pass_span,
-    PassFn&& pass, MemberFn&& member) {
+/// The query path of the searchers with an up-front filter pass (histogram,
+/// Q-gram, combined, LCSS): runs pass() (feature fetches included),
+/// recorded as a `pass_span` span on the query's trace, then returns
+/// refine(request), where the request carries the pass time as the query's
+/// filter phase. A query with k = 0 answers without a pass.
+template <typename PassFn, typename RefineFn>
+KnnResult RunWithPass(const TrajectoryDataset& db, const Trajectory& query,
+                      size_t k, const KnnOptions& options,
+                      const char* pass_span, PassFn&& pass,
+                      RefineFn&& refine) {
   const internal::Clock::time_point start = internal::Clock::now();
-  const size_t group = queries.size();
-  if (group == 0 || k == 0) {
-    return std::vector<KnnResult>(group, internal::EmptyAnswer(db.size()));
-  }
-  std::vector<std::shared_ptr<QueryTrace>> traces(group);
-  std::vector<int32_t> spans(group, -1);
-  for (size_t f = 0; f < group; ++f) {
-    traces[f] = KnnTrace(options);
-    if (traces[f] != nullptr) spans[f] = traces[f]->Begin(pass_span);
-  }
+  if (k == 0) return internal::EmptyAnswer(db.size());
+  std::shared_ptr<QueryTrace> trace = KnnTrace(options);
+  TraceSpan span(trace.get(), pass_span);
   pass();
-  for (size_t f = 0; f < group; ++f) {
-    if (traces[f] != nullptr) traces[f]->End(spans[f]);
-  }
-  const double filter_seconds = internal::SecondsSince(start);
-  std::vector<KnnResult> results;
-  results.reserve(group);
-  for (size_t f = 0; f < group; ++f) {
-    results.push_back(member(f, RefineRequest{db, *queries[f], options,
-                                              std::move(traces[f]),
-                                              filter_seconds}));
-  }
-  return results;
+  span.End();
+  return refine(RefineRequest{db, query, options, std::move(trace),
+                              internal::SecondsSince(start)});
 }
 
 }  // namespace edr

@@ -43,7 +43,7 @@ void RecordQueryMetrics(const SearchStats& stats) {
 }
 
 void PublishFlight(const std::string& searcher, const KnnResult& result,
-                   unsigned sched_budget, size_t fusion_group) {
+                   unsigned sched_budget) {
   if constexpr (kObsEnabled) {
     FlightRecorder& recorder = FlightRecorder::Global();
     if (!recorder.enabled()) return;
@@ -56,14 +56,12 @@ void PublishFlight(const std::string& searcher, const KnnResult& result,
     record.edr_computed = result.stats.edr_computed;
     record.stages = result.stats.stages;
     record.sched_budget = sched_budget;
-    record.fusion_group = fusion_group;
     record.trace = result.trace;
     recorder.Publish(std::move(record));
   } else {
     (void)searcher;
     (void)result;
     (void)sched_budget;
-    (void)fusion_group;
   }
 }
 

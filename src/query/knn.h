@@ -17,7 +17,6 @@ namespace edr {
 class ThreadPool;
 class QueryTrace;
 class FeatureCache;
-class FusedPlanCache;
 
 /// Execution options accepted by every searcher's three-argument Knn
 /// overload. The default (one worker) is the fully sequential path; any
@@ -37,12 +36,6 @@ struct KnnOptions {
   /// features fresh every call. Cached features are bit-identical to
   /// freshly built ones, so attaching a cache never changes results.
   FeatureCache* feature_cache = nullptr;
-  /// Optional memo of fused sweep plans (the merged distinct-bin lists a
-  /// fusion group's sweep derives from its members);
-  /// nullptr = rebuild the plan every fused call. Cached plans are
-  /// bit-identical to freshly built ones, so attaching a cache never
-  /// changes results. Groups of one never consult it.
-  FusedPlanCache* plan_cache = nullptr;
 };
 
 /// One k-NN answer: a dataset trajectory id and its EDR distance to the
@@ -113,13 +106,13 @@ struct KnnResult {
 void RecordQueryMetrics(const SearchStats& stats);
 
 /// Sends one completed query to FlightRecorder::Global() with its schedule
-/// context: the intra-query budget granted and the fusion group's size. A
-/// query that did not go through the scheduler passes 0 for both. The disabled-recorder path is one relaxed load
-/// and builds no record; the call compiles to nothing under
+/// context: the intra-query budget granted. A query that did not go
+/// through the scheduler passes 0. The disabled-recorder path is one
+/// relaxed load and builds no record; the call compiles to nothing under
 /// EDR_DISABLE_OBS. Safe from pool workers; `result` is only copied from,
 /// so publication cannot perturb answers.
 void PublishFlight(const std::string& searcher, const KnnResult& result,
-                   unsigned sched_budget, size_t fusion_group);
+                   unsigned sched_budget);
 
 /// A bounded list of the k nearest neighbors seen so far, kept sorted in
 /// ascending distance. This is the paper's `result` array; `KthDistance()`

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/cpu.h"
 #include "obs/registry.h"
 #include "query/thread_pool.h"
 
@@ -20,10 +19,6 @@ ThreadPool& ResolvePool(ThreadPool* pool) {
 }  // namespace
 
 std::string SchedulerPolicyError(const SchedulerPolicy& policy) {
-  if (policy.budget_override && policy.max_fusion > 1) {
-    return "budget_override schedules are strictly per-query, so "
-           "max_fusion > 1 cannot take effect; drop one of the two";
-  }
   if (policy.max_intra_workers != 0 && policy.max_threads != 0 &&
       policy.max_intra_workers > policy.max_threads) {
     return "max_intra_workers exceeds max_threads, so the intra-query "
@@ -34,14 +29,8 @@ std::string SchedulerPolicyError(const SchedulerPolicy& policy) {
 
 AdaptiveScheduler::AdaptiveScheduler(const NamedSearcher& searcher, size_t k,
                                      const SchedulerPolicy& policy,
-                                     ThreadPool* pool, FeatureCache* cache,
-                                     FusedPlanCache* plan_cache)
-    : searcher_(searcher),
-      k_(k),
-      policy_(policy),
-      pool_(pool),
-      cache_(cache),
-      plan_cache_(plan_cache) {}
+                                     ThreadPool* pool, FeatureCache* cache)
+    : searcher_(searcher), k_(k), policy_(policy), pool_(pool), cache_(cache) {}
 
 unsigned AdaptiveScheduler::Capacity() const {
   unsigned cap = ResolvePool(pool_).num_workers() + 1;
@@ -80,21 +69,6 @@ size_t AdaptiveScheduler::WidenPending() const {
   return std::max<size_t>(1, Capacity() / 2);
 }
 
-size_t AdaptiveScheduler::MaxFusion() const {
-  // THE resolution point for SchedulerPolicy::max_fusion's 0-vs-1
-  // semantics: 0 = auto (kMaxFusionGroup), 1 = fusion disabled, anything
-  // larger is honored as-is (sweeps chunk internally past the kernel
-  // width). budget_override schedules are strictly per-query (the
-  // adversarial test harness); searchers without a fused entry point
-  // cannot fuse.
-  static_assert(kMaxFusionGroup > 1,
-                "auto max_fusion must enable fusion: a kernel width of 1 "
-                "would make 0 (auto) and 1 (disabled) coincide");
-  if (policy_.budget_override) return 1;
-  if (searcher_.fusion_key.empty() || !searcher_.search_fused) return 1;
-  return policy_.max_fusion != 0 ? policy_.max_fusion : kMaxFusionGroup;
-}
-
 KnnResult AdaptiveScheduler::Call(const Trajectory& query, unsigned budget) {
   if (searcher_.search_with) {
     KnnOptions per_call;
@@ -131,9 +105,6 @@ size_t AdaptiveScheduler::Step(
                                       before.widened_queries);
     metrics.sched_budget_granted.Inc(stats_.budget_granted -
                                      before.budget_granted);
-    metrics.sched_fused_groups.Inc(stats_.fused_groups - before.fused_groups);
-    metrics.sched_fused_queries.Inc(stats_.fused_queries -
-                                    before.fused_queries);
   }
   return completed;
 }
@@ -143,40 +114,6 @@ size_t AdaptiveScheduler::Dispatch(
     const std::function<const Trajectory&(size_t)>& query_at,
     const std::function<void(size_t, KnnResult&&)>& emit) {
   if (pending == 0) return 0;
-
-  // Fusable searcher with a backlog: answer the first MaxFusion() queries
-  // with one fused database sweep on the calling thread. Groups run one
-  // after another, each granted the whole free capacity as intra-query
-  // budget, so the pool is filled by the sweep's own sharding instead of
-  // by inter-query waves — the table is streamed once per group instead
-  // of once per query.
-  const size_t max_fusion = MaxFusion();
-  if (pending > 1 && max_fusion > 1) {
-    const size_t group = std::min(pending, max_fusion);
-    const unsigned budget = GrantBudget(1);
-    std::vector<const Trajectory*> members(group);
-    for (size_t j = 0; j < group; ++j) members[j] = &query_at(first + j);
-    KnnOptions per_call;
-    per_call.intra_query_workers = budget;
-    per_call.pool = pool_;
-    per_call.feature_cache = cache_;
-    per_call.plan_cache = plan_cache_;
-    std::vector<KnnResult> results =
-        searcher_.search_fused(members, k_, per_call);
-    for (size_t j = 0; j < group; ++j) {
-      PublishFlight(searcher_.name, results[j], budget, group);
-      emit(first + j, std::move(results[j]));
-    }
-    // One grant covers the whole group: the members share a single call's
-    // budget rather than receiving one each.
-    stats_.queries += group;
-    stats_.budget_granted += budget;
-    stats_.max_budget = std::max(stats_.max_budget, budget);
-    ++stats_.fused_groups;
-    stats_.fused_queries += group;
-    return group;
-  }
-
   const unsigned budget = GrantBudget(pending);
 
   // Deep backlog and no test override: ride a wave. Everything except the
@@ -190,8 +127,7 @@ size_t AdaptiveScheduler::Dispatch(
         wave,
         [&](size_t j) {
           KnnResult result = Call(query_at(first + j), /*budget=*/1);
-          PublishFlight(searcher_.name, result, /*sched_budget=*/1,
-                        /*fusion_group=*/1);
+          PublishFlight(searcher_.name, result, /*sched_budget=*/1);
           emit(first + j, std::move(result));
         },
         Capacity());
@@ -204,7 +140,7 @@ size_t AdaptiveScheduler::Dispatch(
   // Solo query on the calling thread; a budget > 1 fans out *inside* the
   // query (the pool is free — waves and solo calls never overlap).
   KnnResult result = Call(query_at(first), budget);
-  PublishFlight(searcher_.name, result, budget, /*fusion_group=*/1);
+  PublishFlight(searcher_.name, result, budget);
   emit(first, std::move(result));
   RecordGrant(budget);
   return 1;
@@ -214,11 +150,10 @@ std::vector<KnnResult> RunScheduled(const NamedSearcher& searcher,
                                     const std::vector<Trajectory>& queries,
                                     size_t k, const SchedulerPolicy& policy,
                                     ThreadPool* pool, FeatureCache* cache,
-                                    SchedulerStats* stats_out,
-                                    FusedPlanCache* plan_cache) {
+                                    SchedulerStats* stats_out) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<KnnResult> results(queries.size());
-  AdaptiveScheduler scheduler(searcher, k, policy, pool, cache, plan_cache);
+  AdaptiveScheduler scheduler(searcher, k, policy, pool, cache);
   for (size_t next = 0; next < queries.size();) {
     next += scheduler.Step(
         next, queries.size() - next,
@@ -244,7 +179,7 @@ QuerySession::QuerySession(const NamedSearcher& searcher,
                            const Options& options)
     : options_(options),
       scheduler_(searcher, options_.k, options_.policy, options_.pool,
-                 options_.feature_cache, options_.plan_cache),
+                 options_.feature_cache),
       admit_watermark_(options_.admit_watermark != 0
                            ? options_.admit_watermark
                            : static_cast<size_t>(2) *
@@ -268,6 +203,10 @@ QuerySession::Ticket QuerySession::Submit(Trajectory query) {
 }
 
 const KnnResult& QuerySession::Result(Ticket ticket) {
+  if (ticket >= submitted()) {
+    throw std::out_of_range("QuerySession: ticket " + std::to_string(ticket) +
+                            " was never issued");
+  }
   while (completed_ <= ticket) StepOnce();
   return results_[ticket];
 }

@@ -36,18 +36,6 @@ struct SchedulerPolicy {
   /// Cap on total parallelism, the KnnBatch `threads` knob (0 = pool
   /// capacity). 1 forces the fully sequential caller-thread path.
   unsigned max_threads = 0;
-  /// Cap on the fusion-group size for searchers with a fused entry point
-  /// (NamedSearcher::search_fused): up to this many queries from the front
-  /// of the backlog are answered by one fused database sweep, the group
-  /// running on the calling thread with the whole free capacity as
-  /// intra-query budget. The 0-vs-1 semantics are resolved in exactly one
-  /// place, AdaptiveScheduler::MaxFusion(): 0 = auto (kMaxFusionGroup, the
-  /// kernels' register-blocking width); 1 disables fusion; values above
-  /// kMaxFusionGroup are honored (the sweeps chunk internally). Setting
-  /// both a budget_override and max_fusion > 1 is contradictory —
-  /// override schedules are strictly per-query — and is rejected by
-  /// SchedulerPolicyError rather than silently clamped.
-  size_t max_fusion = 0;
   /// Test hook: when set, every query runs solo (no waves) with budget
   /// `budget_override(pending, capacity)` clamped to [1, capacity] —
   /// this is how scheduler_test drives fixed, oscillating, and
@@ -69,11 +57,12 @@ struct SchedulerStats {
   size_t waves = 0;            ///< inter-query ParallelFor dispatches
   size_t wave_queries = 0;     ///< queries that ran inside a wave (budget 1)
   size_t widened_queries = 0;  ///< solo queries granted a budget > 1
-  size_t fused_groups = 0;     ///< fused multi-query sweep dispatches
-  size_t fused_queries = 0;    ///< queries answered inside a fused group
-  /// Never written: every fusion group is the front of the backlog. These
-  /// four fields stay zero only because the benchmark harness
-  /// (ledger/ledger.cc) still reads them; they go with its next change.
+  /// Never written: every query runs its own filter pass, so nothing is
+  /// fused or grouped. These six fields stay zero only because the
+  /// benchmark harness (ledger/ledger.cc) still reads them; they go with
+  /// its next change.
+  size_t fused_groups = 0;
+  size_t fused_queries = 0;
   size_t group_similarity = 0;
   size_t group_fifo = 0;
   size_t group_forced = 0;
@@ -86,26 +75,22 @@ struct SchedulerStats {
 /// drives one run; it is not thread-safe (Step is called from the
 /// owning thread, which then fans out internally).
 ///
-/// Determinism: every schedule — any partition of the queries into fused
-/// groups, waves, and solo calls, under any budget assignment — produces
-/// bit-identical KnnResults, because (a) each query's result is
-/// budget-invariant (the PR 3 guarantee, certified by intra_query_test),
-/// (b) queries never share mutable state, (c) results are written by query
-/// index, and (d) a fused group's results are bit-identical to member-wise
-/// calls (certified by fused_sweep_test). scheduler_test re-certifies this
-/// end to end against adversarial schedules.
+/// Determinism: every schedule — any partition of the queries into waves
+/// and solo calls, under any budget assignment — produces bit-identical
+/// KnnResults, because (a) each query's result is budget-invariant
+/// (certified by intra_query_test), (b) queries never share mutable state,
+/// and (c) results are written by query index. scheduler_test re-certifies
+/// this end to end against adversarial schedules.
 class AdaptiveScheduler {
  public:
   /// `searcher` and `policy` are borrowed for the scheduler's lifetime.
   /// `pool` = nullptr uses ThreadPool::Global(); `cache` = nullptr runs
-  /// uncached; `plan_cache` = nullptr rebuilds fused plans per sweep. The
-  /// per-call KnnOptions hand all three to the searcher, so a bound-in
-  /// pool on the NamedSearcher is overridden only when `pool` is
+  /// uncached. The per-call KnnOptions hand both to the searcher, so a
+  /// bound-in pool on the NamedSearcher is overridden only when `pool` is
   /// explicit.
   AdaptiveScheduler(const NamedSearcher& searcher, size_t k,
                     const SchedulerPolicy& policy, ThreadPool* pool,
-                    FeatureCache* cache,
-                    FusedPlanCache* plan_cache = nullptr);
+                    FeatureCache* cache);
 
   /// Total parallelism available to this run: pool workers + the caller,
   /// clamped by policy.max_threads. At least 1.
@@ -126,18 +111,13 @@ class AdaptiveScheduler {
   /// wave: half the capacity, at least 1.
   size_t WidenPending() const;
 
-  /// Largest fusion group one Step may form: policy.max_fusion resolved
-  /// (0 = kMaxFusionGroup), or 1 when the searcher has no fused entry
-  /// point or a budget override is active.
-  size_t MaxFusion() const;
-
   /// Executes one scheduling decision over the backlog of `pending`
   /// queries whose first is query `first` (ids first .. first + pending - 1
-  /// in arrival order): one fused group (a single multi-query sweep on the
-  /// calling thread), one wave (budget-1 queries fanned inter-query across
-  /// the pool), or one solo query with a wider budget on the calling
-  /// thread. Every step takes from the front of the backlog, so queries
-  /// complete in arrival order. Emits every completed result via
+  /// in arrival order): one wave (budget-1 queries fanned inter-query
+  /// across the pool), or one solo query, widened when its budget is above
+  /// 1, on the calling thread. Every query runs its own filter pass. Every
+  /// step takes from the front of the backlog, so queries complete in
+  /// arrival order. Emits every completed result via
   /// `emit(id, result)` and returns how many queries completed (>= 1 unless
   /// the backlog was empty); they are ids first .. first + completed - 1.
   /// On return, the step's SchedulerStats delta goes to the registry's
@@ -161,7 +141,6 @@ class AdaptiveScheduler {
   const SchedulerPolicy& policy_;
   ThreadPool* pool_;  ///< explicit pool or nullptr (= Global)
   FeatureCache* cache_;
-  FusedPlanCache* plan_cache_;
   SchedulerStats stats_;
 };
 
@@ -174,8 +153,7 @@ std::vector<KnnResult> RunScheduled(const NamedSearcher& searcher,
                                     size_t k, const SchedulerPolicy& policy,
                                     ThreadPool* pool = nullptr,
                                     FeatureCache* cache = nullptr,
-                                    SchedulerStats* stats_out = nullptr,
-                                    FusedPlanCache* plan_cache = nullptr);
+                                    SchedulerStats* stats_out = nullptr);
 
 /// A streaming query session: queries are admitted as they arrive
 /// (Submit), not at a batch barrier, and the scheduler decides execution
@@ -197,9 +175,9 @@ class QuerySession {
     /// Feature cache shared by every query of the session (and, if the
     /// caller passes the same cache to several sessions, across them).
     FeatureCache* feature_cache = nullptr;
-    /// Fused-plan cache shared by every fusion group of the session, so a
-    /// recurring group composition reuses its built sweep plan instead of
-    /// rebuilding it (nullptr = rebuild per sweep).
+    /// Ignored: nothing is fused, so no plan is cached. The benchmark
+    /// harness (ledger/ledger.cc) still sets it; it goes with the
+    /// harness's next change, together with FusedPlanCache.
     FusedPlanCache* plan_cache = nullptr;
     /// Backlog size that triggers eager execution inside Submit, so a
     /// sustained stream makes progress without anyone asking for results
@@ -221,7 +199,8 @@ class QuerySession {
   Ticket Submit(Trajectory query);
 
   /// The answer for `ticket`, running the schedule forward until it has
-  /// completed.
+  /// completed. Throws std::out_of_range for a ticket Submit never issued
+  /// (ticket >= submitted()), which no amount of scheduling completes.
   const KnnResult& Result(Ticket ticket);
 
   /// Runs every admitted query to completion.

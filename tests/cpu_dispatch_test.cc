@@ -154,20 +154,11 @@ TEST(CpuDispatchTest, MixedLayoutSweepsBitIdenticalAcrossLevels) {
   for (const size_t i : {size_t{0}, size_t{100}, size_t{200}, size_t{310}}) {
     qhs.push_back(table.MakeQueryHistogram(db[i]));
   }
-  std::vector<const HistogramTable::QueryHistogram*> group;
-  for (const auto& qh : qhs) group.push_back(&qh);
 
   ASSERT_TRUE(SetActiveKernelLevel(KernelLevel::kScalar));
-  std::vector<std::vector<int>> base_single(qhs.size());
-  std::vector<std::vector<int>> base_fused(qhs.size());
-  std::vector<std::vector<int>*> base_outs;
+  std::vector<std::vector<int>> base(qhs.size());
   for (size_t i = 0; i < qhs.size(); ++i) {
-    base_single[i] = testutil::SweepOne(table, qhs[i]);
-    base_outs.push_back(&base_fused[i]);
-  }
-  table.FastLowerBoundSweep(group, base_outs);
-  for (size_t i = 0; i < qhs.size(); ++i) {
-    ASSERT_EQ(base_fused[i], base_single[i]) << "scalar fused i=" << i;
+    base[i] = testutil::SweepOne(table, qhs[i]);
   }
 
   for (const KernelLevel level : kAllLevels) {
@@ -175,28 +166,17 @@ TEST(CpuDispatchTest, MixedLayoutSweepsBitIdenticalAcrossLevels) {
     ASSERT_TRUE(SetActiveKernelLevel(level));
     SCOPED_TRACE(KernelLevelName(level));
     for (size_t i = 0; i < qhs.size(); ++i) {
-      EXPECT_EQ(testutil::SweepOne(table, qhs[i]), base_single[i])
-          << "single i=" << i;
-    }
-    std::vector<std::vector<int>> fused(qhs.size());
-    std::vector<std::vector<int>*> outs;
-    for (size_t i = 0; i < qhs.size(); ++i) outs.push_back(&fused[i]);
-    table.FastLowerBoundSweep(group, outs);
-    for (size_t i = 0; i < qhs.size(); ++i) {
-      EXPECT_EQ(fused[i], base_single[i]) << "fused i=" << i;
+      EXPECT_EQ(testutil::SweepOne(table, qhs[i]), base[i]) << "i=" << i;
     }
   }
 }
 
-// A group's Q-gram counts (QgramKnnSearcher::MatchCounts, both merge
-// variants) must match the scalar per-member counts at every supported
-// level.
-TEST(CpuDispatchTest, FusedQgramCountsBitIdenticalAcrossLevels) {
+// A query's Q-gram counts (QgramKnnSearcher::MatchCounts, both merge
+// variants) must match the scalar counts at every supported level.
+TEST(CpuDispatchTest, QgramCountsBitIdenticalAcrossLevels) {
   LevelGuard guard;
   const TrajectoryDataset db = testutil::SmallDataset(605, 200, 6, 40);
   const auto queries = testutil::MakeQueries(db, 606, 4);
-  std::vector<const Trajectory*> group;
-  for (const Trajectory& q : queries) group.push_back(&q);
 
   for (const QgramVariant variant :
        {QgramVariant::kMerge2D, QgramVariant::kMerge1D}) {
@@ -204,14 +184,14 @@ TEST(CpuDispatchTest, FusedQgramCountsBitIdenticalAcrossLevels) {
     SCOPED_TRACE(QgramVariantName(variant));
     ASSERT_TRUE(SetActiveKernelLevel(KernelLevel::kScalar));
     std::vector<std::vector<size_t>> base;
-    for (const Trajectory* q : group) {
-      base.push_back(std::move(searcher.MatchCounts({q})[0]));
-    }
+    for (const Trajectory& q : queries) base.push_back(searcher.MatchCounts(q));
     for (const KernelLevel level : kAllLevels) {
       if (!KernelLevelSupported(level)) continue;
       ASSERT_TRUE(SetActiveKernelLevel(level));
       SCOPED_TRACE(KernelLevelName(level));
-      EXPECT_EQ(searcher.MatchCounts(group), base);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(searcher.MatchCounts(queries[i]), base[i]) << "i=" << i;
+      }
     }
   }
 }

@@ -113,11 +113,10 @@ long FirstMismatch(const std::vector<int>& got, const std::vector<int>& want) {
   return -1;
 }
 
-/// Checks every path of the fast bound — the per-row FastLowerBound, the
-/// sweep of one query at the active and at the scalar level, sharded over
-/// 4 workers, and group sweeps (sequential and sharded) at group sizes 1,
-/// 3 and kMaxFusionGroup + 1 — against the bound's definition on freshly
-/// built dense histograms of the query and of every db[id].
+/// Checks every path of the fast bound — the per-row FastLowerBound, and
+/// the sweep at the active and at the scalar level and sharded over 4
+/// workers — against the bound's definition on freshly built dense
+/// histograms of the query and of every db[id].
 void ExpectEveryPathMatchesDefinition(const TrajectoryDataset& db,
                                       const HistogramTable& table,
                                       const std::vector<Trajectory>& queries,
@@ -149,26 +148,6 @@ void ExpectEveryPathMatchesDefinition(const TrajectoryDataset& db,
     EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "scalar, query " << qi;
     got = testutil::SweepOne(table, qhs[qi], parallel);
     EXPECT_EQ(FirstMismatch(got, want[qi]), -1) << "parallel, query " << qi;
-  }
-
-  for (const size_t g : {size_t{1}, size_t{3}, kMaxFusionGroup + 1}) {
-    std::vector<const HistogramTable::QueryHistogram*> group(g);
-    std::vector<std::vector<int>> fused(g);
-    std::vector<std::vector<int>*> outs(g);
-    for (size_t i = 0; i < g; ++i) {
-      group[i] = &qhs[i % qhs.size()];
-      outs[i] = &fused[i];
-    }
-    table.FastLowerBoundSweep(group, outs);
-    for (size_t i = 0; i < g; ++i) {
-      EXPECT_EQ(FirstMismatch(fused[i], want[i % qhs.size()]), -1)
-          << "group " << g << " member " << i;
-    }
-    table.FastLowerBoundSweep(group, outs, parallel);
-    for (size_t i = 0; i < g; ++i) {
-      EXPECT_EQ(FirstMismatch(fused[i], want[i % qhs.size()]), -1)
-          << "group parallel, group " << g << " member " << i;
-    }
   }
 }
 

@@ -198,7 +198,6 @@ TEST(ObsFlightTest, SchedulerPublishesScheduledQueries) {
   EXPECT_EQ(recorder.published(), 16u);
   for (const FlightRecord& r : recorder.Recent()) {
     EXPECT_EQ(r.searcher, searcher.name);
-    EXPECT_GE(r.fusion_group, 1u);  // Scheduled: solo (1) or fused (>1).
     EXPECT_GE(r.sched_budget, 1u);
     EXPECT_EQ(r.db_size, db.size());
     EXPECT_TRUE(r.stages.Conserves(r.db_size));

@@ -19,7 +19,7 @@ TEST(ObsOpenMetricsTest, NameMappingSanitizesAndStripsTotal) {
   // Dots become underscores; a trailing _total folds into the sample
   // suffix so the counter line does not read "..._total_total".
   EXPECT_EQ(OpenMetricsName("query.dp_total"), "edr_query_dp");
-  EXPECT_EQ(OpenMetricsName("sched.fused_groups"), "edr_sched_fused_groups");
+  EXPECT_EQ(OpenMetricsName("sched.wave_queries"), "edr_sched_wave_queries");
   EXPECT_EQ(OpenMetricsName("weird name!"), "edr_weird_name_");
 }
 
@@ -261,17 +261,12 @@ TEST(ObsOpenMetricsTest, EveryBuildRendersAValidExposition) {
       RenderOpenMetrics(MetricsRegistry::Global().Snapshot(), options);
   std::string error;
   EXPECT_TRUE(OpenMetricsIsValid(text, &error)) << error;
-  // The standard registration makes the fused-sweep and feature-cache
+  // The standard registration makes the scheduler and feature-cache
   // families visible even before any event of their kind.
-  EXPECT_NE(text.find("edr_sched_fused_groups_total"), std::string::npos);
-  EXPECT_NE(text.find("edr_sched_fused_queries_total"), std::string::npos);
+  EXPECT_NE(text.find("edr_sched_waves_total"), std::string::npos);
+  EXPECT_NE(text.find("edr_sched_wave_queries_total"), std::string::npos);
   EXPECT_NE(text.find("edr_feature_cache_hits_total"), std::string::npos);
   EXPECT_NE(text.find("edr_feature_cache_misses_total"), std::string::npos);
-  // ... and the fused-plan-cache family.
-  EXPECT_NE(text.find("edr_plan_cache_hits_total"), std::string::npos);
-  EXPECT_NE(text.find("edr_plan_cache_misses_total"), std::string::npos);
-  EXPECT_NE(text.find("edr_plan_cache_evictions_total"), std::string::npos);
-  EXPECT_NE(text.find("edr_plan_cache_collisions_total"), std::string::npos);
 }
 
 }  // namespace

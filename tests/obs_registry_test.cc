@@ -382,18 +382,21 @@ TEST(ObsRegistryTest, RegisterStandardMetricsPreRegistersAllFamilies) {
     }
     return false;
   };
-  // The fused-sweep and feature-cache families used to appear only after
+  // The scheduler and feature-cache families used to appear only after
   // the first event of their kind; pre-registration makes every export
   // list them, zero-valued when idle.
   for (const char* name :
        {"query.count", "query.dp_total", "query.dp_cells",
         "query.candidates_pruned", "query.candidates_total", "batch.count",
         "batch.queries", "sched.waves", "sched.wave_queries",
-        "sched.widened_queries", "sched.budget_granted", "sched.fused_groups",
-        "sched.fused_queries", "feature_cache.hits", "feature_cache.misses",
-        "feature_cache.evictions", "plan_cache.hits", "plan_cache.misses",
-        "plan_cache.evictions", "plan_cache.collisions"}) {
+        "sched.widened_queries", "sched.budget_granted", "feature_cache.hits",
+        "feature_cache.misses", "feature_cache.evictions"}) {
     EXPECT_TRUE(has_counter(name)) << name;
+  }
+  // Nothing is fused, so no fused-sweep or plan-cache metric is left.
+  for (const char* name : {"sched.fused_groups", "sched.fused_queries",
+                           "plan_cache.hits", "plan_cache.misses"}) {
+    EXPECT_FALSE(has_counter(name)) << name;
   }
   EXPECT_TRUE(has_histogram("query.seconds"));
   EXPECT_TRUE(has_histogram("batch.seconds"));

@@ -169,5 +169,49 @@ TEST(RStarTreeTest, MoveTransfersContents) {
   EXPECT_EQ(moved.SearchRange({0, 0, 3, 3}).size(), 2u);
 }
 
+TEST(RStarTreeBulkLoadTest, EmptyAndSingle) {
+  const RStarTree empty = RStarTree::BulkLoad({});
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.Validate());
+
+  const RStarTree one = RStarTree::BulkLoad({{{1.0, 2.0}, 7}});
+  EXPECT_EQ(one.size(), 1u);
+  EXPECT_TRUE(one.Validate());
+  EXPECT_EQ(one.SearchRange({0, 0, 2, 3}).size(), 1u);
+}
+
+class RStarTreeBulkLoadTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RStarTreeBulkLoadTest, ValidAndQueryEquivalentToInsertion) {
+  Rng rng(GetParam());
+  const int n = static_cast<int>(rng.UniformInt(2, 4000));
+  const int capacity = static_cast<int>(rng.UniformInt(4, 24));
+  std::vector<std::pair<Point2, uint32_t>> items;
+  RStarTree inserted(capacity);
+  for (int i = 0; i < n; ++i) {
+    const Point2 p{rng.Uniform(-6, 6), rng.Uniform(-6, 6)};
+    items.push_back({p, static_cast<uint32_t>(i)});
+    inserted.Insert(p, static_cast<uint32_t>(i));
+  }
+  const RStarTree bulk = RStarTree::BulkLoad(std::move(items), capacity);
+  ASSERT_EQ(bulk.size(), static_cast<size_t>(n));
+  ASSERT_TRUE(bulk.Validate());
+  // Bulk loading packs nodes full, so the tree is never taller.
+  EXPECT_LE(bulk.height(), inserted.height());
+
+  for (int trial = 0; trial < 20; ++trial) {
+    const Rect query = Rect::Around(
+        {rng.Uniform(-6, 6), rng.Uniform(-6, 6)}, rng.Uniform(0.1, 3.0));
+    std::vector<uint32_t> a = bulk.SearchRange(query);
+    std::vector<uint32_t> b = inserted.SearchRange(query);
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    ASSERT_EQ(a, b);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RStarTreeBulkLoadTest,
+                         ::testing::Range<uint64_t>(920, 930));
+
 }  // namespace
 }  // namespace edr

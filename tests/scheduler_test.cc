@@ -262,15 +262,8 @@ TEST_F(SchedulerTest, PolicyValidationRejectsContradictions) {
   {
     SchedulerPolicy p;
     p.budget_override = [](size_t, unsigned) { return 2u; };
-    EXPECT_EQ(SchedulerPolicyError(p), "");  // max_fusion default stays auto-off
+    EXPECT_EQ(SchedulerPolicyError(p), "");
   }
-
-  // budget_override forces per-query schedules; asking for fusion on top
-  // is a contradiction, not a preference.
-  SchedulerPolicy fused_override;
-  fused_override.budget_override = [](size_t, unsigned) { return 2u; };
-  fused_override.max_fusion = 4;
-  EXPECT_NE(SchedulerPolicyError(fused_override), "");
 
   // An intra-query budget the thread cap can never grant.
   SchedulerPolicy narrow;
@@ -284,6 +277,24 @@ TEST_F(SchedulerTest, PolicyValidationRejectsContradictions) {
   options.policy = narrow;
   options.pool = &pool_;
   EXPECT_THROW(QuerySession(searcher, options), std::invalid_argument);
+}
+
+/// A ticket Submit never issued can never complete: Result throws instead
+/// of stepping an empty backlog forever, before and after the admitted
+/// queries ran, and the session stays usable.
+TEST_F(SchedulerTest, ResultRejectsTicketNeverIssued) {
+  const NamedSearcher searcher = engine_.MakeSeqScan();
+  QuerySession::Options options;
+  options.k = 3;
+  options.pool = &pool_;
+  QuerySession session(searcher, options);
+  EXPECT_THROW(session.Result(0), std::out_of_range);
+  const QuerySession::Ticket ticket = session.Submit(queries_[0]);
+  EXPECT_THROW(session.Result(session.submitted()), std::out_of_range);
+  ExpectSameNeighbors(searcher.search(queries_[0], 3), session.Result(ticket),
+                      "issued ticket");
+  EXPECT_THROW(session.Result(session.submitted()), std::out_of_range);
+  EXPECT_EQ(session.pending(), 0u);
 }
 
 }  // namespace

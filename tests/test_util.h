@@ -79,12 +79,12 @@ inline int DefinitionFastBound(const HistogramTable& table,
                               BuildHistogram1D(s, grid, false)));
 }
 
-/// HistogramTable::FastLowerBoundSweep for one query: a group of one.
+/// HistogramTable::FastLowerBoundSweep of one query, returned by value.
 inline std::vector<int> SweepOne(const HistogramTable& table,
                                  const HistogramTable::QueryHistogram& qh,
                                  const KnnOptions& options = {}) {
   std::vector<int> out;
-  table.FastLowerBoundSweep({&qh}, {&out}, options);
+  table.FastLowerBoundSweep(qh, &out, options);
   return out;
 }
 

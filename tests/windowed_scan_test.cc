@@ -187,8 +187,6 @@ TEST_P(WindowedScanTest, SortedScansMatchTheFullSweepReference) {
   const bool one_length = GetParam();
   const TrajectoryDataset db = MakeDb(one_length ? 71 : 72, one_length);
   const std::vector<Trajectory> queries = MakeQueries(db);
-  std::vector<const Trajectory*> group;
-  for (const Trajectory& q : queries) group.push_back(&q);
   const size_t n = db.size();
   const QgramMeansTable means(db, /*q=*/1, /*dims=*/2);
 
@@ -212,10 +210,6 @@ TEST_P(WindowedScanTest, SortedScansMatchTheFullSweepReference) {
     };
     const auto range = [&](const Trajectory& q, int radius) {
       return config.qgram ? combined.Range(q, radius) : hsr.Range(q, radius);
-    };
-    const auto fused = [&](size_t k) {
-      return config.qgram ? combined.KnnFused(group, k)
-                          : hsr.KnnFused(group, k);
     };
     const QgramMeansTable* ref_means = config.qgram ? &means : nullptr;
 
@@ -261,16 +255,6 @@ TEST_P(WindowedScanTest, SortedScansMatchTheFullSweepReference) {
         const KnnResult ranged = range(queries[i], radius[i]);
         ASSERT_EQ(range_expected[i].neighbors, ranged.neighbors) << where;
         ExpectSameWork(range_expected[i], ranged, where);
-      }
-      // A fusion group sweeps the whole table once; each member's order
-      // then comes from the finished bounds, with the same sequence.
-      const std::vector<KnnResult> members = fused(20);
-      ASSERT_EQ(members.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const std::string where = at + " fused member " + std::to_string(i);
-        const KnnResult& reference = expected[i][1].second;
-        ASSERT_EQ(reference.neighbors, members[i].neighbors) << where;
-        ExpectSameWork(reference, members[i], where);
       }
     }
   }

@@ -557,8 +557,7 @@ int Knn(int argc, char** argv) {
               result.stats.edr_computed, result.stats.db_size,
               result.stats.PruningPower(),
               result.stats.elapsed_seconds * 1e3);
-  edr::PublishFlight(searcher.name, result, /*sched_budget=*/0,
-                     /*fusion_group=*/0);
+  edr::PublishFlight(searcher.name, result, /*sched_budget=*/0);
   MaybeExportTrace(result);
   MaybeExportMetrics();
   MaybeExportMetricsTable();
@@ -677,12 +676,10 @@ int Batch(int argc, char** argv) {
                 seconds * 1e3 / static_cast<double>(num_queries),
                 pass == 0 ? " (cold cache)" : " (warm cache)");
   }
-  std::printf("scheduler: %zu queries, %zu fused groups (%zu queries), "
-              "%zu waves (%zu queries), %zu widened, max budget %u\n",
-              last_stats.queries, last_stats.fused_groups,
-              last_stats.fused_queries, last_stats.waves,
-              last_stats.wave_queries, last_stats.widened_queries,
-              last_stats.max_budget);
+  std::printf("scheduler: %zu queries, %zu waves (%zu queries), "
+              "%zu widened, max budget %u\n",
+              last_stats.queries, last_stats.waves, last_stats.wave_queries,
+              last_stats.widened_queries, last_stats.max_budget);
   if (!g_trace_agg_json_path.empty()) {
     if (trace_agg.traces() == 0) {
       std::fprintf(stderr,
@@ -859,8 +856,7 @@ int RangeQuery(int argc, char** argv) {
   for (const edr::Neighbor& n : result.neighbors) {
     std::printf("  id=%-6u EDR=%.0f\n", n.id, n.distance);
   }
-  edr::PublishFlight("range", result, /*sched_budget=*/0,
-                     /*fusion_group=*/0);
+  edr::PublishFlight("range", result, /*sched_budget=*/0);
   MaybeExportTrace(result);
   MaybeExportMetrics();
   MaybeExportMetricsTable();
